@@ -624,12 +624,13 @@ impl Invariant for CacheConsistency {
 }
 
 /// Execution-path equivalence: the machine's event-driven inner loop
-/// (replay fast path + stepped/batched Λ solves) and the legacy per-tick
-/// loop must produce byte-identical run-codec output for the same run
-/// key. Like [`CacheConsistency`] this invariant has no live hook — the
+/// (replay fast path), the legacy per-tick loop, and a sibling group that
+/// shares one machine among several policies until they disagree must
+/// produce byte-identical run-codec output for the same run key. Like
+/// [`CacheConsistency`] this invariant has no live hook — the
 /// differential fuzzer drives it through
 /// [`crate::Auditor::check_byte_identity_as`], comparing a per-tick
-/// re-execution and a batched-engine execution against the event-driven
+/// re-execution and every sibling-group member against its serial
 /// baseline. Installed in the catalog so audits report it alongside the
 /// others.
 pub struct ExecPathEquivalence;

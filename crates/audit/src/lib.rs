@@ -24,7 +24,7 @@
 //! | `manager-arena-coherence` | self-check | seqlock arena publishes are torn-write-free on the real `core::manager` path (paper §4) |
 //! | `manager-lifecycle` | post-run events | open-serve departures match admitted arrivals, turnarounds consistent |
 //! | `cache-consistency` | differential runs | equal run keys ⇒ byte-equal results |
-//! | `exec-path-equivalence` | differential runs | per-tick, event-driven, and batched executions byte-agree |
+//! | `exec-path-equivalence` | differential runs | per-tick, event-driven, and sibling-group executions byte-agree |
 //! | `topology-capacity` | every tick (per level) | no bus level issues past its effective capacity (DESIGN §16) |
 //! | `oracle-admissibility` | differential runs | offline optimal ≤ every heuristic on the same cell, bound ≤ achieved cost (DESIGN §17) |
 //!
@@ -181,7 +181,7 @@ impl Auditor {
 
     /// [`Auditor::check_byte_identity`] attributed to a named differential
     /// invariant (e.g. `exec-path-equivalence` for per-tick vs
-    /// event-driven vs batched-engine executions of one run key).
+    /// event-driven vs sibling-group executions of one run key).
     pub fn check_byte_identity_as(
         &mut self,
         invariant: &'static str,

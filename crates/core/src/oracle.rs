@@ -462,10 +462,7 @@ fn place(chosen: &[&GangState], num_cpus: usize, quantum_us: u64) -> Decision {
                 _ => CpuId(free.iter().position(|&f| f).expect("width was checked")),
             };
             free[cpu.0] = false;
-            assignments.push(Assignment {
-                thread: t.id,
-                cpu,
-            });
+            assignments.push(Assignment { thread: t.id, cpu });
         }
     }
     Decision {
@@ -906,13 +903,7 @@ mod tests {
             })
             .sum();
 
-        let r = offline_optimal(
-            &mut || small_instance().0,
-            &measured,
-            &cfg,
-            &[seed],
-            &[],
-        );
+        let r = offline_optimal(&mut || small_instance().0, &measured, &cfg, &[seed], &[]);
         assert!(
             r.best_cost_us <= seed_cost,
             "oracle {} worse than its own seed {}",

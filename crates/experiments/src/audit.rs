@@ -8,11 +8,13 @@
 //!    (`busbw-audit`, observing the live run through
 //!    `Machine::run_audited`).
 //! 2. **Differential fuzzer** — random [`StackSpec`] policy stacks ×
-//!    random paper-workload mixes, each cell executed three ways: a
-//!    serial audited run, an N-worker run through the job-graph engine,
-//!    and a cache-warm re-execution of the same plan. The three must
-//!    agree byte-for-byte (codec bytes and the CSV row), the warm pass
-//!    must be all cache hits, and the audited run must be invariant-clean.
+//!    random paper-workload mixes, each cell executed five ways: a
+//!    serial audited run, the legacy per-tick inner loop, a sibling group
+//!    of the cell's stack and three related stacks ([`crate::sibling`]),
+//!    an N-worker run through the job-graph engine, and a cache-warm
+//!    re-execution of the same plan. All must agree byte-for-byte (codec
+//!    bytes and the CSV row), the warm pass must be all cache hits, and
+//!    the audited run must be invariant-clean.
 //! 3. **Shrinker** — any violation sends the cell through greedy
 //!    delta-debugging: drop workload instances and reset stack stages
 //!    toward the paper default while the failure reproduces, then emit
@@ -33,6 +35,7 @@ use crate::cache::encode_result;
 use crate::jobgraph::{Engine, Plan, RunRequest};
 use crate::policy::{AdmissionKind, EstimatorKind, PlacerKind, SelectorKind, StackSpec};
 use crate::runner::{run_spec, run_spec_hooked, PolicyKind, RunResult, RunnerConfig, TraceMode};
+use crate::sibling::run_group_with;
 
 /// One fuzz cell: a policy stack over a workload mix with a seed.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,12 +166,80 @@ pub(crate) fn canonical_bytes(result: &RunResult) -> Vec<u8> {
     encode_result(&stripped)
 }
 
+/// The siblings a fuzz cell's stack runs with in the grouped arm: the
+/// stack itself first, then the same stack with the next placer (often
+/// sharing a long prefix), with the quantum doubled (splitting at the
+/// first decision), and one random stack drawn from the cell's seed.
+fn sibling_stacks(cell: &FuzzCell) -> Vec<StackSpec> {
+    const PLACERS: [PlacerKind; 6] = [
+        PlacerKind::Packed,
+        PlacerKind::Scatter,
+        PlacerKind::Smt,
+        PlacerKind::PackLocal,
+        PlacerKind::SpreadSockets,
+        PlacerKind::Migrate,
+    ];
+    let at = PLACERS
+        .iter()
+        .position(|&p| p == cell.stack.placer)
+        .unwrap_or(0);
+    let mut rng = StdRng::seed_from_u64(cell.seed ^ 0x5151_B11E);
+    vec![
+        cell.stack,
+        StackSpec {
+            placer: PLACERS[(at + 1) % PLACERS.len()],
+            ..cell.stack
+        },
+        StackSpec {
+            quantum_us: 2 * cell.stack.quantum_us,
+            ..cell.stack
+        },
+        random_stack(&mut rng),
+    ]
+}
+
+/// The grouped arm of the differential: the cell's [`sibling_stacks`]
+/// run as one sibling group, each member's codec bytes compared against
+/// its own serial run (`baseline` for the cell's stack). `keep_sharing`
+/// seeds the driver fault the arm exists to catch.
+fn check_grouped_arm(
+    auditor: &mut Auditor,
+    cell: &FuzzCell,
+    mix: &WorkloadSpec,
+    rc: &RunnerConfig,
+    baseline: &[u8],
+    keep_sharing: bool,
+) {
+    let policies: Vec<PolicyKind> = sibling_stacks(cell)
+        .into_iter()
+        .map(PolicyKind::Stack)
+        .collect();
+    let group = run_group_with(mix, &policies, rc, keep_sharing);
+    for (i, (&policy, member)) in policies.iter().zip(&group.results).enumerate() {
+        let serial = if i == 0 {
+            baseline.to_vec()
+        } else {
+            canonical_bytes(&run_spec(mix, policy, rc))
+        };
+        auditor.check_byte_identity_as(
+            "exec-path-equivalence",
+            &format!(
+                "cell {:?}: serial vs sibling-group member {i} ({})",
+                cell.mix,
+                policy.label()
+            ),
+            &serial,
+            &canonical_bytes(member),
+        );
+    }
+}
+
 /// The full differential check for one cell: audited serial run, then
-/// the same cell re-executed with the legacy per-tick inner loop, then
-/// through the engine with `workers` threads (serial-solve and
-/// batch-solve modes), then a warm re-execution of the same plan —
-/// asserting invariant cleanliness, byte-identical codec output,
-/// identical CSV rows, and all-hit warm passes.
+/// the same cell re-executed with the legacy per-tick inner loop, as a
+/// member of a sibling group, through the engine with `workers` threads,
+/// and as a warm re-execution of the same plan — asserting invariant
+/// cleanliness, byte-identical codec output, identical CSV rows, and
+/// all-hit warm passes.
 pub fn check_cell_differential(cell: &FuzzCell, workers: usize) -> Vec<Violation> {
     let mut violations = check_cell(cell);
     let Some(mix) = mix_from_names(&cell.mix) else {
@@ -205,21 +276,11 @@ pub fn check_cell_differential(cell: &FuzzCell, workers: usize) -> Vec<Violation
         csv_line(&per_tick).as_bytes(),
     );
 
+    check_grouped_arm(&mut auditor, cell, &mix, &rc, &baseline_bytes, false);
+
     let mut plan = Plan::new();
     let id = plan.cell(RunRequest::spec(mix, PolicyKind::Stack(cell.stack), &rc));
     let mut engine = Engine::ephemeral();
-
-    // Batched-engine differential: the same cell driven through the
-    // lockstep SoA batch solver on a fresh engine (its own cache, so the
-    // run actually executes batched instead of hitting `engine`'s cache).
-    let batched = Engine::ephemeral().execute_batched(&plan, workers);
-    auditor.check_byte_identity_as(
-        "exec-path-equivalence",
-        &format!("cell {:?}: serial vs batched engine", cell.mix),
-        &baseline_bytes,
-        &canonical_bytes(batched.get(id)),
-    );
-
     let cold = engine.execute(&plan, workers);
     auditor.check_byte_identity(
         &format!("cell {:?}: serial vs {workers}-worker engine", cell.mix),
@@ -752,6 +813,24 @@ mod tests {
         let cell = fuzz_cell(42, 0, 0.05);
         let violations = check_cell_differential(&cell, 4);
         assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn sibling_driver_that_keeps_sharing_past_a_split_is_caught() {
+        let cell = fuzz_cell(42, 0, 0.05);
+        let mix = mix_from_names(&cell.mix).unwrap();
+        let rc = runner_config(&cell, TraceMode::Off);
+        let baseline = canonical_bytes(&run_spec(&mix, PolicyKind::Stack(cell.stack), &rc));
+        let mut honest = Auditor::with_builtins();
+        check_grouped_arm(&mut honest, &cell, &mix, &rc, &baseline, false);
+        assert_eq!(honest.take_violations(), Vec::new());
+        let mut faulty = Auditor::with_builtins();
+        check_grouped_arm(&mut faulty, &cell, &mix, &rc, &baseline, true);
+        let counts = count_by_invariant(faulty.violations());
+        assert!(
+            counts.contains_key("exec-path-equivalence"),
+            "a driver sharing past the split must be caught, got {counts:?}"
+        );
     }
 
     #[test]

@@ -13,21 +13,16 @@
 //! Results are indexed, not streamed, so fold order — and therefore every
 //! figure artifact — is byte-identical to the old per-figure serial
 //! loops for any worker count and any cache state.
+//!
+//! Cache-missing closed-system cells that differ only in policy execute
+//! as one sibling group on one pool task ([`crate::sibling`]): they share
+//! the machine while their decisions agree. Results are still stored per
+//! cell, so the cache, dedup and folds never see the grouping.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use busbw_sim::{BatchSolver, MachineConfig, StepEvent};
-
-/// Below this many pending Λ solves in a lockstep round, the batched
-/// engine bypasses the [`BatchSolver`] and calls
-/// [`busbw_sim::solve_lambda`] directly: the SoA stream's content hashing
-/// and memo upkeep only pay for themselves once enough cells share the
-/// round (measured crossover ≈ a handful of lanes; small plans like the
-/// four-run tick benchmark were paying the full round-trip for nothing).
-/// Either path produces the same bits — a solver lane reproduces
-/// `solve_lambda` exactly.
-const ADAPTIVE_BATCH_MIN_LANES: usize = 8;
+use busbw_sim::MachineConfig;
 use busbw_workloads::mix::WorkloadSpec;
 use busbw_workloads::paper::PaperApp;
 
@@ -36,10 +31,8 @@ use crate::cache::{
     RUN_SCHEMA_VERSION,
 };
 use crate::pool::steal_map;
-use crate::runner::{
-    finalize_run, prepare_run, run_spec, PolicyKind, PreparedRun, RunResult, RunnerConfig,
-    TraceMode,
-};
+use crate::runner::{run_spec, PolicyKind, RunResult, RunnerConfig, TraceMode};
+use crate::sibling::run_group;
 
 /// Handle to one declared cell of a [`Plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,12 +169,39 @@ impl RunRequest {
             }
         }
         encode_policy(&mut e, &self.policy);
-        encode_machine(&mut e, &self.machine);
+        self.encode_setting(&mut e);
+        RunKey::from_encoded(e.into_bytes())
+    }
+
+    /// Encode every field but the shape and the policy.
+    fn encode_setting(&self, e: &mut Enc) {
+        encode_machine(e, &self.machine);
         e.f64(self.scale);
         e.u64(self.seed);
-        encode_trace_mode(&mut e, self.trace);
+        encode_trace_mode(e, self.trace);
         e.f64(self.hard_cap_factor);
-        RunKey::from_encoded(e.into_bytes())
+    }
+
+    /// The identity this cell shares with its sibling-group partners:
+    /// every field but the policy. Only untraced closed-system cells
+    /// group; every other cell runs alone (`None`).
+    fn sibling_key(&self) -> Option<RunKey> {
+        let RunShape::Spec(spec) = &self.shape else {
+            return None;
+        };
+        if self.trace != TraceMode::Off {
+            return None;
+        }
+        let mut e = Enc::new();
+        e.u32(RUN_SCHEMA_VERSION);
+        encode_workload(&mut e, spec);
+        self.encode_setting(&mut e);
+        Some(RunKey::from_encoded(e.into_bytes()))
+    }
+
+    /// The shape of this run.
+    pub fn shape(&self) -> &RunShape {
+        &self.shape
     }
 
     /// The [`RunnerConfig`] this cell resolves to (single-run, so
@@ -278,6 +298,11 @@ impl Plan {
         self.requests.is_empty()
     }
 
+    /// The unique cells, in [`CellId`] order.
+    pub fn requests(&self) -> &[RunRequest] {
+        &self.requests
+    }
+
     /// Total `cell()` calls, duplicates included.
     pub fn declared(&self) -> u64 {
         self.declared
@@ -354,8 +379,16 @@ pub struct ExecStats {
     /// Damaged disk entries rejected by the cache decoder (each one also
     /// counts as a miss).
     pub cache_corrupt: u64,
-    /// Runs actually executed by the pool.
+    /// Cells actually executed by the pool.
     pub executed: u64,
+    /// Pool tasks the executed cells ran as: one per sibling group,
+    /// singletons included.
+    pub groups: u64,
+    /// Machine clones made where sibling-group members split.
+    pub forks: u64,
+    /// Cell ticks a sibling simulated on a member's behalf (each tick a
+    /// machine simulates for `k` members counts `k − 1`).
+    pub shared_ticks: u64,
     /// Work-stealing claims across pool chunks.
     pub steals: u64,
 }
@@ -386,12 +419,16 @@ impl ExecStats {
             cache_misses: self.cache_misses - earlier.cache_misses,
             cache_corrupt: self.cache_corrupt - earlier.cache_corrupt,
             executed: self.executed - earlier.executed,
+            groups: self.groups - earlier.groups,
+            forks: self.forks - earlier.forks,
+            shared_ticks: self.shared_ticks - earlier.shared_ticks,
             steals: self.steals - earlier.steals,
         }
     }
 
     /// Record these stats into a metrics registry under the engine's
-    /// counter namespace (`cells.*`, `cache.*`, `pool.*`).
+    /// counter namespace (`cells.*`, `cache.*`, `pool.*`, and
+    /// `sim.shared_ticks`).
     pub fn record(&self, reg: &mut busbw_metrics::MetricsRegistry) {
         reg.inc_counter("cells.declared", self.declared);
         reg.inc_counter("cells.deduped", self.deduped());
@@ -399,7 +436,10 @@ impl ExecStats {
         reg.inc_counter("cache.misses", self.cache_misses);
         reg.inc_counter("cache.corrupt", self.cache_corrupt);
         reg.inc_counter("pool.executed", self.executed);
+        reg.inc_counter("pool.groups", self.groups);
+        reg.inc_counter("pool.forks", self.forks);
         reg.inc_counter("pool.steals", self.steals);
+        reg.inc_counter("sim.shared_ticks", self.shared_ticks);
         reg.set_gauge("cache.hit_rate", self.hit_rate());
     }
 }
@@ -433,175 +473,46 @@ impl Engine {
     /// Execute every cell of `plan` not already served by the cache, on
     /// up to `workers` threads with work stealing, and return the results
     /// indexed by [`CellId`].
+    ///
+    /// Missing cells that differ only in policy form one sibling group
+    /// and one pool task; every other cell is a group of its own and runs
+    /// exactly as [`RunRequest::execute`]. Groups are dispatched in the
+    /// plan order of their first member.
     pub fn execute(&mut self, plan: &Plan, workers: usize) -> Executed {
         let mut slots: Vec<Option<Arc<RunResult>>> = vec![None; plan.requests.len()];
-        let mut missing: Vec<usize> = Vec::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: HashMap<RunKey, usize> = HashMap::new();
         for (i, key) in plan.keys.iter().enumerate() {
-            match self.cache.get(key) {
-                Some((r, _tier)) => {
-                    self.stats.cache_hits += 1;
-                    slots[i] = Some(r);
-                }
-                None => {
-                    self.stats.cache_misses += 1;
-                    missing.push(i);
-                }
-            }
-        }
-        let (fresh, steal) = steal_map(&missing, workers, |&i| plan.requests[i].execute());
-        self.stats.executed += steal.executed;
-        self.stats.steals += steal.steals;
-        for (&i, r) in missing.iter().zip(fresh) {
-            let arc = Arc::new(r);
-            self.cache.put(plan.keys[i].clone(), Arc::clone(&arc));
-            slots[i] = Some(arc);
-        }
-        self.stats.declared += plan.declared;
-        self.stats.unique += plan.requests.len() as u64;
-        self.stats.cache_corrupt = self.cache.corrupt_count();
-        Executed {
-            results: slots
-                .into_iter()
-                .map(|s| s.expect("every cell resolved"))
-                .collect(),
-        }
-    }
-
-    /// [`Engine::execute`] with every cache-missing [`RunShape::Spec`]
-    /// cell driven in lockstep through the machine's stepped API
-    /// ([`busbw_sim::Machine::run_begin`]) over one shared
-    /// [`BatchSolver`]: each round collects the pending Λ solves of all
-    /// live runs into SoA lanes, solves them in a single Newton stream
-    /// (sharing the cross-batch warm-start memo between cells), and
-    /// resumes each run with its lane's λ. Results are bit-identical to
-    /// [`Engine::execute`] — a solver lane reproduces
-    /// [`busbw_sim::solve_lambda`] exactly, and lockstep interleaving
-    /// never reorders work *within* a run. Staggered cells (the `dynamic`
-    /// figure) fall back to the per-cell path on the stealing pool.
-    pub fn execute_batched(&mut self, plan: &Plan, workers: usize) -> Executed {
-        struct LiveRun {
-            slot: usize,
-            prep: PreparedRun,
-            cur: busbw_sim::RunCursor,
-            out: Option<busbw_sim::RunOutcome>,
-        }
-
-        let mut slots: Vec<Option<Arc<RunResult>>> = vec![None; plan.requests.len()];
-        let mut spec_missing: Vec<usize> = Vec::new();
-        let mut other_missing: Vec<usize> = Vec::new();
-        for (i, key) in plan.keys.iter().enumerate() {
-            match self.cache.get(key) {
-                Some((r, _tier)) => {
-                    self.stats.cache_hits += 1;
-                    slots[i] = Some(r);
-                }
-                None => {
-                    self.stats.cache_misses += 1;
-                    match plan.requests[i].shape {
-                        RunShape::Spec(_) => spec_missing.push(i),
-                        RunShape::Staggered { .. } | RunShape::Open(_) | RunShape::Oracle(_) => {
-                            other_missing.push(i)
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut live: Vec<LiveRun> = spec_missing
-            .iter()
-            .map(|&i| {
-                let req = &plan.requests[i];
-                let RunShape::Spec(spec) = &req.shape else {
-                    unreachable!("spec_missing holds only Spec cells")
-                };
-                let mut prep = prepare_run(spec, req.policy, &req.runner_config());
-                let stop = prep.stop_condition();
-                let PreparedRun {
-                    ref mut machine,
-                    ref mut sched,
-                    ..
-                } = prep;
-                let cur = machine.run_begin(&mut **sched, stop, false);
-                LiveRun {
-                    slot: i,
-                    prep,
-                    cur,
-                    out: None,
-                }
-            })
-            .collect();
-
-        let mut solver = BatchSolver::new();
-        let mut pending: Vec<(usize, busbw_sim::SolveJob)> = Vec::new();
-        let mut lanes: Vec<(usize, usize)> = Vec::new();
-        loop {
-            pending.clear();
-            for (j, run) in live.iter_mut().enumerate() {
-                if run.out.is_some() {
-                    continue;
-                }
-                let LiveRun { prep, cur, out, .. } = run;
-                let PreparedRun {
-                    ref mut machine,
-                    ref mut sched,
-                    ..
-                } = prep;
-                match machine.run_step(&mut **sched, cur, None) {
-                    StepEvent::NeedSolve(job) => pending.push((j, job)),
-                    StepEvent::Done(o) => *out = Some(o),
-                }
-            }
-            if pending.is_empty() {
-                break; // every live run reached Done
-            }
-            if pending.len() < ADAPTIVE_BATCH_MIN_LANES {
-                // Adaptive cutover: with only a few pending solves the SoA
-                // machinery (content hashing, memo upkeep, lane bookkeeping)
-                // costs more per solve than it amortizes, so solve inline.
-                // `solve_lambda` is the reference the batch lanes reproduce,
-                // so either path yields the same bits.
-                for &(j, job) in &pending {
-                    let run = &mut live[j];
-                    let lambda =
-                        busbw_sim::solve_lambda(run.cur.pending_requests(), job.cap, job.warm);
-                    run.prep
-                        .machine
-                        .run_step_complete(&mut run.cur, lambda, None);
-                }
+            if let Some((r, _tier)) = self.cache.get(key) {
+                self.stats.cache_hits += 1;
+                slots[i] = Some(r);
                 continue;
             }
-            solver.clear(); // keeps the cross-batch warm-start memo
-            lanes.clear();
-            for &(j, job) in &pending {
-                let reqs = live[j].cur.pending_requests();
-                lanes.push((j, solver.push_lane(reqs, job)));
-            }
-            solver.solve_all();
-            for &(j, lane) in &lanes {
-                let run = &mut live[j];
-                run.prep
-                    .machine
-                    .run_step_complete(&mut run.cur, solver.lambda(lane), None);
+            self.stats.cache_misses += 1;
+            match plan.requests[i].sibling_key() {
+                Some(k) => match group_of.get(&k) {
+                    Some(&g) => groups[g].push(i),
+                    None => {
+                        group_of.insert(k, groups.len());
+                        groups.push(vec![i]);
+                    }
+                },
+                None => groups.push(vec![i]),
             }
         }
-        self.stats.executed += live.len() as u64;
-        for run in live {
-            let out = run.out.expect("lockstep loop drains every run");
-            let arc = Arc::new(finalize_run(run.prep, out));
-            self.cache
-                .put(plan.keys[run.slot].clone(), Arc::clone(&arc));
-            slots[run.slot] = Some(arc);
-        }
-
-        let (fresh, steal) = steal_map(&other_missing, workers, |&i| plan.requests[i].execute());
-        self.stats.executed += steal.executed;
+        let (fresh, steal) = steal_map(&groups, workers, |cells| execute_group(plan, cells));
+        self.stats.groups += steal.executed;
         self.stats.steals += steal.steals;
-        for (&i, r) in other_missing.iter().zip(fresh) {
-            let arc = Arc::new(r);
-            self.cache.put(plan.keys[i].clone(), Arc::clone(&arc));
-            slots[i] = Some(arc);
+        for (cells, run) in groups.iter().zip(fresh) {
+            self.stats.executed += cells.len() as u64;
+            self.stats.forks += run.forks;
+            self.stats.shared_ticks += run.shared_ticks;
+            for (&i, r) in cells.iter().zip(run.results) {
+                let arc = Arc::new(r);
+                self.cache.put(plan.keys[i].clone(), Arc::clone(&arc));
+                slots[i] = Some(arc);
+            }
         }
-
         self.stats.declared += plan.declared;
         self.stats.unique += plan.requests.len() as u64;
         self.stats.cache_corrupt = self.cache.corrupt_count();
@@ -616,6 +527,24 @@ impl Engine {
     /// Everything this engine has done so far.
     pub fn stats(&self) -> &ExecStats {
         &self.stats
+    }
+}
+
+/// Execute one pool task: a singleton through [`RunRequest::execute`], a
+/// larger sibling group through [`run_group`].
+fn execute_group(plan: &Plan, cells: &[usize]) -> crate::sibling::GroupRun {
+    let first = &plan.requests[cells[0]];
+    match (&first.shape, cells.len()) {
+        (RunShape::Spec(spec), n) if n > 1 => {
+            let policies: Vec<PolicyKind> =
+                cells.iter().map(|&i| plan.requests[i].policy).collect();
+            run_group(spec, &policies, &first.runner_config())
+        }
+        _ => crate::sibling::GroupRun {
+            results: vec![first.execute()],
+            forks: 0,
+            shared_ticks: 0,
+        },
     }
 }
 
@@ -687,49 +616,6 @@ mod tests {
         assert_eq!(engine.stats().executed, 1, "second pass served from cache");
         // Cache-served result is the same allocation, hence bit-identical.
         assert!(Arc::ptr_eq(&first.get_arc(id), &second.get_arc(id)));
-    }
-
-    #[test]
-    fn batched_engine_is_bit_identical_to_serial_engine() {
-        let rc = quick();
-        let mut plan = Plan::new();
-        let mut ids = Vec::new();
-        for (app, policy) in [
-            (PaperApp::Cg, PolicyKind::Linux),
-            (PaperApp::Cg, PolicyKind::Window),
-            (PaperApp::Volrend, PolicyKind::Latest),
-            (PaperApp::Mg, PolicyKind::GreedyPack),
-        ] {
-            ids.push(plan.cell(RunRequest::spec(fig2_set_b(app), policy, &rc)));
-        }
-        // One staggered cell exercises the per-cell fallback path.
-        ids.push(plan.cell(RunRequest::staggered(
-            PaperApp::Cg,
-            50_000,
-            PolicyKind::Linux,
-            &rc,
-        )));
-        let serial = Engine::ephemeral().execute(&plan, 1);
-        let mut engine = Engine::ephemeral();
-        let batched = engine.execute_batched(&plan, 1);
-        assert_eq!(engine.stats().executed, plan.len() as u64);
-        for &id in &ids {
-            let (a, b) = (serial.get(id), batched.get(id));
-            assert_eq!(a.turnarounds_us.len(), b.turnarounds_us.len());
-            for (x, y) in a.turnarounds_us.iter().zip(&b.turnarounds_us) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            assert_eq!(a.workload_rate.to_bits(), b.workload_rate.to_bits());
-            assert_eq!(a.ticks, b.ticks);
-            assert_eq!(a.sim_elapsed_us, b.sim_elapsed_us);
-            assert_eq!(a.tick_dt_hist, b.tick_dt_hist);
-        }
-        // A re-execute in either mode is a pure cache hit.
-        let again = engine.execute_batched(&plan, 1);
-        assert!(Arc::ptr_eq(
-            &batched.get_arc(ids[0]),
-            &again.get_arc(ids[0])
-        ));
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod pool;
 pub mod regret;
 pub mod robustness;
 pub mod runner;
+pub mod sibling;
 pub mod suite;
 pub mod topo;
 pub mod validate;

@@ -59,8 +59,8 @@ use busbw_experiments::baselines::{fold_baselines, plan_baselines};
 use busbw_experiments::dynamic::{fold_dynamic, plan_dynamic};
 use busbw_experiments::fig1::{fig1_results, fold_fig1a, fold_fig1b, plan_fig1};
 use busbw_experiments::fig2::{fig2_results, fold_fig2, plan_fig2};
-use busbw_experiments::robustness::{fold_robustness, plan_robustness};
 use busbw_experiments::regret::{fold_regret, plan_regret};
+use busbw_experiments::robustness::{fold_robustness, plan_robustness};
 use busbw_experiments::topo::{fold_topo, plan_topo};
 use busbw_experiments::validate::{fold_validate, plan_validate};
 use busbw_experiments::variance::{fold_variance, plan_variance};
@@ -353,7 +353,6 @@ fn committed_baseline() -> Option<(String, &'static str)> {
 const TICK_RATE_REPS: usize = 5;
 
 fn bench_tick_rate(rc: &RunnerConfig, out: &PathBuf, guard_pct: Option<f64>) {
-    use busbw_experiments::jobgraph::{Engine, Plan, RunRequest};
     use busbw_experiments::{par_map, run_spec};
     use busbw_workloads::mix::{fig1_solo, fig1_with_bbma, fig2_set_a, fig2_set_b, WorkloadSpec};
     use busbw_workloads::paper::PaperApp;
@@ -370,13 +369,8 @@ fn bench_tick_rate(rc: &RunnerConfig, out: &PathBuf, guard_pct: Option<f64>) {
     ];
     let workers = effective_workers(&rc);
 
-    // Serial and batched passes, interleaved: load waves on shared hosts
-    // last longer than one rep, so alternating the two engines through the
-    // same window keeps their comparison honest (a wave that slows one
-    // slows the other), and best-of-reps strips the waves from the
-    // absolute number.
+    // Best-of-reps strips host-load waves from the absolute number.
     let mut serial_walls = Vec::with_capacity(TICK_RATE_REPS);
-    let mut batched_walls = Vec::with_capacity(TICK_RATE_REPS);
     let mut ticks = 0u64;
     let mut sim_us = 0u64;
     for rep in 0..TICK_RATE_REPS {
@@ -394,30 +388,12 @@ fn bench_tick_rate(rc: &RunnerConfig, out: &PathBuf, guard_pct: Option<f64>) {
                 "deterministic runs must repeat identically"
             );
         }
-
-        // The same slice through the batched sweep engine (fresh engine
-        // per rep so no rep inherits a warmed cross-batch memo).
-        let mut plan = Plan::new();
-        let cell_ids: Vec<_> = jobs
-            .iter()
-            .map(|(s, p)| plan.cell(RunRequest::spec(s.clone(), *p, &rc)))
-            .collect();
-        let t1 = std::time::Instant::now();
-        let batched = Engine::ephemeral().execute_batched(&plan, workers);
-        batched_walls.push(t1.elapsed().as_secs_f64());
-        let batched_ticks: u64 = cell_ids.iter().map(|&id| batched.get(id).ticks).sum();
-        assert_eq!(
-            batched_ticks, ticks,
-            "batched engine must reproduce the serial tick counts"
-        );
     }
     let wall = serial_walls.iter().copied().fold(f64::INFINITY, f64::min);
     let tps = ticks as f64 / wall;
-    let batched_wall = batched_walls.iter().copied().fold(f64::INFINITY, f64::min);
-    let batched_tps = ticks as f64 / batched_wall;
     println!("== bench tick-rate (null-sink tracer attached)\n");
     println!(
-        "   runs: {}, workers: {workers}, reps: {TICK_RATE_REPS} (best, interleaved)",
+        "   runs: {}, workers: {workers}, reps: {TICK_RATE_REPS} (best)",
         jobs.len()
     );
     println!(
@@ -429,7 +405,6 @@ fn bench_tick_rate(rc: &RunnerConfig, out: &PathBuf, guard_pct: Option<f64>) {
         "   simulated µs per wall second: {:.0}",
         sim_us as f64 / wall
     );
-    println!("   batched engine: wall {batched_wall:.3} s, ticks/sec: {batched_tps:.0}");
 
     // History first — every invocation appends one line (all reps), even
     // when an assertion below fails the run, so regressions leave a trail
@@ -445,11 +420,10 @@ fn bench_tick_rate(rc: &RunnerConfig, out: &PathBuf, guard_pct: Option<f64>) {
             .join(", ")
     };
     let hist = format!(
-        "{{\"unix_time\": {ts}, \"scale\": {}, \"seed\": {}, \"workers\": {workers}, \"ticks\": {ticks}, \"wall_s\": {wall:.6}, \"ticks_per_sec\": {tps:.1}, \"batched_ticks_per_sec\": {batched_tps:.1}, \"serial_walls_s\": [{}], \"batched_walls_s\": [{}]}}\n",
+        "{{\"unix_time\": {ts}, \"scale\": {}, \"seed\": {}, \"workers\": {workers}, \"ticks\": {ticks}, \"wall_s\": {wall:.6}, \"ticks_per_sec\": {tps:.1}, \"serial_walls_s\": [{}]}}\n",
         rc.scale,
         rc.seed,
-        fmt_walls(&serial_walls),
-        fmt_walls(&batched_walls)
+        fmt_walls(&serial_walls)
     );
     std::fs::create_dir_all(out).expect("create output dir");
     for path in [
@@ -521,18 +495,6 @@ fn bench_tick_rate(rc: &RunnerConfig, out: &PathBuf, guard_pct: Option<f64>) {
         }
     }
 
-    // The batched engine exists to be at least as fast as the serial path
-    // (adaptive cutover included); a regression here fails the bench
-    // outright rather than slipping into the record as a footnote. The
-    // interleaved best-of-reps comparison absorbs host-load waves; the 5 %
-    // slack covers the residual jitter of two separately-timed loops.
-    assert!(
-        batched_tps >= tps * 0.95,
-        "batched engine slower than serial: {batched_tps:.0} vs {tps:.0} ticks/sec \
-         (the adaptive cutover in execute_batched should make small plans \
-         match the serial path)"
-    );
-
     let mut guard_json = String::new();
     if let Some(pct) = guard_pct {
         let (stack_s, solo_s, overhead) = pipeline_overhead_pct(&rc);
@@ -547,7 +509,7 @@ fn bench_tick_rate(rc: &RunnerConfig, out: &PathBuf, guard_pct: Option<f64>) {
         );
     }
     let json = format!(
-        "{{\n  \"bench\": \"tick-rate\",\n  \"scale\": {},\n  \"seed\": {},\n  \"workers\": {},\n  \"runs\": {},\n  \"reps\": {},\n  \"wall_s\": {:.6},\n  \"ticks\": {},\n  \"sim_elapsed_us\": {},\n  \"ticks_per_sec\": {:.1},\n  \"sim_us_per_wall_s\": {:.1},\n  \"batched_wall_s\": {:.6},\n  \"batched_ticks_per_sec\": {:.1}{}{}\n}}\n",
+        "{{\n  \"bench\": \"tick-rate\",\n  \"scale\": {},\n  \"seed\": {},\n  \"workers\": {},\n  \"runs\": {},\n  \"reps\": {},\n  \"wall_s\": {:.6},\n  \"ticks\": {},\n  \"sim_elapsed_us\": {},\n  \"ticks_per_sec\": {:.1},\n  \"sim_us_per_wall_s\": {:.1}{}{}\n}}\n",
         rc.scale,
         rc.seed,
         workers,
@@ -558,8 +520,6 @@ fn bench_tick_rate(rc: &RunnerConfig, out: &PathBuf, guard_pct: Option<f64>) {
         sim_us,
         tps,
         sim_us as f64 / wall,
-        batched_wall,
-        batched_tps,
         baseline_json,
         guard_json
     );

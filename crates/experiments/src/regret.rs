@@ -20,10 +20,10 @@
 //! oracle cell produces the same [`RunResult`] shape (and run-cache
 //! entry) as any heuristic cell.
 
+use busbw_core::pipeline::PAPER_QUANTUM_US;
 use busbw_core::{
     offline_optimal, FixedPlanScheduler, OracleReport, OracleSearchConfig, RecordingScheduler,
 };
-use busbw_core::pipeline::PAPER_QUANTUM_US;
 use busbw_metrics::{ExperimentRow, FigureSummary};
 use busbw_sim::Decision;
 use busbw_workloads::mix::WorkloadSpec;
@@ -70,7 +70,7 @@ pub fn regret_mixes() -> Vec<WorkloadSpec> {
 /// round values ≥ 100 ms so cells stay cheap and comparable to the
 /// presets.
 pub fn sampled_stacks(seed: u64, n: usize) -> Vec<StackSpec> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_0F_5EED);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x005E_ED0F_5EED);
     let mut out: Vec<StackSpec> = Vec::with_capacity(n);
     let mut labels = std::collections::BTreeSet::new();
     while out.len() < n {
@@ -172,10 +172,7 @@ pub fn oracle_outcome(spec: &WorkloadSpec, rc: &RunnerConfig) -> OracleOutcome {
     // independently (seed + instance index), so even same-name instances
     // are not bit-identical — no symmetry classes are declared here.
     let report = offline_optimal(
-        &mut || {
-            prepare_run(spec, PolicyKind::OfflineOptimal, &rc_off)
-                .into_machine()
-        },
+        &mut || prepare_run(spec, PolicyKind::OfflineOptimal, &rc_off).into_machine(),
         &measured,
         &cfg,
         &seeds,
@@ -348,8 +345,7 @@ mod tests {
         let a = sampled_stacks(42, REGRET_SAMPLED_STACKS);
         let b = sampled_stacks(42, REGRET_SAMPLED_STACKS);
         assert_eq!(a, b);
-        let labels: std::collections::BTreeSet<String> =
-            a.iter().map(StackSpec::label).collect();
+        let labels: std::collections::BTreeSet<String> = a.iter().map(StackSpec::label).collect();
         assert_eq!(labels.len(), REGRET_SAMPLED_STACKS, "labels collide");
         assert_ne!(a, sampled_stacks(43, REGRET_SAMPLED_STACKS));
     }
@@ -394,7 +390,10 @@ mod tests {
         let fig = regret_panel(&rc());
         assert_eq!(fig.id, "regret");
         // Oracle + 7 presets + 20 sampled stacks.
-        assert_eq!(fig.rows.len(), 1 + REGRET_PRESETS.len() + REGRET_SAMPLED_STACKS);
+        assert_eq!(
+            fig.rows.len(),
+            1 + REGRET_PRESETS.len() + REGRET_SAMPLED_STACKS
+        );
         let mixes = regret_mixes().len();
         let mut prev = f64::NEG_INFINITY;
         for row in &fig.rows {

@@ -100,9 +100,7 @@ impl PolicyKind {
             PolicyKind::LinuxO1 => Box::new(linux_o1()),
             PolicyKind::ModelDriven => Box::new(ModelDrivenScheduler::new()),
             PolicyKind::Stack(spec) => Box::new(spec.build()),
-            PolicyKind::OfflineOptimal => {
-                Box::new(busbw_core::FixedPlanScheduler::new(Vec::new()))
-            }
+            PolicyKind::OfflineOptimal => Box::new(busbw_core::FixedPlanScheduler::new(Vec::new())),
         }
     }
 }
@@ -407,15 +405,16 @@ pub fn run_spec_profiled(
 }
 
 /// A run built and wired (machine, workload, tracer, scheduler) but not
-/// yet driven: the unit the batched sweep engine advances in lockstep
-/// through the machine's stepped API ([`busbw_sim::Machine::run_begin`]).
-/// Serial callers go through [`run_spec`], which drives the same
-/// preparation to completion in one call.
+/// yet driven: the unit the sibling-group driver ([`crate::sibling`])
+/// forks through the machine's stepped API
+/// ([`busbw_sim::Machine::run_begin`]). Single runs go through
+/// [`run_spec`], which drives the same preparation to completion in one
+/// call.
 pub struct PreparedRun {
     pub(crate) machine: busbw_sim::Machine,
     pub(crate) sched: Box<dyn Scheduler>,
-    measured_ids: Vec<busbw_sim::AppId>,
-    handle: Option<MemoryHandle>,
+    pub(crate) measured_ids: Vec<busbw_sim::AppId>,
+    pub(crate) handle: Option<MemoryHandle>,
 }
 
 impl PreparedRun {
@@ -474,7 +473,7 @@ pub(crate) fn prepare_run(
 }
 
 /// Fold a driven run into its [`RunResult`] (censoring, rates, memo and
-/// tick accounting). Shared verbatim by the serial and batched paths.
+/// tick accounting). Shared verbatim by single runs and sibling groups.
 pub(crate) fn finalize_run(p: PreparedRun, out: busbw_sim::RunOutcome) -> RunResult {
     let PreparedRun {
         machine,

@@ -99,8 +99,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     /// Random composed stacks over random §5 workload mixes produce
     /// byte-identical run-codec output across every execution path:
-    /// event-driven vs legacy per-tick, serial vs N-worker engine vs the
-    /// lockstep SoA batch solver, cold vs cache-warm — the full
+    /// event-driven vs legacy per-tick, serial vs sibling group vs N-worker
+    /// engine, cold vs cache-warm — the full
     /// differential behind `experiments audit --fuzz`.
     #[test]
     fn exec_paths_byte_agree_on_random_stacks_and_mixes(

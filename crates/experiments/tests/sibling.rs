@@ -1,0 +1,89 @@
+//! Differential test of sibling-group execution: every heuristic cell of
+//! the topology, sweep and regret plans, executed through the engine
+//! (where cells that differ only in policy share a machine until their
+//! decisions split) and one by one through `RunRequest::execute`, must
+//! encode to the same bytes.
+
+use busbw_experiments::cache::encode_result;
+use busbw_experiments::{
+    plan_regret, plan_suite, plan_topo, Engine, Plan, RunResult, RunShape, RunnerConfig,
+    TOPO_SHAPES,
+};
+
+/// Codec bytes without the stage timings, which are wall-clock readings.
+fn canonical(r: &RunResult) -> Vec<u8> {
+    let mut r = r.clone();
+    r.stage_timings = None;
+    encode_result(&r)
+}
+
+#[test]
+fn grouped_engine_matches_cell_by_cell_execution() {
+    let rc = RunnerConfig {
+        scale: 0.02,
+        ..RunnerConfig::default()
+    };
+    let mut declared = Plan::new();
+    for shape in TOPO_SHAPES {
+        plan_topo(&mut declared, shape, &rc);
+    }
+    plan_suite(&mut declared, &rc);
+    plan_regret(&mut declared, &rc);
+    // The oracle's search is out of the grouping's scope: leave it out.
+    let mut plan = Plan::new();
+    let ids: Vec<_> = declared
+        .requests()
+        .iter()
+        .filter(|r| !matches!(r.shape(), RunShape::Oracle(_)))
+        .map(|r| (plan.cell(r.clone()), r))
+        .collect();
+
+    let mut engine = Engine::ephemeral();
+    let grouped = engine.execute(&plan, 2);
+    let stats = *engine.stats();
+    assert_eq!(stats.executed, plan.len() as u64);
+    assert!(stats.forks > 0, "no sibling group ever split: {stats:?}");
+    assert!(
+        stats.groups < stats.executed,
+        "no cells were grouped: {stats:?}"
+    );
+    assert!(stats.shared_ticks > 0, "{stats:?}");
+
+    for (id, req) in ids {
+        assert_eq!(
+            canonical(grouped.get(id)),
+            canonical(&req.execute()),
+            "grouped execution diverged from the lone run of {req:?}"
+        );
+    }
+}
+
+#[test]
+fn topo_plan_simulates_its_shared_prefixes_once() {
+    // The topology panels' placers often decide alike (on one socket
+    // `pack_local` and `spread_sockets` place exactly like `packed`), so
+    // a large share of their cell ticks is simulated on a sibling's
+    // behalf.
+    let rc = RunnerConfig {
+        scale: 0.1,
+        ..RunnerConfig::default()
+    };
+    let mut declared = Plan::new();
+    for shape in TOPO_SHAPES {
+        plan_topo(&mut declared, shape, &rc);
+    }
+    let mut plan = Plan::new();
+    let ids: Vec<_> = declared
+        .requests()
+        .iter()
+        .map(|r| plan.cell(r.clone()))
+        .collect();
+    let mut engine = Engine::ephemeral();
+    let executed = engine.execute(&plan, 1);
+    let ticks: u64 = ids.iter().map(|&id| executed.get(id).ticks).sum();
+    let shared = engine.stats().shared_ticks;
+    assert!(
+        shared as f64 >= 0.4 * ticks as f64,
+        "only {shared} of {ticks} cell ticks shared"
+    );
+}

@@ -148,7 +148,10 @@ pub const MAX_BUS_LEVELS: usize = 5;
 /// machine's run-to-run reproducibility depends on. (Warm-started solvers
 /// may give ulp-level different answers for the same request set under a
 /// different call history; that is fine, history replays identically.)
-pub trait BusModel: Send {
+///
+/// Models are `Clone` (through [`BusModelClone`], implemented for every
+/// `Clone` model) so a whole machine, memo state included, can be forked.
+pub trait BusModel: Send + BusModelClone {
     /// Resolve one tick's demands into `out`, reusing its allocations.
     /// Implementations must fully overwrite `out` (including clearing
     /// `shares`).
@@ -159,31 +162,6 @@ pub trait BusModel: Send {
         let mut out = BusOutcome::empty(self.nominal_capacity());
         self.arbitrate_into(reqs, &mut out);
         out
-    }
-
-    /// Split-phase arbitration, part 1: do everything *except* the
-    /// iterative Λ solve. When the request set needs one, the pending
-    /// problem is returned as a [`SolveJob`] and `out` is left incomplete
-    /// until [`BusModel::finish_solve`] is called with the solution —
-    /// which the caller may obtain either from [`solve_lambda`] directly
-    /// or from a [`BatchSolver`] lane shared with other machines.
-    ///
-    /// The default implementation simply runs [`BusModel::arbitrate_into`]
-    /// and reports that no solve is pending, so models without an
-    /// iterative solve need not opt in.
-    fn begin(&mut self, reqs: &[BusRequest], out: &mut BusOutcome) -> Option<SolveJob> {
-        self.arbitrate_into(reqs, out);
-        None
-    }
-
-    /// Split-phase arbitration, part 2: complete the outcome with the
-    /// solved saturation dilation. Only called after [`BusModel::begin`]
-    /// returned a [`SolveJob`], with `lambda_sat` equal (bit-for-bit) to
-    /// what [`solve_lambda`] yields on that job; models whose `begin`
-    /// never returns a job never see this call.
-    fn finish_solve(&mut self, reqs: &[BusRequest], lambda_sat: f64, out: &mut BusOutcome) {
-        let _ = (reqs, lambda_sat, out);
-        unreachable!("finish_solve called on a bus model whose begin() never requests a solve");
     }
 
     /// Nominal (single-master) sustained capacity, tx/µs.
@@ -206,6 +184,25 @@ pub trait BusModel: Send {
     }
 }
 
+/// Boxed cloning for [`BusModel`] trait objects; blanket-implemented for
+/// every model that is `Clone`.
+pub trait BusModelClone {
+    /// A boxed deep copy of this model, memo and scratch included.
+    fn box_clone(&self) -> Box<dyn BusModel>;
+}
+
+impl<T: BusModel + Clone + 'static> BusModelClone for T {
+    fn box_clone(&self) -> Box<dyn BusModel> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn BusModel> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
+}
+
 /// Amdahl-style dilation speed at dilation Λ.
 #[inline]
 fn dilated_speed(mu: f64, lambda: f64) -> f64 {
@@ -217,15 +214,15 @@ fn dilated_speed(mu: f64, lambda: f64) -> f64 {
 /// Newton step diverges past any meaningful dilation.
 const LAMBDA_MAX: f64 = 1e9;
 
-/// One pending saturated-Λ root solve, extracted by [`BusModel::begin`]:
-/// everything [`solve_lambda`] needs besides the request slice itself.
+/// One pending saturated-Λ root solve of an [`FsbBus`] miss: everything
+/// [`solve_lambda`] needs besides the request slice itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveJob {
+struct SolveJob {
     /// Effective bus capacity for this request set, tx/µs.
-    pub cap: f64,
+    cap: f64,
     /// Warm-start λ — the owning model's previous solution (≤ 1 or
     /// non-finite values fall back to the cold start at λ = 1).
-    pub warm: f64,
+    warm: f64,
 }
 
 /// Solve `Σ d_i/((1−µ_i)+µ_i·λ) = cap` for the saturation dilation λ ≥ 1.
@@ -250,9 +247,7 @@ pub struct SolveJob {
 ///   it in one step from any warm start left of the root.
 ///
 /// Bit-determinism: the result depends only on `(reqs, cap, warm)` — the
-/// request iteration order and every arithmetic operation are fixed — so
-/// a [`BatchSolver`] lane running the same op sequence reproduces this
-/// function bit-for-bit.
+/// request iteration order and every arithmetic operation are fixed.
 pub fn solve_lambda(reqs: &[BusRequest], cap: f64, warm: f64) -> f64 {
     let n = reqs.len();
     if n <= SOLVE_INLINE_LANES {
@@ -294,8 +289,8 @@ pub fn solve_lambda(reqs: &[BusRequest], cap: f64, warm: f64) -> f64 {
 /// request per cpu means real machines sit far below it.
 const SOLVE_INLINE_LANES: usize = 16;
 
-/// The shared Newton iteration of [`solve_lambda`] and (lane by lane)
-/// [`BatchSolver::solve_all`]: `eval` returns `(f, f')` at a trial λ.
+/// The Newton iteration of [`solve_lambda`]: `eval` returns `(f, f')` at a
+/// trial λ.
 ///
 /// The accepted-warm-start evaluation is reused for the first iteration —
 /// the values are the ones the first loop pass would recompute at the same
@@ -399,6 +394,51 @@ impl FsbBus {
         self.memo_misses
     }
 
+    /// Arbitration up to the Λ solve: answers memo hits, unsaturated and
+    /// idle sets in place, and returns the root problem of a saturated
+    /// miss (finished by [`FsbBus::complete`]).
+    fn prepare(&mut self, reqs: &[BusRequest], out: &mut BusOutcome) -> Option<SolveJob> {
+        if reqs.is_empty() {
+            out.reset(self.cfg.capacity_tx_per_us);
+            return None;
+        }
+        if self.memo.valid && self.memo.reqs == reqs {
+            self.memo_hits += 1;
+            self.fill_outcome(reqs, out);
+            return None;
+        }
+        // Full solve; remember everything for the next tick. One fused
+        // pass counts active masters and sums demand (the sum's addition
+        // order is the request order either way).
+        self.memo_misses += 1;
+        let mut n_masters = 0usize;
+        let mut total_demand = 0.0f64;
+        for r in reqs {
+            if r.rate > self.cfg.active_master_threshold {
+                n_masters += 1;
+            }
+            total_demand += r.rate;
+        }
+        let cap = self.cfg.effective_capacity(n_masters);
+        let utilization = (total_demand / cap).min(1.0);
+        let saturated = total_demand > cap;
+        // The warm start is the *previous* solution; read it before the
+        // memo is repurposed for the new request set.
+        let warm = self.memo.lambda;
+        self.memo.reqs.clear();
+        self.memo.reqs.extend_from_slice(reqs);
+        self.memo.cap = cap;
+        self.memo.total_demand = total_demand;
+        self.memo.utilization = utilization;
+        self.memo.saturated = saturated;
+        self.memo.valid = false;
+        if saturated {
+            return Some(SolveJob { cap, warm });
+        }
+        self.complete(reqs, 1.0, out);
+        None
+    }
+
     /// Finish a miss: fold `lambda_sat` with the queueing term into the
     /// memo (marking it valid) and fill the outcome.
     fn complete(&mut self, reqs: &[BusRequest], lambda_sat: f64, out: &mut BusOutcome) {
@@ -446,56 +486,10 @@ impl FsbBus {
 
 impl BusModel for FsbBus {
     fn arbitrate_into(&mut self, reqs: &[BusRequest], out: &mut BusOutcome) {
-        if let Some(job) = self.begin(reqs, out) {
+        if let Some(job) = self.prepare(reqs, out) {
             let lambda_sat = solve_lambda(reqs, job.cap, job.warm);
-            self.finish_solve(reqs, lambda_sat, out);
+            self.complete(reqs, lambda_sat, out);
         }
-    }
-
-    fn begin(&mut self, reqs: &[BusRequest], out: &mut BusOutcome) -> Option<SolveJob> {
-        if reqs.is_empty() {
-            out.reset(self.cfg.capacity_tx_per_us);
-            return None;
-        }
-        if self.memo.valid && self.memo.reqs == reqs {
-            self.memo_hits += 1;
-            self.fill_outcome(reqs, out);
-            return None;
-        }
-        // Full solve; remember everything for the next tick. One fused
-        // pass counts active masters and sums demand (the sum's addition
-        // order is the request order either way).
-        self.memo_misses += 1;
-        let mut n_masters = 0usize;
-        let mut total_demand = 0.0f64;
-        for r in reqs {
-            if r.rate > self.cfg.active_master_threshold {
-                n_masters += 1;
-            }
-            total_demand += r.rate;
-        }
-        let cap = self.cfg.effective_capacity(n_masters);
-        let utilization = (total_demand / cap).min(1.0);
-        let saturated = total_demand > cap;
-        // The warm start is the *previous* solution; read it before the
-        // memo is repurposed for the new request set.
-        let warm = self.memo.lambda;
-        self.memo.reqs.clear();
-        self.memo.reqs.extend_from_slice(reqs);
-        self.memo.cap = cap;
-        self.memo.total_demand = total_demand;
-        self.memo.utilization = utilization;
-        self.memo.saturated = saturated;
-        self.memo.valid = false;
-        if saturated {
-            return Some(SolveJob { cap, warm });
-        }
-        self.complete(reqs, 1.0, out);
-        None
-    }
-
-    fn finish_solve(&mut self, reqs: &[BusRequest], lambda_sat: f64, out: &mut BusOutcome) {
-        self.complete(reqs, lambda_sat, out);
     }
 
     fn nominal_capacity(&self) -> f64 {
@@ -532,256 +526,6 @@ fn lanes_f_and_slope(
     (f, fp)
 }
 
-/// A batch of independent saturated-Λ solves in structure-of-arrays form.
-///
-/// Hundreds of sweep cells run the same machine model over disjoint
-/// request sets; each saturated tick of each cell is one [`SolveJob`].
-/// Instead of solving them one call at a time, the batched engine
-/// ([`Engine::execute_batched`] in the experiments crate) collects one
-/// pending job per machine into a `BatchSolver` and runs a single
-/// Newton-iteration stream across all lanes: the per-lane `(rate, µ)`
-/// vectors are laid out back to back in two flat `f64` arrays, the outer
-/// loop advances every still-active lane by one Newton step per pass, and
-/// the inner residual loop is a branch-free multiply/divide chain over
-/// contiguous lanes the compiler can auto-vectorize.
-///
-/// Two guarantees hold by construction:
-/// * **Bit identity** — each lane performs exactly the op sequence of
-///   [`solve_lambda`] on its own slice (same start-point rule, same
-///   termination tests in the same order), so `lambda(lane)` equals the
-///   scalar result bit-for-bit. A proptest below pins this.
-/// * **Warm-start isolation** — each lane carries the warm start of the
-///   machine that spawned it; lanes never contaminate each other's
-///   Newton chains.
-///
-/// Identical problems are deduplicated through a cross-batch memo keyed
-/// by the full problem content `(cap, warm, rates, µs)` — the "shared
-/// warm-start memo": a sweep whose cells revisit the same saturated
-/// demand mix (the common case across seeds and policies) solves each
-/// distinct problem once per engine rather than once per cell.
-#[derive(Debug, Default)]
-pub struct BatchSolver {
-    /// All lanes' demand rates, concatenated.
-    rate: Vec<f64>,
-    /// All lanes' memory-boundness values, concatenated (parallel to
-    /// `rate`).
-    mu: Vec<f64>,
-    /// All lanes' `1 − µ` terms, concatenated (parallel to `rate`),
-    /// hoisted out of the Newton evaluations.
-    one_minus_mu: Vec<f64>,
-    /// Per-lane offset into the flat arrays.
-    off: Vec<usize>,
-    /// Per-lane request count.
-    len: Vec<usize>,
-    /// Per-lane effective capacity.
-    cap: Vec<f64>,
-    /// Per-lane warm start.
-    warm: Vec<f64>,
-    /// Per-lane solution (valid after [`BatchSolver::solve_all`]).
-    lambda: Vec<f64>,
-    /// Per-lane content key for the memo.
-    key: Vec<(u64, u64)>,
-    /// Still-iterating mask during `solve_all`.
-    active: Vec<bool>,
-    /// Within-batch aliases: lane i copies lane `alias[i]`'s solution.
-    alias: Vec<Option<usize>>,
-    /// Cross-batch solution memo: problem content → λ. Survives
-    /// [`BatchSolver::clear`] so later batches reuse earlier solves.
-    memo: std::collections::HashMap<(u64, u64), f64>,
-    /// Lanes answered from the memo (for diagnostics and tests).
-    memo_hits: u64,
-    /// Lanes that ran Newton iterations.
-    solves: u64,
-}
-
-impl BatchSolver {
-    /// An empty batch with an empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drop all lanes, keeping the cross-batch memo and allocations.
-    pub fn clear(&mut self) {
-        self.rate.clear();
-        self.mu.clear();
-        self.one_minus_mu.clear();
-        self.off.clear();
-        self.len.clear();
-        self.cap.clear();
-        self.warm.clear();
-        self.lambda.clear();
-        self.key.clear();
-        self.active.clear();
-        self.alias.clear();
-    }
-
-    /// Number of queued lanes.
-    pub fn lanes(&self) -> usize {
-        self.off.len()
-    }
-
-    /// True when no lane is queued.
-    pub fn is_empty(&self) -> bool {
-        self.off.is_empty()
-    }
-
-    /// Lanes answered from the cross-batch memo so far.
-    pub fn memo_hits(&self) -> u64 {
-        self.memo_hits
-    }
-
-    /// Lanes that ran the Newton stream so far.
-    pub fn solves(&self) -> u64 {
-        self.solves
-    }
-
-    /// Queue one solve; returns the lane index to pass to
-    /// [`BatchSolver::lambda`] after [`BatchSolver::solve_all`].
-    pub fn push_lane(&mut self, reqs: &[BusRequest], job: SolveJob) -> usize {
-        let lane = self.off.len();
-        self.off.push(self.rate.len());
-        self.len.push(reqs.len());
-        for r in reqs {
-            self.rate.push(r.rate);
-            self.mu.push(r.mu);
-            self.one_minus_mu.push(1.0 - r.mu);
-        }
-        self.cap.push(job.cap);
-        self.warm.push(job.warm);
-        self.lambda.push(1.0);
-        self.key.push(lane_key(reqs, job));
-        lane
-    }
-
-    /// Solve every queued lane. One outer pass advances each still-active
-    /// lane by one Newton step; lanes retire individually on the same
-    /// conditions as [`solve_lambda`].
-    pub fn solve_all(&mut self) {
-        let n = self.off.len();
-        self.active.clear();
-        self.active.resize(n, false);
-        self.alias.clear();
-        self.alias.resize(n, None);
-        let mut pending: std::collections::HashMap<(u64, u64), usize> =
-            std::collections::HashMap::new();
-        // Start-point selection, scalar rule per lane; memo short-circuit.
-        for i in 0..n {
-            if let Some(&l) = self.memo.get(&self.key[i]) {
-                self.lambda[i] = l;
-                self.memo_hits += 1;
-                continue;
-            }
-            // Identical problem already queued in this batch: solve once,
-            // copy the bits afterwards.
-            if let Some(&first) = pending.get(&self.key[i]) {
-                self.alias[i] = Some(first);
-                self.memo_hits += 1;
-                continue;
-            }
-            pending.insert(self.key[i], i);
-            self.solves += 1;
-            let (rate, mu, a) = self.lane(i);
-            let warm = self.warm[i];
-            self.lambda[i] = if warm > 1.0
-                && warm.is_finite()
-                && lanes_f_and_slope(rate, mu, a, self.cap[i], warm).0 > 0.0
-            {
-                warm
-            } else {
-                1.0
-            };
-            self.active[i] = true;
-        }
-        // The shared iteration stream: 64 passes max, exactly the scalar
-        // iteration budget.
-        for _ in 0..64 {
-            let mut any = false;
-            for i in 0..n {
-                if !self.active[i] {
-                    continue;
-                }
-                let (o, l) = (self.off[i], self.len[i]);
-                let (f, fp) = lanes_f_and_slope(
-                    &self.rate[o..o + l],
-                    &self.mu[o..o + l],
-                    &self.one_minus_mu[o..o + l],
-                    self.cap[i],
-                    self.lambda[i],
-                );
-                if f <= 0.0 {
-                    self.active[i] = false;
-                    continue;
-                }
-                if fp >= 0.0 {
-                    self.lambda[i] = LAMBDA_MAX;
-                    self.active[i] = false;
-                    continue;
-                }
-                let next = self.lambda[i] - f / fp;
-                if next > LAMBDA_MAX {
-                    self.lambda[i] = LAMBDA_MAX;
-                    self.active[i] = false;
-                    continue;
-                }
-                if next.partial_cmp(&self.lambda[i]) != Some(std::cmp::Ordering::Greater) {
-                    self.active[i] = false;
-                    continue;
-                }
-                self.lambda[i] = next;
-                any = true;
-            }
-            if !any {
-                break;
-            }
-        }
-        for i in 0..n {
-            if let Some(first) = self.alias[i] {
-                self.lambda[i] = self.lambda[first];
-            }
-            self.memo.insert(self.key[i], self.lambda[i]);
-        }
-    }
-
-    /// The solution of one lane (call after [`BatchSolver::solve_all`]).
-    pub fn lambda(&self, lane: usize) -> f64 {
-        self.lambda[lane]
-    }
-
-    fn lane(&self, i: usize) -> (&[f64], &[f64], &[f64]) {
-        let (o, l) = (self.off[i], self.len[i]);
-        (
-            &self.rate[o..o + l],
-            &self.mu[o..o + l],
-            &self.one_minus_mu[o..o + l],
-        )
-    }
-}
-
-/// Content key of one solve problem: two independent 64-bit hashes over
-/// the bit patterns of `(cap, warm, rate₀, µ₀, rate₁, µ₁, …)`. Thread ids
-/// are deliberately excluded — they do not enter the root solve. Two
-/// hashes make an accidental collision (which would silently alias two
-/// different problems in the memo) astronomically unlikely.
-fn lane_key(reqs: &[BusRequest], job: SolveJob) -> (u64, u64) {
-    let mut a: u64 = 0xcbf29ce484222325; // FNV-1a offset basis
-    let mut b: u64 = 0x9e3779b97f4a7c15; // splitmix64 increment
-    let mut mix = |word: u64| {
-        a = (a ^ word).wrapping_mul(0x100000001b3);
-        b = b.wrapping_add(word);
-        let mut z = b;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        b = z ^ (z >> 31);
-    };
-    mix(job.cap.to_bits());
-    mix(job.warm.to_bits());
-    for r in reqs {
-        mix(r.rate.to_bits());
-        mix(r.mu.to_bits());
-    }
-    (a, b)
-}
-
 /// A multi-socket bus topology: N sockets, each with its own local bus
 /// (parameterized by the same [`BusConfig`] as [`FsbBus`]), joined by a
 /// shared cross-socket interconnect.
@@ -804,7 +548,7 @@ fn lane_key(reqs: &[BusRequest], job: SolveJob) -> (u64, u64) {
 /// machine still instantiates the bare [`FsbBus`] for single-socket
 /// configs, so the equivalence is a proven invariant rather than a
 /// load-bearing path.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HierarchicalBus {
     cfg: BusConfig,
     topo: TopologyConfig,
@@ -1439,127 +1183,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn split_phase_begin_finish_matches_arbitrate_into() {
-        // The split API must be bit-identical to the one-shot call,
-        // including the memo counters.
-        let reqs: Vec<_> = (0..4).map(|i| req(i, 15.0, 0.9)).collect();
-        let light = [req(0, 1.0, 0.2)];
-        let mut one_shot = default_fsb();
-        let mut split = default_fsb();
-        for set in [&reqs[..], &light[..], &reqs[..], &reqs[..]] {
-            let a = one_shot.arbitrate(set);
-            let mut b = BusOutcome::empty(split.nominal_capacity());
-            if let Some(job) = split.begin(set, &mut b) {
-                let lambda = solve_lambda(set, job.cap, job.warm);
-                split.finish_solve(set, lambda, &mut b);
-            }
-            assert_eq!(a.dilation.to_bits(), b.dilation.to_bits());
-            assert_eq!(a.total_issued.to_bits(), b.total_issued.to_bits());
-            assert_eq!(a.shares.len(), b.shares.len());
-            for (x, y) in a.shares.iter().zip(&b.shares) {
-                assert_eq!(x.speed.to_bits(), y.speed.to_bits());
-            }
-        }
-        assert_eq!(one_shot.memo_stats(), split.memo_stats());
-    }
-
-    #[test]
-    fn unsaturated_begin_needs_no_solve() {
-        let mut bus = default_fsb();
-        let mut out = BusOutcome::empty(bus.nominal_capacity());
-        assert!(bus.begin(&[req(0, 1.0, 0.2)], &mut out).is_none());
-        assert_eq!(bus.memo_stats(), Some((0, 1)));
-        assert!(!out.saturated);
-    }
-
-    // --- BatchSolver ------------------------------------------------
-
-    #[test]
-    fn batch_solver_matches_scalar_bitwise() {
-        let lanes: Vec<(Vec<BusRequest>, SolveJob)> = vec![
-            (
-                (0..4).map(|i| req(i, 15.0, 1.0)).collect(),
-                SolveJob {
-                    cap: 26.8,
-                    warm: 0.0,
-                },
-            ),
-            (
-                vec![req(0, 20.0, 0.9), req(1, 12.0, 0.4)],
-                SolveJob {
-                    cap: 28.6,
-                    warm: 2.5,
-                },
-            ),
-            (
-                vec![req(0, 35.0, 0.0)], // λ-insensitive: hits LAMBDA_MAX
-                SolveJob {
-                    cap: PAPER_BUS_TX_PER_US,
-                    warm: 0.0,
-                },
-            ),
-            (
-                vec![req(0, 59.0, 1.0)], // degenerate single-thread root
-                SolveJob {
-                    cap: PAPER_BUS_TX_PER_US,
-                    warm: 1.7,
-                },
-            ),
-        ];
-        let mut batch = BatchSolver::new();
-        for (reqs, job) in &lanes {
-            batch.push_lane(reqs, *job);
-        }
-        batch.solve_all();
-        for (i, (reqs, job)) in lanes.iter().enumerate() {
-            let scalar = solve_lambda(reqs, job.cap, job.warm);
-            assert_eq!(
-                batch.lambda(i).to_bits(),
-                scalar.to_bits(),
-                "lane {i}: batch {} vs scalar {scalar}",
-                batch.lambda(i)
-            );
-        }
-    }
-
-    #[test]
-    fn batch_memo_dedups_identical_lanes_across_batches() {
-        let reqs: Vec<_> = (0..3).map(|i| req(i, 18.0, 0.8)).collect();
-        let job = SolveJob {
-            cap: 27.7,
-            warm: 0.0,
-        };
-        let mut batch = BatchSolver::new();
-        batch.push_lane(&reqs, job);
-        batch.push_lane(&reqs, job); // same problem, same batch
-        batch.solve_all();
-        let first = batch.lambda(0);
-        assert_eq!(first.to_bits(), batch.lambda(1).to_bits());
-        assert_eq!(batch.solves(), 1, "identical lane must be memoized");
-        assert_eq!(batch.memo_hits(), 1);
-        // Next batch: the memo survives clear().
-        batch.clear();
-        assert!(batch.is_empty());
-        let lane = batch.push_lane(&reqs, job);
-        batch.solve_all();
-        assert_eq!(batch.lambda(lane).to_bits(), first.to_bits());
-        assert_eq!(batch.solves(), 1);
-        assert_eq!(batch.memo_hits(), 2);
-        // A different warm start is a *different* problem (the start point
-        // can change the converged bits) and must not alias.
-        batch.clear();
-        batch.push_lane(
-            &reqs,
-            SolveJob {
-                cap: 27.7,
-                warm: 1.3,
-            },
-        );
-        batch.solve_all();
-        assert_eq!(batch.solves(), 2);
-    }
-
     // --- HierarchicalBus --------------------------------------------
 
     fn hreq(id: u64, rate: f64, mu: f64, socket: usize, remote: f64) -> BusRequest {
@@ -1707,27 +1330,6 @@ mod tests {
         }
 
         proptest! {
-            /// Every BatchSolver lane reproduces the scalar solver
-            /// bit-for-bit, across random request sets, capacities, and
-            /// warm starts (including nonsense warm starts ≤ 1).
-            #[test]
-            fn batch_lanes_are_bitwise_equal_to_scalar(
-                sets in prop::collection::vec(
-                    (arb_reqs(), 5.0f64..40.0, 0.0f64..6.0), 1..8),
-            ) {
-                let mut batch = BatchSolver::new();
-                for (reqs, cap, warm) in &sets {
-                    batch.push_lane(reqs, SolveJob { cap: *cap, warm: *warm });
-                }
-                batch.solve_all();
-                for (i, (reqs, cap, warm)) in sets.iter().enumerate() {
-                    let scalar = solve_lambda(reqs, *cap, *warm);
-                    prop_assert_eq!(
-                        batch.lambda(i).to_bits(), scalar.to_bits(),
-                        "lane {}: batch {} vs scalar {}", i, batch.lambda(i), scalar);
-                }
-            }
-
             /// The bus never creates bandwidth: total issued ≤ effective
             /// capacity (within solver tolerance) whenever saturated, and
             /// ≤ total demand always.

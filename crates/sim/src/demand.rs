@@ -61,7 +61,10 @@ impl Demand {
 /// mode relies on this: it provably skips redundant queries inside a
 /// constant region, so a model whose answers drifted with query cadence
 /// would diverge between the per-tick and event-driven paths.
-pub trait DemandModel: Send {
+///
+/// Models are `Clone` (through [`DemandModelClone`], implemented for every
+/// `Clone` model), so a whole machine can be forked mid-run.
+pub trait DemandModel: Send + DemandModelClone {
     /// Demand at virtual time `vt_us` (µs of completed useful work), with
     /// the current wall clock `wall_us` available for time-driven burst
     /// processes.
@@ -117,6 +120,25 @@ pub trait DemandModel: Send {
     }
 }
 
+/// Boxed cloning for [`DemandModel`] trait objects; blanket-implemented
+/// for every model that is `Clone`.
+pub trait DemandModelClone {
+    /// A boxed deep copy of this model, state included.
+    fn box_clone(&self) -> Box<dyn DemandModel>;
+}
+
+impl<T: DemandModel + Clone + 'static> DemandModelClone for T {
+    fn box_clone(&self) -> Box<dyn DemandModel> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn DemandModel> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
+}
+
 /// The simplest model: fixed demand forever.
 #[derive(Debug, Clone, Copy)]
 pub struct ConstantDemand(pub Demand);
@@ -163,6 +185,7 @@ mod tests {
         // A model that cannot look ahead keeps the default (0, 0) horizon;
         // its predicted edges must then sit exactly at the query point so
         // any cached demand is invalid immediately.
+        #[derive(Clone)]
         struct Opaque;
         impl DemandModel for Opaque {
             fn demand_at(&mut self, _vt_us: f64, _wall_us: u64) -> Demand {

@@ -51,15 +51,15 @@ pub mod thread;
 pub mod trace;
 
 pub use bus::{
-    solve_lambda, BatchSolver, BusModel, BusOutcome, BusRequest, BusShare, FsbBus, HierarchicalBus,
-    LevelOutcome, MaxMinFairBus, ProportionalBus, SolveJob, UnlimitedBus, MAX_BUS_LEVELS,
+    solve_lambda, BusModel, BusModelClone, BusOutcome, BusRequest, BusShare, FsbBus,
+    HierarchicalBus, LevelOutcome, MaxMinFairBus, ProportionalBus, UnlimitedBus, MAX_BUS_LEVELS,
 };
 pub use cache::{CacheConfig, CacheState};
 pub use config::{
     BusConfig, MachineConfig, TopologyConfig, PAPER_BUS_TX_PER_US, SINGLE_SOCKET, XEON_4WAY,
     XEON_4WAY_HT,
 };
-pub use demand::{ConstantDemand, Demand, DemandModel};
+pub use demand::{ConstantDemand, Demand, DemandModel, DemandModelClone};
 pub use ids::{AppId, CpuId, SimTime, ThreadId};
 pub use machine::{
     AppDescriptor, AppInfo, AppReport, Assignment, AuditHook, Decision, ExecMode, Machine,

@@ -23,7 +23,7 @@
 use busbw_perfmon::{EventKind, Registry};
 use busbw_trace::{EventBus, TraceEvent};
 
-use crate::bus::{BusModel, BusOutcome, BusRequest, LevelOutcome, SolveJob, MAX_BUS_LEVELS};
+use crate::bus::{BusModel, BusOutcome, BusRequest, LevelOutcome, MAX_BUS_LEVELS};
 use crate::cache::CacheState;
 use crate::config::MachineConfig;
 use crate::ids::{AppId, CpuId, SimTime, ThreadId};
@@ -68,6 +68,7 @@ impl AppDescriptor {
     }
 }
 
+#[derive(Clone)]
 pub(crate) struct AppRecord {
     pub name: String,
     pub threads: Vec<ThreadId>,
@@ -88,7 +89,9 @@ pub struct Assignment {
 /// A scheduler's answer: the complete placement for the next interval.
 ///
 /// Threads not mentioned in `assignments` are preempted (set to `Ready`).
-#[derive(Debug, Clone)]
+/// Equal decisions (assignment order included) applied to equal machines
+/// leave equal machines — what lets sibling runs share a prefix.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Decision {
     /// Placements; at most one thread per cpu, one cpu per thread.
     pub assignments: Vec<Assignment>,
@@ -428,7 +431,7 @@ impl AppReport {
 /// (or cleared) at the start of every tick; `f64::INFINITY` in
 /// `barrier_cap` means "no cap". Taken out of the machine with
 /// `std::mem::take` for the duration of a tick to keep borrows simple.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TickScratch {
     /// Occupant per cpu.
     placement: Vec<Option<ThreadId>>,
@@ -508,7 +511,7 @@ pub enum ExecMode {
 /// new placement, a thread finishing, a tracer change) invalidates the
 /// snapshot and the next tick takes the full rebuild path, which
 /// repopulates it.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct ReplayCache {
     valid: bool,
     /// Cpu index per request.
@@ -573,9 +576,10 @@ fn guard_edge(edge: f64) -> f64 {
 
 /// Loop state of a stepped run (see [`Machine::run_begin`]).
 ///
-/// Opaque to drivers: park it between [`Machine::run_step`] calls and
-/// read [`RunCursor::pending_requests`] while a solve is outstanding.
-#[derive(Debug)]
+/// Opaque to drivers: park it between [`Machine::run_step`] calls. It is
+/// `Clone` so a driver can fork a run — machine and cursor together — at
+/// any scheduling point and continue each copy on its own.
+#[derive(Debug, Clone)]
 pub struct RunCursor {
     stop: StopCondition,
     stats: RunStats,
@@ -585,42 +589,34 @@ pub struct RunCursor {
     sample_period: Option<u64>,
     next_sample: Option<SimTime>,
     resched_requested: bool,
-    pending: Option<PendingTick>,
+    /// A [`StepEvent::Schedule`] was returned and its decision has not
+    /// been handed to [`Machine::run_decide`] yet.
+    deciding: bool,
 }
 
 impl RunCursor {
-    /// The bus requests of the tick parked behind a
-    /// [`StepEvent::NeedSolve`] — the solver lane's input vector.
-    ///
-    /// # Panics
-    /// Panics if no solve is pending.
-    pub fn pending_requests(&self) -> &[BusRequest] {
-        &self.pending.as_ref().expect("no solve pending").s.reqs
+    /// Tick-loop iterations the run has executed so far.
+    pub fn ticks(&self) -> u64 {
+        self.stats.ticks
     }
-}
-
-/// A prepared tick parked while its Λ solve runs out-of-line.
-#[derive(Debug)]
-struct PendingTick {
-    s: Box<TickScratch>,
-    dt_limit: u64,
 }
 
 /// Why [`Machine::run_step`] returned control.
 //
-// `Done` carries the whole `RunOutcome` (whose `RunStats` now embeds the
+// `Done` carries the whole `RunOutcome` (whose `RunStats` embeds the
 // fixed per-level arrays) by value: exactly one `StepEvent` is live per
-// stepped run, so the size gap to `NeedSolve` costs nothing, while boxing
-// would put an allocation on every run completion.
+// stepped run, and boxing would put an allocation on every completion.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum StepEvent {
-    /// The run hit a saturated-bus tick whose Λ the bus model memo could
-    /// not answer: solve for [`RunCursor::pending_requests`] with these
-    /// parameters (any way that is bit-equal to
-    /// [`crate::bus::solve_lambda`]) and resume with
-    /// [`Machine::run_step_complete`].
-    NeedSolve(SolveJob),
+    /// The sampling timer fired: call [`Scheduler::on_sample`] with
+    /// [`Machine::view`] on every scheduler the driver runs, then step
+    /// again.
+    Sample,
+    /// A scheduling point: obtain a [`Decision`] from
+    /// [`Scheduler::schedule`] on [`Machine::view`] and hand it to
+    /// [`Machine::run_decide`] before stepping again.
+    Schedule,
     /// The run finished; the cursor is spent.
     Done(RunOutcome),
 }
@@ -629,6 +625,12 @@ pub enum StepEvent {
 ///
 /// Thread and application IDs are handed out sequentially from 0, so both
 /// live in dense `Vec`s indexed by id — every hot-path lookup is O(1).
+///
+/// A clone is a deep copy of the whole simulated state — demand models,
+/// bus memo and scratch included — so clone and original continue
+/// bit-identically under equal decisions. The trace bus is the one shared
+/// part: both copies emit into the same sink.
+#[derive(Clone)]
 pub struct Machine {
     cfg: MachineConfig,
     bus: Box<dyn BusModel>,
@@ -644,8 +646,8 @@ pub struct Machine {
     /// phases over an interval (Λ̄ = Δintegral / Δt).
     dilation_integral: f64,
     /// Reusable per-tick buffers, boxed so moving them in and out of a
-    /// tick (or a parked [`PendingTick`]) is a pointer swap rather than a
-    /// structural copy. `None` only while a tick is in flight.
+    /// tick is a pointer swap rather than a structural copy. `None` only
+    /// while a tick is in flight.
     scratch: Option<Box<TickScratch>>,
     /// Indices into `apps` of applications with a barrier interval — the
     /// only ones the per-tick barrier-cap pass must visit.
@@ -901,25 +903,29 @@ impl Machine {
     /// one `Option` branch per decision and per tick.
     ///
     /// Implemented on top of the stepped API ([`Machine::run_begin`] /
-    /// [`Machine::run_step`] / [`Machine::run_step_complete`]) so the
-    /// serial path and the batched engine drive the *same* loop — any
-    /// drift between them would be a compile error, not a silent
-    /// divergence.
+    /// [`Machine::run_step`] / [`Machine::run_decide`]), so the one-policy
+    /// path and the sibling-group driver in the experiments crate run the
+    /// *same* loop.
     pub fn run_audited(
         &mut self,
         sched: &mut dyn Scheduler,
         stop: StopCondition,
         mut hook: Option<&mut (dyn AuditHook + '_)>,
     ) -> RunOutcome {
-        let mut cur = self.run_begin(sched, stop, hook.is_some());
+        sched.attach_tracer(&self.tracer);
+        sched.set_introspect(hook.is_some());
+        let mut cur = self.run_begin(stop);
         loop {
-            match self.run_step(sched, &mut cur, hook.as_deref_mut()) {
-                StepEvent::NeedSolve(job) => {
+            match self.run_step(&mut cur, hook.as_deref_mut()) {
+                StepEvent::Sample => sched.on_sample(&self.view()),
+                StepEvent::Schedule => {
                     let tok = self.prof.begin();
-                    let lambda =
-                        crate::bus::solve_lambda(cur.pending_requests(), job.cap, job.warm);
-                    self.prof.end(Phase::Solve, tok);
-                    self.run_step_complete(&mut cur, lambda, hook.as_deref_mut());
+                    let decision = sched.schedule(&self.view());
+                    if let Some(h) = hook.as_deref_mut() {
+                        h.on_decision(&self.view(), &decision, sched.stage_snapshot());
+                    }
+                    self.run_decide(&mut cur, &decision);
+                    self.prof.end(Phase::Schedule, tok);
                 }
                 StepEvent::Done(out) => return out,
             }
@@ -927,16 +933,10 @@ impl Machine {
     }
 
     /// Start a stepped run: the cursor carries all loop state between
-    /// [`Machine::run_step`] calls, so many machines can be advanced in
-    /// lockstep by one driver (the batched sweep engine).
-    pub fn run_begin(
-        &mut self,
-        sched: &mut dyn Scheduler,
-        stop: StopCondition,
-        introspect: bool,
-    ) -> RunCursor {
-        sched.attach_tracer(&self.tracer);
-        sched.set_introspect(introspect);
+    /// [`Machine::run_step`] calls. The driver owns the scheduler side —
+    /// [`Scheduler::attach_tracer`] and [`Scheduler::set_introspect`] are
+    /// its to call, as [`Machine::run_audited`] does.
+    pub fn run_begin(&self, stop: StopCondition) -> RunCursor {
         let started_at = self.now;
         RunCursor {
             stop,
@@ -947,29 +947,28 @@ impl Machine {
             sample_period: None,
             next_sample: None,
             resched_requested: false,
-            pending: None,
+            deciding: false,
         }
     }
 
-    /// Advance the run until it either finishes or hits a tick whose bus
-    /// arbitration needs an iterative Λ solve. In the latter case the
-    /// prepared tick parks in the cursor and `NeedSolve` carries the
-    /// [`SolveJob`]; obtain λ (via [`crate::bus::solve_lambda`] or a
-    /// [`crate::bus::BatchSolver`] lane over
-    /// [`RunCursor::pending_requests`]) and resume with
-    /// [`Machine::run_step_complete`].
+    /// Advance the run until it finishes or reaches a timer the scheduler
+    /// must answer: a sample ([`StepEvent::Sample`]) or a scheduling
+    /// point ([`StepEvent::Schedule`]). Sampling fires before
+    /// rescheduling, so a sample landing on the quantum boundary (the
+    /// paper's second sample per quantum) is visible to the decision it
+    /// precedes.
     ///
     /// # Panics
-    /// Panics if a previous `NeedSolve` has not been completed.
+    /// Panics if the previous [`StepEvent::Schedule`] was not answered
+    /// with [`Machine::run_decide`].
     pub fn run_step(
         &mut self,
-        sched: &mut dyn Scheduler,
         cur: &mut RunCursor,
         mut hook: Option<&mut (dyn AuditHook + '_)>,
     ) -> StepEvent {
         assert!(
-            cur.pending.is_none(),
-            "run_step called with an unresolved solve pending"
+            !cur.deciding,
+            "run_step called before the pending decision was applied"
         );
         loop {
             if self.stop_met(&cur.stop) {
@@ -978,37 +977,16 @@ impl Machine {
             if self.now >= cur.cap_at {
                 return StepEvent::Done(self.finish_run(cur, false));
             }
-
-            // Sampling fires before rescheduling so a sample landing on the
-            // quantum boundary (the paper's second sample per quantum) is
-            // visible to the scheduling decision it precedes.
             if let (Some(ns), Some(p)) = (cur.next_sample, cur.sample_period) {
                 if self.now >= ns {
-                    sched.on_sample(&self.view());
                     cur.stats.sample_calls += 1;
                     cur.next_sample = Some(self.now + p.max(self.cfg.tick_us));
+                    return StepEvent::Sample;
                 }
             }
-
             if self.now >= cur.next_resched || cur.resched_requested {
-                let tok = self.prof.begin();
-                let decision = sched.schedule(&self.view());
-                assert!(
-                    decision.next_resched_in_us > 0,
-                    "scheduler must request a positive quantum"
-                );
-                if let Some(h) = hook.as_deref_mut() {
-                    h.on_decision(&self.view(), &decision, sched.stage_snapshot());
-                }
-                self.apply(&decision, &mut cur.stats);
-                self.prof.end(Phase::Schedule, tok);
-                cur.stats.schedule_calls += 1;
-                cur.next_resched = self.now + decision.next_resched_in_us;
-                cur.sample_period = decision.sample_period_us;
-                cur.next_sample = cur
-                    .sample_period
-                    .map(|p| self.now + p.max(self.cfg.tick_us));
-                cur.resched_requested = false;
+                cur.deciding = true;
+                return StepEvent::Schedule;
             }
 
             // The window until the next timer (reschedule, sample, timed
@@ -1028,41 +1006,40 @@ impl Machine {
             // borrow checker sees the buffers and `self` as disjoint; the
             // box makes the move a pointer swap.
             let mut s = self.scratch.take().expect("tick scratch in flight");
-            match self.tick_prepare(dt_limit, &mut cur.stats, &mut s) {
-                Some(job) => {
-                    cur.pending = Some(PendingTick { s, dt_limit });
-                    return StepEvent::NeedSolve(job);
-                }
-                None => {
-                    let app_finished =
-                        self.tick_commit(dt_limit, &mut cur.stats, &mut s, hook.as_deref_mut());
-                    self.scratch = Some(s);
-                    if app_finished {
-                        cur.resched_requested = true;
-                    }
-                }
+            self.tick_prepare(dt_limit, &mut cur.stats, &mut s);
+            let app_finished =
+                self.tick_commit(dt_limit, &mut cur.stats, &mut s, hook.as_deref_mut());
+            self.scratch = Some(s);
+            if app_finished {
+                cur.resched_requested = true;
             }
         }
     }
 
-    /// Complete the solve a [`StepEvent::NeedSolve`] asked for and commit
-    /// the parked tick. `lambda_sat` must be bit-equal to
-    /// [`crate::bus::solve_lambda`] on the pending job — a
-    /// [`crate::bus::BatchSolver`] lane satisfies this by construction.
-    pub fn run_step_complete(
-        &mut self,
-        cur: &mut RunCursor,
-        lambda_sat: f64,
-        hook: Option<&mut (dyn AuditHook + '_)>,
-    ) {
-        let mut p = cur.pending.take().expect("no solve pending");
-        self.bus
-            .finish_solve(&p.s.reqs, lambda_sat, &mut p.s.outcome);
-        let app_finished = self.tick_commit(p.dt_limit, &mut cur.stats, &mut p.s, hook);
-        self.scratch = Some(p.s);
-        if app_finished {
-            cur.resched_requested = true;
-        }
+    /// Apply the decision a [`StepEvent::Schedule`] asked for and arm the
+    /// next reschedule and sampling timers from it.
+    ///
+    /// # Panics
+    /// Panics if no scheduling point is pending, if the decision requests
+    /// a zero quantum, or if it is invalid (see [`Decision`]).
+    pub fn run_decide(&mut self, cur: &mut RunCursor, decision: &Decision) {
+        assert!(
+            cur.deciding,
+            "run_decide called with no scheduling point pending"
+        );
+        assert!(
+            decision.next_resched_in_us > 0,
+            "scheduler must request a positive quantum"
+        );
+        self.apply(decision, &mut cur.stats);
+        cur.stats.schedule_calls += 1;
+        cur.next_resched = self.now + decision.next_resched_in_us;
+        cur.sample_period = decision.sample_period_us;
+        cur.next_sample = cur
+            .sample_period
+            .map(|p| self.now + p.max(self.cfg.tick_us));
+        cur.resched_requested = false;
+        cur.deciding = false;
     }
 
     fn finish_run(&mut self, cur: &mut RunCursor, condition_met: bool) -> RunOutcome {
@@ -1160,18 +1137,9 @@ impl Machine {
     }
 
     /// First half of a tick: build the bus-request vector (replaying the
-    /// cached build when provably unchanged) and start arbitration.
-    /// Returns `Some(job)` when the bus needs an out-of-line Λ solve —
-    /// complete it (bit-equal to [`crate::bus::solve_lambda`]), feed λ to
-    /// [`crate::bus::BusModel::finish_solve`], then call
-    /// [`Machine::tick_commit`]. Returns `None` when arbitration finished
-    /// inline (memo hit, unsaturated, or idle).
-    fn tick_prepare(
-        &mut self,
-        dt_limit: u64,
-        stats: &mut RunStats,
-        s: &mut TickScratch,
-    ) -> Option<SolveJob> {
+    /// cached build when provably unchanged) and arbitrate it into
+    /// `s.outcome`.
+    fn tick_prepare(&mut self, dt_limit: u64, stats: &mut RunStats, s: &mut TickScratch) {
         stats.ticks += 1;
         let n_threads = self.threads.len();
         let trace_on = self.tracer.emits();
@@ -1229,9 +1197,9 @@ impl Machine {
             if replayed {
                 self.replay_ticks += 1;
                 let tok = self.prof.begin();
-                let job = self.bus.begin(&s.reqs, &mut s.outcome);
+                self.bus.arbitrate_into(&s.reqs, &mut s.outcome);
                 self.prof.end(Phase::Solve, tok);
-                return job;
+                return;
             }
         }
 
@@ -1366,9 +1334,8 @@ impl Machine {
         self.prof.end(Phase::Demand, tok);
 
         let tok = self.prof.begin();
-        let job = self.bus.begin(&s.reqs, &mut s.outcome);
+        self.bus.arbitrate_into(&s.reqs, &mut s.outcome);
         self.prof.end(Phase::Solve, tok);
-        job
     }
 
     /// Attempt the event-driven fast path: verify each snapshot guard and
@@ -1704,6 +1671,7 @@ mod tests {
     use crate::demand::ConstantDemand;
 
     /// Run every runnable thread on the lowest free cpu, forever.
+    #[derive(Clone)]
     struct GreedyScheduler {
         quantum: u64,
     }
@@ -2045,6 +2013,7 @@ mod tests {
     }
 
     /// Virtual-time two-phase square wave with honest horizons.
+    #[derive(Clone)]
     struct TwoPhase;
     impl crate::demand::DemandModel for TwoPhase {
         fn demand_at(&mut self, vt_us: f64, _wall_us: u64) -> crate::demand::Demand {
@@ -2069,6 +2038,7 @@ mod tests {
     }
 
     /// Wall-clock square wave with exact integer switch edges.
+    #[derive(Clone)]
     struct WallSquare;
     impl crate::demand::DemandModel for WallSquare {
         fn demand_at(&mut self, _vt_us: f64, wall_us: u64) -> crate::demand::Demand {
@@ -2309,6 +2279,73 @@ mod tests {
         assert_eq!(ed.0, pt.0, "run stats diverged between exec modes");
         assert_eq!(ed.1, pt.1, "thread progress diverged between exec modes");
         assert_eq!(ed.2, pt.2, "bus memo behaviour diverged between exec modes");
+    }
+
+    /// Drive a stepped run to completion, cloning machine and cursor at
+    /// the `fork_at`-th scheduling point (before its decision applies).
+    fn drive(
+        m: &mut Machine,
+        cur: &mut RunCursor,
+        s: &mut dyn Scheduler,
+        fork_at: Option<u64>,
+    ) -> (RunOutcome, Option<(Machine, RunCursor)>) {
+        let (mut decisions, mut fork) = (0, None);
+        loop {
+            match m.run_step(cur, None) {
+                StepEvent::Sample => s.on_sample(&m.view()),
+                StepEvent::Schedule => {
+                    decisions += 1;
+                    if Some(decisions) == fork_at {
+                        fork = Some((m.clone(), cur.clone()));
+                    }
+                    let d = s.schedule(&m.view());
+                    m.run_decide(cur, &d);
+                }
+                StepEvent::Done(out) => return (out, fork),
+            }
+        }
+    }
+
+    #[test]
+    fn forked_machine_continues_bit_identically() {
+        // A fork taken mid-run (replay snapshot, bus memo, warm caches,
+        // barrier state and all) must finish exactly as the original does,
+        // on one socket and on the hierarchical bus.
+        for cfg in [XEON_4WAY, two_socket_cfg()] {
+            let fingerprint = |m: &Machine, out: &RunOutcome| {
+                let progress: Vec<u64> = m
+                    .view()
+                    .threads()
+                    .map(|t| t.progress_us.to_bits())
+                    .collect();
+                (format!("{out:?}"), progress, m.bus_memo_stats())
+            };
+            let stop = StopCondition::At(1_500_000);
+            let mut m = mixed_machine_with(cfg);
+            let mut cur = m.run_begin(stop.clone());
+            let mut s = GreedyScheduler { quantum: 30_000 };
+            let (out, fork) = drive(&mut m, &mut cur, &mut s, Some(7));
+            let (mut fm, mut fcur) = fork.expect("the run reaches seven decisions");
+            // The fork sits at the scheduling point: answer it first.
+            let mut fs = s.clone();
+            let d = fs.schedule(&fm.view());
+            fm.run_decide(&mut fcur, &d);
+            let (fout, _) = drive(&mut fm, &mut fcur, &mut fs, None);
+            assert_eq!(fingerprint(&m, &out), fingerprint(&fm, &fout));
+            // And both equal the one-call run.
+            let mut plain = mixed_machine_with(cfg);
+            let pout = plain.run(&mut GreedyScheduler { quantum: 30_000 }, stop);
+            assert_eq!(fingerprint(&m, &out), fingerprint(&plain, &pout));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "before the pending decision was applied")]
+    fn stepping_past_an_unanswered_scheduling_point_panics() {
+        let mut m = mixed_machine();
+        let mut cur = m.run_begin(StopCondition::At(100_000));
+        assert!(matches!(m.run_step(&mut cur, None), StepEvent::Schedule));
+        m.run_step(&mut cur, None);
     }
 
     #[test]

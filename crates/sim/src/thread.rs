@@ -65,6 +65,7 @@ impl ThreadState {
 }
 
 /// Runtime state of one simulated thread (internal to the machine).
+#[derive(Clone)]
 pub(crate) struct SimThread {
     pub id: ThreadId,
     pub app: AppId,

@@ -56,7 +56,9 @@ impl TraceDemand {
     }
 
     /// Parse the CSV form: `duration_us,rate,mu` per line; blank lines and
-    /// `#` comments ignored.
+    /// `#` comments ignored. Every value [`TraceDemand::new`] would reject
+    /// is an `Err` naming the line: a non-finite or non-positive duration,
+    /// a negative or non-finite rate, a µ outside `[0, 1]`.
     pub fn parse_csv(text: &str) -> Result<Self, String> {
         let mut segments = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -76,10 +78,27 @@ impl TraceDemand {
                 s.parse()
                     .map_err(|e| format!("line {}: bad {what} '{s}': {e}", lineno + 1))
             };
+            let (duration_us, rate, mu) = (
+                parse(parts[0], "duration")?,
+                parse(parts[1], "rate")?,
+                parse(parts[2], "mu")?,
+            );
+            let invalid = if !(duration_us.is_finite() && duration_us > 0.0) {
+                Some(("duration", duration_us, "must be finite and positive"))
+            } else if !(rate.is_finite() && rate >= 0.0) {
+                Some(("rate", rate, "must be finite and non-negative"))
+            } else if !(0.0..=1.0).contains(&mu) {
+                Some(("mu", mu, "must lie in [0, 1]"))
+            } else {
+                None
+            };
+            if let Some((what, v, why)) = invalid {
+                return Err(format!("line {}: {what} {v} {why}", lineno + 1));
+            }
             segments.push(TraceSegment {
-                duration_us: parse(parts[0], "duration")?,
-                rate: parse(parts[1], "rate")?,
-                mu: parse(parts[2], "mu")?,
+                duration_us,
+                rate,
+                mu,
             });
         }
         if segments.is_empty() {
@@ -194,6 +213,30 @@ mod tests {
         assert!(TraceDemand::parse_csv("# only comments\n")
             .unwrap_err()
             .contains("no segments"));
+    }
+
+    #[test]
+    fn csv_rejects_bad_durations_with_the_line_number() {
+        for bad in ["0,1,0.5", "-5,1,0.5", "nan,1,0.5", "inf,1,0.5"] {
+            let err = TraceDemand::parse_csv(&format!("# header\n{bad}")).unwrap_err();
+            assert!(err.starts_with("line 2: duration"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn csv_rejects_bad_rates_with_the_line_number() {
+        for bad in ["100,-2,0.5", "100,nan,0.5", "100,inf,0.5"] {
+            let err = TraceDemand::parse_csv(&format!("10,1,0.1\n{bad}")).unwrap_err();
+            assert!(err.starts_with("line 2: rate"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn csv_rejects_bad_mu_with_the_line_number() {
+        for bad in ["100,2,1.5", "100,2,-0.1", "100,2,nan"] {
+            let err = TraceDemand::parse_csv(&format!("10,1,0.1\n\n{bad}")).unwrap_err();
+            assert!(err.starts_with("line 3: mu"), "{bad}: {err}");
+        }
     }
 
     #[test]
