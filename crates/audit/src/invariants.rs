@@ -281,8 +281,15 @@ impl Invariant for BusCapacity {
         capacity_tx_per_us: f64,
         out: &mut Vec<Violation>,
     ) {
+        // Every bus model has a finite ceiling; a NaN or infinite one would
+        // make the budget comparison below vacuously pass.
         if !capacity_tx_per_us.is_finite() {
-            return; // UnlimitedBus: nothing to conserve.
+            out.push(Violation {
+                invariant: self.name(),
+                at_us: now,
+                detail: format!("non-finite bus capacity {capacity_tx_per_us} tx/µs"),
+            });
+            return;
         }
         let budget = capacity_tx_per_us * dt_us as f64;
         if issued_tx > budget * (1.0 + CAPACITY_REL_TOL) + CAPACITY_REL_TOL {
@@ -878,10 +885,15 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_bus_is_exempt_from_bus_capacity() {
-        let mut aud = Auditor::with_builtins();
-        aud.on_tick(0, 100, 1e12, f64::INFINITY);
-        assert!(aud.is_clean());
+    fn non_finite_capacity_fires_bus_capacity() {
+        // The seeded broken-bus fault: a capacity no budget can be
+        // computed from, reported even on an idle tick.
+        for cap in [f64::INFINITY, f64::NAN] {
+            let mut aud = Auditor::with_builtins();
+            aud.on_tick(0, 100, 0.0, cap);
+            let counts = count_by_invariant(aud.violations());
+            assert_eq!(counts.get("bus-capacity"), Some(&1), "capacity {cap}");
+        }
     }
 
     #[test]

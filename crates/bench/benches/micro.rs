@@ -1,8 +1,8 @@
-//! Microbenchmarks of the hot kernels: per-tick bus arbitration, max-min
-//! allocation, gang selection, cache dynamics, estimators, and whole-
-//! machine tick throughput. These bound the simulator's own overhead and
-//! the per-quantum cost of the scheduling policies (the user-level
-//! manager's decision path).
+//! Microbenchmarks of the hot kernels: per-tick bus arbitration (the Λ
+//! memo hit and the full solve), gang selection, cache dynamics,
+//! estimators, and whole-machine tick throughput. These bound the
+//! simulator's own overhead and the per-quantum cost of the scheduling
+//! policies (the user-level manager's decision path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -13,7 +13,7 @@ use busbw_core::{fitness, linux_like, select_gangs, Candidate, DemandTracker};
 use busbw_metrics::MovingWindow;
 use busbw_sim::{
     AppDescriptor, BusConfig, BusModel, BusRequest, CacheConfig, CacheState, ConstantDemand, CpuId,
-    FsbBus, Machine, MaxMinFairBus, StopCondition, ThreadId, ThreadSpec, XEON_4WAY,
+    FsbBus, Machine, StopCondition, ThreadId, ThreadSpec, XEON_4WAY,
 };
 
 fn reqs(n: usize) -> Vec<BusRequest> {
@@ -31,7 +31,6 @@ fn reqs(n: usize) -> Vec<BusRequest> {
 fn bench_bus(c: &mut Criterion) {
     let mut g = c.benchmark_group("bus_arbitration");
     let mut fsb = FsbBus::new(BusConfig::default());
-    let mut mm = MaxMinFairBus::new(BusConfig::default());
     for n in [2usize, 4, 8, 16] {
         let r = reqs(n);
         // The steady-state fast path: the demand set is unchanged from the
@@ -58,9 +57,6 @@ fn bench_bus(c: &mut Criterion) {
                 black_box(fsb.arbitrate(r));
                 black_box(fsb.arbitrate(&r2))
             })
-        });
-        g.bench_with_input(BenchmarkId::new("max_min", n), &r, |b, r| {
-            b.iter(|| black_box(mm.arbitrate(r)))
         });
     }
     g.finish();

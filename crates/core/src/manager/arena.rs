@@ -2,9 +2,9 @@
 //! application (§4).
 //!
 //! On the paper's system this is a shared memory page. Here it is a
-//! fixed-layout 4 KiB buffer (`bytes`) behind a `parking_lot` lock, shared
-//! by `Arc` — same information flow, same page discipline (a writer can
-//! only publish what fits the layout), safely usable from real threads.
+//! fixed-layout 4 KiB buffer behind a mutex, shared by `Arc` — same
+//! information flow, same page discipline (a writer can only publish what
+//! fits the layout), safely usable from real threads.
 //!
 //! Layout (little endian):
 //!
@@ -19,9 +19,7 @@
 //! | 32     | rate over last update interval (tx/µs, whole app) | f64 |
 //! | 40     | timestamp of last update (µs)  | u64 |
 
-use bytes::{Buf, BufMut};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Size of the arena page in bytes (one page, as in the paper).
 pub const ARENA_PAGE_SIZE: usize = 4096;
@@ -79,18 +77,24 @@ impl SharedArena {
         arena
     }
 
+    /// Lock the page. Only [`Self::publish`] writes it, with fixed-range
+    /// copies that cannot panic, so a poisoned lock never guards a
+    /// half-written page and is simply taken over.
+    fn lock(&self) -> MutexGuard<'_, [u8; ARENA_PAGE_SIZE]> {
+        self.page.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Write a snapshot into the page (application side).
     pub fn publish(&self, s: ArenaSnapshot) {
-        let mut page = self.page.lock();
-        let mut buf = &mut page[..];
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(s.seq);
-        buf.put_u32_le(s.threads);
-        buf.put_u32_le(0); // pad
-        buf.put_f64_le(s.total_transactions);
-        buf.put_f64_le(s.rate_tx_per_us);
-        buf.put_u64_le(s.updated_at_us);
+        let mut page = self.lock();
+        page[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+        page[4..8].copy_from_slice(&VERSION.to_le_bytes());
+        page[8..16].copy_from_slice(&s.seq.to_le_bytes());
+        page[16..20].copy_from_slice(&s.threads.to_le_bytes());
+        page[20..24].copy_from_slice(&0u32.to_le_bytes()); // pad
+        page[24..32].copy_from_slice(&s.total_transactions.to_le_bytes());
+        page[32..40].copy_from_slice(&s.rate_tx_per_us.to_le_bytes());
+        page[40..48].copy_from_slice(&s.updated_at_us.to_le_bytes());
     }
 
     /// Read the page (manager side).
@@ -99,23 +103,18 @@ impl SharedArena {
     /// the manager treats a corrupt page as "no data" rather than
     /// crashing on a misbehaving client.
     pub fn read(&self) -> Option<ArenaSnapshot> {
-        let page = self.page.lock();
-        let mut buf = &page[..];
-        if buf.get_u32_le() != MAGIC || buf.get_u32_le() != VERSION {
+        let page = self.lock();
+        let u32_at = |at: usize| u32::from_le_bytes(page[at..at + 4].try_into().expect("4 bytes"));
+        let u64_at = |at: usize| u64::from_le_bytes(page[at..at + 8].try_into().expect("8 bytes"));
+        if u32_at(0) != MAGIC || u32_at(4) != VERSION {
             return None;
         }
-        let seq = buf.get_u64_le();
-        let threads = buf.get_u32_le();
-        let _pad = buf.get_u32_le();
-        let total_transactions = buf.get_f64_le();
-        let rate_tx_per_us = buf.get_f64_le();
-        let updated_at_us = buf.get_u64_le();
         Some(ArenaSnapshot {
-            seq,
-            threads,
-            total_transactions,
-            rate_tx_per_us,
-            updated_at_us,
+            seq: u64_at(8),
+            threads: u32_at(16),
+            total_transactions: f64::from_bits(u64_at(24)),
+            rate_tx_per_us: f64::from_bits(u64_at(32)),
+            updated_at_us: u64_at(40),
         })
     }
 
@@ -150,6 +149,32 @@ mod tests {
     }
 
     #[test]
+    fn page_layout_is_pinned_byte_for_byte() {
+        let a = SharedArena::new();
+        a.publish(ArenaSnapshot {
+            seq: 0x0102_0304_0506_0708,
+            threads: 3,
+            total_transactions: 1.5,
+            rate_tx_per_us: -2.0,
+            updated_at_us: 0x1122_3344_5566_7788,
+        });
+        #[rustfmt::skip]
+        let expected: [u8; 48] = [
+            0x4E, 0x0A, 0x5A, 0xB0, // magic
+            0x01, 0x00, 0x00, 0x00, // layout version
+            0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // seq
+            0x03, 0x00, 0x00, 0x00, // threads
+            0x00, 0x00, 0x00, 0x00, // pad
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x3F, // 1.5
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xC0, // -2.0
+            0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // updated_at
+        ];
+        let page = a.lock();
+        assert_eq!(page[..48], expected);
+        assert!(page[48..].iter().all(|&b| b == 0), "tail stays zeroed");
+    }
+
+    #[test]
     fn fresh_arena_reads_as_zeroed_snapshot() {
         let a = SharedArena::new();
         let s = a.read().unwrap();
@@ -162,7 +187,7 @@ mod tests {
     fn corrupt_page_reads_none() {
         let a = SharedArena::new();
         {
-            let mut page = a.page.lock();
+            let mut page = a.lock();
             page[0] = 0xFF; // clobber magic
         }
         assert!(a.read().is_none());

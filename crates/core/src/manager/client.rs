@@ -22,9 +22,8 @@
 //! paper does this twice per scheduling quantum.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-
-use crossbeam::channel::unbounded;
 
 use super::arena::{ArenaSnapshot, SharedArena};
 use super::protocol::{ClientId, ToManager};
@@ -92,8 +91,8 @@ impl ThreadHandle {
 
 /// A connection awaiting the manager's acknowledgement.
 pub struct PendingConnect {
-    rx: crossbeam::channel::Receiver<super::protocol::ConnectAck>,
-    to_manager: crossbeam::channel::Sender<ToManager>,
+    rx: Receiver<super::protocol::ConnectAck>,
+    to_manager: Sender<ToManager>,
 }
 
 impl PendingConnect {
@@ -122,7 +121,7 @@ impl PendingConnect {
 pub struct AppRuntime {
     id: ClientId,
     arena: SharedArena,
-    to_manager: crossbeam::channel::Sender<ToManager>,
+    to_manager: Sender<ToManager>,
     threads: Vec<ThreadHandle>,
     update_period_us: u64,
     seq: u64,
@@ -150,7 +149,7 @@ impl AppRuntime {
         handle: &ManagerHandle,
         name: impl Into<String>,
     ) -> Result<PendingConnect, ManagerError> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         handle
             .sender()
             .send(ToManager::Connect {

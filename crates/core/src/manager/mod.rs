@@ -14,9 +14,9 @@
 //! This module reproduces each artifact:
 //!
 //! * [`protocol`] — connect/disconnect/thread lifecycle messages (the
-//!   UNIX-socket substitute is a `crossbeam` channel);
+//!   UNIX-socket substitute is a `std::sync::mpsc` channel);
 //! * [`arena`] — the shared arena as a fixed-layout 4 KiB page, encoded
-//!   and decoded with `bytes`, behind a lock (the shared-mapping
+//!   and decoded at fixed byte offsets, behind a lock (the shared-mapping
 //!   substitute); [`seqlock`] is the lock-free variant (single writer,
 //!   wait-free readers) matching the raw-page semantics of the original;
 //! * [`signals`] — the block/unblock counting gate with condvar parking

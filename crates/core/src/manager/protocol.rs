@@ -1,11 +1,11 @@
 //! The connection protocol between applications and the CPU manager.
 //!
 //! The paper uses a UNIX socket for the initial handshake; here the
-//! transport is a `crossbeam` channel. The message set mirrors the
+//! transport is a `std::sync::mpsc` channel. The message set mirrors the
 //! paper's run-time library: connect/disconnect plus thread creation and
 //! destruction interception.
 
-use crossbeam::channel::Sender;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use super::arena::SharedArena;
@@ -64,12 +64,12 @@ pub struct ConnectAck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     #[test]
     fn handshake_shapes_compose() {
         // A miniature manager loop answering one Connect.
-        let (tx, rx) = unbounded::<ToManager>();
+        let (tx, rx) = channel::<ToManager>();
         let server = std::thread::spawn(move || {
             if let Ok(ToManager::Connect { name, reply }) = rx.recv() {
                 assert_eq!(name, "CG");
@@ -82,7 +82,7 @@ mod tests {
                     .unwrap();
             }
         });
-        let (rtx, rrx) = unbounded();
+        let (rtx, rrx) = channel();
         tx.send(ToManager::Connect {
             name: "CG".into(),
             reply: rtx,

@@ -15,9 +15,9 @@
 //!   `examples/cpu_manager_demo.rs`).
 
 use busbw_trace::{EventBus, TraceEvent};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -103,7 +103,7 @@ impl CpuManager {
         estimator: Box<dyn BandwidthEstimator>,
     ) -> (Self, ManagerHandle) {
         assert!(cfg.num_cpus > 0 && cfg.quantum_us > 0 && cfg.samples_per_quantum > 0);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         (
             Self {
                 cfg,
@@ -405,10 +405,9 @@ mod tests {
     use super::*;
     use crate::estimator::LatestQuantumEstimator;
     use crate::manager::arena::ArenaSnapshot;
-    use crossbeam::channel::unbounded as chan;
 
     fn connect(m: &mut CpuManager, h: &ManagerHandle, name: &str) -> ConnectAck {
-        let (tx, rx) = chan();
+        let (tx, rx) = channel();
         h.sender()
             .send(ToManager::Connect {
                 name: name.into(),

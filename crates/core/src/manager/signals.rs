@@ -13,8 +13,8 @@
 //! predicate turns false — including the inversion case where the unblock
 //! arrives *before* the block (the thread then never parks at all).
 
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// A scheduling signal from the manager.
@@ -41,11 +41,17 @@ impl SignalGate {
         Self::default()
     }
 
+    /// Take the gate's lock. The lock guards no data of its own (the
+    /// counters are atomics), so a poisoned lock is simply taken over.
+    fn lock(&self) -> MutexGuard<'_, ()> {
+        self.lock.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Deliver a signal (manager side, or a sibling thread forwarding).
     pub fn deliver(&self, s: Signal) {
         // The counter update must happen under the lock so a waiter cannot
         // observe the stale predicate between its check and its park.
-        let guard = self.lock.lock();
+        let guard = self.lock();
         match s {
             Signal::Block => self.blocks.fetch_add(1, Ordering::SeqCst),
             Signal::Unblock => self.unblocks.fetch_add(1, Ordering::SeqCst),
@@ -71,23 +77,20 @@ impl SignalGate {
     /// Park the calling thread until `should_block()` is false.
     /// Returns immediately if the thread is not blocked.
     pub fn wait_while_blocked(&self) {
-        let mut guard = self.lock.lock();
-        while self.should_block() {
-            self.cv.wait(&mut guard);
-        }
+        let _guard = self
+            .cv
+            .wait_while(self.lock(), |_| self.should_block())
+            .unwrap_or_else(PoisonError::into_inner);
     }
 
     /// Like [`Self::wait_while_blocked`] but gives up after `timeout`.
     /// Returns `true` if the thread is clear to run, `false` on timeout.
     pub fn wait_while_blocked_timeout(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut guard = self.lock.lock();
-        while self.should_block() {
-            if self.cv.wait_until(&mut guard, deadline).timed_out() {
-                return !self.should_block();
-            }
-        }
-        true
+        let (_guard, _) = self
+            .cv
+            .wait_timeout_while(self.lock(), timeout, |_| self.should_block())
+            .unwrap_or_else(PoisonError::into_inner);
+        !self.should_block()
     }
 }
 

@@ -26,8 +26,8 @@
 //! * `C_eff` shrinks slightly per active master (arbitration overhead),
 //!   see [`crate::BusConfig::effective_capacity`].
 //!
-//! Two alternative arbiters ([`MaxMinFairBus`], [`ProportionalBus`]) and a
-//! null model ([`UnlimitedBus`]) exist for ablations and testing.
+//! [`HierarchicalBus`] stacks one such solve per level of a multi-socket
+//! topology.
 
 use crate::config::{BusConfig, TopologyConfig};
 use crate::ids::ThreadId;
@@ -46,9 +46,8 @@ pub struct BusRequest {
     pub rate: f64,
     /// Memory-boundness in `[0, 1]`.
     pub mu: f64,
-    /// The socket the thread is executing on this tick. Single-level
-    /// models ([`FsbBus`] and the ablation arbiters) ignore it; a
-    /// [`HierarchicalBus`] charges this socket's local bus.
+    /// The socket the thread is executing on this tick. [`FsbBus`]
+    /// ignores it; a [`HierarchicalBus`] charges this socket's local bus.
     pub socket: usize,
     /// Fraction of this thread's traffic that also crosses the
     /// cross-socket interconnect (see
@@ -716,184 +715,6 @@ impl BusModel for HierarchicalBus {
     }
 }
 
-/// Classic max-min fair arbitration (ablation alternative).
-///
-/// Small demands are fully satisfied; the surplus is split equally among
-/// larger ones. Compared with [`FsbBus`], this under-penalizes heavy
-/// streamers (they keep an equal absolute share rather than a
-/// demand-proportional one), which is why the paper-calibrated default is
-/// the proportional model — but a max-min arbiter is what an idealized
-/// per-request round-robin with single outstanding misses would give, so it
-/// is worth keeping for sensitivity studies.
-#[derive(Debug, Clone, Default)]
-pub struct MaxMinFairBus {
-    cfg: BusConfig,
-    // Scratch reused across ticks to keep the hot path allocation-free.
-    demands: Vec<f64>,
-    grants: Vec<f64>,
-}
-
-impl MaxMinFairBus {
-    /// A max-min bus with the given configuration.
-    pub fn new(cfg: BusConfig) -> Self {
-        Self {
-            cfg,
-            demands: Vec::new(),
-            grants: Vec::new(),
-        }
-    }
-
-    /// Max-min allocation of `cap` over `demands`. Returns grants.
-    pub fn max_min(demands: &[f64], cap: f64) -> Vec<f64> {
-        let mut grants = vec![0.0f64; demands.len()];
-        let mut remaining_cap = cap;
-        let mut unsatisfied: Vec<usize> = (0..demands.len()).collect();
-        // Iteratively give everyone the fair share or their demand,
-        // whichever is smaller; redistribute the slack.
-        while !unsatisfied.is_empty() && remaining_cap > 1e-12 {
-            let fair = remaining_cap / unsatisfied.len() as f64;
-            let mut satisfied_any = false;
-            let mut still = Vec::with_capacity(unsatisfied.len());
-            for &i in &unsatisfied {
-                let want = demands[i] - grants[i];
-                if want <= fair {
-                    grants[i] = demands[i];
-                    remaining_cap -= want;
-                    satisfied_any = true;
-                } else {
-                    still.push(i);
-                }
-            }
-            if !satisfied_any {
-                // Nobody can be fully satisfied: split equally and stop.
-                let fair = remaining_cap / still.len() as f64;
-                for &i in &still {
-                    grants[i] += fair;
-                }
-                remaining_cap = 0.0;
-                still.clear();
-            }
-            unsatisfied = still;
-        }
-        grants
-    }
-}
-
-impl BusModel for MaxMinFairBus {
-    fn arbitrate_into(&mut self, reqs: &[BusRequest], out: &mut BusOutcome) {
-        if reqs.is_empty() {
-            out.reset(self.cfg.capacity_tx_per_us);
-            return;
-        }
-        let n_masters = reqs
-            .iter()
-            .filter(|r| r.rate > self.cfg.active_master_threshold)
-            .count();
-        let cap = self.cfg.effective_capacity(n_masters);
-        self.demands.clear();
-        self.demands.extend(reqs.iter().map(|r| r.rate));
-        let total_demand: f64 = self.demands.iter().sum();
-        self.grants = Self::max_min(&self.demands, cap);
-        let saturated = total_demand > cap;
-        out.shares.clear();
-        let mut total_issued = 0.0;
-        for (r, &g) in reqs.iter().zip(&self.grants) {
-            let lambda_i = if g >= r.rate || r.rate <= 0.0 {
-                1.0
-            } else {
-                r.rate / g.max(1e-12)
-            };
-            let speed = dilated_speed(r.mu, lambda_i);
-            // Traffic tracks progress but can never exceed the grant.
-            let issue_rate = (r.rate * speed).min(g.max(r.rate.min(g)));
-            total_issued += issue_rate;
-            out.shares.push(BusShare {
-                thread: r.thread,
-                speed,
-                issue_rate,
-            });
-        }
-        out.total_demand = total_demand;
-        out.total_issued = total_issued;
-        out.effective_capacity = cap;
-        out.dilation = if saturated { total_demand / cap } else { 1.0 };
-        out.utilization = (total_demand / cap).min(1.0);
-        out.saturated = saturated;
-    }
-
-    fn nominal_capacity(&self) -> f64 {
-        self.cfg.capacity_tx_per_us
-    }
-}
-
-/// Pure proportional sharing with no arbitration derate and no queueing —
-/// the textbook version of [`FsbBus`] (equivalent to Λ = max(1, ΣD/C) with
-/// every µ = 1). Useful as an analytical reference in tests.
-#[derive(Debug, Clone, Copy)]
-pub struct ProportionalBus {
-    /// Capacity in tx/µs.
-    pub capacity: f64,
-}
-
-impl BusModel for ProportionalBus {
-    fn arbitrate_into(&mut self, reqs: &[BusRequest], out: &mut BusOutcome) {
-        if reqs.is_empty() {
-            out.reset(self.capacity);
-            return;
-        }
-        let total_demand: f64 = reqs.iter().map(|r| r.rate).sum();
-        let lambda = (total_demand / self.capacity).max(1.0);
-        out.shares.clear();
-        let mut total_issued = 0.0;
-        for r in reqs {
-            let speed = dilated_speed(r.mu, lambda);
-            let issue_rate = r.rate * speed;
-            total_issued += issue_rate;
-            out.shares.push(BusShare {
-                thread: r.thread,
-                speed,
-                issue_rate,
-            });
-        }
-        out.total_demand = total_demand;
-        out.total_issued = total_issued;
-        out.effective_capacity = self.capacity;
-        out.dilation = lambda;
-        out.utilization = (total_demand / self.capacity).min(1.0);
-        out.saturated = total_demand > self.capacity;
-    }
-
-    fn nominal_capacity(&self) -> f64 {
-        self.capacity
-    }
-}
-
-/// A bus with infinite capacity: every thread runs at solo speed.
-/// For unit-testing schedulers in isolation from contention.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UnlimitedBus;
-
-impl BusModel for UnlimitedBus {
-    fn arbitrate_into(&mut self, reqs: &[BusRequest], out: &mut BusOutcome) {
-        out.reset(f64::INFINITY);
-        let mut total = 0.0;
-        for r in reqs {
-            total += r.rate;
-            out.shares.push(BusShare {
-                thread: r.thread,
-                speed: 1.0,
-                issue_rate: r.rate,
-            });
-        }
-        out.total_demand = total;
-        out.total_issued = total;
-    }
-
-    fn nominal_capacity(&self) -> f64 {
-        f64::INFINITY
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1031,52 +852,19 @@ mod tests {
     }
 
     #[test]
-    fn max_min_allocation_properties() {
-        let demands = vec![1.0, 5.0, 20.0, 30.0];
-        let grants = MaxMinFairBus::max_min(&demands, PAPER_BUS_TX_PER_US);
-        // Grants never exceed demands.
-        for (g, d) in grants.iter().zip(&demands) {
-            assert!(g <= d);
-        }
-        // Capacity fully used when total demand exceeds it.
-        let total: f64 = grants.iter().sum();
-        assert!((total - PAPER_BUS_TX_PER_US).abs() < 1e-9);
-        // Small demand fully satisfied.
-        assert!((grants[0] - 1.0).abs() < 1e-9);
-        // The two large demands get equal shares.
-        assert!((grants[2] - grants[3]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn max_min_under_capacity_grants_everything() {
-        let demands = vec![3.0, 4.0];
-        let grants = MaxMinFairBus::max_min(&demands, PAPER_BUS_TX_PER_US);
-        assert_eq!(grants, demands);
-    }
-
-    #[test]
-    fn unlimited_bus_never_slows_anyone() {
-        let out = UnlimitedBus.arbitrate(&[req(0, 1e6, 1.0)]);
-        assert_eq!(out.shares[0].speed, 1.0);
-        assert!(!out.saturated);
-    }
-
-    #[test]
-    fn proportional_bus_matches_fsb_without_overheads() {
+    fn saturation_without_overheads_shares_in_proportion() {
+        // No arbitration derate and no queueing: two fully memory-bound
+        // threads at 25 tx/µs on the 29.5 tx/µs bus dilate by ΣD/C, so
+        // each runs at exactly C/ΣD.
         let cfg = BusConfig {
             arbitration_per_master: 0.0,
             queueing_coeff: 0.0,
             ..BusConfig::default()
         };
-        let mut fsb = FsbBus::new(cfg);
-        let mut prop = ProportionalBus {
-            capacity: cfg.capacity_tx_per_us,
-        };
-        let reqs = [req(0, 25.0, 1.0), req(1, 25.0, 1.0)];
-        let a = fsb.arbitrate(&reqs);
-        let b = prop.arbitrate(&reqs);
-        for (x, y) in a.shares.iter().zip(&b.shares) {
-            assert!((x.speed - y.speed).abs() < 1e-9);
+        let out = FsbBus::new(cfg).arbitrate(&[req(0, 25.0, 1.0), req(1, 25.0, 1.0)]);
+        assert!(out.saturated);
+        for s in &out.shares {
+            assert!((s.speed - PAPER_BUS_TX_PER_US / 50.0).abs() < 1e-9);
         }
     }
 
@@ -1368,78 +1156,20 @@ mod tests {
                 prop_assert!(out.shares[0].speed >= out.shares[1].speed - 1e-12);
             }
 
-            /// Max-min grants: feasible, capped by demand, work-conserving.
+            /// Below saturation the only slowdown is the queueing term:
+            /// every speed is 1/(1 + µκρ^p) ≥ 1 − κρ^p.
             #[test]
-            fn max_min_invariants(demands in prop::collection::vec(0.0f64..50.0, 1..10), cap in 1.0f64..60.0) {
-                let grants = MaxMinFairBus::max_min(&demands, cap);
-                let total_d: f64 = demands.iter().sum();
-                let total_g: f64 = grants.iter().sum();
-                for (g, d) in grants.iter().zip(&demands) {
-                    prop_assert!(*g <= d + 1e-9);
-                    prop_assert!(*g >= -1e-12);
-                }
-                prop_assert!(total_g <= cap + 1e-9);
-                // Work conserving: uses min(cap, total demand).
-                prop_assert!((total_g - total_d.min(cap)).abs() < 1e-6);
-            }
-
-            /// Below saturation every arbiter agrees with [`FsbBus`] up to
-            /// the sub-saturation queueing term κ·ρ^p (the alternatives
-            /// model no queueing, so their speeds sit exactly at 1 while
-            /// FsbBus sits at 1/(1+µκρ^p) ≥ 1 − κρ^p).
-            #[test]
-            fn arbiters_agree_below_saturation(reqs in arb_reqs()) {
+            fn unsaturated_slowdown_is_bounded_by_queueing(reqs in arb_reqs()) {
                 let cfg = BusConfig::default();
-                let fsb = FsbBus::new(cfg).arbitrate(&reqs);
-                if !fsb.saturated && fsb.utilization <= 0.9 {
-                    let tol =
-                        cfg.queueing_coeff * fsb.utilization.powf(cfg.queueing_exponent) + 1e-9;
-                    let mm = MaxMinFairBus::new(cfg).arbitrate(&reqs);
-                    let pr = ProportionalBus {
-                        capacity: cfg.capacity_tx_per_us,
-                    }
-                    .arbitrate(&reqs);
-                    for alt in [&mm, &pr] {
-                        for (f, a) in fsb.shares.iter().zip(&alt.shares) {
-                            prop_assert!(
-                                (f.speed - a.speed).abs() <= tol,
-                                "fsb {} vs alt {} (tol {tol})",
-                                f.speed,
-                                a.speed
-                            );
-                        }
+                let out = FsbBus::new(cfg).arbitrate(&reqs);
+                if !out.saturated && out.utilization <= 0.9 {
+                    let floor = 1.0
+                        - cfg.queueing_coeff * out.utilization.powf(cfg.queueing_exponent)
+                        - 1e-9;
+                    for s in &out.shares {
+                        prop_assert!(s.speed >= floor, "speed {} below {floor}", s.speed);
                     }
                 }
-            }
-
-            /// Max-min fair never issues more than effective capacity,
-            /// saturated or not: each thread's traffic is capped by its
-            /// grant and grants sum to ≤ capacity.
-            #[test]
-            fn max_min_bus_never_exceeds_capacity(reqs in arb_reqs()) {
-                let out = MaxMinFairBus::new(BusConfig::default()).arbitrate(&reqs);
-                prop_assert!(
-                    out.total_issued <= out.effective_capacity + 1e-9,
-                    "issued {} vs cap {}",
-                    out.total_issued,
-                    out.effective_capacity
-                );
-            }
-
-            /// Proportional sharing conserves capacity for fully
-            /// memory-bound threads (µ = 1 ⇒ issue = rate/λ, Σ = min(ΣD, C)).
-            #[test]
-            fn proportional_bus_full_mu_never_exceeds_capacity(mut reqs in arb_reqs()) {
-                for r in &mut reqs {
-                    r.mu = 1.0;
-                }
-                let cap = BusConfig::default().capacity_tx_per_us;
-                let out = ProportionalBus { capacity: cap }.arbitrate(&reqs);
-                prop_assert!(
-                    out.total_issued <= cap + 1e-9,
-                    "issued {} vs cap {cap}",
-                    out.total_issued
-                );
             }
         }
     }

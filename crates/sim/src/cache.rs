@@ -24,8 +24,6 @@
 //! * runs at `(1 − sensitivity·(1−w))`× speed, where `sensitivity` is a
 //!   per-thread parameter (how much of its performance lives in the cache).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{CpuId, ThreadId};
 
 /// Warmth this close to 1 snaps to exactly 1.0 (reached after ~14τ of
@@ -37,7 +35,7 @@ use crate::ids::{CpuId, ThreadId};
 const WARMTH_SNAP: f64 = 1e-6;
 
 /// Cache model parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
     /// Time constant (µs) for building cache state while running.
     /// ~20 ms: a 256 KB working set streams in well under a quantum, but a

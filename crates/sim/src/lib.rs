@@ -48,11 +48,10 @@ pub mod stage;
 pub mod stats;
 pub mod testkit;
 pub mod thread;
-pub mod trace;
 
 pub use bus::{
     solve_lambda, BusModel, BusModelClone, BusOutcome, BusRequest, BusShare, FsbBus,
-    HierarchicalBus, LevelOutcome, MaxMinFairBus, ProportionalBus, UnlimitedBus, MAX_BUS_LEVELS,
+    HierarchicalBus, LevelOutcome, MAX_BUS_LEVELS,
 };
 pub use cache::{CacheConfig, CacheState};
 pub use config::{
@@ -69,4 +68,3 @@ pub use prof::{Phase, PhaseSet, PhaseStat, PhaseTimer, PHASE_BUCKET_BOUNDS_NS};
 pub use stage::{StageSnapshot, StageTiming, StageTimings, STAGE_BUCKET_BOUNDS_NS, STAGE_NAMES};
 pub use stats::{BusPressureStats, LevelPressureStats, RunStats, TickDtHist};
 pub use thread::{ThreadSpec, ThreadState};
-pub use trace::{QuantumRecord, ScheduleTrace, Traced};

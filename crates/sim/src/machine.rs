@@ -1979,6 +1979,59 @@ mod tests {
     }
 
     #[test]
+    fn placement_events_record_every_decision_at_its_time() {
+        // Alternates two single-thread apps on cpu0 each 100 ms quantum.
+        struct Alternator {
+            flip: bool,
+        }
+        impl Scheduler for Alternator {
+            fn schedule(&mut self, _v: &MachineView<'_>) -> Decision {
+                self.flip = !self.flip;
+                Decision {
+                    assignments: vec![Assignment {
+                        thread: ThreadId(u64::from(self.flip)),
+                        cpu: CpuId(0),
+                    }],
+                    next_resched_in_us: 100_000,
+                    sample_period_us: None,
+                }
+            }
+        }
+        let mut m = Machine::new(XEON_4WAY);
+        for name in ["first", "second"] {
+            m.add_app(AppDescriptor::new(
+                name,
+                vec![ThreadSpec::new(
+                    f64::INFINITY,
+                    Box::new(ConstantDemand::new(0.5, 0.1)),
+                )],
+            ));
+        }
+        let (bus, handle) = busbw_trace::EventBus::memory();
+        m.set_tracer(bus);
+        m.run(
+            &mut Alternator { flip: false },
+            StopCondition::At(1_000_000),
+        );
+        // One placement per decision, stamped with the decision's time:
+        // grouping the stream by `at_us` recovers the decision sequence
+        // (the timeline example's Gantt chart relies on this).
+        let placed: Vec<(u64, usize, u64)> = handle
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                busbw_trace::TraceEvent::Placement {
+                    at_us, cpu, app, ..
+                } => Some((at_us, cpu, app)),
+                _ => None,
+            })
+            .collect();
+        let expected: Vec<(u64, usize, u64)> =
+            (0..10).map(|q| (q * 100_000, 0, 1 - q % 2)).collect();
+        assert_eq!(placed, expected);
+    }
+
+    #[test]
     fn detached_tracer_emits_nothing_and_changes_nothing() {
         let run = |traced: bool| {
             let mut m = Machine::new(XEON_4WAY);

@@ -1,12 +1,10 @@
 //! Run-level accounting produced by the machine.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bus::MAX_BUS_LEVELS;
 use crate::ids::SimTime;
 
 /// Time-weighted statistics about bus pressure over a run.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BusPressureStats {
     /// Integral of issued transactions (tx), i.e. total bus traffic.
     pub total_transactions: f64,
@@ -24,7 +22,7 @@ pub struct BusPressureStats {
 /// Time-weighted pressure of one topology level (a socket's local bus or
 /// the cross-socket interconnect). All-zero for levels that do not exist
 /// on the configured machine.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LevelPressureStats {
     /// Integral of traffic issued through this level (tx).
     pub total_issued: f64,
@@ -62,7 +60,7 @@ impl LevelPressureStats {
 /// observability layer's tick-time histogram. With event-driven tick
 /// coarsening an iteration can cover many nominal ticks; the bucket
 /// spread shows how much of a run executed coarsened.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickDtHist {
     /// Log₂-spaced bucket counts: iterations covering 1, 2–3, 4–7, …,
     /// 64–127, and ≥128 nominal ticks.
@@ -96,7 +94,7 @@ impl TickDtHist {
 }
 
 /// Statistics for one simulation run.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RunStats {
     /// Wall µs simulated.
     pub elapsed_us: SimTime,

@@ -1,11 +1,10 @@
 //! A minimal JSON renderer and parser.
 //!
-//! The workspace's vendored `serde` is a derive-only stub and no
-//! `serde_json` exists offline, so traces and manifests are rendered by
-//! hand and validated with this parser. It supports the full JSON value
-//! grammar minus exotic number forms (good enough to round-trip
-//! everything this crate emits); it is not a general-purpose JSON
-//! library.
+//! No JSON library is available offline, so traces and manifests are
+//! rendered by hand and validated with this parser. It supports the full
+//! JSON value grammar minus exotic number forms (good enough to
+//! round-trip everything this crate emits); it is not a general-purpose
+//! JSON library.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -6,13 +6,12 @@
 //! of [`busbw_sim::ThreadSpec`]s with concrete demand models.
 
 use busbw_sim::{AppDescriptor, ConstantDemand, DemandModel, ThreadSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::burst::TwoStateBurst;
 use crate::phases::CyclicPhases;
 
 /// How an application's bus demand evolves over time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Behavior {
     /// Constant rate and memory-boundness for the whole run.
     Constant,
@@ -29,7 +28,7 @@ pub enum Behavior {
 }
 
 /// One application instance's specification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppSpec {
     /// Display name (e.g. `"CG"`, `"BBMA"`).
     pub name: String,
