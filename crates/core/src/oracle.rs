@@ -23,17 +23,21 @@
 //! evaluator. It answers the question the heuristics cannot: what is the
 //! best turnaround any clairvoyant schedule could have achieved on this
 //! instance? Every preset stack can then be scored by *regret* against
-//! that ceiling (see `experiments regret`). The search replays candidate
-//! decision prefixes from t = 0 through [`FixedPlanScheduler`] (the
-//! machine is deterministic, so replay is exact), prunes with an
-//! admissible no-contention lower bound, and skips permutations of
-//! caller-declared symmetric gangs. Heuristic decision logs recorded with
-//! [`RecordingScheduler`] seed the incumbent, which makes the reported
-//! optimum structurally ≤ every seeded heuristic.
+//! that ceiling (see `experiments regret`). Every interior node of the
+//! search tree keeps its run paused at the scheduling point it has not
+//! answered yet; a child clones that machine, applies one decision and
+//! runs to the next scheduling point, so each node costs one quantum of
+//! simulation rather than a replay of its whole prefix. The search
+//! prunes with an admissible no-contention lower bound and skips
+//! permutations of caller-declared symmetric gangs. Heuristic decision
+//! logs recorded with [`RecordingScheduler`] seed the incumbent, which
+//! makes the reported optimum structurally ≤ every seeded heuristic;
+//! [`FixedPlanScheduler`] replays such logs, and the winning plan, as
+//! ordinary runs.
 
 use busbw_sim::{
-    AppId, Assignment, CpuId, Decision, Machine, MachineView, Scheduler, SimTime, StopCondition,
-    ThreadId,
+    AppId, Assignment, CpuId, Decision, Machine, MachineView, RunCursor, Scheduler, SimTime,
+    StepEvent, StopCondition, ThreadId,
 };
 
 use crate::pipeline::{
@@ -90,8 +94,8 @@ pub fn greedy_pack() -> PolicyStack {
 // Offline-optimal search
 // ---------------------------------------------------------------------------
 
-/// Idle quantum the oracle's replay scheduler returns once its plan is
-/// exhausted: far beyond any search horizon, so the machine's idle fast
+/// Idle quantum [`FixedPlanScheduler`] returns once its plan is used
+/// up: far beyond any search horizon, so the machine's idle fast
 /// path mega-ticks straight to the hard cap without overflow.
 pub const ORACLE_IDLE_SENTINEL_US: u64 = 1 << 40;
 
@@ -130,7 +134,7 @@ impl OracleSearchConfig {
 }
 
 /// Frozen per-thread state at a branch point of the search tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreadSlot {
     /// The thread.
     pub id: ThreadId,
@@ -145,7 +149,7 @@ pub struct ThreadSlot {
 }
 
 /// Frozen per-gang state at a branch point of the search tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GangState {
     /// The application.
     pub app: AppId,
@@ -179,11 +183,11 @@ impl GangState {
     }
 }
 
-/// Machine state at the moment a replayed plan ran out of decisions —
-/// the branch point from which the search extends the schedule.
-#[derive(Debug, Clone)]
+/// Machine state at a scheduling point the plan does not answer — the
+/// branch point from which the search extends the schedule.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchState {
-    /// Simulated time at exhaustion, µs.
+    /// Simulated time of the scheduling point, µs.
     pub now: SimTime,
     /// Number of processors.
     pub num_cpus: usize,
@@ -229,49 +233,31 @@ impl BranchState {
 
 /// Replays a fixed list of [`Decision`]s verbatim, then idles.
 ///
-/// The machine is deterministic, so replaying a recorded decision prefix
-/// from t = 0 reproduces the exact same trajectory — this is how the
-/// search evaluates candidate schedules without cloning machines. When
-/// the plan runs out mid-run the scheduler snapshots a [`BranchState`]
-/// (available via [`FixedPlanScheduler::take_branch_state`]) and returns
-/// an idle decision of [`ORACLE_IDLE_SENTINEL_US`], letting the machine
-/// fast-forward to its hard cap.
+/// The machine is deterministic, so replaying a recorded decision log
+/// from t = 0 reproduces the exact trajectory it was recorded on. This
+/// is how the search's winning plan becomes an ordinary run
+/// (`PolicyKind::OfflineOptimal` in the experiments crate). Once the
+/// plan is used up it returns an idle decision of
+/// [`ORACLE_IDLE_SENTINEL_US`], letting the machine fast-forward to its
+/// hard cap.
 pub struct FixedPlanScheduler {
     plan: Vec<Decision>,
     next: usize,
-    branch: Option<BranchState>,
 }
 
 impl FixedPlanScheduler {
     /// A scheduler that will replay `plan` in order.
     pub fn new(plan: Vec<Decision>) -> Self {
-        Self {
-            plan,
-            next: 0,
-            branch: None,
-        }
-    }
-
-    /// Whether every planned decision has been handed out.
-    pub fn exhausted(&self) -> bool {
-        self.next >= self.plan.len()
-    }
-
-    /// The state captured when the plan ran out mid-run, if it did.
-    pub fn take_branch_state(&mut self) -> Option<BranchState> {
-        self.branch.take()
+        Self { plan, next: 0 }
     }
 }
 
 impl Scheduler for FixedPlanScheduler {
-    fn schedule(&mut self, view: &MachineView<'_>) -> Decision {
+    fn schedule(&mut self, _view: &MachineView<'_>) -> Decision {
         if let Some(d) = self.plan.get(self.next) {
             self.next += 1;
             d.clone()
         } else {
-            if self.branch.is_none() {
-                self.branch = Some(BranchState::capture(view));
-            }
             Decision::idle(ORACLE_IDLE_SENTINEL_US)
         }
     }
@@ -322,7 +308,7 @@ impl Scheduler for RecordingScheduler<'_> {
 }
 
 /// Outcome of simulating one candidate plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SimNode {
     /// Every measured app finished: exact total turnaround, µs.
     Leaf {
@@ -338,7 +324,8 @@ pub enum SimNode {
     },
     /// The plan ran out before the horizon: an interior search node.
     Branch {
-        /// Machine state at exhaustion, for generating child decisions.
+        /// Machine state at the unanswered scheduling point, for
+        /// generating child decisions.
         state: BranchState,
         /// Admissible lower bound on any completion of this prefix, µs.
         lower_bound_us: u64,
@@ -389,32 +376,98 @@ fn lower_bound_us(state: &BranchState, measured: &[AppId], cfg: &OracleSearchCon
     lb
 }
 
-/// Evaluate one candidate plan on a fresh machine: replay it from t = 0,
-/// classify the outcome. Sets the machine's hard cap to the horizon.
-pub fn simulate(
+/// A candidate run paused at a scheduling point it has not answered: an
+/// interior node of the search tree. A clone is a deep copy that
+/// continues bit-identically to the original under equal decisions, so
+/// cloning forks the run.
+#[derive(Clone)]
+struct PausedRun {
+    machine: Machine,
+    cur: RunCursor,
+}
+
+/// Step a run, answering its scheduling points with `plan` in order,
+/// until it ends or reaches a scheduling point the plan does not cover,
+/// and classify where it stopped. A `Branch` comes with its paused run.
+fn advance(
+    mut machine: Machine,
+    mut cur: RunCursor,
+    plan: &[Decision],
+    measured: &[AppId],
+    cfg: &OracleSearchConfig,
+) -> (SimNode, Option<PausedRun>) {
+    let mut plan = plan.iter();
+    loop {
+        match machine.run_step(&mut cur, None) {
+            StepEvent::Sample => {}
+            StepEvent::Schedule => match plan.next() {
+                Some(d) => machine.run_decide(&mut cur, d),
+                None => {
+                    let state = BranchState::capture(&machine.view());
+                    let lower_bound_us = lower_bound_us(&state, measured, cfg);
+                    let node = SimNode::Branch {
+                        state,
+                        lower_bound_us,
+                    };
+                    return (node, Some(PausedRun { machine, cur }));
+                }
+            },
+            StepEvent::Done(out) => {
+                let cost_us = censored_cost_us(&machine, measured, out.stopped_at);
+                let node = if out.condition_met {
+                    SimNode::Leaf { cost_us }
+                } else {
+                    SimNode::Censored { cost_us }
+                };
+                return (node, None);
+            }
+        }
+    }
+}
+
+/// Begin a candidate run on `machine` — hard cap at the horizon, stopping
+/// once every measured app has finished — and advance it through `plan`.
+fn start(
     mut machine: Machine,
     measured: &[AppId],
     plan: &[Decision],
     cfg: &OracleSearchConfig,
-) -> SimNode {
+) -> (SimNode, Option<PausedRun>) {
     machine.set_hard_cap_us(cfg.horizon_us);
-    let mut sched = FixedPlanScheduler::new(plan.to_vec());
-    let out = machine.run(&mut sched, StopCondition::AppsFinished(measured.to_vec()));
-    if out.condition_met {
-        SimNode::Leaf {
-            cost_us: censored_cost_us(&machine, measured, out.stopped_at),
-        }
-    } else if let Some(state) = sched.take_branch_state() {
-        let lb = lower_bound_us(&state, measured, cfg);
-        SimNode::Branch {
-            state,
-            lower_bound_us: lb,
-        }
-    } else {
-        SimNode::Censored {
-            cost_us: censored_cost_us(&machine, measured, out.stopped_at),
-        }
-    }
+    let cur = machine.run_begin(StopCondition::AppsFinished(measured.to_vec()));
+    advance(machine, cur, plan, measured, cfg)
+}
+
+/// Extend a paused run by one decision: fork it, answer its pending
+/// scheduling point with `d`, and advance to the next one (or the end).
+/// This simulates one quantum; replaying the prefix from t = 0 would
+/// reach the same state, because the fork has seen the same
+/// `run_decide` sequence on a deep copy of the same machine.
+fn resume(
+    paused: &PausedRun,
+    d: &Decision,
+    measured: &[AppId],
+    cfg: &OracleSearchConfig,
+) -> (SimNode, Option<PausedRun>) {
+    let PausedRun {
+        mut machine,
+        mut cur,
+    } = paused.clone();
+    machine.run_decide(&mut cur, d);
+    advance(machine, cur, &[], measured, cfg)
+}
+
+/// Evaluate one candidate plan on a fresh machine: run it from t = 0,
+/// answering scheduling points with `plan`, and classify the outcome —
+/// a `Branch` at the first scheduling point the plan does not answer.
+/// Sets the machine's hard cap to the horizon.
+pub fn simulate(
+    machine: Machine,
+    measured: &[AppId],
+    plan: &[Decision],
+    cfg: &OracleSearchConfig,
+) -> SimNode {
+    start(machine, measured, plan, cfg).0
 }
 
 /// Whether a chosen gang subset respects the declared symmetry classes:
@@ -538,8 +591,16 @@ pub struct OracleReport {
     pub best_from_seed: Option<usize>,
 }
 
+/// An interior node waiting on the DFS stack: its decision prefix, the
+/// branch state its children are generated from, and its paused run.
+struct Interior {
+    plan: Vec<Decision>,
+    state: BranchState,
+    run: PausedRun,
+}
+
 fn search(
-    build: &mut dyn FnMut() -> Machine,
+    template: &Machine,
     measured: &[AppId],
     cfg: &OracleSearchConfig,
     seeds: &[Vec<Decision>],
@@ -567,7 +628,7 @@ fn search(
             return report;
         }
         report.nodes += 1;
-        match simulate(build(), measured, seed, cfg) {
+        match simulate(template.clone(), measured, seed, cfg) {
             SimNode::Leaf { cost_us } | SimNode::Censored { cost_us } => {
                 report.leaves += 1;
                 if cost_us < report.best_cost_us {
@@ -582,14 +643,14 @@ fn search(
         }
     }
 
-    let mut stack: Vec<(Vec<Decision>, BranchState)> = Vec::new();
+    let mut stack: Vec<Interior> = Vec::new();
     if report.nodes >= cfg.node_budget {
         report.complete = false;
         return report;
     }
     report.nodes += 1;
-    match simulate(build(), measured, &[], cfg) {
-        SimNode::Leaf { cost_us } | SimNode::Censored { cost_us } => {
+    match start(template.clone(), measured, &[], cfg) {
+        (SimNode::Leaf { cost_us } | SimNode::Censored { cost_us }, _) => {
             report.leaves += 1;
             report.root_lower_bound_us = cost_us;
             if cost_us < report.best_cost_us {
@@ -598,17 +659,24 @@ fn search(
                 report.best_from_seed = None;
             }
         }
-        SimNode::Branch {
-            state,
-            lower_bound_us,
-        } => {
+        (
+            SimNode::Branch {
+                state,
+                lower_bound_us,
+            },
+            run,
+        ) => {
             report.root_lower_bound_us = lower_bound_us;
-            stack.push((Vec::new(), state));
+            stack.push(Interior {
+                plan: Vec::new(),
+                state,
+                run: run.expect("a branch is paused"),
+            });
         }
     }
 
-    'dfs: while let Some((plan, state)) = stack.pop() {
-        let kids = branch_decisions(&state, cfg, sym_classes, &mut report.sym_prunes);
+    'dfs: while let Some(node) = stack.pop() {
+        let kids = branch_decisions(&node.state, cfg, sym_classes, &mut report.sym_prunes);
         let mut pending = Vec::new();
         for d in kids {
             if report.nodes >= cfg.node_budget {
@@ -616,9 +684,10 @@ fn search(
                 break 'dfs;
             }
             report.nodes += 1;
-            let mut child_plan = plan.clone();
+            let (sim, run) = resume(&node.run, &d, measured, cfg);
+            let mut child_plan = node.plan.clone();
             child_plan.push(d);
-            match simulate(build(), measured, &child_plan, cfg) {
+            match sim {
                 SimNode::Leaf { cost_us } | SimNode::Censored { cost_us } => {
                     report.leaves += 1;
                     if cost_us < report.best_cost_us {
@@ -634,7 +703,11 @@ fn search(
                     if prune && lower_bound_us >= report.best_cost_us {
                         report.bound_prunes += 1;
                     } else {
-                        pending.push((child_plan, state));
+                        pending.push(Interior {
+                            plan: child_plan,
+                            state,
+                            run: run.expect("a branch is paused"),
+                        });
                     }
                 }
             }
@@ -651,25 +724,25 @@ fn search(
 
 /// Branch-and-bound search for the offline-optimal gang schedule.
 ///
-/// `build` must construct the *same* machine every call (the search
-/// replays candidate prefixes on fresh instances); `measured` lists the
-/// apps whose total turnaround is the objective; `seeds` are recorded
-/// heuristic decision logs (see [`RecordingScheduler`]) evaluated first
-/// as incumbents; `sym_classes` lists groups of gangs the caller asserts
-/// are bit-identical at t = 0 — the search then explores only one
+/// `template` is the instance at t = 0, never driven itself: every
+/// candidate runs on a clone of it; `measured` lists the apps whose total
+/// turnaround is the objective; `seeds` are recorded heuristic decision
+/// logs (see [`RecordingScheduler`]) evaluated first as incumbents;
+/// `sym_classes` lists groups of gangs the caller asserts are
+/// bit-identical at t = 0 — the search then explores only one
 /// representative of each permutation while the gangs are unstarted.
 ///
 /// With infinite-work *measured* gangs every path is censored at the
 /// horizon and the tree is deep; provide seeds so bound pruning can bite,
 /// or rely on `node_budget` as the backstop.
 pub fn offline_optimal(
-    build: &mut dyn FnMut() -> Machine,
+    template: &Machine,
     measured: &[AppId],
     cfg: &OracleSearchConfig,
     seeds: &[Vec<Decision>],
     sym_classes: &[Vec<AppId>],
 ) -> OracleReport {
-    search(build, measured, cfg, seeds, sym_classes, true)
+    search(template, measured, cfg, seeds, sym_classes, true)
 }
 
 /// Exhaustive enumeration over the same tree as [`offline_optimal`] with
@@ -677,19 +750,19 @@ pub fn offline_optimal(
 /// truth the branch-and-bound search is cross-checked against. Respects
 /// `node_budget` purely as a runaway backstop.
 pub fn brute_force_optimal(
-    build: &mut dyn FnMut() -> Machine,
+    template: &Machine,
     measured: &[AppId],
     cfg: &OracleSearchConfig,
 ) -> OracleReport {
-    search(build, measured, cfg, &[], &[], false)
+    search(template, measured, cfg, &[], &[], false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use busbw_sim::{
-        AppDescriptor, AppId, ConstantDemand, Decision, Machine, Scheduler, StopCondition,
-        ThreadSpec, XEON_4WAY,
+        AppDescriptor, AppId, ConstantDemand, Decision, Machine, MachineConfig, Scheduler,
+        StopCondition, ThreadSpec, TopologyConfig, XEON_4WAY,
     };
 
     fn add(m: &mut Machine, name: &str, n: usize, rate: f64) -> AppId {
@@ -815,7 +888,17 @@ mod tests {
     /// Three finite 2-thread gangs on the 4-way machine: small enough to
     /// enumerate exhaustively, big enough that schedules differ.
     fn small_instance() -> (Machine, Vec<AppId>) {
-        let mut m = Machine::new(XEON_4WAY);
+        small_instance_on(XEON_4WAY)
+    }
+
+    /// The 4-way machine split into two sockets: a `HierarchicalBus`.
+    const TWO_SOCKETS: MachineConfig = MachineConfig {
+        topology: TopologyConfig::multi(2),
+        ..XEON_4WAY
+    };
+
+    fn small_instance_on(mc: MachineConfig) -> (Machine, Vec<AppId>) {
+        let mut m = Machine::new(mc);
         let a = add_finite(&mut m, "a", 2, 6.0, 120_000.0);
         let b = add_finite(&mut m, "b", 2, 6.0, 120_000.0);
         let c = add_finite(&mut m, "c", 2, 1.0, 120_000.0);
@@ -831,9 +914,9 @@ mod tests {
     #[test]
     fn oracle_matches_brute_force_on_small_instances() {
         let cfg = small_cfg();
-        let measured = small_instance().1;
-        let bf = brute_force_optimal(&mut || small_instance().0, &measured, &cfg);
-        let bb = offline_optimal(&mut || small_instance().0, &measured, &cfg, &[], &[]);
+        let (m, measured) = small_instance();
+        let bf = brute_force_optimal(&m, &measured, &cfg);
+        let bb = offline_optimal(&m, &measured, &cfg, &[], &[]);
         assert!(bf.complete && bb.complete);
         assert_eq!(bb.best_cost_us, bf.best_cost_us);
         // Same DFS order + strict incumbent updates ⇒ same winning plan.
@@ -849,8 +932,8 @@ mod tests {
     #[test]
     fn root_lower_bound_is_admissible() {
         let cfg = small_cfg();
-        let measured = small_instance().1;
-        let r = offline_optimal(&mut || small_instance().0, &measured, &cfg, &[], &[]);
+        let (m, measured) = small_instance();
+        let r = offline_optimal(&m, &measured, &cfg, &[], &[]);
         assert!(r.complete);
         assert!(
             r.root_lower_bound_us <= r.best_cost_us,
@@ -874,10 +957,10 @@ mod tests {
             (m, vec![a, b, c])
         };
         let cfg = small_cfg();
-        let measured = build().1;
-        let bf = brute_force_optimal(&mut || build().0, &measured, &cfg);
+        let (m, measured) = build();
+        let bf = brute_force_optimal(&m, &measured, &cfg);
         let sym = vec![vec![measured[0], measured[1]]];
-        let bb = offline_optimal(&mut || build().0, &measured, &cfg, &[], &sym);
+        let bb = offline_optimal(&m, &measured, &cfg, &[], &sym);
         assert!(bf.complete && bb.complete);
         assert_eq!(bb.best_cost_us, bf.best_cost_us);
         assert!(bb.sym_prunes > 0, "twins never triggered symmetry pruning");
@@ -903,7 +986,7 @@ mod tests {
             })
             .sum();
 
-        let r = offline_optimal(&mut || small_instance().0, &measured, &cfg, &[seed], &[]);
+        let r = offline_optimal(&small_instance().0, &measured, &cfg, &[seed], &[]);
         assert!(
             r.best_cost_us <= seed_cost,
             "oracle {} worse than its own seed {}",
@@ -951,8 +1034,8 @@ mod tests {
         };
         let mut cfg = OracleSearchConfig::new(100_000, 1_000_000);
         cfg.node_budget = 3_000;
-        let measured = build().1;
-        let r = offline_optimal(&mut || build().0, &measured, &cfg, &[], &[]);
+        let (m, measured) = build();
+        let r = offline_optimal(&m, &measured, &cfg, &[], &[]);
         assert!(r.leaves > 0);
         assert!(r.best_cost_us >= 120_000 && r.best_cost_us < u64::MAX);
         assert!(r.root_lower_bound_us <= r.best_cost_us);
@@ -964,9 +1047,82 @@ mod tests {
             node_budget: 5,
             ..small_cfg()
         };
-        let measured = small_instance().1;
-        let r = offline_optimal(&mut || small_instance().0, &measured, &cfg, &[], &[]);
+        let (m, measured) = small_instance();
+        let r = offline_optimal(&m, &measured, &cfg, &[], &[]);
         assert!(!r.complete);
         assert!(r.nodes <= 5);
+    }
+
+    /// Walk one root-to-leaf path of the search tree through the resume
+    /// path, choosing each decision with `pick(depth, children)`. At every
+    /// node on the way, each child resumed from the one paused run must
+    /// equal `simulate` of its whole prefix on a fresh machine: same cost,
+    /// same bound, same branch state field for field. Returns the path
+    /// length.
+    fn assert_resume_matches_replay(
+        template: &Machine,
+        measured: &[AppId],
+        cfg: &OracleSearchConfig,
+        mut pick: impl FnMut(usize, Vec<Decision>) -> Decision,
+    ) -> usize {
+        let (mut node, mut run) = start(template.clone(), measured, &[], cfg);
+        let mut plan = Vec::new();
+        assert_eq!(node, simulate(template.clone(), measured, &plan, cfg));
+        while let SimNode::Branch { state, .. } = &node {
+            let paused = run.expect("a branch is paused");
+            let kids = branch_decisions(state, cfg, &[], &mut 0);
+            for d in &kids {
+                let prefix: Vec<Decision> = plan.iter().chain([d]).cloned().collect();
+                assert_eq!(
+                    resume(&paused, d, measured, cfg).0,
+                    simulate(template.clone(), measured, &prefix, cfg),
+                    "resume diverged from replay after {} decisions",
+                    prefix.len()
+                );
+            }
+            let d = pick(plan.len(), kids);
+            (node, run) = resume(&paused, &d, measured, cfg);
+            plan.push(d);
+        }
+        assert!(run.is_none(), "a finished run is not paused");
+        plan.len()
+    }
+
+    #[test]
+    fn resume_matches_replay_along_the_best_plan() {
+        let cfg = small_cfg();
+        for mc in [XEON_4WAY, TWO_SOCKETS] {
+            let (m, measured) = small_instance_on(mc);
+            let best = offline_optimal(&m, &measured, &cfg, &[], &[]);
+            assert!(best.complete);
+            let len =
+                assert_resume_matches_replay(&m, &measured, &cfg, |i, _| best.best_plan[i].clone());
+            assert_eq!(len, best.best_plan.len());
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(6))]
+
+            /// Random subset prefixes: at each branch point the next
+            /// decision is a child chosen by the drawn index.
+            #[test]
+            fn resume_matches_replay_on_random_prefixes(
+                picks in proptest::collection::vec(any::<u32>(), 32),
+                two_sockets in any::<bool>(),
+            ) {
+                let cfg = small_cfg();
+                let (m, measured) =
+                    small_instance_on(if two_sockets { TWO_SOCKETS } else { XEON_4WAY });
+                assert_resume_matches_replay(&m, &measured, &cfg, |i, mut kids| {
+                    let k = picks[i % picks.len()] as usize % kids.len();
+                    kids.swap_remove(k)
+                });
+            }
+        }
     }
 }

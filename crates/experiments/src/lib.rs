@@ -73,9 +73,9 @@ pub use regret::{
 };
 pub use robustness::robustness;
 pub use runner::{
-    collect_metrics, effective_workers, merge_traces, par_map, run_spec, run_spec_profiled,
-    solo_turnaround_us, PolicyKind, RunCompletion, RunResult, RunnerConfig, TraceMode,
-    UnfinishedApp,
+    collect_metrics, effective_workers, merge_traces, par_map, parse_scale, run_spec,
+    run_spec_profiled, solo_turnaround_us, PolicyKind, RunCompletion, RunResult, RunnerConfig,
+    TraceMode, UnfinishedApp,
 };
 pub use suite::{fold_suite, plan_suite, SuiteCells, SuiteFigure};
 pub use topo::{fold_topo, plan_topo, topo_panel, TopoCells, TopoShape, TOPO_SHAPES};

@@ -129,10 +129,11 @@ fn parse_args() -> Args {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                rc.scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                let spec = args.next().unwrap_or_else(|| usage());
+                rc.scale = busbw_experiments::parse_scale(&spec).unwrap_or_else(|e| {
+                    eprintln!("--scale: {e}");
+                    std::process::exit(2);
+                });
                 scale_set = true;
             }
             "--seed" => {

@@ -51,8 +51,11 @@ pub const REGRET_PRESETS: [PolicyKind; 7] = [
 pub const REGRET_SAMPLED_STACKS: usize = 20;
 
 /// Node budget per oracle cell. Regret instances are three gangs on four
-/// cpus, so trees are shallow; the seeds guarantee a finite incumbent
-/// long before the budget bites.
+/// cpus; the seeds give a finite incumbent before the tree is entered,
+/// so a truncated search still reports a cost no preset beats. Trees
+/// grow with scale: at 0.03 both mixes finish well inside the budget,
+/// while from about 0.07 up CG+SP+MG spends all of it and reports
+/// `complete = false`.
 const REGRET_NODE_BUDGET: u64 = 2_000;
 
 /// The small §5-flavored instances the oracle can afford: two three-gang
@@ -164,20 +167,13 @@ pub fn oracle_outcome(spec: &WorkloadSpec, rc: &RunnerConfig) -> OracleOutcome {
         trace: crate::runner::TraceMode::Off,
         ..*rc
     };
-    let measured: Vec<busbw_sim::AppId> = prepare_run(spec, PolicyKind::OfflineOptimal, &rc_off)
-        .measured_ids()
-        .to_vec();
+    let template = prepare_run(spec, PolicyKind::OfflineOptimal, &rc_off);
+    let measured = template.measured_ids().to_vec();
 
     // Instances built by `build_machine` seed each gang's demand model
     // independently (seed + instance index), so even same-name instances
     // are not bit-identical — no symmetry classes are declared here.
-    let report = offline_optimal(
-        &mut || prepare_run(spec, PolicyKind::OfflineOptimal, &rc_off).into_machine(),
-        &measured,
-        &cfg,
-        &seeds,
-        &[],
-    );
+    let report = offline_optimal(&template.into_machine(), &measured, &cfg, &seeds, &[]);
 
     // Replay the winning plan on a fresh machine honoring the caller's
     // trace wiring, and fold it through the ordinary result path.
@@ -382,6 +378,45 @@ mod tests {
         assert_eq!(
             total as u64, o.report.best_cost_us,
             "replayed plan cost diverged from the search's evaluation"
+        );
+    }
+
+    /// `(nodes, leaves, bound_prunes, complete, best_cost_us,
+    /// root_lower_bound_us, best_plan.len())` of one search.
+    fn report_fields(r: &OracleReport) -> (u64, u64, u64, bool, u64, u64, usize) {
+        (
+            r.nodes,
+            r.leaves,
+            r.bound_prunes,
+            r.complete,
+            r.best_cost_us,
+            r.root_lower_bound_us,
+            r.best_plan.len(),
+        )
+    }
+
+    /// The search's whole accounting, pinned at the ledger's oracle-probe
+    /// scale (0.03, both searches complete) and at 0.07, where CG+SP+MG
+    /// spends the whole node budget and reports `complete = false`.
+    #[test]
+    fn oracle_reports_are_pinned() {
+        let at = |scale: f64| RunnerConfig {
+            scale,
+            workers: 1,
+            ..RunnerConfig::default()
+        };
+        let mixes = regret_mixes();
+        let got: Vec<_> = [(&mixes[0], 0.03), (&mixes[1], 0.03), (&mixes[0], 0.07)]
+            .into_iter()
+            .map(|(mix, scale)| report_fields(&oracle_outcome(mix, &at(scale)).report))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (144, 17, 75, true, 1_050_074, 539_997, 5),
+                (24, 10, 7, true, 786_688, 539_997, 4),
+                (2000, 29, 1468, false, 2_499_597, 1_259_997, 8),
+            ]
         );
     }
 

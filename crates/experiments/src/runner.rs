@@ -172,6 +172,16 @@ impl RunnerConfig {
     }
 }
 
+/// Parse a `--scale` value: a finite work-volume multiple above zero.
+/// Zero, negative and NaN scales leave runs with no work to time, and an
+/// infinite one never reaches its hard cap, so all are rejected here.
+pub fn parse_scale(s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(v) if v > 0.0 && v.is_finite() => Ok(v),
+        _ => Err(format!("bad scale `{s}` (a finite number > 0)")),
+    }
+}
+
 /// Effective worker count for `rc` (resolving 0 = auto).
 pub fn effective_workers(rc: &RunnerConfig) -> usize {
     if rc.workers != 0 {
@@ -429,9 +439,9 @@ impl PreparedRun {
         &self.measured_ids
     }
 
-    /// Consume the prepared run, yielding just its machine — how the
-    /// oracle search builds fresh instances for prefix replay (see
-    /// [`crate::regret`]).
+    /// Consume the prepared run, yielding just its undriven machine — the
+    /// template the oracle search clones for every candidate schedule
+    /// (see [`crate::regret`]).
     pub(crate) fn into_machine(self) -> busbw_sim::Machine {
         self.machine
     }
@@ -650,6 +660,16 @@ mod tests {
 
     fn rc() -> RunnerConfig {
         RunnerConfig::quick()
+    }
+
+    #[test]
+    fn parse_scale_accepts_finite_positive_values_only() {
+        assert_eq!(parse_scale("0.1"), Ok(0.1));
+        assert_eq!(parse_scale("1.5"), Ok(1.5));
+        assert_eq!(parse_scale("2"), Ok(2.0));
+        for bad in ["0", "-0", "-1", "nan", "NaN", "inf", "-inf", "", "x"] {
+            assert!(parse_scale(bad).is_err(), "accepted `{bad}`");
+        }
     }
 
     #[test]
