@@ -27,13 +27,21 @@
 //! search tree keeps its run paused at the scheduling point it has not
 //! answered yet; a child clones that machine, applies one decision and
 //! runs to the next scheduling point, so each node costs one quantum of
-//! simulation rather than a replay of its whole prefix. The search
+//! simulation rather than a replay of its whole prefix. Every candidate
+//! simulation is a pure function of its own machine, so the search hands
+//! them to a [`FanOut`] as tasks — [`Serial`] on the calling thread, or
+//! a thread pool — and applies its bookkeeping to the outcomes in the
+//! serial order, which keeps the [`OracleReport`] independent of where
+//! the simulations ran. The search
 //! prunes with an admissible no-contention lower bound and skips
 //! permutations of caller-declared symmetric gangs. Heuristic decision
 //! logs recorded with [`RecordingScheduler`] seed the incumbent, which
 //! makes the reported optimum structurally ≤ every seeded heuristic;
 //! [`FixedPlanScheduler`] replays such logs, and the winning plan, as
 //! ordinary runs.
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::{mpsc, Arc};
 
 use busbw_sim::{
     AppId, Assignment, CpuId, Decision, Machine, MachineView, RunCursor, Scheduler, SimTime,
@@ -438,13 +446,13 @@ fn start(
     advance(machine, cur, plan, measured, cfg)
 }
 
-/// Extend a paused run by one decision: fork it, answer its pending
-/// scheduling point with `d`, and advance to the next one (or the end).
+/// Extend a paused run by one decision: answer a fork's pending
+/// scheduling point with `d` and advance to the next one (or the end).
 /// This simulates one quantum; replaying the prefix from t = 0 would
 /// reach the same state, because the fork has seen the same
 /// `run_decide` sequence on a deep copy of the same machine.
 fn resume(
-    paused: &PausedRun,
+    fork: PausedRun,
     d: &Decision,
     measured: &[AppId],
     cfg: &OracleSearchConfig,
@@ -452,9 +460,122 @@ fn resume(
     let PausedRun {
         mut machine,
         mut cur,
-    } = paused.clone();
+    } = fork;
     machine.run_decide(&mut cur, d);
     advance(machine, cur, &[], measured, cfg)
+}
+
+/// One candidate simulation the search hands to a [`FanOut`].
+pub type Task = Box<dyn FnOnce() + Send>;
+
+/// Where the search runs its candidate simulations. Each one is a pure
+/// function of its own machine (a clone of the template or a fork of a
+/// paused run) and its decisions, so an implementation may run the tasks
+/// on other threads and in any order; the search applies its bookkeeping
+/// to the outcomes in its own fixed order.
+pub trait FanOut {
+    /// Call `body` with a handle for queuing tasks and waiting on them,
+    /// and return once `body` has returned and every queued task has
+    /// finished.
+    fn scope(&self, body: &mut dyn FnMut(&mut dyn Tasks));
+}
+
+/// The handle a [`FanOut`] scope lends its body.
+pub trait Tasks {
+    /// Queue `task`; it runs before the scope ends, on any thread.
+    fn spawn(&mut self, task: Task);
+    /// Make progress: run one queued task of this scope on the calling
+    /// thread, or wait until one running elsewhere finishes. Returns
+    /// `false`, at once, when none is queued or running.
+    fn help(&mut self) -> bool;
+}
+
+/// Runs every task on the calling thread, in queue order.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Serial;
+
+impl FanOut for Serial {
+    fn scope(&self, body: &mut dyn FnMut(&mut dyn Tasks)) {
+        let mut queue = SerialTasks::default();
+        body(&mut queue);
+        while queue.help() {}
+    }
+}
+
+#[derive(Default)]
+struct SerialTasks(VecDeque<Task>);
+
+impl Tasks for SerialTasks {
+    fn spawn(&mut self, task: Task) {
+        self.0.push_back(task);
+    }
+
+    fn help(&mut self) -> bool {
+        self.0.pop_front().map(|task| task()).is_some()
+    }
+}
+
+/// Where a candidate simulation stopped, with its paused run at a branch.
+type Outcome = (SimNode, Option<PausedRun>);
+
+/// Candidate simulations queued on a [`Tasks`] scope, collected by
+/// ticket in whatever order the search needs them.
+struct InFlight<'t> {
+    tasks: &'t mut dyn Tasks,
+    tx: mpsc::Sender<(u64, Outcome)>,
+    rx: mpsc::Receiver<(u64, Outcome)>,
+    arrived: HashMap<u64, Outcome>,
+    next_ticket: u64,
+}
+
+impl<'t> InFlight<'t> {
+    fn new(tasks: &'t mut dyn Tasks) -> Self {
+        let (tx, rx) = mpsc::channel();
+        Self {
+            tasks,
+            tx,
+            rx,
+            arrived: HashMap::new(),
+            next_ticket: 0,
+        }
+    }
+
+    /// Queue `job`; [`InFlight::take`] collects its outcome under the
+    /// returned ticket.
+    fn spawn(&mut self, job: impl FnOnce() -> Outcome + Send + 'static) -> u64 {
+        let (ticket, tx) = (self.next_ticket, self.tx.clone());
+        self.next_ticket += 1;
+        self.tasks.spawn(Box::new(move || {
+            let _ = tx.send((ticket, job()));
+        }));
+        ticket
+    }
+
+    /// The outcome under `ticket`, helping with queued work until it
+    /// arrives. A branch outcome arriving meanwhile whose lower bound is
+    /// at least `prune_at` loses its paused run, which keeps early
+    /// expansions small: the incumbent only falls, so that child is
+    /// bound-pruned when its turn comes.
+    fn take(&mut self, ticket: u64, prune_at: u64) -> Outcome {
+        loop {
+            if let Some(outcome) = self.arrived.remove(&ticket) {
+                return outcome;
+            }
+            let (t, mut outcome) = match self.rx.try_recv() {
+                Ok(sent) => sent,
+                Err(_) if self.tasks.help() => continue,
+                // Nothing is queued or running, so every outcome has been
+                // sent.
+                Err(_) => self.rx.try_recv().expect("a queued task sent its outcome"),
+            };
+            if let (SimNode::Branch { lower_bound_us, .. }, run) = &mut outcome {
+                if *lower_bound_us >= prune_at {
+                    *run = None;
+                }
+            }
+            self.arrived.insert(t, outcome);
+        }
+    }
 }
 
 /// Evaluate one candidate plan on a fresh machine: run it from t = 0,
@@ -565,7 +686,7 @@ fn branch_decisions(
 }
 
 /// What an offline-optimal search found.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OracleReport {
     /// Best (censored) total turnaround found, µs. `u64::MAX` only if the
     /// search saw no leaf at all (node budget of 0).
@@ -599,6 +720,241 @@ struct Interior {
     run: PausedRun,
 }
 
+/// An expanded node: its children, and the tickets of those the budget
+/// admitted, a prefix of `kids`.
+struct Expansion {
+    plan: Vec<Decision>,
+    kids: Vec<Decision>,
+    tickets: Vec<u64>,
+}
+
+/// A node on the DFS stack: waiting for its pop, or already expanded.
+enum Stacked {
+    Waiting(Box<Interior>),
+    /// Expanded while on top of the stack, with the symmetry prunes its
+    /// child generation counted; the report takes them on at the pop.
+    Early {
+        exp: Expansion,
+        sym_prunes: u64,
+    },
+}
+
+/// What the search shares across its steps.
+struct Search<'a> {
+    template: &'a Machine,
+    measured: Arc<[AppId]>,
+    cfg: OracleSearchConfig,
+    sym_classes: &'a [Vec<AppId>],
+    prune: bool,
+}
+
+impl Search<'_> {
+    /// Queue a run of `plan` on a clone of the template.
+    fn queue_start(&self, runs: &mut InFlight<'_>, plan: Vec<Decision>) -> u64 {
+        let (machine, measured, cfg) =
+            (self.template.clone(), Arc::clone(&self.measured), self.cfg);
+        runs.spawn(move || start(machine, &measured, &plan, &cfg))
+    }
+
+    /// Expand `node` as popped when `nodes` candidates have been counted:
+    /// generate its children and queue a resume of each one the budget
+    /// admits, on its own fork of the node's run.
+    fn expand(
+        &self,
+        runs: &mut InFlight<'_>,
+        node: Interior,
+        nodes: u64,
+        sym_prunes: &mut u64,
+    ) -> Expansion {
+        let kids = branch_decisions(&node.state, &self.cfg, self.sym_classes, sym_prunes);
+        let room = self.cfg.node_budget.saturating_sub(nodes);
+        let tickets = kids
+            .iter()
+            .take(usize::try_from(room).unwrap_or(usize::MAX))
+            .map(|d| {
+                let (fork, d) = (node.run.clone(), d.clone());
+                let (measured, cfg) = (Arc::clone(&self.measured), self.cfg);
+                runs.spawn(move || resume(fork, &d, &measured, &cfg))
+            })
+            .collect();
+        Expansion {
+            plan: node.plan,
+            kids,
+            tickets,
+        }
+    }
+
+    /// The search proper, with every candidate simulation queued on
+    /// `runs`. Outcomes are consumed in the order a serial search would
+    /// produce them, so the report does not depend on where or when the
+    /// simulations ran.
+    fn run(&self, runs: &mut InFlight<'_>, seeds: &[Vec<Decision>], report: &mut OracleReport) {
+        let budget = self.cfg.node_budget;
+
+        // Seed the incumbent with the recorded heuristic runs. Evaluating
+        // them through the same simulate() makes "oracle ≤ every seeded
+        // heuristic" structural rather than numerical. Every seed the
+        // budget admits, and the root after them, is queued at once.
+        let admitted = seeds
+            .len()
+            .min(usize::try_from(budget).unwrap_or(usize::MAX));
+        let seed_tickets: Vec<u64> = seeds[..admitted]
+            .iter()
+            .map(|seed| self.queue_start(runs, seed.clone()))
+            .collect();
+        let root_ticket = (admitted == seeds.len() && (seeds.len() as u64) < budget)
+            .then(|| self.queue_start(runs, Vec::new()));
+        for (i, seed) in seeds.iter().enumerate() {
+            if report.nodes >= budget {
+                report.complete = false;
+                return;
+            }
+            report.nodes += 1;
+            match runs.take(seed_tickets[i], u64::MAX).0 {
+                SimNode::Leaf { cost_us } | SimNode::Censored { cost_us } => {
+                    report.leaves += 1;
+                    if cost_us < report.best_cost_us {
+                        report.best_cost_us = cost_us;
+                        report.best_plan = seed.clone();
+                        report.best_from_seed = Some(i);
+                    }
+                }
+                // A seed that runs out before the horizon has no defined
+                // cost; it cannot serve as an incumbent.
+                SimNode::Branch { .. } => {}
+            }
+        }
+
+        let mut stack: Vec<Stacked> = Vec::new();
+        let Some(root_ticket) = root_ticket else {
+            report.complete = false;
+            return;
+        };
+        report.nodes += 1;
+        match runs.take(root_ticket, u64::MAX) {
+            (SimNode::Leaf { cost_us } | SimNode::Censored { cost_us }, _) => {
+                report.leaves += 1;
+                report.root_lower_bound_us = cost_us;
+                if cost_us < report.best_cost_us {
+                    report.best_cost_us = cost_us;
+                    report.best_plan = Vec::new();
+                    report.best_from_seed = None;
+                }
+            }
+            (
+                SimNode::Branch {
+                    state,
+                    lower_bound_us,
+                },
+                run,
+            ) => {
+                report.root_lower_bound_us = lower_bound_us;
+                stack.push(Stacked::Waiting(Box::new(Interior {
+                    plan: Vec::new(),
+                    state,
+                    run: run.expect("a branch is paused"),
+                })));
+            }
+        }
+
+        let mut next: Option<Expansion> = None;
+        'dfs: loop {
+            let exp = match next.take() {
+                Some(exp) => exp,
+                None => match stack.pop() {
+                    Some(Stacked::Waiting(node)) => {
+                        self.expand(runs, *node, report.nodes, &mut report.sym_prunes)
+                    }
+                    Some(Stacked::Early {
+                        mut exp,
+                        sym_prunes,
+                    }) => {
+                        report.sym_prunes += sym_prunes;
+                        let room = budget.saturating_sub(report.nodes);
+                        exp.tickets
+                            .truncate(usize::try_from(room).unwrap_or(usize::MAX));
+                        exp
+                    }
+                    None => break,
+                },
+            };
+            // The node on top of the stack is popped once this node's
+            // subtree is done — right after this node when no child
+            // survives the bound. Expand it now, so its children run
+            // alongside. The budget left at its pop can only be smaller,
+            // so the pop keeps the tickets it still admits; the outcomes
+            // of the others are never taken.
+            match stack.pop() {
+                Some(Stacked::Waiting(node)) => {
+                    let mut sym_prunes = 0;
+                    let exp = self.expand(runs, *node, report.nodes, &mut sym_prunes);
+                    stack.push(Stacked::Early { exp, sym_prunes });
+                }
+                Some(early) => stack.push(early),
+                None => {}
+            }
+            // When the budget admits every child, the first one pushed
+            // below is the next node popped, at `nodes_after`: expand it
+            // as soon as it is known, so its children run alongside this
+            // node's remaining ones.
+            let whole = exp.tickets.len() == exp.kids.len();
+            let nodes_after = report.nodes + exp.kids.len() as u64;
+            let mut pending = Vec::new();
+            for (j, d) in exp.kids.into_iter().enumerate() {
+                if report.nodes >= budget {
+                    report.complete = false;
+                    break 'dfs;
+                }
+                report.nodes += 1;
+                let prune_at = if self.prune {
+                    report.best_cost_us
+                } else {
+                    u64::MAX
+                };
+                let (sim, run) = runs.take(exp.tickets[j], prune_at);
+                let mut child_plan = exp.plan.clone();
+                child_plan.push(d);
+                match sim {
+                    SimNode::Leaf { cost_us } | SimNode::Censored { cost_us } => {
+                        report.leaves += 1;
+                        if cost_us < report.best_cost_us {
+                            report.best_cost_us = cost_us;
+                            report.best_plan = child_plan;
+                            report.best_from_seed = None;
+                        }
+                    }
+                    SimNode::Branch {
+                        state,
+                        lower_bound_us,
+                    } => {
+                        if self.prune && lower_bound_us >= report.best_cost_us {
+                            report.bound_prunes += 1;
+                            continue;
+                        }
+                        let child = Interior {
+                            plan: child_plan,
+                            state,
+                            run: run.expect("a branch is paused"),
+                        };
+                        if whole && next.is_none() {
+                            next =
+                                Some(self.expand(runs, child, nodes_after, &mut report.sym_prunes));
+                        } else {
+                            pending.push(child);
+                        }
+                    }
+                }
+            }
+            // Reverse so the lowest-bitmask child is explored first — the
+            // same DFS order as brute force, which keeps tie-breaking (and
+            // hence the reported plan) identical between the two searches.
+            for node in pending.into_iter().rev() {
+                stack.push(Stacked::Waiting(Box::new(node)));
+            }
+        }
+    }
+}
+
 fn search(
     template: &Machine,
     measured: &[AppId],
@@ -606,6 +962,7 @@ fn search(
     seeds: &[Vec<Decision>],
     sym_classes: &[Vec<AppId>],
     prune: bool,
+    fan: &dyn FanOut,
 ) -> OracleReport {
     let mut report = OracleReport {
         best_cost_us: u64::MAX,
@@ -618,107 +975,14 @@ fn search(
         complete: true,
         best_from_seed: None,
     };
-
-    // Seed the incumbent with the recorded heuristic runs. Evaluating
-    // them through the same simulate() makes "oracle ≤ every seeded
-    // heuristic" structural rather than numerical.
-    for (i, seed) in seeds.iter().enumerate() {
-        if report.nodes >= cfg.node_budget {
-            report.complete = false;
-            return report;
-        }
-        report.nodes += 1;
-        match simulate(template.clone(), measured, seed, cfg) {
-            SimNode::Leaf { cost_us } | SimNode::Censored { cost_us } => {
-                report.leaves += 1;
-                if cost_us < report.best_cost_us {
-                    report.best_cost_us = cost_us;
-                    report.best_plan = seed.clone();
-                    report.best_from_seed = Some(i);
-                }
-            }
-            // A seed that runs out before the horizon has no defined
-            // cost; it cannot serve as an incumbent.
-            SimNode::Branch { .. } => {}
-        }
-    }
-
-    let mut stack: Vec<Interior> = Vec::new();
-    if report.nodes >= cfg.node_budget {
-        report.complete = false;
-        return report;
-    }
-    report.nodes += 1;
-    match start(template.clone(), measured, &[], cfg) {
-        (SimNode::Leaf { cost_us } | SimNode::Censored { cost_us }, _) => {
-            report.leaves += 1;
-            report.root_lower_bound_us = cost_us;
-            if cost_us < report.best_cost_us {
-                report.best_cost_us = cost_us;
-                report.best_plan = Vec::new();
-                report.best_from_seed = None;
-            }
-        }
-        (
-            SimNode::Branch {
-                state,
-                lower_bound_us,
-            },
-            run,
-        ) => {
-            report.root_lower_bound_us = lower_bound_us;
-            stack.push(Interior {
-                plan: Vec::new(),
-                state,
-                run: run.expect("a branch is paused"),
-            });
-        }
-    }
-
-    'dfs: while let Some(node) = stack.pop() {
-        let kids = branch_decisions(&node.state, cfg, sym_classes, &mut report.sym_prunes);
-        let mut pending = Vec::new();
-        for d in kids {
-            if report.nodes >= cfg.node_budget {
-                report.complete = false;
-                break 'dfs;
-            }
-            report.nodes += 1;
-            let (sim, run) = resume(&node.run, &d, measured, cfg);
-            let mut child_plan = node.plan.clone();
-            child_plan.push(d);
-            match sim {
-                SimNode::Leaf { cost_us } | SimNode::Censored { cost_us } => {
-                    report.leaves += 1;
-                    if cost_us < report.best_cost_us {
-                        report.best_cost_us = cost_us;
-                        report.best_plan = child_plan;
-                        report.best_from_seed = None;
-                    }
-                }
-                SimNode::Branch {
-                    state,
-                    lower_bound_us,
-                } => {
-                    if prune && lower_bound_us >= report.best_cost_us {
-                        report.bound_prunes += 1;
-                    } else {
-                        pending.push(Interior {
-                            plan: child_plan,
-                            state,
-                            run: run.expect("a branch is paused"),
-                        });
-                    }
-                }
-            }
-        }
-        // Reverse so the lowest-bitmask child is explored first — the
-        // same DFS order as brute force, which keeps tie-breaking (and
-        // hence the reported plan) identical between the two searches.
-        for node in pending.into_iter().rev() {
-            stack.push(node);
-        }
-    }
+    let search = Search {
+        template,
+        measured: measured.into(),
+        cfg: *cfg,
+        sym_classes,
+        prune,
+    };
+    fan.scope(&mut |tasks| search.run(&mut InFlight::new(tasks), seeds, &mut report));
     report
 }
 
@@ -732,6 +996,9 @@ fn search(
 /// bit-identical at t = 0 — the search then explores only one
 /// representative of each permutation while the gangs are unstarted.
 ///
+/// `fan` resumes the children of each expanded node ([`Serial`] on the
+/// calling thread); the report is identical for every [`FanOut`].
+///
 /// With infinite-work *measured* gangs every path is censored at the
 /// horizon and the tree is deep; provide seeds so bound pruning can bite,
 /// or rely on `node_budget` as the backstop.
@@ -741,8 +1008,9 @@ pub fn offline_optimal(
     cfg: &OracleSearchConfig,
     seeds: &[Vec<Decision>],
     sym_classes: &[Vec<AppId>],
+    fan: &dyn FanOut,
 ) -> OracleReport {
-    search(template, measured, cfg, seeds, sym_classes, true)
+    search(template, measured, cfg, seeds, sym_classes, true, fan)
 }
 
 /// Exhaustive enumeration over the same tree as [`offline_optimal`] with
@@ -753,8 +1021,9 @@ pub fn brute_force_optimal(
     template: &Machine,
     measured: &[AppId],
     cfg: &OracleSearchConfig,
+    fan: &dyn FanOut,
 ) -> OracleReport {
-    search(template, measured, cfg, &[], &[], false)
+    search(template, measured, cfg, &[], &[], false, fan)
 }
 
 #[cfg(test)]
@@ -915,8 +1184,8 @@ mod tests {
     fn oracle_matches_brute_force_on_small_instances() {
         let cfg = small_cfg();
         let (m, measured) = small_instance();
-        let bf = brute_force_optimal(&m, &measured, &cfg);
-        let bb = offline_optimal(&m, &measured, &cfg, &[], &[]);
+        let bf = brute_force_optimal(&m, &measured, &cfg, &Serial);
+        let bb = offline_optimal(&m, &measured, &cfg, &[], &[], &Serial);
         assert!(bf.complete && bb.complete);
         assert_eq!(bb.best_cost_us, bf.best_cost_us);
         // Same DFS order + strict incumbent updates ⇒ same winning plan.
@@ -933,7 +1202,7 @@ mod tests {
     fn root_lower_bound_is_admissible() {
         let cfg = small_cfg();
         let (m, measured) = small_instance();
-        let r = offline_optimal(&m, &measured, &cfg, &[], &[]);
+        let r = offline_optimal(&m, &measured, &cfg, &[], &[], &Serial);
         assert!(r.complete);
         assert!(
             r.root_lower_bound_us <= r.best_cost_us,
@@ -958,9 +1227,9 @@ mod tests {
         };
         let cfg = small_cfg();
         let (m, measured) = build();
-        let bf = brute_force_optimal(&m, &measured, &cfg);
+        let bf = brute_force_optimal(&m, &measured, &cfg, &Serial);
         let sym = vec![vec![measured[0], measured[1]]];
-        let bb = offline_optimal(&m, &measured, &cfg, &[], &sym);
+        let bb = offline_optimal(&m, &measured, &cfg, &[], &sym, &Serial);
         assert!(bf.complete && bb.complete);
         assert_eq!(bb.best_cost_us, bf.best_cost_us);
         assert!(bb.sym_prunes > 0, "twins never triggered symmetry pruning");
@@ -986,7 +1255,7 @@ mod tests {
             })
             .sum();
 
-        let r = offline_optimal(&small_instance().0, &measured, &cfg, &[seed], &[]);
+        let r = offline_optimal(&small_instance().0, &measured, &cfg, &[seed], &[], &Serial);
         assert!(
             r.best_cost_us <= seed_cost,
             "oracle {} worse than its own seed {}",
@@ -1035,7 +1304,7 @@ mod tests {
         let mut cfg = OracleSearchConfig::new(100_000, 1_000_000);
         cfg.node_budget = 3_000;
         let (m, measured) = build();
-        let r = offline_optimal(&m, &measured, &cfg, &[], &[]);
+        let r = offline_optimal(&m, &measured, &cfg, &[], &[], &Serial);
         assert!(r.leaves > 0);
         assert!(r.best_cost_us >= 120_000 && r.best_cost_us < u64::MAX);
         assert!(r.root_lower_bound_us <= r.best_cost_us);
@@ -1048,7 +1317,7 @@ mod tests {
             ..small_cfg()
         };
         let (m, measured) = small_instance();
-        let r = offline_optimal(&m, &measured, &cfg, &[], &[]);
+        let r = offline_optimal(&m, &measured, &cfg, &[], &[], &Serial);
         assert!(!r.complete);
         assert!(r.nodes <= 5);
     }
@@ -1074,14 +1343,14 @@ mod tests {
             for d in &kids {
                 let prefix: Vec<Decision> = plan.iter().chain([d]).cloned().collect();
                 assert_eq!(
-                    resume(&paused, d, measured, cfg).0,
+                    resume(paused.clone(), d, measured, cfg).0,
                     simulate(template.clone(), measured, &prefix, cfg),
                     "resume diverged from replay after {} decisions",
                     prefix.len()
                 );
             }
             let d = pick(plan.len(), kids);
-            (node, run) = resume(&paused, &d, measured, cfg);
+            (node, run) = resume(paused, &d, measured, cfg);
             plan.push(d);
         }
         assert!(run.is_none(), "a finished run is not paused");
@@ -1093,7 +1362,7 @@ mod tests {
         let cfg = small_cfg();
         for mc in [XEON_4WAY, TWO_SOCKETS] {
             let (m, measured) = small_instance_on(mc);
-            let best = offline_optimal(&m, &measured, &cfg, &[], &[]);
+            let best = offline_optimal(&m, &measured, &cfg, &[], &[], &Serial);
             assert!(best.complete);
             let len =
                 assert_resume_matches_replay(&m, &measured, &cfg, |i, _| best.best_plan[i].clone());

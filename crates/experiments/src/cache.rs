@@ -925,6 +925,24 @@ impl RunCache {
         }
     }
 
+    /// Check that the disk tier can store entries: create its directory,
+    /// then write and remove a probe file. On failure the disk tier is
+    /// dropped, so the cache keeps working in memory only, and the error
+    /// is returned for the caller to report.
+    pub fn check_disk(&mut self) -> std::io::Result<()> {
+        let Some(dir) = self.dir.clone().filter(|_| self.enabled) else {
+            return Ok(());
+        };
+        let probe = dir.join(format!(".probe{}", std::process::id()));
+        let checked = std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(&probe, b""))
+            .and_then(|()| std::fs::remove_file(&probe));
+        if checked.is_err() {
+            self.dir = None;
+        }
+        checked
+    }
+
     /// True when lookups can ever hit.
     pub fn is_enabled(&self) -> bool {
         self.enabled

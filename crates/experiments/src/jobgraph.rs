@@ -7,8 +7,8 @@
 //! the same [`CellId`] and the run executes **once**. [`Engine::execute`]
 //! then drains the deduplicated cell set through the content-addressed
 //! [`RunCache`](crate::cache::RunCache) and the work-stealing pool
-//! ([`steal_map`](crate::pool::steal_map)), and each figure folds its
-//! rows from the [`Executed`] results by [`CellId`].
+//! ([`crate::pool::map`]), and each figure folds its rows from the
+//! [`Executed`] results by [`CellId`].
 //!
 //! Results are indexed, not streamed, so fold order — and therefore every
 //! figure artifact — is byte-identical to the old per-figure serial
@@ -16,7 +16,9 @@
 //!
 //! Cache-missing closed-system cells that differ only in policy execute
 //! as one sibling group on one pool task ([`crate::sibling`]): they share
-//! the machine while their decisions agree. Results are still stored per
+//! the machine while their decisions agree, and the branches where they
+//! split become stealable subtasks of that task. Oracle cells fan their
+//! candidate simulations out the same way. Results are still stored per
 //! cell, so the cache, dedup and folds never see the grouping.
 
 use std::collections::HashMap;
@@ -30,7 +32,6 @@ use crate::cache::{
     encode_machine, encode_policy, encode_trace_mode, encode_workload, Enc, RunCache, RunKey,
     RUN_SCHEMA_VERSION,
 };
-use crate::pool::steal_map;
 use crate::runner::{run_spec, PolicyKind, RunResult, RunnerConfig, TraceMode};
 use crate::sibling::run_group;
 
@@ -389,7 +390,10 @@ pub struct ExecStats {
     /// Cell ticks a sibling simulated on a member's behalf (each tick a
     /// machine simulates for `k` members counts `k − 1`).
     pub shared_ticks: u64,
-    /// Work-stealing claims across pool chunks.
+    /// Tasks fanned out from inside a running pool task: oracle child
+    /// resumes and forked sibling branches.
+    pub subtasks: u64,
+    /// Subtasks executed by a worker other than the one that queued them.
     pub steals: u64,
 }
 
@@ -422,6 +426,7 @@ impl ExecStats {
             groups: self.groups - earlier.groups,
             forks: self.forks - earlier.forks,
             shared_ticks: self.shared_ticks - earlier.shared_ticks,
+            subtasks: self.subtasks - earlier.subtasks,
             steals: self.steals - earlier.steals,
         }
     }
@@ -438,6 +443,7 @@ impl ExecStats {
         reg.inc_counter("pool.executed", self.executed);
         reg.inc_counter("pool.groups", self.groups);
         reg.inc_counter("pool.forks", self.forks);
+        reg.inc_counter("pool.subtasks", self.subtasks);
         reg.inc_counter("pool.steals", self.steals);
         reg.inc_counter("sim.shared_ticks", self.shared_ticks);
         reg.set_gauge("cache.hit_rate", self.hit_rate());
@@ -477,7 +483,8 @@ impl Engine {
     /// Missing cells that differ only in policy form one sibling group
     /// and one pool task; every other cell is a group of its own and runs
     /// exactly as [`RunRequest::execute`]. Groups are dispatched in the
-    /// plan order of their first member.
+    /// plan order of their first member; work a group fans out (forked
+    /// branches, oracle candidates) runs on the same pool.
     pub fn execute(&mut self, plan: &Plan, workers: usize) -> Executed {
         let mut slots: Vec<Option<Arc<RunResult>>> = vec![None; plan.requests.len()];
         let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -500,9 +507,10 @@ impl Engine {
                 None => groups.push(vec![i]),
             }
         }
-        let (fresh, steal) = steal_map(&groups, workers, |cells| execute_group(plan, cells));
-        self.stats.groups += steal.executed;
-        self.stats.steals += steal.steals;
+        let (fresh, pool) = crate::pool::map(&groups, workers, |cells| execute_group(plan, cells));
+        self.stats.groups += pool.executed;
+        self.stats.subtasks += pool.subtasks;
+        self.stats.steals += pool.steals;
         for (cells, run) in groups.iter().zip(fresh) {
             self.stats.executed += cells.len() as u64;
             self.stats.forks += run.forks;

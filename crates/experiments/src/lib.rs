@@ -66,16 +66,16 @@ pub use open::{
     OpenSpec, OpenStack,
 };
 pub use policy::{AdmissionKind, EstimatorKind, PlacerKind, SelectorKind, StackSpec};
-pub use pool::{steal_map, StealStats};
+pub use pool::PoolStats;
 pub use regret::{
     fold_regret, oracle_outcome, oracle_run, plan_regret, regret_mixes, regret_panel,
     sampled_stacks, OracleOutcome, RegretCells, REGRET_PRESETS, REGRET_SAMPLED_STACKS,
 };
 pub use robustness::robustness;
 pub use runner::{
-    collect_metrics, effective_workers, merge_traces, par_map, parse_scale, run_spec,
-    run_spec_profiled, solo_turnaround_us, PolicyKind, RunCompletion, RunResult, RunnerConfig,
-    TraceMode, UnfinishedApp,
+    collect_metrics, effective_workers, merge_traces, parse_scale, run_spec, run_spec_profiled,
+    solo_turnaround_us, PolicyKind, RunCompletion, RunResult, RunnerConfig, TraceMode,
+    UnfinishedApp,
 };
 pub use suite::{fold_suite, plan_suite, SuiteCells, SuiteFigure};
 pub use topo::{fold_topo, plan_topo, topo_panel, TopoCells, TopoShape, TOPO_SHAPES};

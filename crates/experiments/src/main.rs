@@ -49,7 +49,7 @@
 //! defaults to `--scale 0.1` (pass `--scale` to override).
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use busbw_experiments::ablate::{
     fold_fitness, fold_quantum, fold_smt, fold_stages, fold_window, plan_fitness, plan_quantum,
@@ -353,8 +353,8 @@ fn committed_baseline() -> Option<(String, &'static str)> {
 /// recorded in the history sidecar.
 const TICK_RATE_REPS: usize = 5;
 
-fn bench_tick_rate(rc: &RunnerConfig, out: &PathBuf, guard_pct: Option<f64>) {
-    use busbw_experiments::{par_map, run_spec};
+fn bench_tick_rate(rc: &RunnerConfig, out: &Path, guard_pct: Option<f64>) {
+    use busbw_experiments::{pool, run_spec};
     use busbw_workloads::mix::{fig1_solo, fig1_with_bbma, fig2_set_a, fig2_set_b, WorkloadSpec};
     use busbw_workloads::paper::PaperApp;
 
@@ -376,7 +376,7 @@ fn bench_tick_rate(rc: &RunnerConfig, out: &PathBuf, guard_pct: Option<f64>) {
     let mut sim_us = 0u64;
     for rep in 0..TICK_RATE_REPS {
         let t0 = std::time::Instant::now();
-        let results = par_map(&jobs, workers, |(s, p)| run_spec(s, *p, &rc));
+        let (results, _) = pool::map(&jobs, workers, |(s, p)| run_spec(s, *p, &rc));
         serial_walls.push(t0.elapsed().as_secs_f64());
         let rep_ticks: u64 = results.iter().map(|r| r.ticks).sum();
         let rep_sim_us: u64 = results.iter().map(|r| r.sim_elapsed_us).sum();
@@ -426,7 +426,7 @@ fn bench_tick_rate(rc: &RunnerConfig, out: &PathBuf, guard_pct: Option<f64>) {
         rc.seed,
         fmt_walls(&serial_walls)
     );
-    std::fs::create_dir_all(out).expect("create output dir");
+    create_out_dir(out);
     for path in [
         out.join("BENCH_tick_history.jsonl"),
         "BENCH_tick_history.jsonl".into(),
@@ -524,8 +524,8 @@ fn bench_tick_rate(rc: &RunnerConfig, out: &PathBuf, guard_pct: Option<f64>) {
         baseline_json,
         guard_json
     );
-    std::fs::write(out.join("BENCH_tick.json"), &json).expect("write BENCH_tick.json");
-    std::fs::write("BENCH_tick.json", &json).expect("write BENCH_tick.json");
+    write_out(out.join("BENCH_tick.json"), &json);
+    write_out("BENCH_tick.json", &json);
 }
 
 /// One pass of `bench sweep` as a JSON object body.
@@ -553,7 +553,7 @@ fn sweep_pass_json(wall_s: f64, stats: &ExecStats) -> String {
 /// unprofiled ones (pinned by a proptest), so the attribution can be
 /// trusted to describe exactly the production tick path plus the clock
 /// reads themselves.
-fn bench_profile(rc: &RunnerConfig, out: &PathBuf) {
+fn bench_profile(rc: &RunnerConfig, out: &Path) {
     use busbw_experiments::cache::{decode_result, encode_result};
     use busbw_experiments::run_spec_profiled;
     use busbw_sim::{Phase, PhaseSet, PHASE_BUCKET_BOUNDS_NS};
@@ -651,9 +651,9 @@ fn bench_profile(rc: &RunnerConfig, out: &PathBuf) {
         attributed,
         phases_json
     );
-    std::fs::create_dir_all(out).expect("create output dir");
-    std::fs::write(out.join("BENCH_profile.json"), &json).expect("write BENCH_profile.json");
-    std::fs::write("BENCH_profile.json", &json).expect("write BENCH_profile.json");
+    create_out_dir(out);
+    write_out(out.join("BENCH_profile.json"), &json);
+    write_out("BENCH_profile.json", &json);
 }
 
 /// cold pass (relative to the engine's cache state at startup: empty
@@ -662,7 +662,7 @@ fn bench_profile(rc: &RunnerConfig, out: &PathBuf) {
 /// counters, and whether the two passes folded byte-identical figures.
 /// Writes `BENCH_sweep.json` to the output directory and the working
 /// directory.
-fn bench_sweep(rc: &RunnerConfig, out: &PathBuf, engine: &mut Engine) {
+fn bench_sweep(rc: &RunnerConfig, out: &Path, engine: &mut Engine) {
     let workers = effective_workers(rc);
     let mut plan = Plan::new();
     let cells = plan_suite(&mut plan, rc);
@@ -719,9 +719,9 @@ fn bench_sweep(rc: &RunnerConfig, out: &PathBuf, engine: &mut Engine) {
         identical,
         cold_digest
     );
-    std::fs::create_dir_all(out).expect("create output dir");
-    std::fs::write(out.join("BENCH_sweep.json"), &json).expect("write BENCH_sweep.json");
-    std::fs::write("BENCH_sweep.json", &json).expect("write BENCH_sweep.json");
+    create_out_dir(out);
+    write_out(out.join("BENCH_sweep.json"), &json);
+    write_out("BENCH_sweep.json", &json);
 }
 
 /// Context for the manifest written next to each figure's artifacts.
@@ -795,7 +795,25 @@ fn exec_metrics_json(figure: CellStats, engine: &Engine, timings: Option<&StageT
     reg.to_json()
 }
 
-fn emit(fig: &FigureSummary, out: &PathBuf, ctx: &EmitCtx) {
+/// The one exit for output I/O failures: name the path and the error on
+/// stderr and exit with status 1. The figure was already printed.
+fn output_failed(path: &Path, e: &std::io::Error) -> ! {
+    eprintln!("error: cannot write output {}: {e}", path.display());
+    std::process::exit(1);
+}
+
+/// Create the output directory `dir`, or exit through [`output_failed`].
+fn create_out_dir(dir: &Path) {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| output_failed(dir, &e));
+}
+
+/// Write one output file, or exit through [`output_failed`].
+fn write_out(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) {
+    let path = path.as_ref();
+    std::fs::write(path, contents).unwrap_or_else(|e| output_failed(path, &e));
+}
+
+fn emit(fig: &FigureSummary, out: &Path, ctx: &EmitCtx) {
     let table = Table::from_figure(fig);
     println!("== {} — {}\n", fig.id, fig.title);
     println!("{}", table.render());
@@ -808,15 +826,15 @@ fn emit(fig: &FigureSummary, out: &PathBuf, ctx: &EmitCtx) {
         println!("   {s}: mean {mean:.1}, max {max:.1}, min {min:.1}");
     }
     println!();
-    std::fs::create_dir_all(out).expect("create output dir");
+    create_out_dir(out);
     let txt = out.join(format!("{}.txt", fig.id));
     let csv = out.join(format!("{}.csv", fig.id));
-    std::fs::write(&txt, table.render()).expect("write txt");
-    std::fs::write(&csv, table.to_csv()).expect("write csv");
+    write_out(&txt, table.render());
+    write_out(&csv, table.to_csv());
 
     let artifacts = [&txt, &csv]
         .into_iter()
-        .map(|p| ArtifactSum::of_file(p).expect("checksum just-written artifact"))
+        .map(|p| ArtifactSum::of_file(p).unwrap_or_else(|e| output_failed(p, &e)))
         .collect();
     let manifest = Manifest {
         id: fig.id.clone(),
@@ -831,11 +849,10 @@ fn emit(fig: &FigureSummary, out: &PathBuf, ctx: &EmitCtx) {
         trace: ctx.trace.clone(),
         metrics_json: ctx.metrics_json.clone(),
     };
-    std::fs::write(
+    write_out(
         out.join(format!("{}.manifest.json", fig.id)),
         manifest.to_json(),
-    )
-    .expect("write manifest");
+    );
 }
 
 /// Plan one figure, execute it on the shared engine, fold, and emit with
@@ -843,7 +860,7 @@ fn emit(fig: &FigureSummary, out: &PathBuf, ctx: &EmitCtx) {
 fn emit_figure<C>(
     engine: &mut Engine,
     ctx: &mut EmitCtx,
-    out: &PathBuf,
+    out: &Path,
     rc: &RunnerConfig,
     declare: impl FnOnce(&mut Plan) -> C,
     fold: impl FnOnce(&C, &Executed) -> FigureSummary,
@@ -859,7 +876,7 @@ fn emit_figure<C>(
     emit(&fig, out, ctx);
 }
 
-fn summary_table(figs: &[FigureSummary], out: &PathBuf) {
+fn summary_table(figs: &[FigureSummary], out: &Path) {
     let mut t = Table::new(&["Set", "Policy", "Max impr %", "Avg impr %", "Min impr %"]);
     for fig in figs {
         for s in fig.series() {
@@ -874,9 +891,9 @@ fn summary_table(figs: &[FigureSummary], out: &PathBuf) {
     }
     println!("== summary — §5 headline numbers\n");
     println!("{}", t.render());
-    std::fs::create_dir_all(out).expect("create output dir");
-    std::fs::write(out.join("summary.txt"), t.render()).expect("write txt");
-    std::fs::write(out.join("summary.csv"), t.to_csv()).expect("write csv");
+    create_out_dir(out);
+    write_out(out.join("summary.txt"), t.render());
+    write_out(out.join("summary.csv"), t.to_csv());
 }
 
 /// Run one of the five figures with per-run trace collection, through the
@@ -947,7 +964,7 @@ fn run_traced(
     command: &str,
     rc: &RunnerConfig,
     policies: &[PolicyKind],
-    out: &PathBuf,
+    out: &Path,
     trace_out: Option<&PathBuf>,
     engine: &mut Engine,
 ) -> Vec<(usize, busbw_trace::TraceEvent)> {
@@ -957,11 +974,11 @@ fn run_traced(
         std::process::exit(2);
     };
     let merged = merge_traces(&results);
-    std::fs::create_dir_all(out).expect("create output dir");
+    create_out_dir(out);
     let path = trace_out
         .cloned()
         .unwrap_or_else(|| out.join(format!("{exp}-trace.jsonl")));
-    std::fs::write(&path, render_jsonl(&merged)).expect("write trace jsonl");
+    write_out(&path, render_jsonl(&merged));
     ctx.trace = Some(TraceInfo {
         path: path.display().to_string(),
         events: merged.len() as u64,
@@ -985,7 +1002,14 @@ fn main() {
     let args = parse_args();
     let rc = args.rc;
     let out = &args.out;
-    let mut engine = Engine::new(RunCache::new(args.cache_dir.clone(), !args.no_cache));
+    let mut cache = RunCache::new(args.cache_dir.clone(), !args.no_cache);
+    if let (Err(e), Some(dir)) = (cache.check_disk(), &args.cache_dir) {
+        eprintln!(
+            "warning: --cache-dir {}: {e}; caching in memory only",
+            dir.display()
+        );
+    }
+    let mut engine = Engine::new(cache);
     let mut ctx = EmitCtx::new(&args.command, &rc);
     let figure_ids = ["fig1a", "fig1b", "fig2a", "fig2b", "fig2c"];
     // `--policy` swaps the fig2/summary panels' policy list for one
@@ -1170,8 +1194,8 @@ fn main() {
             let (report, all) = render_validation(&claims);
             println!("== validate — reproduction gate\n");
             print!("{report}");
-            std::fs::create_dir_all(out).expect("create output dir");
-            std::fs::write(out.join("validate.txt"), &report).expect("write report");
+            create_out_dir(out);
+            write_out(out.join("validate.txt"), &report);
             if !all {
                 std::process::exit(1);
             }

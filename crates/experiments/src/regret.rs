@@ -158,10 +158,10 @@ pub fn oracle_outcome(spec: &WorkloadSpec, rc: &RunnerConfig) -> OracleOutcome {
         lb_slack_us: 1.0,
     };
 
-    let seeds: Vec<Vec<Decision>> = REGRET_PRESETS
-        .iter()
-        .map(|&p| record_seed(spec, p, rc))
-        .collect();
+    let (seed_spec, seed_rc) = (spec.clone(), *rc);
+    let seeds: Vec<Vec<Decision>> = crate::pool::fan_map(REGRET_PRESETS.to_vec(), move |p| {
+        record_seed(&seed_spec, p, &seed_rc)
+    });
 
     let rc_off = RunnerConfig {
         trace: crate::runner::TraceMode::Off,
@@ -173,7 +173,14 @@ pub fn oracle_outcome(spec: &WorkloadSpec, rc: &RunnerConfig) -> OracleOutcome {
     // Instances built by `build_machine` seed each gang's demand model
     // independently (seed + instance index), so even same-name instances
     // are not bit-identical — no symmetry classes are declared here.
-    let report = offline_optimal(&template.into_machine(), &measured, &cfg, &seeds, &[]);
+    let report = offline_optimal(
+        &template.into_machine(),
+        &measured,
+        &cfg,
+        &seeds,
+        &[],
+        &crate::pool::CurrentPool,
+    );
 
     // Replay the winning plan on a fresh machine honoring the caller's
     // trace wiring, and fold it through the ordinary result path.
@@ -418,6 +425,34 @@ mod tests {
                 (2000, 29, 1468, false, 2_499_597, 1_259_997, 8),
             ]
         );
+    }
+
+    /// Where the search's candidate simulations run never shows in its
+    /// report: on the pinned cases, the search inside a pool of 2 or 8
+    /// workers reports exactly what the serial search does.
+    #[test]
+    fn oracle_reports_match_serial_inside_the_pool() {
+        let mixes = regret_mixes();
+        let cases = [(&mixes[0], 0.03), (&mixes[1], 0.03), (&mixes[0], 0.07)];
+        let search = |&(mix, scale): &(&WorkloadSpec, f64)| {
+            let rc = RunnerConfig {
+                scale,
+                workers: 1,
+                ..RunnerConfig::default()
+            };
+            oracle_outcome(mix, &rc).report
+        };
+        // The serial searches run on a thread of their own, alongside the
+        // pooled ones, to keep this test's wall time down.
+        let (serial, pooled) = std::thread::scope(|s| {
+            let serial = s.spawn(|| cases.iter().map(search).collect::<Vec<_>>());
+            let pooled = [2, 8].map(|workers| (workers, crate::pool::map(&cases, workers, search)));
+            (serial.join().expect("the serial searches ran"), pooled)
+        });
+        for (workers, (reports, stats)) in pooled {
+            assert!(stats.subtasks > 0, "the searches fanned nothing out");
+            assert_eq!(reports, serial, "workers = {workers}");
+        }
     }
 
     #[test]

@@ -3,11 +3,8 @@
 //!
 //! Independent (workload, policy) points are embarrassingly parallel:
 //! every run builds its own machine and its own seeded RNGs, so
-//! [`par_map`] fans them out over OS threads with results bit-identical
-//! to a serial sweep.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! [`crate::pool::map`] fans them out over OS threads with results
+//! bit-identical to a serial sweep.
 
 use busbw_core::estimator::{LatestQuantumEstimator, QuantaWindowEstimator};
 use busbw_core::model::ModelDrivenScheduler;
@@ -191,42 +188,6 @@ pub fn effective_workers(rc: &RunnerConfig) -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     }
-}
-
-/// Map `f` over `items` on up to `workers` OS threads, returning results
-/// in input order.
-///
-/// Work is pulled from a shared atomic cursor, so stragglers don't idle
-/// the other workers. Because every experiment point builds a fresh
-/// machine and fresh seeded RNGs, the outputs are **bit-identical** to a
-/// serial sweep — parallelism only changes the order work is *done*, not
-/// the order (or content) of the results. `workers <= 1` degenerates to
-/// a plain serial map with no thread machinery at all.
-pub fn par_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = workers.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let r = f(item);
-                done.lock().expect("worker panicked").push((i, r));
-            });
-        }
-    });
-    let mut v = done.into_inner().expect("worker panicked");
-    v.sort_by_key(|&(i, _)| i);
-    v.into_iter().map(|(_, r)| r).collect()
 }
 
 /// A measured application that had not finished when its run hit the
@@ -570,9 +531,9 @@ pub(crate) fn finalize_run(p: PreparedRun, out: busbw_sim::RunOutcome) -> RunRes
 /// Merge per-run traces into one deterministic stream: events tagged with
 /// their job index, stably sorted by `(simulated time, job index)`.
 ///
-/// [`par_map`] returns results in input order regardless of worker count,
-/// and the sort is stable over each run's emission order, so the merged
-/// stream is byte-identical for any `--workers` value.
+/// [`crate::pool::map`] returns results in input order regardless of
+/// worker count, and the sort is stable over each run's emission order,
+/// so the merged stream is byte-identical for any `--workers` value.
 pub fn merge_traces(results: &[RunResult]) -> Vec<(usize, TraceEvent)> {
     let mut merged: Vec<(usize, TraceEvent)> = results
         .iter()
@@ -727,8 +688,8 @@ mod tests {
             (fig1_two_instances(PaperApp::LuCb), PolicyKind::Linux),
             (fig1_two_instances(PaperApp::Volrend), PolicyKind::Latest),
         ];
-        let serial = par_map(&jobs, 1, |(s, p)| run_spec(s, *p, &rc));
-        let parallel = par_map(&jobs, 4, |(s, p)| run_spec(s, *p, &rc));
+        let (serial, _) = crate::pool::map(&jobs, 1, |(s, p)| run_spec(s, *p, &rc));
+        let (parallel, _) = crate::pool::map(&jobs, 4, |(s, p)| run_spec(s, *p, &rc));
 
         // Every float agrees to the bit.
         for (a, b) in serial.iter().zip(&parallel) {
@@ -770,21 +731,6 @@ mod tests {
             Table::from_figure(&fig).to_csv()
         };
         assert_eq!(to_csv(&serial), to_csv(&parallel));
-    }
-
-    #[test]
-    fn par_map_preserves_input_order_for_uneven_work() {
-        let items: Vec<u64> = (0..40).collect();
-        let out = par_map(&items, 8, |&i| {
-            // Uneven spin so completion order scrambles.
-            let mut acc = i;
-            for _ in 0..(i % 7) * 1000 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            (i, acc)
-        });
-        let ids: Vec<u64> = out.iter().map(|(i, _)| *i).collect();
-        assert_eq!(ids, items);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! for a [`Decision`] on the same view, and while all decisions are equal
 //! it applies one of them once. Where members split, it clones the machine
 //! and its [`RunCursor`] once per extra distinct decision, and each branch
-//! continues alone with the members that chose it.
+//! continues alone with the members that chose it: the first on the
+//! forking worker, every other one as a stealable subtask of the group's
+//! [`fan_out`]. A branch owns its machine and its members' schedulers and
+//! reports back through a channel, so branches may finish in any order.
 //!
 //! The result of every member is bit-identical to running it alone
 //! ([`crate::jobgraph::RunRequest::execute`]): machine state is a function
@@ -18,9 +21,12 @@
 //! instants it would alone (samples fan out to every member), and a clone
 //! copies the whole simulated state, bus memo and demand models included.
 
-use busbw_sim::{Decision, Machine, RunCursor, Scheduler, StepEvent, StopCondition};
+use std::sync::{mpsc, Arc};
+
+use busbw_sim::{AppId, Decision, Machine, RunCursor, Scheduler, StepEvent, StopCondition};
 use busbw_workloads::mix::WorkloadSpec;
 
+use crate::pool::{fan_out, Spawner};
 use crate::runner::{finalize_run, prepare_run, PolicyKind, PreparedRun, RunResult, RunnerConfig};
 
 /// The outcome of one sibling group.
@@ -92,67 +98,26 @@ pub(crate) fn run_group_with(
     }
     let cur = machine.run_begin(StopCondition::AppsFinished(measured_ids.clone()));
 
-    let mut results: Vec<Option<RunResult>> = policies.iter().map(|_| None).collect();
-    let (mut forks, mut shared_ticks) = (0u64, 0u64);
-    let mut pending = vec![Branch {
+    let ctx = Arc::new(Ctx {
+        measured_ids,
+        keep_sharing,
+    });
+    let (tx, rx) = mpsc::channel();
+    let first = Branch {
         machine,
         cur,
         members,
-    }];
-    while let Some(mut b) = pending.pop() {
-        loop {
-            let before = b.cur.ticks();
-            let sharers = b.members.len() as u64 - 1;
-            match b.machine.run_step(&mut b.cur, None) {
-                StepEvent::Sample => {
-                    shared_ticks += (b.cur.ticks() - before) * sharers;
-                    let view = b.machine.view();
-                    for m in &mut b.members {
-                        m.sched.on_sample(&view);
-                    }
-                }
-                StepEvent::Schedule => {
-                    shared_ticks += (b.cur.ticks() - before) * sharers;
-                    let mut classes = split_by_decision(&mut b, keep_sharing);
-                    // Every class but the first continues on its own copy.
-                    for (decision, members) in classes.drain(1..) {
-                        let mut machine = b.machine.clone();
-                        let mut cur = b.cur.clone();
-                        machine.run_decide(&mut cur, &decision);
-                        pending.push(Branch {
-                            machine,
-                            cur,
-                            members,
-                        });
-                        forks += 1;
-                    }
-                    let (decision, members) = classes.pop().expect("one class per branch");
-                    b.members = members;
-                    b.machine.run_decide(&mut b.cur, &decision);
-                }
-                StepEvent::Done(out) => {
-                    shared_ticks += (out.stats.ticks - before) * sharers;
-                    let mut members = std::mem::take(&mut b.members);
-                    let last = members.pop().expect("a branch has members");
-                    for m in members {
-                        let prep = PreparedRun {
-                            machine: b.machine.clone(),
-                            sched: m.sched,
-                            measured_ids: measured_ids.clone(),
-                            handle: None,
-                        };
-                        results[m.index] = Some(finalize_run(prep, out.clone()));
-                    }
-                    let prep = PreparedRun {
-                        machine: b.machine,
-                        sched: last.sched,
-                        measured_ids: measured_ids.clone(),
-                        handle: None,
-                    };
-                    results[last.index] = Some(finalize_run(prep, out));
-                    break;
-                }
-            }
+    };
+    fan_out(|s| run_branch(s, &ctx, &tx, first));
+    drop(tx);
+
+    let mut results: Vec<Option<RunResult>> = policies.iter().map(|_| None).collect();
+    let (mut forks, mut shared_ticks) = (0u64, 0u64);
+    for out in rx {
+        forks += out.forks;
+        shared_ticks += out.shared_ticks;
+        for (index, r) in out.results {
+            results[index] = Some(r);
         }
     }
     GroupRun {
@@ -162,6 +127,88 @@ pub(crate) fn run_group_with(
             .collect(),
         forks,
         shared_ticks,
+    }
+}
+
+/// What every branch of one group shares.
+struct Ctx {
+    measured_ids: Vec<AppId>,
+    keep_sharing: bool,
+}
+
+/// What one branch reports when its run ends: its members' results by
+/// member index, and its share of the group's counters.
+struct BranchOut {
+    results: Vec<(usize, RunResult)>,
+    forks: u64,
+    shared_ticks: u64,
+}
+
+/// Drive `b` to the end of its run. Where its members split, every class
+/// but the first continues on its own copy of the machine, queued on `s`
+/// as a stealable task; the first class stays on `b`.
+fn run_branch(s: &Spawner, ctx: &Arc<Ctx>, tx: &mpsc::Sender<BranchOut>, mut b: Branch) {
+    let (mut forks, mut shared_ticks) = (0u64, 0u64);
+    loop {
+        let before = b.cur.ticks();
+        let sharers = b.members.len() as u64 - 1;
+        match b.machine.run_step(&mut b.cur, None) {
+            StepEvent::Sample => {
+                shared_ticks += (b.cur.ticks() - before) * sharers;
+                let view = b.machine.view();
+                for m in &mut b.members {
+                    m.sched.on_sample(&view);
+                }
+            }
+            StepEvent::Schedule => {
+                shared_ticks += (b.cur.ticks() - before) * sharers;
+                let mut classes = split_by_decision(&mut b, ctx.keep_sharing);
+                for (decision, members) in classes.drain(1..) {
+                    let mut machine = b.machine.clone();
+                    let mut cur = b.cur.clone();
+                    machine.run_decide(&mut cur, &decision);
+                    let fork = Branch {
+                        machine,
+                        cur,
+                        members,
+                    };
+                    let (ctx, tx) = (Arc::clone(ctx), tx.clone());
+                    s.spawn(move |s| run_branch(s, &ctx, &tx, fork));
+                    forks += 1;
+                }
+                let (decision, members) = classes.pop().expect("one class per branch");
+                b.members = members;
+                b.machine.run_decide(&mut b.cur, &decision);
+            }
+            StepEvent::Done(out) => {
+                shared_ticks += (out.stats.ticks - before) * sharers;
+                let mut members = std::mem::take(&mut b.members);
+                let last = members.pop().expect("a branch has members");
+                let mut results = Vec::with_capacity(members.len() + 1);
+                for m in members {
+                    let prep = PreparedRun {
+                        machine: b.machine.clone(),
+                        sched: m.sched,
+                        measured_ids: ctx.measured_ids.clone(),
+                        handle: None,
+                    };
+                    results.push((m.index, finalize_run(prep, out.clone())));
+                }
+                let prep = PreparedRun {
+                    machine: b.machine,
+                    sched: last.sched,
+                    measured_ids: ctx.measured_ids.clone(),
+                    handle: None,
+                };
+                results.push((last.index, finalize_run(prep, out)));
+                let _ = tx.send(BranchOut {
+                    results,
+                    forks,
+                    shared_ticks,
+                });
+                return;
+            }
+        }
     }
 }
 

@@ -87,3 +87,38 @@ fn topo_plan_simulates_its_shared_prefixes_once() {
         "only {shared} of {ticks} cell ticks shared"
     );
 }
+
+#[test]
+fn forked_branches_give_the_same_bytes_at_every_worker_count() {
+    // Forked branches run as stealable pool tasks; which worker runs a
+    // branch, and when, must not show in any member's result.
+    let rc = RunnerConfig {
+        scale: 0.05,
+        ..RunnerConfig::default()
+    };
+    let mut declared = Plan::new();
+    for shape in TOPO_SHAPES {
+        plan_topo(&mut declared, shape, &rc);
+    }
+    let mut plan = Plan::new();
+    let ids: Vec<_> = declared
+        .requests()
+        .iter()
+        .map(|r| plan.cell(r.clone()))
+        .collect();
+    let run = |workers: usize| {
+        let mut engine = Engine::ephemeral();
+        let executed = engine.execute(&plan, workers);
+        let bytes: Vec<Vec<u8>> = ids.iter().map(|&id| canonical(executed.get(id))).collect();
+        (bytes, *engine.stats())
+    };
+    let (serial, stats) = run(1);
+    assert!(stats.forks > 0, "no sibling group split: {stats:?}");
+    assert_eq!(stats.subtasks, stats.forks, "every fork is one subtask");
+    assert_eq!(stats.steals, 0, "one worker has no one to steal from");
+    for workers in [2, 8] {
+        let (bytes, stats) = run(workers);
+        assert_eq!(bytes, serial, "workers = {workers}");
+        assert_eq!(stats.subtasks, stats.forks, "{stats:?}");
+    }
+}

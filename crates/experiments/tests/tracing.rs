@@ -4,7 +4,7 @@
 
 use busbw_core::linux_like;
 use busbw_experiments::{
-    merge_traces, par_map, run_spec, Fig2Set, PolicyKind, RunCompletion, RunnerConfig, TraceMode,
+    merge_traces, pool, run_spec, Fig2Set, PolicyKind, RunCompletion, RunnerConfig, TraceMode,
 };
 use busbw_sim::{AppDescriptor, ConstantDemand, Machine, StopCondition, ThreadSpec, XEON_4WAY};
 use busbw_trace::{EventBus, TraceEvent};
@@ -91,7 +91,7 @@ fn merged_selection_events_are_identical_serial_vs_four_workers() {
         (PaperApp::Raytrace, PolicyKind::Latest),
     ];
     let run_all = |workers: usize| {
-        let results = par_map(&jobs, workers, |(app, p)| {
+        let (results, _) = pool::map(&jobs, workers, |(app, p)| {
             run_spec(&Fig2Set::B.spec(*app), *p, &rc)
         });
         merge_traces(&results)

@@ -281,8 +281,9 @@ fn app_info(id: AppId, r: &AppRecord) -> AppInfo<'_> {
     }
 }
 
-/// A scheduling policy driving a [`Machine`].
-pub trait Scheduler {
+/// A scheduling policy driving a [`Machine`]. `Send`, like the machine,
+/// so a paused run and its schedulers can move to another thread.
+pub trait Scheduler: Send {
     /// Produce the placement for the next interval.
     fn schedule(&mut self, view: &MachineView<'_>) -> Decision;
 
