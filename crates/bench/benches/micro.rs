@@ -223,7 +223,7 @@ fn bench_manager(c: &mut Criterion) {
         apps.push(app);
     }
     g.bench_function("quantum_decision_6_jobs", |b| {
-        b.iter(|| black_box(mgr.quantum()))
+        b.iter(|| black_box(mgr.quantum().len()))
     });
     g.bench_function("sample_6_jobs", |b| {
         b.iter(|| {

@@ -22,11 +22,11 @@
 //! paper does this twice per scheduling quantum.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, Sender};
 use std::sync::Arc;
 
-use super::arena::{ArenaSnapshot, SharedArena};
 use super::protocol::{ClientId, ToManager};
+use super::seqlock::{ArenaSnapshot, SeqlockArena};
 use super::server::ManagerHandle;
 use super::signals::{Signal, SignalGate};
 
@@ -120,7 +120,7 @@ impl PendingConnect {
 /// The per-application runtime.
 pub struct AppRuntime {
     id: ClientId,
-    arena: SharedArena,
+    arena: SeqlockArena,
     to_manager: Sender<ToManager>,
     threads: Vec<ThreadHandle>,
     update_period_us: u64,
@@ -149,7 +149,7 @@ impl AppRuntime {
         handle: &ManagerHandle,
         name: impl Into<String>,
     ) -> Result<PendingConnect, ManagerError> {
-        let (tx, rx) = channel();
+        let (tx, rx) = sync_channel(1);
         handle
             .sender()
             .send(ToManager::Connect {

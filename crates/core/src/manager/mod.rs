@@ -14,13 +14,14 @@
 //! This module reproduces each artifact:
 //!
 //! * [`protocol`] — connect/disconnect/thread lifecycle messages (the
-//!   UNIX-socket substitute is a `std::sync::mpsc` channel);
-//! * [`arena`] — the shared arena as a fixed-layout 4 KiB page, encoded
-//!   and decoded at fixed byte offsets, behind a lock (the shared-mapping
-//!   substitute); [`seqlock`] is the lock-free variant (single writer,
-//!   wait-free readers) matching the raw-page semantics of the original;
+//!   UNIX-socket substitute is a `std::sync::mpsc` channel, each connect
+//!   answered on a one-slot reply channel);
+//! * [`seqlock`] — the shared arena as a lock-free seqlock page (single
+//!   writer, readers that never block it), matching the raw-page
+//!   semantics of the original;
 //! * [`signals`] — the block/unblock counting gate with condvar parking
-//!   for real OS threads, tolerant to signal inversion by construction;
+//!   for real OS threads, tolerant to signal inversion by construction,
+//!   that wakes the condvar only when a thread is parked;
 //! * [`client`] — the run-time library side: connect, register threads,
 //!   count transactions, publish arena samples, obey the gate;
 //! * [`server`] — the manager proper: circular job list, per-quantum
@@ -32,16 +33,14 @@
 //! use the [`crate::bus_aware`] stacks, which share the estimator and
 //! selection logic with this manager.
 
-pub mod arena;
 pub mod client;
 pub mod protocol;
 pub mod seqlock;
 pub mod server;
 pub mod signals;
 
-pub use arena::{ArenaSnapshot, SharedArena, ARENA_PAGE_SIZE};
 pub use client::{AppRuntime, ManagerError, ThreadHandle};
 pub use protocol::{ClientId, ConnectAck, ToManager};
-pub use seqlock::SeqlockArena;
+pub use seqlock::{ArenaSnapshot, SeqlockArena};
 pub use server::{CpuManager, ManagerConfig, ManagerHandle};
 pub use signals::{Signal, SignalGate};

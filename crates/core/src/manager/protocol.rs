@@ -3,12 +3,13 @@
 //! The paper uses a UNIX socket for the initial handshake; here the
 //! transport is a `std::sync::mpsc` channel. The message set mirrors the
 //! paper's run-time library: connect/disconnect plus thread creation and
-//! destruction interception.
+//! destruction interception. A connect carries its own one-slot reply
+//! channel (`sync_channel(1)`) for the single [`ConnectAck`].
 
-use std::sync::mpsc::Sender;
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 
-use super::arena::SharedArena;
+use super::seqlock::SeqlockArena;
 use super::signals::SignalGate;
 
 /// Identifies a connected application.
@@ -28,8 +29,9 @@ pub enum ToManager {
     Connect {
         /// Application display name.
         name: String,
-        /// Where to deliver the [`ConnectAck`].
-        reply: Sender<ConnectAck>,
+        /// Where to deliver the [`ConnectAck`] (one slot: the manager's
+        /// send never waits).
+        reply: SyncSender<ConnectAck>,
     },
     /// The run-time library intercepted a thread creation.
     ThreadCreated {
@@ -55,7 +57,7 @@ pub struct ConnectAck {
     /// The id assigned to this application.
     pub app: ClientId,
     /// The shared arena for publishing transaction-rate samples.
-    pub arena: SharedArena,
+    pub arena: SeqlockArena,
     /// How often (µs) the manager expects the arena to be refreshed —
     /// the paper: twice per scheduling quantum.
     pub update_period_us: u64,
@@ -64,7 +66,7 @@ pub struct ConnectAck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, sync_channel};
 
     #[test]
     fn handshake_shapes_compose() {
@@ -76,13 +78,13 @@ mod tests {
                 reply
                     .send(ConnectAck {
                         app: ClientId(1),
-                        arena: SharedArena::new(),
+                        arena: SeqlockArena::new(),
                         update_period_us: 100_000,
                     })
                     .unwrap();
             }
         });
-        let (rtx, rrx) = channel();
+        let (rtx, rrx) = sync_channel(1);
         tx.send(ToManager::Connect {
             name: "CG".into(),
             reply: rtx,
@@ -91,7 +93,7 @@ mod tests {
         let ack = rrx.recv().unwrap();
         assert_eq!(ack.app, ClientId(1));
         assert_eq!(ack.update_period_us, 100_000);
-        assert!(ack.arena.read().is_some());
+        assert_eq!(ack.arena.read().seq, 0);
         server.join().unwrap();
     }
 }

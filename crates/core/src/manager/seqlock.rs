@@ -1,4 +1,5 @@
-//! A lock-free shared arena: the seqlock variant.
+//! The shared arena: the manager's primary communication medium with each
+//! application (§4), as a lock-free page.
 //!
 //! The paper's shared arena is a raw memory page written by the
 //! application and read by the manager with no lock at all — on a real
@@ -18,11 +19,42 @@
 //! `AtomicU64`s (f64s as bit patterns), so even the racing accesses are
 //! data-race-free by construction — the seqlock protocol provides
 //! *consistency* across fields on top of per-field atomicity.
+//!
+//! This is the only arena: the manager hands one to every connecting
+//! application, the run-time library publishes into it twice per quantum,
+//! and every read yields a whole [`ArenaSnapshot`]. A fresh arena reads
+//! as the all-zero snapshot.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use super::arena::ArenaSnapshot;
+/// A decoded view of the arena contents.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ArenaSnapshot {
+    /// Publication sequence number (increments per update).
+    pub seq: u64,
+    /// Number of live threads the application has registered.
+    pub threads: u32,
+    /// Cumulative bus transactions counted by the application.
+    pub total_transactions: f64,
+    /// Whole-application transaction rate over the last update interval,
+    /// tx/µs.
+    pub rate_tx_per_us: f64,
+    /// Timestamp of the last update, µs (application clock).
+    pub updated_at_us: u64,
+}
+
+impl ArenaSnapshot {
+    /// Per-thread rate: the application's rate equipartitioned among its
+    /// threads, which is exactly the `BBW/thread` the policies consume.
+    pub fn rate_per_thread(&self) -> f64 {
+        if self.threads == 0 {
+            0.0
+        } else {
+            self.rate_tx_per_us / self.threads as f64
+        }
+    }
+}
 
 #[derive(Debug, Default)]
 struct Fields {
@@ -134,10 +166,18 @@ mod tests {
 
     #[test]
     fn fresh_arena_reads_zeroed() {
-        let a = SeqlockArena::new();
-        let s = a.read();
-        assert_eq!(s.seq, 0);
-        assert_eq!(s.rate_tx_per_us, 0.0);
+        let s = SeqlockArena::new().read();
+        assert_eq!(
+            s,
+            ArenaSnapshot {
+                seq: 0,
+                threads: 0,
+                total_transactions: 0.0,
+                rate_tx_per_us: 0.0,
+                updated_at_us: 0,
+            }
+        );
+        assert_eq!(s.rate_per_thread(), 0.0);
     }
 
     #[test]
@@ -190,14 +230,16 @@ mod tests {
     }
 
     #[test]
-    fn matches_the_locked_arena_semantics() {
-        use crate::manager::arena::SharedArena;
-        let locked = SharedArena::new();
-        let lockfree = SeqlockArena::new();
-        for i in [1u64, 5, 9] {
-            locked.publish(snap(i));
-            lockfree.publish(snap(i));
-            assert_eq!(locked.read().unwrap(), lockfree.read());
-        }
+    fn rate_per_thread_equipartitions() {
+        let s = ArenaSnapshot {
+            seq: 1,
+            threads: 2,
+            total_transactions: 0.0,
+            rate_tx_per_us: 23.3,
+            updated_at_us: 0,
+        };
+        assert!((s.rate_per_thread() - 11.65).abs() < 1e-12);
+        let z = ArenaSnapshot { threads: 0, ..s };
+        assert_eq!(z.rate_per_thread(), 0.0);
     }
 }

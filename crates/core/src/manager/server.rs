@@ -5,6 +5,12 @@
 //! selection algorithm at quantum boundaries, and steers applications with
 //! block/unblock signals.
 //!
+//! Per event the manager does only bookkeeping: arena reads go straight
+//! into the estimator, the circular list is rotated in place, and the
+//! candidate list reuses one buffer, so [`CpuManager::sample`] allocates
+//! nothing and [`CpuManager::quantum`] allocates only inside the shared
+//! [`select_gangs`], whose result becomes the new running set.
+//!
 //! The manager is written to be driven two ways:
 //!
 //! * **explicitly** — tests and deterministic harnesses call
@@ -15,7 +21,6 @@
 //!   `examples/cpu_manager_demo.rs`).
 
 use busbw_trace::{EventBus, TraceEvent};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -25,8 +30,8 @@ use crate::estimator::BandwidthEstimator;
 use crate::reconstruct::DemandTracker;
 use crate::selection::{select_gangs, Candidate};
 
-use super::arena::SharedArena;
 use super::protocol::{ClientId, ConnectAck, ToManager};
+use super::seqlock::SeqlockArena;
 use super::signals::{Signal, SignalGate};
 
 /// Manager configuration.
@@ -69,7 +74,7 @@ impl ManagerHandle {
 struct Job {
     id: ClientId,
     name: String,
-    arena: SharedArena,
+    arena: SeqlockArena,
     gates: Vec<Arc<SignalGate>>,
     blocked: bool,
 }
@@ -82,6 +87,8 @@ pub struct CpuManager {
     /// Circular applications list (head = next guaranteed job).
     jobs: Vec<Job>,
     running: Vec<ClientId>,
+    /// Selection input, rebuilt in place every quantum.
+    candidates: Vec<Candidate<ClientId>>,
     next_id: u64,
     /// Reconstructs bandwidth requirements from arena consumption reports
     /// (see [`crate::reconstruct`]).
@@ -111,6 +118,7 @@ impl CpuManager {
                 estimator,
                 jobs: Vec::new(),
                 running: Vec::new(),
+                candidates: Vec::new(),
                 next_id: 0,
                 demand: DemandTracker::new(),
                 dilation: 1.0,
@@ -149,7 +157,7 @@ impl CpuManager {
                 ToManager::Connect { name, reply } => {
                     let id = ClientId(self.next_id);
                     self.next_id += 1;
-                    let arena = SharedArena::new();
+                    let arena = SeqlockArena::new();
                     // New jobs join the end of the circular list, blocked
                     // until the next quantum admits them: the manager owns
                     // all scheduling from the moment of connection.
@@ -244,83 +252,62 @@ impl CpuManager {
     /// the estimator (the paper polls twice per quantum; blocked jobs are
     /// not measured because they are not executing).
     pub fn sample(&mut self) {
-        let mut observed = Vec::new();
+        self.observe_running(false);
+    }
+
+    /// Feed the latest arena rate of every running job to the estimator:
+    /// as a mid-quantum sample, or (`settle`) as the job's latest-quantum
+    /// measurement.
+    fn observe_running(&mut self, settle: bool) {
         for j in &self.jobs {
             if !self.running.contains(&j.id) {
                 continue;
             }
-            if let Some(snap) = j.arena.read() {
-                observed.push((j.id, snap.rate_per_thread()));
-            }
-        }
-        for (id, per_thread) in observed {
+            let app = busbw_sim::AppId(j.id.0);
             let demand = self
                 .demand
-                .observe(busbw_sim::AppId(id.0), per_thread, self.dilation);
-            self.estimator.record_sample(busbw_sim::AppId(id.0), demand);
+                .observe(app, j.arena.read().rate_per_thread(), self.dilation);
+            if settle {
+                self.estimator.record_quantum(app, demand);
+            } else {
+                self.estimator.record_sample(app, demand);
+            }
         }
     }
 
     /// A quantum boundary: settle measurements, rotate the list, select the
     /// next gang set, and send block/unblock signals. Returns the ids
     /// selected to run.
-    pub fn quantum(&mut self) -> Vec<ClientId> {
+    pub fn quantum(&mut self) -> &[ClientId] {
         self.pump();
 
         // Settle: the latest arena rate of each job that ran becomes its
         // latest-quantum measurement.
-        let running = self.running.clone();
-        let mut observed = Vec::new();
-        for j in &self.jobs {
-            if running.contains(&j.id) {
-                if let Some(snap) = j.arena.read() {
-                    observed.push((j.id, snap.rate_per_thread()));
-                }
-            }
-        }
-        for (id, per_thread) in observed {
-            let demand = self
-                .demand
-                .observe(busbw_sim::AppId(id.0), per_thread, self.dilation);
-            self.estimator
-                .record_quantum(busbw_sim::AppId(id.0), demand);
-        }
+        self.observe_running(true);
 
-        // Rotate jobs that ran to the end of the circular list.
-        let (ran, waiting): (Vec<Job>, Vec<Job>) = {
-            let mut ran = Vec::new();
-            let mut waiting = Vec::new();
-            for j in self.jobs.drain(..) {
-                if running.contains(&j.id) {
-                    ran.push(j);
-                } else {
-                    waiting.push(j);
-                }
-            }
-            (ran, waiting)
-        };
-        self.jobs = waiting;
-        self.jobs.extend(ran);
+        // Rotate jobs that ran to the end of the circular list, keeping
+        // the order within both groups (a stable sort on "ran").
+        self.jobs.sort_by_key(|j| self.running.contains(&j.id));
 
         // Select.
-        let candidates: Vec<Candidate<ClientId>> = self
-            .jobs
-            .iter()
-            .map(|j| Candidate {
-                key: j.id,
-                width: j.gates.len(),
-                bbw_per_thread: self.estimator.estimate(busbw_sim::AppId(j.id.0)),
-            })
-            .collect();
-        let selected = select_gangs(&candidates, self.cfg.num_cpus, self.cfg.bus_total_tx_per_us);
+        self.candidates.clear();
+        self.candidates.extend(self.jobs.iter().map(|j| Candidate {
+            key: j.id,
+            width: j.gates.len(),
+            bbw_per_thread: self.estimator.estimate(busbw_sim::AppId(j.id.0)),
+        }));
+        self.running = select_gangs(
+            &self.candidates,
+            self.cfg.num_cpus,
+            self.cfg.bus_total_tx_per_us,
+        );
 
         // Signal transitions. The manager signals every gate directly;
         // the client library's `forward` covers the paper's
         // one-thread-forwards-to-siblings variant.
-        let selected_set: BTreeMap<ClientId, ()> = selected.iter().map(|&s| (s, ())).collect();
         let trace_on = self.tracer.emits();
         for j in &mut self.jobs {
-            let should_run = selected_set.contains_key(&j.id);
+            let should_run = self.running.contains(&j.id);
             match (j.blocked, should_run) {
                 // Transition running → blocked: one Block per gate.
                 (false, false) => {
@@ -362,8 +349,7 @@ impl CpuManager {
             }
         }
 
-        self.running = selected.clone();
-        selected
+        &self.running
     }
 
     /// Drive the manager against the OS clock until `stop` is set.
@@ -404,10 +390,11 @@ impl CpuManager {
 mod tests {
     use super::*;
     use crate::estimator::LatestQuantumEstimator;
-    use crate::manager::arena::ArenaSnapshot;
+    use crate::manager::seqlock::ArenaSnapshot;
+    use std::collections::BTreeMap;
 
     fn connect(m: &mut CpuManager, h: &ManagerHandle, name: &str) -> ConnectAck {
-        let (tx, rx) = channel();
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         h.sender()
             .send(ToManager::Connect {
                 name: name.into(),
@@ -441,7 +428,7 @@ mod tests {
         )
     }
 
-    fn publish(arena: &SharedArena, seq: u64, threads: u32, rate: f64) {
+    fn publish(arena: &SeqlockArena, seq: u64, threads: u32, rate: f64) {
         arena.publish(ArenaSnapshot {
             seq,
             threads,
@@ -681,7 +668,7 @@ mod tests {
             add_threads(&h, ack.app, 2);
         }
         m.pump();
-        let sel = m.quantum();
+        let sel = m.quantum().to_vec();
         // Find the blocked job and give it a new thread.
         let blocked = m
             .jobs

@@ -12,6 +12,15 @@
 //! parked in [`SignalGate::wait_while_blocked`] wakes as soon as the
 //! predicate turns false — including the inversion case where the unblock
 //! arrives *before* the block (the thread then never parks at all).
+//!
+//! The gate's mutex guards a count of parked threads, and
+//! [`SignalGate::deliver`] wakes the condvar only when that count is
+//! non-zero. A futex `notify_all` is a system call even with nobody
+//! waiting, and a virtual-time serve (`busbw-managerd`) delivers hundreds
+//! of thousands of signals to gates no thread ever parks on. No wakeup is
+//! lost: a waiter raises the count and re-checks the predicate under the
+//! same lock a delivery updates the counters under, and the condvar
+//! releases that lock only once the waiter is queued on it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -31,7 +40,9 @@ pub enum Signal {
 pub struct SignalGate {
     blocks: AtomicU64,
     unblocks: AtomicU64,
-    lock: Mutex<()>,
+    /// Threads parked on `cv` (or about to park: raised under the lock
+    /// before the condvar releases it).
+    parked: Mutex<u32>,
     cv: Condvar,
 }
 
@@ -41,23 +52,27 @@ impl SignalGate {
         Self::default()
     }
 
-    /// Take the gate's lock. The lock guards no data of its own (the
-    /// counters are atomics), so a poisoned lock is simply taken over.
-    fn lock(&self) -> MutexGuard<'_, ()> {
-        self.lock.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Take the gate's lock. The parked count it guards changes by one
+    /// step at a time, and a count left too high by a panicking waiter
+    /// costs only a spurious wake, so a poisoned lock is simply taken over.
+    fn lock(&self) -> MutexGuard<'_, u32> {
+        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Deliver a signal (manager side, or a sibling thread forwarding).
     pub fn deliver(&self, s: Signal) {
         // The counter update must happen under the lock so a waiter cannot
         // observe the stale predicate between its check and its park.
-        let guard = self.lock();
+        let parked = self.lock();
         match s {
             Signal::Block => self.blocks.fetch_add(1, Ordering::SeqCst),
             Signal::Unblock => self.unblocks.fetch_add(1, Ordering::SeqCst),
         };
-        drop(guard);
-        self.cv.notify_all();
+        let wake = *parked > 0;
+        drop(parked);
+        if wake {
+            self.cv.notify_all();
+        }
     }
 
     /// The paper's rule: block only if strictly more blocks than unblocks
@@ -77,19 +92,25 @@ impl SignalGate {
     /// Park the calling thread until `should_block()` is false.
     /// Returns immediately if the thread is not blocked.
     pub fn wait_while_blocked(&self) {
-        let _guard = self
+        let mut parked = self.lock();
+        *parked += 1;
+        let mut parked = self
             .cv
-            .wait_while(self.lock(), |_| self.should_block())
+            .wait_while(parked, |_| self.should_block())
             .unwrap_or_else(PoisonError::into_inner);
+        *parked -= 1;
     }
 
     /// Like [`Self::wait_while_blocked`] but gives up after `timeout`.
     /// Returns `true` if the thread is clear to run, `false` on timeout.
     pub fn wait_while_blocked_timeout(&self, timeout: Duration) -> bool {
-        let (_guard, _) = self
+        let mut parked = self.lock();
+        *parked += 1;
+        let (mut parked, _) = self
             .cv
-            .wait_timeout_while(self.lock(), timeout, |_| self.should_block())
+            .wait_timeout_while(parked, timeout, |_| self.should_block())
             .unwrap_or_else(PoisonError::into_inner);
+        *parked -= 1;
         !self.should_block()
     }
 }
@@ -98,7 +119,7 @@ impl SignalGate {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
 
     #[test]
     fn fresh_gate_is_open() {
@@ -163,6 +184,97 @@ mod tests {
         assert!(!g.wait_while_blocked_timeout(Duration::from_millis(20)));
         g.deliver(Signal::Unblock);
         assert!(g.wait_while_blocked_timeout(Duration::from_millis(20)));
+    }
+
+    /// Spin until `n` threads are parked on `g` (queued on its condvar:
+    /// the count is raised under the lock the condvar then releases).
+    fn await_parked(g: &SignalGate, n: u32) {
+        while *g.lock() < n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Park one thread on `g`; the receiver yields once it has woken.
+    fn spawn_parker(g: &Arc<SignalGate>) -> (std::thread::JoinHandle<()>, mpsc::Receiver<()>) {
+        let (tx, rx) = mpsc::channel();
+        let g = g.clone();
+        let t = std::thread::spawn(move || {
+            g.wait_while_blocked();
+            tx.send(()).expect("test waits for the wake");
+        });
+        (t, rx)
+    }
+
+    const WAKE_DEADLINE: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn parker_after_many_unwatched_deliveries_still_wakes() {
+        // Deliveries with nobody parked skip the condvar entirely; the
+        // first thread to park afterwards must still be woken.
+        let g = Arc::new(SignalGate::new());
+        for _ in 0..10_000 {
+            g.deliver(Signal::Block);
+            g.deliver(Signal::Unblock);
+        }
+        g.deliver(Signal::Block);
+        let (t, woke) = spawn_parker(&g);
+        await_parked(&g, 1);
+        g.deliver(Signal::Unblock);
+        woke.recv_timeout(WAKE_DEADLINE)
+            .expect("parked thread lost its wakeup");
+        t.join().unwrap();
+        assert_eq!(*g.lock(), 0);
+    }
+
+    #[test]
+    fn timed_out_wait_leaves_the_gate_able_to_wake_a_later_parker() {
+        let g = Arc::new(SignalGate::new());
+        g.deliver(Signal::Block);
+        assert!(!g.wait_while_blocked_timeout(Duration::from_millis(5)));
+        assert_eq!(*g.lock(), 0, "a timed-out waiter must unregister");
+        let (t, woke) = spawn_parker(&g);
+        await_parked(&g, 1);
+        g.deliver(Signal::Unblock);
+        woke.recv_timeout(WAKE_DEADLINE)
+            .expect("later parker lost its wakeup");
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn every_parked_thread_wakes_after_a_concurrent_signal_storm() {
+        // Four threads park on one blocked gate while four others race
+        // Block/Unblock pairs at it. Each storm thread sends its Block
+        // before its Unblock, so the gate stays blocked throughout; the
+        // final Unblock must wake all four parkers.
+        let g = Arc::new(SignalGate::new());
+        g.deliver(Signal::Block);
+        let parkers: Vec<_> = (0..4).map(|_| spawn_parker(&g)).collect();
+        await_parked(&g, 4);
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let storm: Vec<_> = (0..4)
+            .map(|_| {
+                let (g, start) = (g.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..500 {
+                        g.deliver(Signal::Block);
+                        g.deliver(Signal::Unblock);
+                    }
+                })
+            })
+            .collect();
+        for t in storm {
+            t.join().unwrap();
+        }
+        assert!(g.should_block());
+        g.deliver(Signal::Unblock);
+        for (t, woke) in parkers {
+            woke.recv_timeout(WAKE_DEADLINE)
+                .expect("a parker lost its wakeup");
+            t.join().unwrap();
+        }
+        assert_eq!(g.counts(), (2001, 2001));
+        assert_eq!(*g.lock(), 0);
     }
 
     #[test]

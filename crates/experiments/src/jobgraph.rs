@@ -364,6 +364,18 @@ impl Executed {
         }
         merged
     }
+
+    /// Add the managerd counters of every open cell in `range` to `reg`
+    /// (see [`crate::runner::OpenStats::record`]); other cells add nothing.
+    pub fn record_open_stats(
+        &self,
+        range: std::ops::Range<usize>,
+        reg: &mut busbw_metrics::MetricsRegistry,
+    ) {
+        for open in self.results[range].iter().filter_map(|r| r.open) {
+            open.record(reg);
+        }
+    }
 }
 
 /// Cumulative accounting of everything an [`Engine`] did.

@@ -784,14 +784,20 @@ fn record_stage_timings(reg: &mut MetricsRegistry, timings: &StageTimings) {
     }
 }
 
-/// The exec-stats metrics snapshot (plus any per-stage wall-time
-/// histograms) as manifest JSON.
-fn exec_metrics_json(figure: CellStats, engine: &Engine, timings: Option<&StageTimings>) -> String {
+/// The exec-stats metrics snapshot of one figure as manifest JSON, plus
+/// what its `cells` (a [`Plan::range_since`] slice of `executed`) report:
+/// per-stage wall-time histograms and the summed `managerd.*` counters of
+/// open serves.
+fn exec_metrics_json(
+    figure: CellStats,
+    engine: &Engine,
+    executed: &Executed,
+    cells: std::ops::Range<usize>,
+) -> String {
     let mut reg = MetricsRegistry::new();
     record_exec(&mut reg, figure, engine);
-    if let Some(t) = timings {
-        record_stage_timings(&mut reg, t);
-    }
+    record_stage_timings(&mut reg, &executed.merged_stage_timings(cells.clone()));
+    executed.record_open_stats(cells, &mut reg);
     reg.to_json()
 }
 
@@ -800,6 +806,23 @@ fn exec_metrics_json(figure: CellStats, engine: &Engine, timings: Option<&StageT
 fn output_failed(path: &Path, e: &std::io::Error) -> ! {
     eprintln!("error: cannot write output {}: {e}", path.display());
     std::process::exit(1);
+}
+
+/// The one exit for outputs that fail their read-back check: name the
+/// path and the reason on stderr and exit with status 1.
+fn output_invalid(path: &Path, why: &str) -> ! {
+    eprintln!("error: invalid output {}: {why}", path.display());
+    std::process::exit(1);
+}
+
+/// Check a run manifest read back from disk: it must parse as JSON and
+/// carry figure id `id`.
+fn check_manifest(text: &str, id: &str) -> Result<(), String> {
+    let v = json::parse(text).map_err(|e| format!("manifest is not valid JSON: {e}"))?;
+    match v.get("id").and_then(|x| x.as_str()) {
+        Some(got) if got == id => Ok(()),
+        got => Err(format!("manifest id is {got:?}, expected {id:?}")),
+    }
 }
 
 /// Create the output directory `dir`, or exit through [`output_failed`].
@@ -871,8 +894,12 @@ fn emit_figure<C>(
     let stats = plan.since(mark);
     let executed = engine.execute(&plan, effective_workers(rc));
     let fig = fold(&cells, &executed);
-    let timings = executed.merged_stage_timings(plan.range_since(mark));
-    ctx.metrics_json = Some(exec_metrics_json(stats, engine, Some(&timings)));
+    ctx.metrics_json = Some(exec_metrics_json(
+        stats,
+        engine,
+        &executed,
+        plan.range_since(mark),
+    ));
     emit(&fig, out, ctx);
 }
 
@@ -1052,14 +1079,13 @@ fn main() {
         );
         // Validation: the manifest must parse and the trace be non-empty.
         let manifest_path = out.join(format!("{exp}.manifest.json"));
-        let text = std::fs::read_to_string(&manifest_path).expect("read back manifest");
-        let v = json::parse(&text).expect("manifest must be valid JSON");
-        assert_eq!(
-            v.get("id").and_then(|x| x.as_str()),
-            Some(exp),
-            "manifest id mismatch"
-        );
-        assert!(!merged.is_empty(), "trace must be non-empty");
+        std::fs::read_to_string(&manifest_path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| check_manifest(&text, exp))
+            .unwrap_or_else(|why| output_invalid(&manifest_path, &why));
+        if merged.is_empty() {
+            output_invalid(out, "the merged trace is empty");
+        }
         let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
         for (_, ev) in &merged {
             *by_kind.entry(ev.kind()).or_insert(0) += 1;
@@ -1277,11 +1303,15 @@ fn main() {
             let executed = engine.execute(&plan, effective_workers(&rc));
             let figs = fold_suite(&cells, &executed);
             let emit_suite_figure = |sf: &SuiteFigure, ctx: &mut EmitCtx| {
-                // Per-stage wall-time histograms cover the cells this
-                // figure first declared (deduped cells are attributed to
-                // the figure that declared them first).
-                let timings = executed.merged_stage_timings(sf.range.clone());
-                ctx.metrics_json = Some(exec_metrics_json(sf.cells, &engine, Some(&timings)));
+                // Per-cell metrics cover the cells this figure first
+                // declared (deduped cells are attributed to the figure
+                // that declared them first).
+                ctx.metrics_json = Some(exec_metrics_json(
+                    sf.cells,
+                    &engine,
+                    &executed,
+                    sf.range.clone(),
+                ));
                 emit(&sf.fig, out, ctx);
             };
             for sf in &figs[..5] {
@@ -1294,5 +1324,21 @@ fn main() {
             }
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_manifest;
+
+    #[test]
+    fn manifest_check_rejects_bad_json_and_wrong_ids() {
+        assert_eq!(check_manifest(r#"{"id": "fig2a"}"#, "fig2a"), Ok(()));
+        let err = check_manifest(r#"{"id": "fig2a""#, "fig2a").unwrap_err();
+        assert!(err.contains("not valid JSON"), "{err}");
+        let err = check_manifest(r#"{"id": "fig1a"}"#, "fig2a").unwrap_err();
+        assert!(err.contains("expected \"fig2a\""), "{err}");
+        assert!(check_manifest(r#"{"seed": 42}"#, "fig2a").is_err());
+        assert!(check_manifest("", "fig2a").is_err());
     }
 }

@@ -298,6 +298,17 @@ pub struct OpenStats {
 }
 
 impl OpenStats {
+    /// Add this serve's counters to `reg`: `managerd.arrived`, `.shed`,
+    /// `.served`, `.overhead_us` (modeled manager work) and `.served_us`
+    /// (virtual time served). Recording several serves sums them.
+    pub fn record(&self, reg: &mut busbw_metrics::MetricsRegistry) {
+        reg.inc_counter("managerd.arrived", self.arrived);
+        reg.inc_counter("managerd.shed", self.shed);
+        reg.inc_counter("managerd.served", self.served);
+        reg.inc_counter("managerd.overhead_us", self.overhead_us);
+        reg.inc_counter("managerd.served_us", self.duration_us);
+    }
+
     /// Manager overhead as a percentage of the serve duration — the
     /// number the paper bounds at ≈4.5 % (§4).
     pub fn overhead_pct(&self) -> f64 {

@@ -58,3 +58,47 @@ fn unusable_cache_dir_warns_and_runs_in_memory() {
     assert!(stderr.contains("warning: --cache-dir"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
+
+#[test]
+fn open_manifest_carries_the_managerd_counters() {
+    let out = std::env::temp_dir().join(format!("busbw-cli-{}-open", std::process::id()));
+    let run = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["open", "--arrivals", "poisson:small", "--duration", "short"])
+        .args(["--scale", "0.2", "--out"])
+        .arg(&out)
+        .output()
+        .expect("experiments binary runs");
+    let manifest = std::fs::read_to_string(out.join("open.manifest.json"));
+    let _ = std::fs::remove_dir_all(&out);
+    assert_eq!(
+        run.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let manifest =
+        busbw_trace::json::parse(&manifest.expect("manifest written")).expect("manifest parses");
+    let counters = manifest
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .expect("manifest has counters");
+    let counter = |name: &str| {
+        counters
+            .get(name)
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("manifest lacks {name}"))
+    };
+    let (arrived, shed, served) = (
+        counter("managerd.arrived"),
+        counter("managerd.shed"),
+        counter("managerd.served"),
+    );
+    assert!(arrived > 0.0);
+    assert!(
+        shed + served <= arrived,
+        "{shed} shed + {served} served > {arrived} arrived"
+    );
+    assert!(counter("managerd.overhead_us") > 0.0);
+    // 12 cells, each serving the 10 s `short` horizon at scale 0.2.
+    assert_eq!(counter("managerd.served_us"), 12.0 * 2_000_000.0);
+}
