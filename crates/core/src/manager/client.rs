@@ -20,12 +20,20 @@
 //! [`AppRuntime::publish_sample`] aggregates all thread counters and
 //! writes the application's transaction rate to the shared arena — the
 //! paper does this twice per scheduling quantum.
+//!
+//! A runtime reaches the manager one of two ways. A threaded client
+//! connects over the channel ([`AppRuntime::connect`]) and every
+//! lifecycle call sends a message. A client hosted in the manager's own
+//! loop is built from the manager's [`ConnectAck`]
+//! ([`AppRuntime::in_process`]) and sends nothing: its host calls the
+//! manager's handler for each step instead (`CpuManager::thread_created`
+//! after [`AppRuntime::register_thread`], and so on).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender};
 use std::sync::Arc;
 
-use super::protocol::{ClientId, ToManager};
+use super::protocol::{ClientId, ConnectAck, ToManager};
 use super::seqlock::{ArenaSnapshot, SeqlockArena};
 use super::server::ManagerHandle;
 use super::signals::{Signal, SignalGate};
@@ -91,7 +99,7 @@ impl ThreadHandle {
 
 /// A connection awaiting the manager's acknowledgement.
 pub struct PendingConnect {
-    rx: Receiver<super::protocol::ConnectAck>,
+    rx: Receiver<ConnectAck>,
     to_manager: Sender<ToManager>,
 }
 
@@ -103,17 +111,7 @@ impl PendingConnect {
     /// acknowledging.
     pub fn complete(self) -> Result<AppRuntime, ManagerError> {
         let ack = self.rx.recv().map_err(|_| ManagerError::Disconnected)?;
-        Ok(AppRuntime {
-            id: ack.app,
-            arena: ack.arena,
-            to_manager: self.to_manager,
-            threads: Vec::new(),
-            update_period_us: ack.update_period_us,
-            seq: 0,
-            last_total: 0.0,
-            last_publish_us: 0,
-            last_rate: 0.0,
-        })
+        Ok(AppRuntime::from_ack(ack, Some(self.to_manager)))
     }
 }
 
@@ -121,7 +119,9 @@ impl PendingConnect {
 pub struct AppRuntime {
     id: ClientId,
     arena: SeqlockArena,
-    to_manager: Sender<ToManager>,
+    /// Where lifecycle messages go; `None` for an in-process runtime,
+    /// whose host calls the manager's handlers itself.
+    to_manager: Option<Sender<ToManager>>,
     threads: Vec<ThreadHandle>,
     update_period_us: u64,
     seq: u64,
@@ -135,7 +135,8 @@ impl AppRuntime {
     /// until the manager acknowledges with the shared arena — so the
     /// manager must be pumping on another thread (as in
     /// `examples/cpu_manager_demo.rs`). Single-threaded callers should use
-    /// [`AppRuntime::request_connect`] and pump between the two phases.
+    /// [`AppRuntime::request_connect`] and pump between the two phases, or
+    /// call the manager's handlers and use [`AppRuntime::in_process`].
     ///
     /// Returns [`ManagerError::Disconnected`] when the manager is gone.
     pub fn connect(handle: &ManagerHandle, name: impl Into<String>) -> Result<Self, ManagerError> {
@@ -163,6 +164,28 @@ impl AppRuntime {
         })
     }
 
+    /// A runtime for a client hosted in the manager's own loop, built from
+    /// the acknowledgement of a direct `CpuManager::connect` call. It
+    /// sends no messages: the host reports each thread creation, thread
+    /// exit and the disconnect to the manager's handler itself.
+    pub fn in_process(ack: ConnectAck) -> Self {
+        Self::from_ack(ack, None)
+    }
+
+    fn from_ack(ack: ConnectAck, to_manager: Option<Sender<ToManager>>) -> Self {
+        AppRuntime {
+            id: ack.app,
+            arena: ack.arena,
+            to_manager,
+            threads: Vec::new(),
+            update_period_us: ack.update_period_us,
+            seq: 0,
+            last_total: 0.0,
+            last_publish_us: 0,
+            last_rate: 0.0,
+        }
+    }
+
     /// This application's id.
     pub fn id(&self) -> ClientId {
         self.id
@@ -178,18 +201,19 @@ impl AppRuntime {
     ///
     /// Returns [`ManagerError::Disconnected`] when the manager is gone; the
     /// thread is then *not* tracked, so the application keeps running under
-    /// native scheduling.
+    /// native scheduling. An in-process runtime never fails here.
     pub fn register_thread(&mut self) -> Result<ThreadHandle, ManagerError> {
         let h = ThreadHandle {
             gate: Arc::new(SignalGate::new()),
             transactions: Arc::new(AtomicU64::new(0)),
         };
-        self.to_manager
-            .send(ToManager::ThreadCreated {
+        if let Some(tx) = &self.to_manager {
+            tx.send(ToManager::ThreadCreated {
                 app: self.id,
                 gate: h.gate.clone(),
             })
             .map_err(|_| ManagerError::Disconnected)?;
+        }
         self.threads.push(h.clone());
         Ok(h)
     }
@@ -197,9 +221,9 @@ impl AppRuntime {
     /// Intercept a thread destruction.
     pub fn thread_exited(&mut self) {
         self.threads.pop();
-        let _ = self
-            .to_manager
-            .send(ToManager::ThreadExited { app: self.id });
+        if let Some(tx) = &self.to_manager {
+            let _ = tx.send(ToManager::ThreadExited { app: self.id });
+        }
     }
 
     /// The paper's signal forwarding: the manager signals one thread; that
@@ -250,7 +274,9 @@ impl AppRuntime {
 
     /// Disconnect from the manager (the paper's `disconnection` call).
     pub fn disconnect(self) {
-        let _ = self.to_manager.send(ToManager::Disconnect { app: self.id });
+        if let Some(tx) = &self.to_manager {
+            let _ = tx.send(ToManager::Disconnect { app: self.id });
+        }
     }
 }
 

@@ -15,7 +15,8 @@
 //!
 //! * [`protocol`] — connect/disconnect/thread lifecycle messages (the
 //!   UNIX-socket substitute is a `std::sync::mpsc` channel, each connect
-//!   answered on a one-slot reply channel);
+//!   answered on a one-slot reply channel), each handled by one
+//!   [`CpuManager`] method that in-process hosts may also call directly;
 //! * [`seqlock`] — the shared arena as a lock-free seqlock page (single
 //!   writer, readers that never block it), matching the raw-page
 //!   semantics of the original;

@@ -5,6 +5,11 @@
 //! paper's run-time library: connect/disconnect plus thread creation and
 //! destruction interception. A connect carries its own one-slot reply
 //! channel (`sync_channel(1)`) for the single [`ConnectAck`].
+//!
+//! Each message kind maps to one handler on
+//! [`super::server::CpuManager`], which `pump` calls after decoding. The
+//! channel serves threaded clients; a host whose clients live in the
+//! manager's own loop calls the handlers directly and sends nothing.
 
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;

@@ -11,10 +11,17 @@
 //! nothing and [`CpuManager::quantum`] allocates only inside the shared
 //! [`select_gangs`], whose result becomes the new running set.
 //!
+//! Each protocol message has one handler: [`CpuManager::connect`],
+//! [`CpuManager::thread_created`], [`CpuManager::thread_exited`] and
+//! [`CpuManager::disconnect`]. Threaded clients reach them over the
+//! channel, which [`CpuManager::pump`] drains and decodes; a host that
+//! runs its clients in the manager's own loop (`busbw-managerd`'s serve)
+//! calls them directly and skips the channel round trip.
+//!
 //! The manager is written to be driven two ways:
 //!
 //! * **explicitly** — tests and deterministic harnesses call
-//!   [`CpuManager::pump`], [`CpuManager::sample`] and
+//!   [`CpuManager::pump`] (or the handlers), [`CpuManager::sample`] and
 //!   [`CpuManager::quantum`] with their own clock;
 //! * **in real time** — [`CpuManager::run_realtime`] loops with the
 //!   configured quantum against the OS clock (see
@@ -150,69 +157,93 @@ impl CpuManager {
         &self.running
     }
 
-    /// Drain pending protocol messages (connections, thread lifecycle).
+    /// Drain pending protocol messages and hand each to its handler
+    /// ([`CpuManager::connect`] and friends). The handlers are the whole
+    /// of the protocol's logic; `pump` only decodes.
     pub fn pump(&mut self) {
         while let Ok(msg) = self.rx.try_recv() {
             match msg {
                 ToManager::Connect { name, reply } => {
-                    let id = ClientId(self.next_id);
-                    self.next_id += 1;
-                    let arena = SeqlockArena::new();
-                    // New jobs join the end of the circular list, blocked
-                    // until the next quantum admits them: the manager owns
-                    // all scheduling from the moment of connection.
-                    self.jobs.push(Job {
-                        id,
-                        name,
-                        arena: arena.clone(),
-                        gates: Vec::new(),
-                        blocked: false,
-                    });
-                    let _ = reply.send(ConnectAck {
-                        app: id,
-                        arena,
-                        update_period_us: self.cfg.quantum_us / self.cfg.samples_per_quantum as u64,
-                    });
-                    if self.tracer.emits() {
-                        self.tracer.emit(TraceEvent::MgrConnect {
-                            client: id.0,
-                            threads: 0,
-                        });
-                    }
+                    // One slot, so the send never waits; a client that
+                    // gave up waiting has dropped its end.
+                    let _ = reply.send(self.connect(name));
                 }
-                ToManager::ThreadCreated { app, gate } => {
-                    if let Some(j) = self.jobs.iter_mut().find(|j| j.id == app) {
-                        if j.blocked {
-                            // A thread born into a blocked job must not run.
-                            gate.deliver(Signal::Block);
-                        }
-                        j.gates.push(gate);
-                    }
-                }
-                ToManager::ThreadExited { app } => {
-                    if let Some(j) = self.jobs.iter_mut().find(|j| j.id == app) {
-                        j.gates.pop();
-                    }
-                }
-                ToManager::Disconnect { app } => {
-                    if let Some(pos) = self.jobs.iter().position(|j| j.id == app) {
-                        let j = self.jobs.remove(pos);
-                        // Leave no thread parked forever.
-                        if j.blocked {
-                            for g in &j.gates {
-                                g.deliver(Signal::Unblock);
-                            }
-                        }
-                        self.estimator.forget(busbw_sim::AppId(app.0));
-                        self.demand.forget(busbw_sim::AppId(app.0));
-                        self.running.retain(|&r| r != app);
-                        if self.tracer.emits() {
-                            self.tracer
-                                .emit(TraceEvent::MgrDisconnect { client: app.0 });
-                        }
-                    }
-                }
+                ToManager::ThreadCreated { app, gate } => self.thread_created(app, gate),
+                ToManager::ThreadExited { app } => self.thread_exited(app),
+                ToManager::Disconnect { app } => self.disconnect(app),
             }
+        }
+    }
+
+    /// Admit an application ([`ToManager::Connect`]): assign its id and
+    /// shared arena. The returned acknowledgement is what a channel client
+    /// receives on its reply slot.
+    pub fn connect(&mut self, name: String) -> ConnectAck {
+        let id = ClientId(self.next_id);
+        self.next_id += 1;
+        let arena = SeqlockArena::new();
+        // New jobs join the end of the circular list, blocked until the
+        // next quantum admits them: the manager owns all scheduling from
+        // the moment of connection.
+        self.jobs.push(Job {
+            id,
+            name,
+            arena: arena.clone(),
+            gates: Vec::new(),
+            blocked: false,
+        });
+        if self.tracer.emits() {
+            self.tracer.emit(TraceEvent::MgrConnect {
+                client: id.0,
+                threads: 0,
+            });
+        }
+        ConnectAck {
+            app: id,
+            arena,
+            update_period_us: self.cfg.quantum_us / self.cfg.samples_per_quantum as u64,
+        }
+    }
+
+    /// Track a new thread of `app` ([`ToManager::ThreadCreated`]) by its
+    /// gate. Unknown applications are ignored.
+    pub fn thread_created(&mut self, app: ClientId, gate: Arc<SignalGate>) {
+        if let Some(j) = self.jobs.iter_mut().find(|j| j.id == app) {
+            if j.blocked {
+                // A thread born into a blocked job must not run.
+                gate.deliver(Signal::Block);
+            }
+            j.gates.push(gate);
+        }
+    }
+
+    /// Drop the newest thread of `app` ([`ToManager::ThreadExited`]).
+    pub fn thread_exited(&mut self, app: ClientId) {
+        if let Some(j) = self.jobs.iter_mut().find(|j| j.id == app) {
+            j.gates.pop();
+        }
+    }
+
+    /// Retire `app` ([`ToManager::Disconnect`]): unpark its threads if it
+    /// was blocked and forget its measurements. Unknown applications are
+    /// ignored.
+    pub fn disconnect(&mut self, app: ClientId) {
+        let Some(pos) = self.jobs.iter().position(|j| j.id == app) else {
+            return;
+        };
+        let j = self.jobs.remove(pos);
+        // Leave no thread parked forever.
+        if j.blocked {
+            for g in &j.gates {
+                g.deliver(Signal::Unblock);
+            }
+        }
+        self.estimator.forget(busbw_sim::AppId(app.0));
+        self.demand.forget(busbw_sim::AppId(app.0));
+        self.running.retain(|&r| r != app);
+        if self.tracer.emits() {
+            self.tracer
+                .emit(TraceEvent::MgrDisconnect { client: app.0 });
         }
     }
 
@@ -390,6 +421,7 @@ impl CpuManager {
 mod tests {
     use super::*;
     use crate::estimator::LatestQuantumEstimator;
+    use crate::manager::client::{AppRuntime, ThreadHandle};
     use crate::manager::seqlock::ArenaSnapshot;
     use std::collections::BTreeMap;
 
@@ -679,5 +711,209 @@ mod tests {
         let late = add_threads(&h, blocked, 1).pop().unwrap();
         m.pump();
         assert!(late.should_block(), "late thread must inherit the block");
+    }
+
+    /// One step of the transport differential script.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// Connect a client with this many threads.
+        Connect(usize),
+        /// Count and publish every live client's transactions, then sample.
+        Sample,
+        Quantum,
+        /// The newest thread of the first live client with two or more
+        /// threads exits.
+        Exit,
+        /// Disconnect the first live client whose gang is running
+        /// (`true`) or blocked (`false`).
+        Disconnect(bool),
+    }
+
+    /// A manager and its clients, reached over the channel (`pump`) or
+    /// through direct handler calls.
+    struct Transport {
+        m: CpuManager,
+        h: ManagerHandle,
+        direct: bool,
+        events: busbw_trace::MemoryHandle,
+        /// Live clients with their per-thread transaction rate.
+        apps: Vec<(AppRuntime, Vec<ThreadHandle>, u64)>,
+        /// Every gate ever registered, in creation order.
+        gates: Vec<Arc<SignalGate>>,
+        now_us: u64,
+    }
+
+    impl Transport {
+        fn new(direct: bool) -> Self {
+            let (mut m, h) = mgr();
+            let (tracer, events) = EventBus::memory();
+            m.set_tracer(tracer);
+            Self {
+                m,
+                h,
+                direct,
+                events,
+                apps: Vec::new(),
+                gates: Vec::new(),
+                now_us: 0,
+            }
+        }
+
+        fn step(&mut self, step: Step) {
+            match step {
+                Step::Connect(width) => {
+                    let name = format!("w{width}");
+                    let mut rt = if self.direct {
+                        AppRuntime::in_process(self.m.connect(name))
+                    } else {
+                        let pending = AppRuntime::request_connect(&self.h, name).unwrap();
+                        self.m.pump();
+                        pending.complete().unwrap()
+                    };
+                    let threads: Vec<ThreadHandle> = (0..width)
+                        .map(|_| {
+                            let t = rt.register_thread().unwrap();
+                            if self.direct {
+                                self.m.thread_created(rt.id(), t.gate());
+                            }
+                            self.gates.push(t.gate());
+                            t
+                        })
+                        .collect();
+                    self.m.pump();
+                    // Heavy and light clients alternate, so the estimates
+                    // steer selection away from plain rotation.
+                    let rate = [40, 1, 25, 3][self.apps.len() % 4];
+                    self.apps.push((rt, threads, rate));
+                }
+                Step::Sample => {
+                    self.now_us += 100_000;
+                    for (rt, threads, rate) in &mut self.apps {
+                        if !threads[0].is_blocked() {
+                            for t in threads.iter() {
+                                t.count_transactions(*rate * 100_000);
+                            }
+                        }
+                        rt.publish_sample(self.now_us);
+                    }
+                    self.m.sample();
+                }
+                Step::Quantum => {
+                    self.m.quantum();
+                }
+                Step::Exit => {
+                    let (rt, threads, _) = self
+                        .apps
+                        .iter_mut()
+                        .find(|(_, t, _)| t.len() >= 2)
+                        .expect("a client with two or more threads");
+                    rt.thread_exited();
+                    threads.pop();
+                    if self.direct {
+                        self.m.thread_exited(rt.id());
+                    }
+                    self.m.pump();
+                }
+                Step::Disconnect(running) => {
+                    let pos = self
+                        .apps
+                        .iter()
+                        .position(|(_, t, _)| t[0].is_blocked() != running)
+                        .expect("a client in the wanted state");
+                    let (rt, _, _) = self.apps.remove(pos);
+                    if self.direct {
+                        self.m.disconnect(rt.id());
+                    } else {
+                        rt.disconnect();
+                    }
+                    self.m.pump();
+                }
+            }
+        }
+
+        fn gate_counts(&self) -> Vec<(u64, u64)> {
+            self.gates.iter().map(|g| g.counts()).collect()
+        }
+
+        fn mgr_events(&self) -> Vec<TraceEvent> {
+            self.events
+                .events()
+                .into_iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        TraceEvent::MgrConnect { .. }
+                            | TraceEvent::MgrDisconnect { .. }
+                            | TraceEvent::MgrGate { .. }
+                            | TraceEvent::MgrSignalReorder { .. }
+                    )
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn channel_and_direct_handlers_drive_identical_managers() {
+        use Step::*;
+        let script = [
+            Connect(1),
+            Connect(2),
+            Connect(3),
+            Connect(4),
+            Quantum,
+            Sample,
+            Sample,
+            Quantum,
+            Sample,
+            Connect(2),
+            Sample,
+            Quantum,
+            Exit,
+            Sample,
+            Sample,
+            Quantum,
+            Disconnect(false),
+            Sample,
+            Quantum,
+            Disconnect(true),
+            Connect(1),
+            Connect(3),
+            Sample,
+            Sample,
+            Quantum,
+            Sample,
+            Sample,
+            Quantum,
+            Disconnect(false),
+            Disconnect(true),
+            Sample,
+            Quantum,
+            Sample,
+            Quantum,
+        ];
+        let mut channel = Transport::new(false);
+        let mut direct = Transport::new(true);
+        for (i, &step) in script.iter().enumerate() {
+            channel.step(step);
+            direct.step(step);
+            let at = format!("step {i} ({step:?})");
+            assert_eq!(channel.m.job_names(), direct.m.job_names(), "{at}");
+            assert_eq!(channel.m.running(), direct.m.running(), "{at}");
+            assert_eq!(channel.gate_counts(), direct.gate_counts(), "{at}");
+            assert_eq!(channel.mgr_events(), direct.mgr_events(), "{at}");
+        }
+        // The script must have blocked and resumed gangs, or the equality
+        // above proves little.
+        let evs = direct.mgr_events();
+        for resumed in [false, true] {
+            assert!(
+                evs.iter()
+                    .any(|e| matches!(e, TraceEvent::MgrGate { resumed: r, .. } if *r == resumed)),
+                "no gate event with resumed = {resumed}"
+            );
+        }
+        assert!(evs
+            .iter()
+            .any(|e| matches!(e, TraceEvent::MgrDisconnect { .. })));
     }
 }

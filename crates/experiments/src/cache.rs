@@ -48,7 +48,9 @@ use crate::runner::{PolicyKind, RunCompletion, RunResult, TraceMode, UnfinishedA
 /// v5: the offline-optimal oracle joined — `PolicyKind::OfflineOptimal`
 /// in the policy encoding and `RunShape::Oracle` in the key encoding
 /// (`experiments regret`).
-pub const RUN_SCHEMA_VERSION: u32 = 5;
+///
+/// v6: [`crate::runner::OpenStats`] grew `quanta` and `queue_peak`.
+pub const RUN_SCHEMA_VERSION: u32 = 6;
 
 /// Magic bytes prefixing every on-disk cache entry.
 const MAGIC: &[u8; 8] = b"BBWRUN\x00\x01";
@@ -760,6 +762,8 @@ pub fn encode_result(r: &RunResult) -> Vec<u8> {
             e.u64(o.served);
             e.u64(o.duration_us);
             e.u64(o.overhead_us);
+            e.u64(o.quanta);
+            e.u64(o.queue_peak);
             e.f64(o.mean_slowdown);
         }
     }
@@ -838,6 +842,8 @@ pub fn decode_result(bytes: &[u8]) -> Result<RunResult, String> {
             served: d.u64()?,
             duration_us: d.u64()?,
             overhead_us: d.u64()?,
+            quanta: d.u64()?,
+            queue_peak: d.u64()?,
             mean_slowdown: d.f64()?,
         }),
         t => return Err(format!("unknown open-stats tag {t}")),
@@ -1118,6 +1124,8 @@ mod tests {
                 served: 110,
                 duration_us: 5_000_000,
                 overhead_us: 31_415,
+                quanta: 25,
+                queue_peak: 8,
                 mean_slowdown: f64::consts_hack(),
             }),
             n_levels: 3,

@@ -32,7 +32,7 @@ use crate::cache::{
     encode_machine, encode_policy, encode_trace_mode, encode_workload, Enc, RunCache, RunKey,
     RUN_SCHEMA_VERSION,
 };
-use crate::runner::{run_spec, PolicyKind, RunResult, RunnerConfig, TraceMode};
+use crate::runner::{run_spec, OpenStats, PolicyKind, RunResult, RunnerConfig, TraceMode};
 use crate::sibling::run_group;
 
 /// Handle to one declared cell of a [`Plan`].
@@ -365,16 +365,14 @@ impl Executed {
         merged
     }
 
-    /// Add the managerd counters of every open cell in `range` to `reg`
-    /// (see [`crate::runner::OpenStats::record`]); other cells add nothing.
+    /// Add the managerd metrics of the open cells in `range` to `reg`
+    /// (see [`OpenStats::record_all`]); other cells add nothing.
     pub fn record_open_stats(
         &self,
         range: std::ops::Range<usize>,
         reg: &mut busbw_metrics::MetricsRegistry,
     ) {
-        for open in self.results[range].iter().filter_map(|r| r.open) {
-            open.record(reg);
-        }
+        OpenStats::record_all(self.results[range].iter().filter_map(|r| r.open), reg);
     }
 }
 

@@ -75,9 +75,34 @@ use busbw_trace::{fnv1a64, git_describe, json, ArtifactSum, Manifest, TraceInfo}
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <fig1a|fig1b|fig2a|fig2b|fig2c|trace <figure>|summary|ablate-window|ablate-quantum|ablate-fitness|ablate-smt|ablate-stages|ablate --stages|dynamic|open|baselines|robustness|topo|regret|validate|variance|bench tick-rate|bench profile|bench sweep|audit|all> [--scale X] [--seed N] [--workers N] [--out DIR] [--trace-out PATH] [--cache-dir DIR] [--no-cache] [--policy SPEC] [--guard PCT] [--fuzz N] [--arrivals SPEC] [--duration S]\n\n  --policy composes a scheduler from pipeline stages for the fig2 panels\n  and summary, e.g. --policy estimator=window:5,selector=fitness,placer=packed\n  (stages: estimator=latest|window[:n]|ewma[:n]|raw|null,\n   admission=head|strict|fcfs|widest|open,\n   selector=fitness|random[:seed]|greedy|lookahead|none,\n   placer=packed|scatter|smt|pack_local|spread_sockets|migrate, quantum=<ms>)\n  --guard PCT (bench tick-rate) asserts the policy-pipeline indirection\n  costs < PCT %% versus driving the same selector directly\n  --fuzz N (audit) sets the number of random differential cells; audit\n  defaults to --scale 0.1 and writes <out>/repro.json on failure\n  --arrivals SPEC (open) picks the arrival process:\n  poisson:<rate|small> | pareto:<rate|small>[:alpha] |\n  diurnal:<rate|small>[:period_s] | trace:diurnal (rates in clients/s)\n  --duration S (open) sets the unscaled horizon in seconds (or `short`)"
+        "usage: experiments <fig1a|fig1b|fig2a|fig2b|fig2c|trace <figure>|summary|ablate-window|ablate-quantum|ablate-fitness|ablate-smt|ablate-stages|ablate --stages|dynamic|open|baselines|robustness|topo|regret|validate|variance|bench tick-rate|bench profile|bench sweep|audit|all> [--scale X] [--seed N] [--workers N] [--out DIR] [--trace-out PATH] [--cache-dir DIR] [--no-cache] [--policy SPEC] [--guard PCT] [--fuzz N] [--arrivals SPEC] [--duration S]\n\n  --policy composes a scheduler from pipeline stages for the fig2 panels\n  and summary, e.g. --policy estimator=window:5,selector=fitness,placer=packed\n  (stages: estimator=latest|window[:n]|ewma[:n]|raw|null,\n   admission=head|strict|fcfs|widest|open,\n   selector=fitness|random[:seed]|greedy|lookahead|none,\n   placer=packed|scatter|smt|pack_local|spread_sockets|migrate, quantum=<ms>)\n  --guard PCT (bench tick-rate) asserts the policy-pipeline indirection\n  costs < PCT % versus driving the same selector directly\n  --fuzz N (audit) sets the number of random differential cells; audit\n  defaults to --scale 0.1 and writes <out>/repro.json on failure\n  --arrivals SPEC (open) picks the arrival process:\n  poisson:<rate|small> | pareto:<rate|small>[:alpha] |\n  diurnal:<rate|small>[:period_s] | trace:diurnal (rates in clients/s)\n  --duration S (open) sets the unscaled horizon in seconds (or `short`)"
     );
     std::process::exit(2);
+}
+
+/// Most `--workers` accepted: far past any core count, and short of a
+/// thread count that would exhaust the process.
+const MAX_WORKERS: usize = 256;
+
+/// Most `--fuzz` cells accepted: a campaign that already runs for hours.
+const MAX_FUZZ_CELLS: usize = 10_000;
+
+/// The value after `flag`, checked by `parse`. A missing value prints the
+/// usage and a rejected one prints why; both exit 2.
+fn flag_value<T>(flag: &str, v: Option<String>, parse: impl Fn(&str) -> Result<T, String>) -> T {
+    let v = v.unwrap_or_else(|| usage());
+    parse(&v).unwrap_or_else(|e| {
+        eprintln!("{flag}: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Parse an integer in `0..=max`.
+fn count(v: &str, max: usize, what: &str) -> Result<usize, String> {
+    match v.parse::<usize>() {
+        Ok(n) if n <= max => Ok(n),
+        _ => Err(format!("bad {what} `{v}` (an integer from 0 to {max})")),
+    }
 }
 
 struct Args {
@@ -129,24 +154,19 @@ fn parse_args() -> Args {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                rc.scale = busbw_experiments::parse_scale(&spec).unwrap_or_else(|e| {
-                    eprintln!("--scale: {e}");
-                    std::process::exit(2);
-                });
+                rc.scale = flag_value("--scale", args.next(), busbw_experiments::parse_scale);
                 scale_set = true;
             }
             "--seed" => {
-                rc.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                rc.seed = flag_value("--seed", args.next(), |v| {
+                    v.parse()
+                        .map_err(|_| format!("bad seed `{v}` (an integer from 0 to 2^64 - 1)"))
+                });
             }
             "--workers" => {
-                rc.workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                rc.workers = flag_value("--workers", args.next(), |v| {
+                    count(v, MAX_WORKERS, "worker count (0 = one per core)")
+                });
             }
             "--out" => {
                 out = PathBuf::from(args.next().unwrap_or_else(|| usage()));
@@ -159,38 +179,27 @@ fn parse_args() -> Args {
             }
             "--no-cache" => no_cache = true,
             "--policy" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                policy = Some(StackSpec::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("--policy: {e}");
-                    std::process::exit(2);
-                }));
+                policy = Some(flag_value("--policy", args.next(), StackSpec::parse));
             }
             "--guard" => {
-                guard_pct = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
+                guard_pct = Some(flag_value("--guard", args.next(), |v| {
+                    match v.parse::<f64>() {
+                        Ok(p) if p > 0.0 && p.is_finite() => Ok(p),
+                        _ => Err(format!("bad guard `{v}` (a finite percentage > 0)")),
+                    }
+                }));
             }
             "--fuzz" => {
-                fuzz = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                fuzz = flag_value("--fuzz", args.next(), |v| {
+                    count(v, MAX_FUZZ_CELLS, "fuzz cell count")
+                });
             }
             "--arrivals" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                arrivals = busbw_experiments::parse_arrivals(&spec).unwrap_or_else(|e| {
-                    eprintln!("--arrivals: {e}");
-                    std::process::exit(2);
-                });
+                arrivals = flag_value("--arrivals", args.next(), busbw_experiments::parse_arrivals);
             }
             "--duration" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                duration_us = busbw_experiments::parse_duration(&spec).unwrap_or_else(|e| {
-                    eprintln!("--duration: {e}");
-                    std::process::exit(2);
-                });
+                duration_us =
+                    flag_value("--duration", args.next(), busbw_experiments::parse_duration);
             }
             _ => usage(),
         }
@@ -474,22 +483,24 @@ fn bench_tick_rate(rc: &RunnerConfig, out: &Path, guard_pct: Option<f64>) {
                     );
                 }
                 if guard_pct.is_some() {
-                    assert!(
-                        artifacts_match,
-                        "bench artifacts diverged from the committed baseline \
-                         (ticks {base_ticks} vs {ticks}, sim_us {base_sim_us} vs {sim_us})"
-                    );
+                    if !artifacts_match {
+                        guard_failed(format!(
+                            "bench artifacts diverged from the committed baseline \
+                             (ticks {base_ticks} vs {ticks}, sim_us {base_sim_us} vs {sim_us})"
+                        ));
+                    }
                     // The throughput gate is a collapse tripwire, not a
                     // precision check: the baseline was measured on one
                     // particular host, and the guard may run on a slower
                     // one, so only a ≥2× drop — an algorithmic regression
                     // on comparable hardware — fails. Per-host trend
                     // precision lives in BENCH_tick_history.jsonl.
-                    assert!(
-                        ratio >= 0.5,
-                        "tick throughput collapsed vs the committed baseline: \
-                         {tps:.0} vs {base_tps:.0} ticks/sec"
-                    );
+                    if ratio < 0.5 {
+                        guard_failed(format!(
+                            "tick throughput collapsed vs the committed baseline: \
+                             {tps:.0} vs {base_tps:.0} ticks/sec"
+                        ));
+                    }
                 }
             }
             _ => println!("\n   baseline BENCH_tick.json not comparable (different scale/seed/runs); gate skipped"),
@@ -504,10 +515,11 @@ fn bench_tick_rate(rc: &RunnerConfig, out: &Path, guard_pct: Option<f64>) {
         guard_json = format!(
             ",\n  \"pipeline_stack_wall_s\": {stack_s:.6},\n  \"pipeline_direct_wall_s\": {solo_s:.6},\n  \"pipeline_overhead_pct\": {overhead:.3},\n  \"pipeline_guard_pct\": {pct}"
         );
-        assert!(
-            overhead < pct,
-            "policy-pipeline indirection {overhead:.2} % exceeds the {pct} % guard"
-        );
+        if overhead >= pct {
+            guard_failed(format!(
+                "policy-pipeline indirection {overhead:.2} % exceeds the {pct} % guard"
+            ));
+        }
     }
     let json = format!(
         "{{\n  \"bench\": \"tick-rate\",\n  \"scale\": {},\n  \"seed\": {},\n  \"workers\": {},\n  \"runs\": {},\n  \"reps\": {},\n  \"wall_s\": {:.6},\n  \"ticks\": {},\n  \"sim_elapsed_us\": {},\n  \"ticks_per_sec\": {:.1},\n  \"sim_us_per_wall_s\": {:.1}{}{}\n}}\n",
@@ -526,6 +538,12 @@ fn bench_tick_rate(rc: &RunnerConfig, out: &Path, guard_pct: Option<f64>) {
     );
     write_out(out.join("BENCH_tick.json"), &json);
     write_out("BENCH_tick.json", &json);
+}
+
+/// A `bench tick-rate --guard` check failed: say which and exit 1.
+fn guard_failed(why: String) -> ! {
+    eprintln!("error: {why}");
+    std::process::exit(1);
 }
 
 /// One pass of `bench sweep` as a JSON object body.

@@ -169,13 +169,25 @@ impl RunnerConfig {
     }
 }
 
-/// Parse a `--scale` value: a finite work-volume multiple above zero.
-/// Zero, negative and NaN scales leave runs with no work to time, and an
-/// infinite one never reaches its hard cap, so all are rejected here.
+/// Smallest `--scale` accepted. Below it some figures' runs round to no
+/// work at all: a solo baseline takes zero time, or a random mix hits its
+/// hard cap.
+pub const MIN_SCALE: f64 = 1e-3;
+
+/// Largest `--scale` accepted: a full sweep at this multiple already runs
+/// for days, and far beyond it the scaled horizons overflow their µs
+/// counters.
+pub const MAX_SCALE: f64 = 1e3;
+
+/// Parse a `--scale` value: a work-volume multiple in
+/// [`MIN_SCALE`]..=[`MAX_SCALE`]. Zero, negative, NaN and infinite scales
+/// fall outside, so they are rejected here too.
 pub fn parse_scale(s: &str) -> Result<f64, String> {
     match s.parse::<f64>() {
-        Ok(v) if v > 0.0 && v.is_finite() => Ok(v),
-        _ => Err(format!("bad scale `{s}` (a finite number > 0)")),
+        Ok(v) if (MIN_SCALE..=MAX_SCALE).contains(&v) => Ok(v),
+        _ => Err(format!(
+            "bad scale `{s}` (a number from {MIN_SCALE} to {MAX_SCALE})"
+        )),
     }
 }
 
@@ -292,21 +304,50 @@ pub struct OpenStats {
     pub duration_us: u64,
     /// Modeled manager work (pump/sample/quantum bookkeeping), virtual µs.
     pub overhead_us: u64,
+    /// Quantum boundaries the manager served.
+    pub quanta: u64,
+    /// The most clients live at once (the accept queue's peak depth).
+    pub queue_peak: u64,
     /// Mean slowdown (turnaround ÷ solo service time) over served clients
     /// (0 when none were served).
     pub mean_slowdown: f64,
 }
 
 impl OpenStats {
-    /// Add this serve's counters to `reg`: `managerd.arrived`, `.shed`,
-    /// `.served`, `.overhead_us` (modeled manager work) and `.served_us`
-    /// (virtual time served). Recording several serves sums them.
-    pub fn record(&self, reg: &mut busbw_metrics::MetricsRegistry) {
-        reg.inc_counter("managerd.arrived", self.arrived);
-        reg.inc_counter("managerd.shed", self.shed);
-        reg.inc_counter("managerd.served", self.served);
-        reg.inc_counter("managerd.overhead_us", self.overhead_us);
-        reg.inc_counter("managerd.served_us", self.duration_us);
+    /// Record a figure's serves in `reg`. The counters `managerd.arrived`,
+    /// `.shed`, `.served`, `.overhead_us` (modeled manager work),
+    /// `.served_us` (virtual time served) and `.quanta` sum over the
+    /// serves; `managerd.queue_peak` is the deepest any serve's accept
+    /// queue got. The gauge `managerd.overhead_us_per_quantum` is the
+    /// summed overhead over the summed quanta: as a share of the quantum
+    /// length it compares with the paper's ≈4.5 % bound. Records nothing
+    /// when there are no serves.
+    pub fn record_all(
+        serves: impl IntoIterator<Item = OpenStats>,
+        reg: &mut busbw_metrics::MetricsRegistry,
+    ) {
+        let mut queue_peak = None;
+        for s in serves {
+            reg.inc_counter("managerd.arrived", s.arrived);
+            reg.inc_counter("managerd.shed", s.shed);
+            reg.inc_counter("managerd.served", s.served);
+            reg.inc_counter("managerd.overhead_us", s.overhead_us);
+            reg.inc_counter("managerd.served_us", s.duration_us);
+            reg.inc_counter("managerd.quanta", s.quanta);
+            queue_peak = queue_peak.max(Some(s.queue_peak));
+        }
+        let Some(queue_peak) = queue_peak else {
+            return;
+        };
+        reg.inc_counter("managerd.queue_peak", queue_peak);
+        let quanta = reg.counter("managerd.quanta");
+        if quanta > 0 {
+            let overhead_us = reg.counter("managerd.overhead_us");
+            reg.set_gauge(
+                "managerd.overhead_us_per_quantum",
+                overhead_us as f64 / quanta as f64,
+            );
+        }
     }
 
     /// Manager overhead as a percentage of the serve duration — the
@@ -639,7 +680,12 @@ mod tests {
         assert_eq!(parse_scale("0.1"), Ok(0.1));
         assert_eq!(parse_scale("1.5"), Ok(1.5));
         assert_eq!(parse_scale("2"), Ok(2.0));
-        for bad in ["0", "-0", "-1", "nan", "NaN", "inf", "-inf", "", "x"] {
+        assert_eq!(parse_scale("0.001"), Ok(MIN_SCALE));
+        assert_eq!(parse_scale("1000"), Ok(MAX_SCALE));
+        for bad in [
+            "0", "-0", "-1", "nan", "NaN", "inf", "-inf", "", "x", "1e-300", "0.0009", "1000.5",
+            "1e300",
+        ] {
             assert!(parse_scale(bad).is_err(), "accepted `{bad}`");
         }
     }

@@ -4,7 +4,7 @@
 //! applications connect to, publish bandwidth samples to, and take
 //! block/unblock signals from. The simulator reproduces its *policies*
 //! over closed batches; this crate serves the manager stack itself
-//! (`busbw_core::manager` — arena/seqlock samples, protocol channel,
+//! (`busbw_core::manager` — arena/seqlock samples, protocol handlers,
 //! signal gates) against an **open arrival process**: clients connect
 //! live, are scheduled by the real [`CpuManager`] quantum loop, and
 //! depart on completion, so tail latency (p99/p999 turnaround) and
@@ -13,13 +13,17 @@
 //! Design:
 //!
 //! * **Virtual time.** One single-threaded event loop owns a virtual
-//!   µs clock and drives [`CpuManager::pump`]/[`CpuManager::sample`]/
-//!   [`CpuManager::quantum`] explicitly, exactly like the deterministic
-//!   test harnesses do. Client worker threads are *modeled*: progress
-//!   advances between events for every client whose signal gate is open
-//!   ([`busbw_core::manager::ThreadHandle::is_blocked`]), so the real
-//!   gate/signal/arena code paths are exercised without parking any OS
-//!   thread. A fixed seed therefore yields one byte-exact serve.
+//!   µs clock and drives [`CpuManager::sample`]/[`CpuManager::quantum`]
+//!   explicitly, exactly like the deterministic test harnesses do.
+//!   Clients live in the loop, so their connects, thread registrations
+//!   and disconnects call the manager's protocol handlers
+//!   ([`CpuManager::connect`] and friends) directly instead of sending a
+//!   channel message and pumping. Client worker threads are *modeled*:
+//!   progress advances between events for every client whose signal
+//!   gate is open ([`busbw_core::manager::ThreadHandle::is_blocked`]),
+//!   so the real gate/signal/arena code paths are exercised without
+//!   parking any OS thread. A fixed seed therefore yields one byte-exact
+//!   serve.
 //! * **Open arrivals.** [`ArrivalProcess`] draws seeded Poisson,
 //!   Pareto (heavy-tailed), or diurnal trace-driven inter-arrival gaps.
 //! * **Overload admission control.** At most
@@ -166,6 +170,11 @@ pub struct OpenOutcome {
     pub live_at_end: u64,
     /// Modeled manager bookkeeping, virtual µs (see [`overhead`]).
     pub overhead_us: u64,
+    /// Quantum boundaries the manager served.
+    pub quanta: u64,
+    /// The most clients ever live at once: the deepest the bounded
+    /// accept queue got (at most [`OpenConfig::queue_capacity`]).
+    pub queue_peak: u64,
     /// Virtual duration actually served, µs.
     pub duration_us: u64,
     /// Client lifecycle events, time-ordered (empty unless
@@ -259,7 +268,9 @@ pub fn serve(cfg: &OpenConfig, estimator: Box<dyn BandwidthEstimator>) -> OpenOu
     assert!(
         cfg.service.min_service_us >= 1 && cfg.service.min_service_us <= cfg.service.max_service_us
     );
-    let (mut mgr, handle) = CpuManager::new(cfg.manager, estimator);
+    // Clients live in this loop, so the serve calls the manager's
+    // handlers directly; nothing is ever sent on the channel.
+    let (mut mgr, _handle) = CpuManager::new(cfg.manager, estimator);
     let mcfg = mgr.config();
     let update_period_us = (mcfg.quantum_us / mcfg.samples_per_quantum as u64).max(1);
 
@@ -283,6 +294,8 @@ pub fn serve(cfg: &OpenConfig, estimator: Box<dyn BandwidthEstimator>) -> OpenOu
         served: 0,
         live_at_end: 0,
         overhead_us: 0,
+        quanta: 0,
+        queue_peak: 0,
         duration_us: horizon,
         events: Vec::new(),
     };
@@ -340,8 +353,7 @@ pub fn serve(cfg: &OpenConfig, estimator: Box<dyn BandwidthEstimator>) -> OpenOu
             runnable_changed = true;
             let turnaround = now - c.arrived_at_us;
             let client = c.rt.id().0;
-            c.rt.disconnect();
-            mgr.pump();
+            mgr.disconnect(c.rt.id());
             out.overhead_us += overhead::DISCONNECT_US;
             out.served += 1;
             out.turnarounds_us.push(turnaround as f64);
@@ -376,15 +388,15 @@ pub fn serve(cfg: &OpenConfig, estimator: Box<dyn BandwidthEstimator>) -> OpenOu
                     });
                 }
             } else {
-                let pending = AppRuntime::request_connect(&handle, format!("c{}", out.arrived - 1))
-                    .expect("manager alive");
-                mgr.pump();
-                let mut rt = pending.complete().expect("manager acked");
+                let mut rt = AppRuntime::in_process(mgr.connect(format!("c{}", out.arrived - 1)));
                 let mut threads = Vec::with_capacity(width);
                 for _ in 0..width {
-                    threads.push(rt.register_thread().expect("manager alive"));
+                    let t = rt
+                        .register_thread()
+                        .expect("an in-process runtime sends nothing");
+                    mgr.thread_created(rt.id(), t.gate());
+                    threads.push(t);
                 }
-                mgr.pump();
                 out.overhead_us += overhead::CONNECT_US + overhead::THREAD_US * width as u64;
                 if cfg.collect_events {
                     out.events.push(TraceEvent::ClientArrived {
@@ -402,9 +414,12 @@ pub fn serve(cfg: &OpenConfig, estimator: Box<dyn BandwidthEstimator>) -> OpenOu
                     rate,
                     pending_tx: 0,
                 });
+                out.queue_peak = out.queue_peak.max(live.len() as u64);
                 runnable_changed = true;
             }
-            next_arrival = now + cfg.arrivals.next_gap_us(now, &mut arr_rng);
+            // A heavy-tailed gap can saturate to `u64::MAX`: an arrival
+            // that never comes, not a clock that wraps.
+            next_arrival = now.saturating_add(cfg.arrivals.next_gap_us(now, &mut arr_rng));
         }
 
         if now == next_sample {
@@ -420,6 +435,7 @@ pub fn serve(cfg: &OpenConfig, estimator: Box<dyn BandwidthEstimator>) -> OpenOu
         if now == next_quantum {
             mgr.quantum();
             runnable_changed = true;
+            out.quanta += 1;
             out.overhead_us +=
                 overhead::QUANTUM_BASE_US + overhead::QUANTUM_PER_JOB_US * live.len() as u64;
             next_quantum += mcfg.quantum_us;
@@ -429,9 +445,8 @@ pub fn serve(cfg: &OpenConfig, estimator: Box<dyn BandwidthEstimator>) -> OpenOu
     out.live_at_end = live.len() as u64;
     // Unpark whatever is still live so nothing leaks a parked state.
     for c in live {
-        c.rt.disconnect();
+        mgr.disconnect(c.rt.id());
     }
-    mgr.pump();
     out
 }
 
@@ -510,6 +525,14 @@ mod tests {
             );
             assert_eq!(o.served as usize, o.turnarounds_us.len());
             assert_eq!(o.served as usize, o.slowdowns.len());
+            // 200 ms quanta over a 2 s horizon: the boundary at the
+            // horizon is not served.
+            assert_eq!(o.quanta, 9);
+            assert!(
+                (1..=6).contains(&o.queue_peak),
+                "queue peak {}",
+                o.queue_peak
+            );
             for (&t, &s) in o.turnarounds_us.iter().zip(&o.slowdowns) {
                 assert!(t > 0.0 && t.is_finite());
                 assert!(s >= 1.0 - 1e-9, "slowdown below 1: {s}");
