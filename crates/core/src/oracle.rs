@@ -33,8 +33,10 @@
 //! a thread pool — and applies its bookkeeping to the outcomes in the
 //! serial order, which keeps the [`OracleReport`] independent of where
 //! the simulations ran. The search
-//! prunes with an admissible no-contention lower bound and skips
-//! permutations of caller-declared symmetric gangs. Heuristic decision
+//! prunes with an admissible no-contention lower bound — before
+//! simulating a child, where its parent's state already proves the
+//! child's bound meets the incumbent — and skips permutations of
+//! caller-declared symmetric gangs. Heuristic decision
 //! logs recorded with [`RecordingScheduler`] seed the incumbent, which
 //! makes the reported optimum structurally ≤ every seeded heuristic;
 //! [`FixedPlanScheduler`] replays such logs, and the winning plan, as
@@ -355,33 +357,98 @@ fn censored_cost_us(machine: &Machine, measured: &[AppId], stopped_at: SimTime) 
         .fold(0u64, u64::saturating_add)
 }
 
-/// Admissible lower bound on the censored total turnaround of any
-/// schedule extending this branch: progress accrues at most 1 virtual µs
-/// per wall µs per thread, so an unfinished gang cannot finish before
-/// `now + max-thread-remaining` — clamped to the horizon because costs
-/// are censored there. `lb_slack_us` absorbs float rounding in the
-/// progress accounting.
-fn lower_bound_us(state: &BranchState, measured: &[AppId], cfg: &OracleSearchConfig) -> u64 {
-    let mut lb = 0u64;
-    for &id in measured {
-        let Some(g) = state.gangs.iter().find(|g| g.app == id) else {
-            continue;
-        };
-        let contrib = match g.finished_at {
-            Some(f) => f.saturating_sub(g.arrived_at),
-            None => {
-                let rem = (g.max_remaining_us() - cfg.lb_slack_us).max(0.0);
-                let est = if rem.is_finite() {
-                    state.now.saturating_add(rem as u64)
-                } else {
-                    u64::MAX
-                };
-                est.min(cfg.horizon_us).saturating_sub(g.arrived_at)
-            }
-        };
-        lb = lb.saturating_add(contrib);
+/// One measured gang's term of the lower bound when its remaining work
+/// can start no sooner than `from`: its turnaround if it has finished;
+/// else, since progress accrues at most 1 virtual µs per wall µs per
+/// thread, it cannot finish before `from + max-thread-remaining`, less
+/// `slack_us` — clamped to the horizon because costs are censored there.
+fn gang_bound_us(g: &GangState, from: SimTime, slack_us: f64, horizon_us: u64) -> u64 {
+    match g.finished_at {
+        Some(f) => f.saturating_sub(g.arrived_at),
+        None => {
+            let rem = (g.max_remaining_us() - slack_us).max(0.0);
+            let est = if rem.is_finite() {
+                from.saturating_add(rem as u64)
+            } else {
+                u64::MAX
+            };
+            est.min(horizon_us).saturating_sub(g.arrived_at)
+        }
     }
-    lb
+}
+
+/// Admissible lower bound on the censored total turnaround of any
+/// schedule extending this branch: the sum of every measured gang's
+/// [`gang_bound_us`] from `now`. `lb_slack_us` absorbs float rounding in
+/// the progress accounting.
+fn lower_bound_us(state: &BranchState, measured: &[AppId], cfg: &OracleSearchConfig) -> u64 {
+    measured
+        .iter()
+        .filter_map(|&id| state.gangs.iter().find(|g| g.app == id))
+        .map(|g| gang_bound_us(g, state.now, cfg.lb_slack_us, cfg.horizon_us))
+        .fold(0, u64::saturating_add)
+}
+
+/// Rounding margin of [`presim_bound_us`], µs, on top of `lb_slack_us`:
+/// it covers float error in the progress a quantum's ticks add up.
+const ROUNDING_MARGIN_US: f64 = 1.0;
+
+/// An admissible lower bound on the `lower_bound_us` of the child that
+/// answers `state` with `d`, known without simulating it. `None` unless
+/// the child provably stops at its next scheduling point as a `Branch`:
+/// a measured gang that is unfinished and has no thread in `d` cannot
+/// progress, so the child is no `Leaf`; and its quantum ends before the
+/// horizon, so it is not `Censored`.
+///
+/// That scheduling point comes Δ or more after `now`: at the quantum's
+/// end, or sooner only when a placed gang finishes, which takes at least
+/// its remaining work. A gang left out of `d` keeps its remaining work,
+/// so its term starts Δ later than at the parent; a placed gang's term
+/// cannot fall below the parent's, less the rounding margin; a finished
+/// gang's term is fixed.
+fn presim_bound_us(
+    state: &BranchState,
+    d: &Decision,
+    measured: &[AppId],
+    cfg: &OracleSearchConfig,
+) -> Option<u64> {
+    if state.now.saturating_add(d.next_resched_in_us) >= cfg.horizon_us {
+        return None;
+    }
+    let placed = |g: &GangState| {
+        g.threads
+            .iter()
+            .any(|t| d.assignments.iter().any(|a| a.thread == t.id))
+    };
+    let gangs = || {
+        measured
+            .iter()
+            .filter_map(|&id| state.gangs.iter().find(|g| g.app == id))
+    };
+    if !gangs().any(|g| g.finished_at.is_none() && !placed(g)) {
+        return None;
+    }
+    let soonest_finish = state
+        .gangs
+        .iter()
+        .filter(|g| placed(g))
+        .map(GangState::max_remaining_us)
+        .fold(f64::INFINITY, f64::min);
+    let delta = (soonest_finish - ROUNDING_MARGIN_US)
+        .max(0.0)
+        .min(d.next_resched_in_us as f64) as u64;
+    let bound = gangs()
+        .map(|g| {
+            if placed(g) {
+                let slack = cfg.lb_slack_us + ROUNDING_MARGIN_US;
+                gang_bound_us(g, state.now, slack, cfg.horizon_us)
+            } else {
+                let from = state.now.saturating_add(delta);
+                gang_bound_us(g, from, cfg.lb_slack_us, cfg.horizon_us)
+            }
+        })
+        .fold(0, u64::saturating_add);
+    Some(bound)
 }
 
 /// A candidate run paused at a scheduling point it has not answered: an
@@ -693,13 +760,18 @@ pub struct OracleReport {
     pub best_cost_us: u64,
     /// The decision sequence achieving `best_cost_us`.
     pub best_plan: Vec<Decision>,
-    /// Candidate simulations performed (seeds + tree nodes).
+    /// Search nodes counted against the budget: seeds and tree nodes,
+    /// children pruned before they were simulated included.
     pub nodes: u64,
     /// Simulations that terminated (leaf or censored).
     pub leaves: u64,
     /// Interior nodes discarded because their lower bound met the
     /// incumbent.
     pub bound_prunes: u64,
+    /// Of `bound_prunes`, the children whose pre-simulation bound already
+    /// met the incumbent when their parent was expanded, so they were
+    /// never simulated.
+    pub presim_prunes: u64,
     /// Subsets skipped by symmetry-class prefix filtering.
     pub sym_prunes: u64,
     /// Admissible lower bound at the root (≤ `best_cost_us` always).
@@ -721,11 +793,12 @@ struct Interior {
 }
 
 /// An expanded node: its children, and the tickets of those the budget
-/// admitted, a prefix of `kids`.
+/// admitted, a prefix of `kids`. A child whose pre-simulation bound met
+/// the incumbent has no ticket: it was never queued.
 struct Expansion {
     plan: Vec<Decision>,
     kids: Vec<Decision>,
-    tickets: Vec<u64>,
+    tickets: Vec<Option<u64>>,
 }
 
 /// A node on the DFS stack: waiting for its pop, or already expanded.
@@ -758,12 +831,16 @@ impl Search<'_> {
 
     /// Expand `node` as popped when `nodes` candidates have been counted:
     /// generate its children and queue a resume of each one the budget
-    /// admits, on its own fork of the node's run.
+    /// admits, on its own fork of the node's run — unless its
+    /// pre-simulation bound already meets `incumbent`. The incumbent only
+    /// falls, and that bound is at most the child's own, so such a child
+    /// would be bound-pruned at its turn.
     fn expand(
         &self,
         runs: &mut InFlight<'_>,
         node: Interior,
         nodes: u64,
+        incumbent: u64,
         sym_prunes: &mut u64,
     ) -> Expansion {
         let kids = branch_decisions(&node.state, &self.cfg, self.sym_classes, sym_prunes);
@@ -772,9 +849,15 @@ impl Search<'_> {
             .iter()
             .take(usize::try_from(room).unwrap_or(usize::MAX))
             .map(|d| {
+                if self.prune
+                    && presim_bound_us(&node.state, d, &self.measured, &self.cfg)
+                        .is_some_and(|lb| lb >= incumbent)
+                {
+                    return None;
+                }
                 let (fork, d) = (node.run.clone(), d.clone());
                 let (measured, cfg) = (Arc::clone(&self.measured), self.cfg);
-                runs.spawn(move || resume(fork, &d, &measured, &cfg))
+                Some(runs.spawn(move || resume(fork, &d, &measured, &cfg)))
             })
             .collect();
         Expansion {
@@ -862,9 +945,13 @@ impl Search<'_> {
             let exp = match next.take() {
                 Some(exp) => exp,
                 None => match stack.pop() {
-                    Some(Stacked::Waiting(node)) => {
-                        self.expand(runs, *node, report.nodes, &mut report.sym_prunes)
-                    }
+                    Some(Stacked::Waiting(node)) => self.expand(
+                        runs,
+                        *node,
+                        report.nodes,
+                        report.best_cost_us,
+                        &mut report.sym_prunes,
+                    ),
                     Some(Stacked::Early {
                         mut exp,
                         sym_prunes,
@@ -887,7 +974,13 @@ impl Search<'_> {
             match stack.pop() {
                 Some(Stacked::Waiting(node)) => {
                     let mut sym_prunes = 0;
-                    let exp = self.expand(runs, *node, report.nodes, &mut sym_prunes);
+                    let exp = self.expand(
+                        runs,
+                        *node,
+                        report.nodes,
+                        report.best_cost_us,
+                        &mut sym_prunes,
+                    );
                     stack.push(Stacked::Early { exp, sym_prunes });
                 }
                 Some(early) => stack.push(early),
@@ -911,7 +1004,12 @@ impl Search<'_> {
                 } else {
                     u64::MAX
                 };
-                let (sim, run) = runs.take(exp.tickets[j], prune_at);
+                let Some(ticket) = exp.tickets[j] else {
+                    report.bound_prunes += 1;
+                    report.presim_prunes += 1;
+                    continue;
+                };
+                let (sim, run) = runs.take(ticket, prune_at);
                 let mut child_plan = exp.plan.clone();
                 child_plan.push(d);
                 match sim {
@@ -937,8 +1035,13 @@ impl Search<'_> {
                             run: run.expect("a branch is paused"),
                         };
                         if whole && next.is_none() {
-                            next =
-                                Some(self.expand(runs, child, nodes_after, &mut report.sym_prunes));
+                            next = Some(self.expand(
+                                runs,
+                                child,
+                                nodes_after,
+                                report.best_cost_us,
+                                &mut report.sym_prunes,
+                            ));
                         } else {
                             pending.push(child);
                         }
@@ -970,6 +1073,7 @@ fn search(
         nodes: 0,
         leaves: 0,
         bound_prunes: 0,
+        presim_prunes: 0,
         sym_prunes: 0,
         root_lower_bound_us: 0,
         complete: true,
@@ -1367,6 +1471,136 @@ mod tests {
             let len =
                 assert_resume_matches_replay(&m, &measured, &cfg, |i, _| best.best_plan[i].clone());
             assert_eq!(len, best.best_plan.len());
+        }
+    }
+
+    /// Walk the search tree depth first, lowest-bitmask child first, and
+    /// simulate every child with `resume`, pruning nothing, until `limit`
+    /// children have run. Wherever the pre-simulation bound applies, the
+    /// child must be a `Branch` whose own lower bound is at least that
+    /// bound. Returns how many children the bound applied to.
+    fn assert_presim_bound_is_admissible(
+        template: &Machine,
+        measured: &[AppId],
+        cfg: &OracleSearchConfig,
+        limit: usize,
+    ) -> usize {
+        let mut stack = Vec::new();
+        if let (SimNode::Branch { state, .. }, run) = start(template.clone(), measured, &[], cfg) {
+            stack.push((state, run.expect("a branch is paused")));
+        }
+        let (mut simulated, mut applied) = (0, 0);
+        while let Some((state, paused)) = stack.pop() {
+            let mut branches = Vec::new();
+            for d in branch_decisions(&state, cfg, &[], &mut 0) {
+                if simulated == limit {
+                    return applied;
+                }
+                simulated += 1;
+                let (child, run) = resume(paused.clone(), &d, measured, cfg);
+                if let Some(bound) = presim_bound_us(&state, &d, measured, cfg) {
+                    applied += 1;
+                    match &child {
+                        SimNode::Branch { lower_bound_us, .. } => assert!(
+                            bound <= *lower_bound_us,
+                            "pre-simulation bound {bound} above the child's {lower_bound_us} \
+                             at t = {}",
+                            state.now
+                        ),
+                        other => {
+                            panic!("the bound applied to a child that is no branch: {other:?}")
+                        }
+                    }
+                }
+                if let SimNode::Branch { state, .. } = child {
+                    branches.push((state, run.expect("a branch is paused")));
+                }
+            }
+            stack.extend(branches.into_iter().rev());
+        }
+        applied
+    }
+
+    #[test]
+    fn presim_bound_is_admissible_on_small_instances() {
+        // The second horizon cuts the schedules short, so quanta that
+        // would cross it are in the tree.
+        for horizon_us in [2_000_000, 250_000] {
+            let cfg = OracleSearchConfig {
+                horizon_us,
+                ..small_cfg()
+            };
+            for mc in [XEON_4WAY, TWO_SOCKETS] {
+                let (m, measured) = small_instance_on(mc);
+                let applied = assert_presim_bound_is_admissible(&m, &measured, &cfg, 5_000);
+                assert!(applied > 0, "the bound never applied");
+            }
+        }
+    }
+
+    /// The regret figure's mixes as the experiments harness builds them at
+    /// `scale`: paper apps, all measured, seed 42, horizon at the hard cap.
+    fn regret_instance(names: &[&str], scale: f64) -> (Machine, Vec<AppId>, OracleSearchConfig) {
+        use busbw_workloads::{build_machine, paper_app, PaperApp, WorkloadSpec};
+        let spec = WorkloadSpec {
+            name: names.join("+"),
+            apps: names
+                .iter()
+                .map(|n| paper_app(PaperApp::from_name(n).expect("a paper app")))
+                .collect(),
+            measured: (0..names.len()).collect(),
+        }
+        .scaled(scale);
+        let built = build_machine(&spec, XEON_4WAY, 42);
+        let horizon_us = (busbw_workloads::DEFAULT_SOLO_WORK_US * scale * 100.0) as u64;
+        let cfg = OracleSearchConfig::new(crate::pipeline::PAPER_QUANTUM_US, horizon_us);
+        (built.machine, built.measured_ids, cfg)
+    }
+
+    #[test]
+    fn presim_bound_is_admissible_on_the_regret_instances() {
+        for (names, scale) in [
+            (&["CG", "SP", "MG"][..], 0.03),
+            (&["CG", "LU CB", "Volrend"][..], 0.03),
+            (&["CG", "SP", "MG"][..], 0.07),
+        ] {
+            let (m, measured, cfg) = regret_instance(names, scale);
+            let applied = assert_presim_bound_is_admissible(&m, &measured, &cfg, 300);
+            assert!(applied > 0, "the bound never applied on {names:?}");
+        }
+    }
+
+    mod presim_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(3))]
+
+            /// Random mixes of 2–3 finite gangs, demand-free ones (which
+            /// run at full speed) included, under horizons that may cut
+            /// the schedules short.
+            #[test]
+            fn presim_bound_is_admissible_on_random_mixes(
+                gangs in proptest::collection::vec(
+                    (1usize..=2, any::<bool>(), 0.0f64..12.0, 30_000.0f64..300_000.0),
+                    2..=3,
+                ),
+                horizon_us in 150_000u64..1_500_000,
+                two_sockets in any::<bool>(),
+            ) {
+                let mut m = Machine::new(if two_sockets { TWO_SOCKETS } else { XEON_4WAY });
+                let measured: Vec<AppId> = gangs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(n, free, rate, work))| {
+                        let rate = if free { 0.0 } else { rate };
+                        add_finite(&mut m, &format!("g{i}"), n, rate, work)
+                    })
+                    .collect();
+                let cfg = OracleSearchConfig { horizon_us, ..small_cfg() };
+                assert_presim_bound_is_admissible(&m, &measured, &cfg, 2_000);
+            }
         }
     }
 

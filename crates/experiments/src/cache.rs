@@ -50,7 +50,9 @@ use crate::runner::{PolicyKind, RunCompletion, RunResult, TraceMode, UnfinishedA
 /// (`experiments regret`).
 ///
 /// v6: [`crate::runner::OpenStats`] grew `quanta` and `queue_peak`.
-pub const RUN_SCHEMA_VERSION: u32 = 6;
+///
+/// v7: [`RunResult`] grew optional [`crate::runner::OracleStats`].
+pub const RUN_SCHEMA_VERSION: u32 = 7;
 
 /// Magic bytes prefixing every on-disk cache entry.
 const MAGIC: &[u8; 8] = b"BBWRUN\x00\x01";
@@ -767,6 +769,19 @@ pub fn encode_result(r: &RunResult) -> Vec<u8> {
             e.f64(o.mean_slowdown);
         }
     }
+    match &r.oracle {
+        None => e.u8(0),
+        Some(o) => {
+            e.u8(1);
+            e.u64(o.nodes);
+            e.u64(o.leaves);
+            e.u64(o.bound_prunes);
+            e.u64(o.presim_prunes);
+            e.bool(o.complete);
+            e.u64(o.best_cost_us);
+            e.u64(o.root_lower_bound_us);
+        }
+    }
     e.usize(r.n_levels);
     for &u in &r.level_utilization {
         e.f64(u);
@@ -848,6 +863,19 @@ pub fn decode_result(bytes: &[u8]) -> Result<RunResult, String> {
         }),
         t => return Err(format!("unknown open-stats tag {t}")),
     };
+    let oracle = match d.u8()? {
+        0 => None,
+        1 => Some(crate::runner::OracleStats {
+            nodes: d.u64()?,
+            leaves: d.u64()?,
+            bound_prunes: d.u64()?,
+            presim_prunes: d.u64()?,
+            complete: d.bool()?,
+            best_cost_us: d.u64()?,
+            root_lower_bound_us: d.u64()?,
+        }),
+        t => return Err(format!("unknown oracle-stats tag {t}")),
+    };
     let n_levels = d.usize()?;
     if n_levels > busbw_sim::MAX_BUS_LEVELS {
         return Err(format!("level count {n_levels} out of range"));
@@ -876,6 +904,7 @@ pub fn decode_result(bytes: &[u8]) -> Result<RunResult, String> {
         memo_misses,
         stage_timings,
         open,
+        oracle,
         n_levels,
         level_utilization,
         level_saturated,
@@ -1128,6 +1157,15 @@ mod tests {
                 queue_peak: 8,
                 mean_slowdown: f64::consts_hack(),
             }),
+            oracle: Some(crate::runner::OracleStats {
+                nodes: 2000,
+                leaves: 29,
+                bound_prunes: 1468,
+                presim_prunes: 1081,
+                complete: false,
+                best_cost_us: 2_499_597,
+                root_lower_bound_us: 1_259_997,
+            }),
             n_levels: 3,
             level_utilization: {
                 let mut u = [0.0; busbw_sim::MAX_BUS_LEVELS];
@@ -1175,6 +1213,7 @@ mod tests {
         assert_eq!(back.memo_misses, 3);
         assert_eq!(back.stage_timings, r.stage_timings);
         assert_eq!(back.open, r.open);
+        assert_eq!(back.oracle, r.oracle);
         assert_eq!(
             back.open.unwrap().mean_slowdown.to_bits(),
             r.open.unwrap().mean_slowdown.to_bits()

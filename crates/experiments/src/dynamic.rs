@@ -89,6 +89,7 @@ pub fn staggered_run(
         memo_misses,
         stage_timings: sched.stage_timings().cloned(),
         open: None,
+        oracle: None,
         n_levels: out.stats.n_levels,
         level_utilization,
         level_saturated,

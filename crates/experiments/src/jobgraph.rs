@@ -32,7 +32,9 @@ use crate::cache::{
     encode_machine, encode_policy, encode_trace_mode, encode_workload, Enc, RunCache, RunKey,
     RUN_SCHEMA_VERSION,
 };
-use crate::runner::{run_spec, OpenStats, PolicyKind, RunResult, RunnerConfig, TraceMode};
+use crate::runner::{
+    run_spec, OpenStats, OracleStats, PolicyKind, RunResult, RunnerConfig, TraceMode,
+};
 use crate::sibling::run_group;
 
 /// Handle to one declared cell of a [`Plan`].
@@ -365,14 +367,18 @@ impl Executed {
         merged
     }
 
-    /// Add the managerd metrics of the open cells in `range` to `reg`
-    /// (see [`OpenStats::record_all`]); other cells add nothing.
-    pub fn record_open_stats(
+    /// Add the managerd metrics of the open cells and the search metrics
+    /// of the oracle cells in `range` to `reg` (see
+    /// [`OpenStats::record_all`] and [`OracleStats::record_all`]); other
+    /// cells add nothing.
+    pub fn record_cell_stats(
         &self,
         range: std::ops::Range<usize>,
         reg: &mut busbw_metrics::MetricsRegistry,
     ) {
-        OpenStats::record_all(self.results[range].iter().filter_map(|r| r.open), reg);
+        let cells = &self.results[range];
+        OpenStats::record_all(cells.iter().filter_map(|r| r.open), reg);
+        OracleStats::record_all(cells.iter().filter_map(|r| r.oracle), reg);
     }
 }
 

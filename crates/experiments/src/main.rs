@@ -804,8 +804,8 @@ fn record_stage_timings(reg: &mut MetricsRegistry, timings: &StageTimings) {
 
 /// The exec-stats metrics snapshot of one figure as manifest JSON, plus
 /// what its `cells` (a [`Plan::range_since`] slice of `executed`) report:
-/// per-stage wall-time histograms and the summed `managerd.*` counters of
-/// open serves.
+/// per-stage wall-time histograms, the summed `managerd.*` counters of
+/// open serves and the `oracle.*` search metrics of oracle cells.
 fn exec_metrics_json(
     figure: CellStats,
     engine: &Engine,
@@ -815,7 +815,7 @@ fn exec_metrics_json(
     let mut reg = MetricsRegistry::new();
     record_exec(&mut reg, figure, engine);
     record_stage_timings(&mut reg, &executed.merged_stage_timings(cells.clone()));
-    executed.record_open_stats(cells, &mut reg);
+    executed.record_cell_stats(cells, &mut reg);
     reg.to_json()
 }
 

@@ -165,6 +165,7 @@ pub fn open_run(spec: &OpenSpec, rc: &RunnerConfig) -> RunResult {
             queue_peak: out.queue_peak,
             mean_slowdown: out.mean_slowdown(),
         }),
+        oracle: None,
         n_levels: 0,
         level_utilization: [0.0; busbw_sim::MAX_BUS_LEVELS],
         level_saturated: [0.0; busbw_sim::MAX_BUS_LEVELS],

@@ -33,7 +33,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use crate::audit::mix_from_names;
 use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
 use crate::policy::{AdmissionKind, EstimatorKind, PlacerKind, SelectorKind, StackSpec};
-use crate::runner::{finalize_run, prepare_run, PolicyKind, RunResult, RunnerConfig};
+use crate::runner::{finalize_run, prepare_run, OracleStats, PolicyKind, RunResult, RunnerConfig};
 
 /// The seven preset policies ranked by the figure (the audit preset
 /// suite's list).
@@ -116,9 +116,10 @@ pub fn sampled_stacks(seed: u64, n: usize) -> Vec<StackSpec> {
     out
 }
 
-/// An oracle run's result plus the search report — what the audit
-/// differential inspects ([`OracleReport::root_lower_bound_us`] must
-/// never exceed [`OracleReport::best_cost_us`]).
+/// An oracle run's result, with [`RunResult::oracle`] set, plus the
+/// search report — what the audit differential inspects
+/// ([`OracleReport::root_lower_bound_us`] must never exceed
+/// [`OracleReport::best_cost_us`]).
 #[derive(Debug)]
 pub struct OracleOutcome {
     /// The replayed optimal schedule, folded like any other run.
@@ -188,7 +189,10 @@ pub fn oracle_outcome(spec: &WorkloadSpec, rc: &RunnerConfig) -> OracleOutcome {
     let stop = p.stop_condition();
     let mut sched = FixedPlanScheduler::new(report.best_plan.clone());
     let out = p.machine.run(&mut sched, stop);
-    let result = finalize_run(p, out);
+    let result = RunResult {
+        oracle: Some(OracleStats::from(&report)),
+        ..finalize_run(p, out)
+    };
     OracleOutcome { result, report }
 }
 
@@ -404,7 +408,8 @@ mod tests {
 
     /// The search's whole accounting, pinned at the ledger's oracle-probe
     /// scale (0.03, both searches complete) and at 0.07, where CG+SP+MG
-    /// spends the whole node budget and reports `complete = false`.
+    /// spends the whole node budget and reports `complete = false`; and
+    /// how many of its bound prunes were decided before simulating.
     #[test]
     fn oracle_reports_are_pinned() {
         let at = |scale: f64| RunnerConfig {
@@ -413,10 +418,11 @@ mod tests {
             ..RunnerConfig::default()
         };
         let mixes = regret_mixes();
-        let got: Vec<_> = [(&mixes[0], 0.03), (&mixes[1], 0.03), (&mixes[0], 0.07)]
+        let reports: Vec<_> = [(&mixes[0], 0.03), (&mixes[1], 0.03), (&mixes[0], 0.07)]
             .into_iter()
-            .map(|(mix, scale)| report_fields(&oracle_outcome(mix, &at(scale)).report))
+            .map(|(mix, scale)| oracle_outcome(mix, &at(scale)).report)
             .collect();
+        let got: Vec<_> = reports.iter().map(report_fields).collect();
         assert_eq!(
             got,
             vec![
@@ -425,6 +431,8 @@ mod tests {
                 (2000, 29, 1468, false, 2_499_597, 1_259_997, 8),
             ]
         );
+        let presim: Vec<u64> = reports.iter().map(|r| r.presim_prunes).collect();
+        assert_eq!(presim, vec![45, 5, 1081]);
     }
 
     /// Where the search's candidate simulations run never shows in its

@@ -10,7 +10,7 @@ use busbw_core::estimator::{LatestQuantumEstimator, QuantaWindowEstimator};
 use busbw_core::model::ModelDrivenScheduler;
 use busbw_core::{
     bus_aware, bus_aware_with_config, greedy_pack, linux_like, linux_o1, random_gang,
-    round_robin_gang, PolicyConfig,
+    round_robin_gang, OracleReport, PolicyConfig,
 };
 use busbw_sim::{
     ExecMode, MachineConfig, Scheduler, StageTimings, StopCondition, TickDtHist, XEON_4WAY,
@@ -276,6 +276,9 @@ pub struct RunResult {
     /// Open-system accounting when the run was an open managerd serve
     /// (`None` for the closed-batch workloads).
     pub open: Option<OpenStats>,
+    /// Search accounting when the run replayed the offline-optimal
+    /// oracle's plan (`None` for every other run).
+    pub oracle: Option<OracleStats>,
     /// Number of bus levels the machine reported (0 = flat single bus;
     /// hierarchical topologies report one per socket plus the
     /// interconnect).
@@ -366,6 +369,71 @@ impl OpenStats {
             0.0
         } else {
             self.shed as f64 / self.arrived as f64
+        }
+    }
+}
+
+/// Search accounting of one offline-optimal oracle run (see
+/// [`crate::regret`]): the numbers behind the `oracle.*` counters of
+/// `regret.manifest.json`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OracleStats {
+    /// Search nodes counted against the node budget.
+    pub nodes: u64,
+    /// Nodes that ended, as a leaf or censored at the horizon.
+    pub leaves: u64,
+    /// Interior nodes pruned because their lower bound met the incumbent.
+    pub bound_prunes: u64,
+    /// Of `bound_prunes`, those pruned before they were simulated.
+    pub presim_prunes: u64,
+    /// Whether the search exhausted its tree within the node budget.
+    pub complete: bool,
+    /// Best total turnaround found, µs.
+    pub best_cost_us: u64,
+    /// Admissible lower bound at the root, µs.
+    pub root_lower_bound_us: u64,
+}
+
+impl From<&OracleReport> for OracleStats {
+    fn from(r: &OracleReport) -> Self {
+        Self {
+            nodes: r.nodes,
+            leaves: r.leaves,
+            bound_prunes: r.bound_prunes,
+            presim_prunes: r.presim_prunes,
+            complete: r.complete,
+            best_cost_us: r.best_cost_us,
+            root_lower_bound_us: r.root_lower_bound_us,
+        }
+    }
+}
+
+impl OracleStats {
+    /// Record a figure's searches in `reg`. The counters `oracle.nodes`,
+    /// `.leaves`, `.bound_prunes` and `.presim_prunes` sum over the
+    /// searches, and `oracle.incomplete` counts those the node budget cut
+    /// short. The gauge `oracle.root_gap_frac` is the mean over searches
+    /// of the share of the best cost the root bound leaves open. Records
+    /// nothing when there are no searches.
+    pub fn record_all(
+        searches: impl IntoIterator<Item = OracleStats>,
+        reg: &mut busbw_metrics::MetricsRegistry,
+    ) {
+        let (mut n, mut gap) = (0u64, 0.0);
+        for s in searches {
+            reg.inc_counter("oracle.nodes", s.nodes);
+            reg.inc_counter("oracle.leaves", s.leaves);
+            reg.inc_counter("oracle.bound_prunes", s.bound_prunes);
+            reg.inc_counter("oracle.presim_prunes", s.presim_prunes);
+            reg.inc_counter("oracle.incomplete", u64::from(!s.complete));
+            if s.best_cost_us > 0 {
+                gap += s.best_cost_us.saturating_sub(s.root_lower_bound_us) as f64
+                    / s.best_cost_us as f64;
+            }
+            n += 1;
+        }
+        if n > 0 {
+            reg.set_gauge("oracle.root_gap_frac", gap / n as f64);
         }
     }
 }
@@ -574,6 +642,7 @@ pub(crate) fn finalize_run(p: PreparedRun, out: busbw_sim::RunOutcome) -> RunRes
         memo_misses,
         stage_timings,
         open: None,
+        oracle: None,
         n_levels: out.stats.n_levels,
         level_utilization,
         level_saturated,

@@ -119,6 +119,73 @@ fn open_manifest_carries_the_managerd_counters() {
     assert!(100.0 * per_quantum / 200_000.0 < 4.5);
 }
 
+/// The `oracle.*` counters and the root-gap gauge of one `regret` run's
+/// manifest at `workers`.
+fn regret_oracle_metrics(workers: &str) -> (Vec<f64>, f64) {
+    let out = std::env::temp_dir().join(format!(
+        "busbw-cli-{}-regret-w{workers}",
+        std::process::id()
+    ));
+    let run = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["regret", "--scale", "0.03", "--workers", workers, "--out"])
+        .arg(&out)
+        .output()
+        .expect("experiments binary runs");
+    let manifest = std::fs::read_to_string(out.join("regret.manifest.json"));
+    let _ = std::fs::remove_dir_all(&out);
+    assert_eq!(
+        run.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let manifest =
+        busbw_trace::json::parse(&manifest.expect("manifest written")).expect("manifest parses");
+    let metrics = manifest.get("metrics").expect("manifest has metrics");
+    let counters = [
+        "oracle.nodes",
+        "oracle.leaves",
+        "oracle.bound_prunes",
+        "oracle.presim_prunes",
+        "oracle.incomplete",
+    ]
+    .map(|name| {
+        metrics
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("manifest lacks {name}"))
+    });
+    let gap = metrics
+        .get("gauges")
+        .and_then(|g| g.get("oracle.root_gap_frac"))
+        .and_then(|v| v.as_f64())
+        .expect("manifest has the root-gap gauge");
+    (counters.to_vec(), gap)
+}
+
+#[test]
+fn regret_manifest_carries_the_oracle_counters() {
+    let serial = regret_oracle_metrics("1");
+    assert_eq!(
+        regret_oracle_metrics("2"),
+        serial,
+        "counters moved with workers"
+    );
+    let (counters, gap) = serial;
+    let &[nodes, leaves, bound, presim, incomplete] = &counters[..] else {
+        unreachable!("five counters")
+    };
+    assert!(
+        0.0 < presim && presim <= bound && bound <= nodes,
+        "presim {presim}, bound {bound}, nodes {nodes}"
+    );
+    assert!(0.0 < leaves && leaves <= nodes);
+    // At this scale both mixes' searches finish inside the node budget.
+    assert_eq!(incomplete, 0.0);
+    assert!((0.0..1.0).contains(&gap), "root gap {gap}");
+}
+
 /// SplitMix64: the argv fuzz test's seeded draw.
 struct Draw(u64);
 
