@@ -157,6 +157,12 @@ impl CpuManager {
         &self.running
     }
 
+    /// The selection input of the last quantum: every job then connected,
+    /// in list order, with its width and the estimate it was selected on.
+    pub fn candidates(&self) -> &[Candidate<ClientId>] {
+        &self.candidates
+    }
+
     /// Drain pending protocol messages and hand each to its handler
     /// ([`CpuManager::connect`] and friends). The handlers are the whole
     /// of the protocol's logic; `pump` only decodes.

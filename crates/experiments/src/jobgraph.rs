@@ -17,9 +17,13 @@
 //! Cache-missing closed-system cells that differ only in policy execute
 //! as one sibling group on one pool task ([`crate::sibling`]): they share
 //! the machine while their decisions agree, and the branches where they
-//! split become stealable subtasks of that task. Oracle cells fan their
-//! candidate simulations out the same way. Results are still stored per
-//! cell, so the cache, dedup and folds never see the grouping.
+//! split become stealable subtasks of that task. Open cells that differ
+//! only in their estimator stack group the same way
+//! ([`crate::open::open_group`]): they share one managerd serve while
+//! their stacks select alike, and each class that leaves is served again
+//! as a subtask. Oracle cells fan their candidate simulations out too.
+//! Results are still stored per cell, so the cache, dedup and folds
+//! never see the grouping.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -185,19 +189,31 @@ impl RunRequest {
         e.f64(self.hard_cap_factor);
     }
 
-    /// The identity this cell shares with its sibling-group partners:
-    /// every field but the policy. Only untraced closed-system cells
-    /// group; every other cell runs alone (`None`).
+    /// The identity this cell shares with its group partners: for a
+    /// closed-system cell every field but the policy, for an open cell
+    /// every field but the stack. Only untraced closed-system and open
+    /// cells group; every other cell runs alone (`None`).
     fn sibling_key(&self) -> Option<RunKey> {
-        let RunShape::Spec(spec) = &self.shape else {
-            return None;
-        };
         if self.trace != TraceMode::Off {
             return None;
         }
         let mut e = Enc::new();
         e.u32(RUN_SCHEMA_VERSION);
-        encode_workload(&mut e, spec);
+        match &self.shape {
+            RunShape::Spec(spec) => {
+                e.u8(0);
+                encode_workload(&mut e, spec);
+            }
+            RunShape::Open(spec) => {
+                e.u8(2);
+                let any_stack = crate::open::OpenSpec {
+                    stack: crate::open::OpenStack::ALL[0],
+                    ..*spec
+                };
+                any_stack.encode(&mut e);
+            }
+            RunShape::Staggered { .. } | RunShape::Oracle(_) => return None,
+        }
         self.encode_setting(&mut e);
         Some(RunKey::from_encoded(e.into_bytes()))
     }
@@ -367,16 +383,25 @@ impl Executed {
         merged
     }
 
-    /// Add the managerd metrics of the open cells and the search metrics
-    /// of the oracle cells in `range` to `reg` (see
-    /// [`OpenStats::record_all`] and [`OracleStats::record_all`]); other
-    /// cells add nothing.
+    /// Add what the cells in `range` report to `reg`: the counters
+    /// `sim.ticks`, `bus.memo_hits` and `bus.memo_misses` summed over all
+    /// of them, the managerd metrics of the open cells and the search
+    /// metrics of the oracle cells (see [`OpenStats::record_all`] and
+    /// [`OracleStats::record_all`]). `sim.ticks` counts cell ticks: a
+    /// tick a sibling simulated on a member's behalf counts for both, so
+    /// the ticks actually simulated are `sim.ticks` minus the engine's
+    /// `sim.shared_ticks` for the same cells.
     pub fn record_cell_stats(
         &self,
         range: std::ops::Range<usize>,
         reg: &mut busbw_metrics::MetricsRegistry,
     ) {
         let cells = &self.results[range];
+        for r in cells {
+            reg.inc_counter("sim.ticks", r.ticks);
+            reg.inc_counter("bus.memo_hits", r.memo_hits);
+            reg.inc_counter("bus.memo_misses", r.memo_misses);
+        }
         OpenStats::record_all(cells.iter().filter_map(|r| r.open), reg);
         OracleStats::record_all(cells.iter().filter_map(|r| r.oracle), reg);
     }
@@ -406,6 +431,9 @@ pub struct ExecStats {
     /// Cell ticks a sibling simulated on a member's behalf (each tick a
     /// machine simulates for `k` members counts `k − 1`).
     pub shared_ticks: u64,
+    /// Managerd serve loops run for open cells: one per open group, plus
+    /// one per class served again (each also counts in `forks`).
+    pub serves: u64,
     /// Tasks fanned out from inside a running pool task: oracle child
     /// resumes and forked sibling branches.
     pub subtasks: u64,
@@ -442,14 +470,15 @@ impl ExecStats {
             groups: self.groups - earlier.groups,
             forks: self.forks - earlier.forks,
             shared_ticks: self.shared_ticks - earlier.shared_ticks,
+            serves: self.serves - earlier.serves,
             subtasks: self.subtasks - earlier.subtasks,
             steals: self.steals - earlier.steals,
         }
     }
 
     /// Record these stats into a metrics registry under the engine's
-    /// counter namespace (`cells.*`, `cache.*`, `pool.*`, and
-    /// `sim.shared_ticks`).
+    /// counter namespace (`cells.*`, `cache.*`, `pool.*`,
+    /// `sim.shared_ticks`, and `managerd.serves` once a serve has run).
     pub fn record(&self, reg: &mut busbw_metrics::MetricsRegistry) {
         reg.inc_counter("cells.declared", self.declared);
         reg.inc_counter("cells.deduped", self.deduped());
@@ -462,6 +491,9 @@ impl ExecStats {
         reg.inc_counter("pool.subtasks", self.subtasks);
         reg.inc_counter("pool.steals", self.steals);
         reg.inc_counter("sim.shared_ticks", self.shared_ticks);
+        if self.serves > 0 {
+            reg.inc_counter("managerd.serves", self.serves);
+        }
         reg.set_gauge("cache.hit_rate", self.hit_rate());
     }
 }
@@ -496,11 +528,12 @@ impl Engine {
     /// up to `workers` threads with work stealing, and return the results
     /// indexed by [`CellId`].
     ///
-    /// Missing cells that differ only in policy form one sibling group
-    /// and one pool task; every other cell is a group of its own and runs
-    /// exactly as [`RunRequest::execute`]. Groups are dispatched in the
-    /// plan order of their first member; work a group fans out (forked
-    /// branches, oracle candidates) runs on the same pool.
+    /// Missing cells that differ only in policy (closed-system) or stack
+    /// (open) form one group and one pool task; every other cell is a
+    /// group of its own and runs exactly as [`RunRequest::execute`].
+    /// Groups are dispatched in the plan order of their first member;
+    /// work a group fans out (forked branches, classes served again,
+    /// oracle candidates) runs on the same pool.
     pub fn execute(&mut self, plan: &Plan, workers: usize) -> Executed {
         let mut slots: Vec<Option<Arc<RunResult>>> = vec![None; plan.requests.len()];
         let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -531,6 +564,7 @@ impl Engine {
             self.stats.executed += cells.len() as u64;
             self.stats.forks += run.forks;
             self.stats.shared_ticks += run.shared_ticks;
+            self.stats.serves += run.serves;
             for (&i, r) in cells.iter().zip(run.results) {
                 let arc = Arc::new(r);
                 self.cache.put(plan.keys[i].clone(), Arc::clone(&arc));
@@ -554,20 +588,32 @@ impl Engine {
     }
 }
 
-/// Execute one pool task: a singleton through [`RunRequest::execute`], a
-/// larger sibling group through [`run_group`].
+/// Execute one pool task: a larger closed-system group through
+/// [`run_group`], any open group through [`crate::open::open_group`],
+/// and every other singleton through [`RunRequest::execute`].
 fn execute_group(plan: &Plan, cells: &[usize]) -> crate::sibling::GroupRun {
     let first = &plan.requests[cells[0]];
-    match (&first.shape, cells.len()) {
-        (RunShape::Spec(spec), n) if n > 1 => {
+    match &first.shape {
+        RunShape::Spec(spec) if cells.len() > 1 => {
             let policies: Vec<PolicyKind> =
                 cells.iter().map(|&i| plan.requests[i].policy).collect();
             run_group(spec, &policies, &first.runner_config())
+        }
+        RunShape::Open(spec) => {
+            let stacks: Vec<_> = cells
+                .iter()
+                .map(|&i| match &plan.requests[i].shape {
+                    RunShape::Open(s) => s.stack,
+                    _ => unreachable!("open cells group only with open cells"),
+                })
+                .collect();
+            crate::open::open_group(spec, &stacks, &first.runner_config())
         }
         _ => crate::sibling::GroupRun {
             results: vec![first.execute()],
             forks: 0,
             shared_ticks: 0,
+            serves: 0,
         },
     }
 }

@@ -22,16 +22,22 @@
 //!
 //! Open cells flow through the shared job graph like every other run:
 //! content-addressed by [`OpenSpec::encode`] in the cell key, deduped,
-//! cached, and byte-identically replayable for any worker count.
+//! cached, and byte-identically replayable for any worker count. Cells
+//! that differ only in their stack run as one group serve
+//! ([`open_group`]) for as long as their stacks select alike.
+
+use std::sync::{mpsc, Arc};
 
 use busbw_core::estimator::{BandwidthEstimator, LatestQuantumEstimator, QuantaWindowEstimator};
-use busbw_managerd::{serve, ArrivalProcess, OpenConfig, ZeroEstimator};
+use busbw_managerd::{serve, serve_group, ArrivalProcess, OpenConfig, OpenOutcome, ZeroEstimator};
 use busbw_metrics::{ExperimentRow, FigureSummary, Histogram};
 use busbw_sim::TickDtHist;
 
 use crate::cache::Enc;
 use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
+use crate::pool::{fan_out, Spawner};
 use crate::runner::{OpenStats, RunCompletion, RunResult, RunnerConfig, TraceMode};
+use crate::sibling::GroupRun;
 
 /// The estimator stack an open serve schedules with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,53 +129,130 @@ impl OpenSpec {
 }
 
 /// Execute one open cell: serve the arrival process through the managerd
-/// event loop and adapt the [`busbw_managerd::OpenOutcome`] into the
-/// harness's [`RunResult`] so it caches, dedups, and folds like any
-/// other cell. Deterministic in (spec, seed, scale).
+/// event loop and adapt the [`OpenOutcome`] into the harness's
+/// [`RunResult`] so it caches, dedups, and folds like any other cell.
+/// Deterministic in (spec, seed, scale).
 pub fn open_run(spec: &OpenSpec, rc: &RunnerConfig) -> RunResult {
-    let cfg = OpenConfig {
+    open_result(serve(&serve_config(spec, rc), spec.stack.build()))
+}
+
+/// The managerd configuration `spec` serves under `rc` (every field but
+/// the stack).
+fn serve_config(spec: &OpenSpec, rc: &RunnerConfig) -> OpenConfig {
+    OpenConfig {
         arrivals: spec.arrivals,
         duration_us: ((spec.duration_us as f64 * rc.scale) as u64).max(1),
         seed: rc.seed,
         queue_capacity: spec.queue_capacity,
         collect_events: rc.trace == TraceMode::Collect,
         ..OpenConfig::default()
-    };
-    let out = serve(&cfg, spec.stack.build());
+    }
+}
+
+/// The [`RunResult`] of an open cell whose serve ended in `out`.
+fn open_result(out: OpenOutcome) -> RunResult {
     let mean = if out.turnarounds_us.is_empty() {
         0.0
     } else {
         out.turnarounds_us.iter().sum::<f64>() / out.turnarounds_us.len() as f64
     };
+    let open = OpenStats {
+        arrived: out.arrived,
+        shed: out.shed,
+        served: out.served,
+        duration_us: out.duration_us,
+        overhead_us: out.overhead_us,
+        quanta: out.quanta,
+        queue_peak: out.queue_peak,
+        mean_slowdown: out.mean_slowdown(),
+    };
     RunResult {
         mean_turnaround_us: mean,
-        turnarounds_us: out.turnarounds_us.clone(),
+        turnarounds_us: out.turnarounds_us,
         workload_rate: 0.0,
         measured_apps_rate: 0.0,
         saturated_fraction: 0.0,
         ticks: 0,
         sim_elapsed_us: out.duration_us,
         completion: RunCompletion::Finished,
-        events: out.events.clone(),
+        events: out.events,
         tick_dt_hist: TickDtHist::default(),
         memo_hits: 0,
         memo_misses: 0,
         stage_timings: None,
-        open: Some(OpenStats {
-            arrived: out.arrived,
-            shed: out.shed,
-            served: out.served,
-            duration_us: out.duration_us,
-            overhead_us: out.overhead_us,
-            quanta: out.quanta,
-            queue_peak: out.queue_peak,
-            mean_slowdown: out.mean_slowdown(),
-        }),
+        open: Some(open),
         oracle: None,
         n_levels: 0,
         level_utilization: [0.0; busbw_sim::MAX_BUS_LEVELS],
         level_saturated: [0.0; busbw_sim::MAX_BUS_LEVELS],
     }
+}
+
+/// Serve `spec` once for every stack in `stacks` as one group: each
+/// result equals what [`open_run`] returns for `spec` with that stack,
+/// bit for bit. `stacks[0]` drives one managerd serve while the others
+/// select alike ([`serve_group`]); each class of stacks that leaves is
+/// served again from t = 0 as a group of its own, queued as a stealable
+/// subtask the moment it leaves. A class served again counts as a fork.
+///
+/// # Panics
+/// Panics if `stacks` is empty.
+pub(crate) fn open_group(spec: &OpenSpec, stacks: &[OpenStack], rc: &RunnerConfig) -> GroupRun {
+    let ctx = Arc::new(GroupCtx {
+        cfg: serve_config(spec, rc),
+        stacks: stacks.to_vec(),
+    });
+    let (tx, rx) = mpsc::channel();
+    fan_out(|s| serve_class(s, &ctx, &tx, (0..stacks.len()).collect()));
+    drop(tx);
+    let mut results: Vec<Option<RunResult>> = stacks.iter().map(|_| None).collect();
+    let mut serves = 0;
+    for stayed in rx {
+        serves += 1;
+        for (index, r) in stayed {
+            results[index] = Some(r);
+        }
+    }
+    GroupRun {
+        results: results
+            .into_iter()
+            .map(|r| r.expect("every member stays in some serve"))
+            .collect(),
+        // Every serve but the first is a class served again.
+        forks: serves - 1,
+        shared_ticks: 0,
+        serves,
+    }
+}
+
+/// What every serve of one open group shares.
+struct GroupCtx {
+    cfg: OpenConfig,
+    stacks: Vec<OpenStack>,
+}
+
+/// Serve `members` (indices into the group's stacks) as one group serve
+/// and send the results of the members that stayed, by member index.
+/// Every class that leaves is queued on `s` to be served again.
+fn serve_class(
+    s: &Spawner,
+    ctx: &Arc<GroupCtx>,
+    tx: &mpsc::Sender<Vec<(usize, RunResult)>>,
+    members: Vec<usize>,
+) {
+    let estimators = members.iter().map(|&m| ctx.stacks[m].build()).collect();
+    let group = serve_group(&ctx.cfg, estimators, |left| {
+        let class = left.iter().map(|&i| members[i]).collect();
+        let (ctx, tx) = (Arc::clone(ctx), tx.clone());
+        s.spawn(move |s| serve_class(s, &ctx, &tx, class));
+    });
+    let result = open_result(group.outcome);
+    let stayed = group
+        .stayed
+        .iter()
+        .map(|&i| (members[i], result.clone()))
+        .collect();
+    let _ = tx.send(stayed);
 }
 
 /// Offered-load multipliers swept per stack.

@@ -29,17 +29,21 @@ use busbw_workloads::mix::WorkloadSpec;
 use crate::pool::{fan_out, Spawner};
 use crate::runner::{finalize_run, prepare_run, PolicyKind, PreparedRun, RunResult, RunnerConfig};
 
-/// The outcome of one sibling group.
+/// The outcome of one sibling group (or of one open group,
+/// [`crate::open::open_group`]).
 #[derive(Debug)]
 pub struct GroupRun {
     /// One result per member, in the order the policies were given.
     pub results: Vec<RunResult>,
-    /// Machine clones made where members split.
+    /// Machine clones made where members split; in an open group, the
+    /// classes served again.
     pub forks: u64,
     /// Member ticks another member's simulation covered: every tick a
     /// branch of `k` members simulates counts `k − 1` here, so the ticks
     /// actually simulated are `Σ results[i].ticks − shared_ticks`.
     pub shared_ticks: u64,
+    /// Managerd serve loops run (0 for closed-system groups).
+    pub serves: u64,
 }
 
 /// One scheduler of a group, with its position in the caller's list.
@@ -127,6 +131,7 @@ pub(crate) fn run_group_with(
             .collect(),
         forks,
         shared_ticks,
+        serves: 0,
     }
 }
 

@@ -59,16 +59,17 @@ fn unusable_cache_dir_warns_and_runs_in_memory() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
-#[test]
-fn open_manifest_carries_the_managerd_counters() {
-    let out = std::env::temp_dir().join(format!("busbw-cli-{}-open", std::process::id()));
+/// Run the binary with `args` into a fresh output directory and return
+/// the parsed manifest of figure `id`.
+fn figure_manifest(id: &str, args: &[&str]) -> busbw_trace::json::Value {
+    let out = std::env::temp_dir().join(format!("busbw-cli-{}-{id}", std::process::id()));
     let run = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["open", "--arrivals", "poisson:small", "--duration", "short"])
-        .args(["--scale", "0.2", "--out"])
+        .args(args)
+        .arg("--out")
         .arg(&out)
         .output()
         .expect("experiments binary runs");
-    let manifest = std::fs::read_to_string(out.join("open.manifest.json"));
+    let manifest = std::fs::read_to_string(out.join(format!("{id}.manifest.json")));
     let _ = std::fs::remove_dir_all(&out);
     assert_eq!(
         run.status.code(),
@@ -76,8 +77,42 @@ fn open_manifest_carries_the_managerd_counters() {
         "stderr: {}",
         String::from_utf8_lossy(&run.stderr)
     );
-    let manifest =
-        busbw_trace::json::parse(&manifest.expect("manifest written")).expect("manifest parses");
+    busbw_trace::json::parse(&manifest.expect("manifest written")).expect("manifest parses")
+}
+
+#[test]
+fn figure_manifest_counts_its_cells_ticks() {
+    let manifest = figure_manifest("fig2a", &["fig2a", "--scale", "0.02"]);
+    let counter = |name: &str| {
+        manifest
+            .get("metrics")
+            .and_then(|m| m.get("counters"))
+            .and_then(|c| c.get(name))
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("manifest lacks {name}"))
+    };
+    let (ticks, shared) = (counter("sim.ticks"), counter("sim.shared_ticks"));
+    assert!(
+        0.0 < shared && shared < ticks,
+        "{shared} shared of {ticks} cell ticks"
+    );
+    assert!(counter("bus.memo_hits") + counter("bus.memo_misses") > 0.0);
+}
+
+#[test]
+fn open_manifest_carries_the_managerd_counters() {
+    let manifest = figure_manifest(
+        "open",
+        &[
+            "open",
+            "--arrivals",
+            "poisson:small",
+            "--duration",
+            "short",
+            "--scale",
+            "0.2",
+        ],
+    );
     let counters = manifest
         .get("metrics")
         .and_then(|m| m.get("counters"))
@@ -117,6 +152,15 @@ fn open_manifest_carries_the_managerd_counters() {
     assert_eq!(per_quantum, counter("managerd.overhead_us") / quanta);
     // Against the 200 ms quantum this is the paper's overhead share.
     assert!(100.0 * per_quantum / 200_000.0 < 4.5);
+    // One group serve per load; the Latest and Window stacks select
+    // alike, so each load's pair that leaves the Oblivious serve is served
+    // again once, as a fork: 8 serve loops for 12 cells.
+    assert_eq!(counter("pool.groups"), 4.0);
+    assert_eq!(counter("pool.forks"), 4.0);
+    assert_eq!(counter("managerd.serves"), 8.0);
+    // No machine runs in a managerd serve.
+    assert_eq!(counter("sim.ticks"), 0.0);
+    assert_eq!(counter("bus.memo_hits") + counter("bus.memo_misses"), 0.0);
 }
 
 /// The `oracle.*` counters and the root-gap gauge of one `regret` run's

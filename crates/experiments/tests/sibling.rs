@@ -2,12 +2,15 @@
 //! the topology, sweep and regret plans, executed through the engine
 //! (where cells that differ only in policy share a machine until their
 //! decisions split) and one by one through `RunRequest::execute`, must
-//! encode to the same bytes.
+//! encode to the same bytes. So must every cell of the open figure,
+//! whose cells that differ only in stack share one managerd serve until
+//! their selections split.
 
 use busbw_experiments::cache::encode_result;
+use busbw_experiments::open::DEFAULT_QUEUE_CAPACITY;
 use busbw_experiments::{
-    plan_regret, plan_suite, plan_topo, Engine, Plan, RunResult, RunShape, RunnerConfig,
-    TOPO_SHAPES,
+    parse_arrivals, plan_open, plan_regret, plan_suite, plan_topo, Engine, Plan, RunResult,
+    RunShape, RunnerConfig, TOPO_SHAPES,
 };
 
 /// Codec bytes without the stage timings, which are wall-clock readings.
@@ -120,5 +123,48 @@ fn forked_branches_give_the_same_bytes_at_every_worker_count() {
         let (bytes, stats) = run(workers);
         assert_eq!(bytes, serial, "workers = {workers}");
         assert_eq!(stats.subtasks, stats.forks, "{stats:?}");
+    }
+}
+
+#[test]
+fn grouped_open_cells_match_their_lone_serves() {
+    for arrivals in ["poisson:20", "pareto:20", "diurnal:20"] {
+        for seed in [42, 7] {
+            let rc = RunnerConfig {
+                seed,
+                scale: 0.05,
+                ..RunnerConfig::default()
+            };
+            let mut declared = Plan::new();
+            plan_open(
+                &mut declared,
+                &rc,
+                parse_arrivals(arrivals).expect("a valid spec"),
+                2_000_000_000,
+                DEFAULT_QUEUE_CAPACITY,
+            );
+            let mut plan = Plan::new();
+            let ids: Vec<_> = declared
+                .requests()
+                .iter()
+                .map(|r| (plan.cell(r.clone()), r))
+                .collect();
+            let mut engine = Engine::ephemeral();
+            let grouped = engine.execute(&plan, 2);
+            let stats = *engine.stats();
+            let what = format!("{arrivals} seed {seed}: {stats:?}");
+            assert_eq!(stats.executed, plan.len() as u64, "{what}");
+            assert!(stats.groups < stats.executed, "no cells grouped: {what}");
+            assert!(stats.forks > 0, "no class was served again: {what}");
+            assert_eq!(stats.serves, stats.groups + stats.forks, "{what}");
+            assert!(stats.serves < stats.executed, "{what}");
+            for (id, req) in ids {
+                assert_eq!(
+                    canonical(grouped.get(id)),
+                    canonical(&req.execute()),
+                    "{arrivals} seed {seed}: grouped serve diverged from the lone run of {req:?}"
+                );
+            }
+        }
     }
 }

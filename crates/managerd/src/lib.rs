@@ -33,6 +33,14 @@
 //! * **Overhead accounting.** Every manager operation is billed a fixed
 //!   virtual cost (see [`overhead`]); the sum is reported against the
 //!   paper's measured ≈4.5 % manager-overhead bound.
+//! * **Group serves.** [`serve_group`] serves one configuration for
+//!   several estimators at once. Member 0's estimator drives the
+//!   manager; the others are *shadows* that receive the same feed and,
+//!   after every quantum, select on the same candidates with their own
+//!   estimates. A shadow stays while its selection equals the
+//!   manager's, so its outcome is the one its solo [`serve`] would
+//!   reach; one that selects differently leaves, to be served again.
+//!   [`serve`] is the one-member group.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,8 +49,11 @@ pub mod arrivals;
 
 pub use arrivals::{ArrivalProcess, Rng64, DIURNAL_PROFILE, MIN_PARETO_ALPHA};
 
+use std::sync::{Arc, Mutex, MutexGuard};
+
 use busbw_core::estimator::BandwidthEstimator;
-use busbw_core::manager::{AppRuntime, CpuManager, ManagerConfig, ThreadHandle};
+use busbw_core::manager::{AppRuntime, ClientId, CpuManager, ManagerConfig, ThreadHandle};
+use busbw_core::{select_gangs, Candidate};
 use busbw_sim::AppId;
 use busbw_trace::TraceEvent;
 
@@ -259,15 +270,168 @@ fn earliest_completion(live: &[LiveClient], now: u64) -> u64 {
         .unwrap_or(u64::MAX)
 }
 
+/// The estimators of a group serve's shadow members, each with its
+/// member index. The [`Tee`] inside the manager feeds them; the serve
+/// loop reads their estimates after each quantum.
+type Shadows = Arc<Mutex<Vec<(usize, Box<dyn BandwidthEstimator>)>>>;
+
+fn lock(shadows: &Shadows) -> MutexGuard<'_, Vec<(usize, Box<dyn BandwidthEstimator>)>> {
+    shadows
+        .lock()
+        .expect("only the serve locks the shadows, and a panic ends the serve")
+}
+
+/// The estimator a group serve's manager drives: member 0's, with every
+/// measurement and forget the manager makes also handed to each shadow,
+/// in the same order. Estimates are member 0's alone.
+struct Tee {
+    primary: Box<dyn BandwidthEstimator>,
+    shadows: Shadows,
+}
+
+impl BandwidthEstimator for Tee {
+    fn record_sample(&mut self, app: AppId, rate: f64) {
+        self.primary.record_sample(app, rate);
+        for (_, s) in lock(&self.shadows).iter_mut() {
+            s.record_sample(app, rate);
+        }
+    }
+    fn record_quantum(&mut self, app: AppId, rate: f64) {
+        self.primary.record_quantum(app, rate);
+        for (_, s) in lock(&self.shadows).iter_mut() {
+            s.record_quantum(app, rate);
+        }
+    }
+    fn estimate(&self, app: AppId) -> f64 {
+        self.primary.estimate(app)
+    }
+    fn forget(&mut self, app: AppId) {
+        self.primary.forget(app);
+        for (_, s) in lock(&self.shadows).iter_mut() {
+            s.forget(app);
+        }
+    }
+    fn label(&self) -> &'static str {
+        self.primary.label()
+    }
+}
+
+/// The shadow side of a group serve.
+struct Group {
+    shadows: Shadows,
+    /// The quantum's candidates re-estimated by one shadow.
+    scratch: Vec<Candidate<ClientId>>,
+    /// Seeded fault for the negative test: keep every shadow, whatever
+    /// it selects.
+    keep_shadows: bool,
+}
+
+impl Group {
+    /// Right after a quantum: run every shadow's selection on the
+    /// quantum's candidates with the shadow's own estimates. Shadows that
+    /// select other than the manager did leave the group, and each set of
+    /// them that selected alike goes to `on_split` as one class, in
+    /// member order.
+    fn split(&mut self, mgr: &CpuManager, on_split: &mut impl FnMut(Vec<usize>)) {
+        let mut shadows = lock(&self.shadows);
+        if shadows.is_empty() {
+            return;
+        }
+        let cfg = mgr.config();
+        let mut classes: Vec<(Vec<ClientId>, Vec<usize>)> = Vec::new();
+        shadows.retain(|(member, est)| {
+            self.scratch.clear();
+            self.scratch
+                .extend(mgr.candidates().iter().map(|c| Candidate {
+                    bbw_per_thread: est.estimate(AppId(c.key.0)),
+                    ..*c
+                }));
+            let sel = select_gangs(&self.scratch, cfg.num_cpus, cfg.bus_total_tx_per_us);
+            if self.keep_shadows || sel == mgr.running() {
+                return true;
+            }
+            match classes.iter_mut().find(|(s, _)| *s == sel) {
+                Some((_, members)) => members.push(*member),
+                None => classes.push((sel, vec![*member])),
+            }
+            false
+        });
+        drop(shadows);
+        for (_, members) in classes {
+            on_split(members);
+        }
+    }
+}
+
+/// What a group serve produced.
+#[derive(Debug, Clone)]
+pub struct GroupOutcome {
+    /// The outcome of every member in `stayed`: each would have reached
+    /// it serving alone.
+    pub outcome: OpenOutcome,
+    /// The members whose selection equalled member 0's at every quantum,
+    /// member 0 first, as indices into the estimators given.
+    pub stayed: Vec<usize>,
+}
+
 /// Serve one open arrival process to the horizon. Deterministic in
 /// `cfg.seed`: the loop is single-threaded and every source of
 /// variation (arrival gaps, client widths/service/rates) is drawn from
 /// the seeded generator.
 pub fn serve(cfg: &OpenConfig, estimator: Box<dyn BandwidthEstimator>) -> OpenOutcome {
+    serve_group(cfg, vec![estimator], |_| {}).outcome
+}
+
+/// Serve `cfg` once for every estimator in `estimators` (see the crate
+/// docs). Member 0 drives the manager. After each quantum every other
+/// member selects on the same candidates with its own estimates; members
+/// that select otherwise leave the group, and each class of them that
+/// left at one quantum with one selection is handed to `on_split` as
+/// indices into `estimators`. A class that left has no outcome here:
+/// serving it again from t = 0, for instance as a group of its own,
+/// gives each of its members its solo outcome.
+///
+/// # Panics
+/// Panics if `estimators` is empty.
+pub fn serve_group(
+    cfg: &OpenConfig,
+    estimators: Vec<Box<dyn BandwidthEstimator>>,
+    on_split: impl FnMut(Vec<usize>),
+) -> GroupOutcome {
+    serve_group_with(cfg, estimators, on_split, false)
+}
+
+/// [`serve_group`] with the seeded fault of the negative test: with
+/// `keep_shadows` no shadow ever leaves.
+fn serve_group_with(
+    cfg: &OpenConfig,
+    estimators: Vec<Box<dyn BandwidthEstimator>>,
+    mut on_split: impl FnMut(Vec<usize>),
+    keep_shadows: bool,
+) -> GroupOutcome {
     assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
     assert!(
         cfg.service.min_service_us >= 1 && cfg.service.min_service_us <= cfg.service.max_service_us
     );
+    let mut estimators = estimators.into_iter();
+    let primary = estimators.next().expect("a group serve needs a member");
+    let shadows: Vec<_> = (1..).zip(estimators).collect();
+    // A lone member drives the manager itself, with no tee to feed.
+    let (estimator, mut group): (Box<dyn BandwidthEstimator>, _) = if shadows.is_empty() {
+        (primary, None)
+    } else {
+        let shadows = Arc::new(Mutex::new(shadows));
+        let tee = Tee {
+            primary,
+            shadows: Arc::clone(&shadows),
+        };
+        let group = Group {
+            shadows,
+            scratch: Vec::new(),
+            keep_shadows,
+        };
+        (Box::new(tee), Some(group))
+    };
     // Clients live in this loop, so the serve calls the manager's
     // handlers directly; nothing is ever sent on the channel.
     let (mut mgr, _handle) = CpuManager::new(cfg.manager, estimator);
@@ -434,6 +598,9 @@ pub fn serve(cfg: &OpenConfig, estimator: Box<dyn BandwidthEstimator>) -> OpenOu
 
         if now == next_quantum {
             mgr.quantum();
+            if let Some(g) = &mut group {
+                g.split(&mgr, &mut on_split);
+            }
             runnable_changed = true;
             out.quanta += 1;
             out.overhead_us +=
@@ -447,7 +614,14 @@ pub fn serve(cfg: &OpenConfig, estimator: Box<dyn BandwidthEstimator>) -> OpenOu
     for c in live {
         mgr.disconnect(c.rt.id());
     }
-    out
+    let mut stayed = vec![0];
+    if let Some(g) = &group {
+        stayed.extend(lock(&g.shadows).iter().map(|&(m, _)| m));
+    }
+    GroupOutcome {
+        outcome: out,
+        stayed,
+    }
 }
 
 #[cfg(test)]
@@ -619,15 +793,10 @@ mod tests {
         // Every stack × arrival family × seed. Any change to the event
         // loop or the manager stack that moves a turnaround bit, a
         // counter or an event breaks this pin.
-        let stacks: [fn() -> Box<dyn BandwidthEstimator>; 3] = [
-            || Box::new(ZeroEstimator),
-            || Box::new(LatestQuantumEstimator::new()),
-            || Box::new(QuantaWindowEstimator::new()),
-        ];
         let mut got = Vec::new();
         for seed in [42, 7] {
             for arrivals in PINNED_ARRIVALS {
-                for stack in stacks {
+                for stack in STACKS {
                     let cfg = OpenConfig {
                         arrivals,
                         seed,
@@ -733,6 +902,88 @@ mod tests {
             0x2881_6fc9_4b7d_3e0f,
         ];
         assert_eq!(got, pinned, "got {got:#018x?}");
+    }
+
+    /// The three stacks of the `open` figure, baseline first.
+    const STACKS: [fn() -> Box<dyn BandwidthEstimator>; 3] = [
+        || Box::new(ZeroEstimator),
+        || Box::new(LatestQuantumEstimator::new()),
+        || Box::new(QuantaWindowEstimator::new()),
+    ];
+
+    /// Serve `members` (indices into [`STACKS`]) as one group, and every
+    /// class that leaves it again from t = 0 as a group of its own.
+    /// Returns each member's outcome digest by member index, and the
+    /// number of serve loops run.
+    fn serve_classes(
+        cfg: &OpenConfig,
+        members: &[usize],
+        keep_shadows: bool,
+    ) -> (Vec<Vec<u8>>, u64) {
+        let mut digests = vec![Vec::new(); STACKS.len()];
+        let mut serves = 0;
+        let mut pending = vec![members.to_vec()];
+        while let Some(class) = pending.pop() {
+            let ests = class.iter().map(|&m| STACKS[m]()).collect();
+            let mut left = Vec::new();
+            let g = serve_group_with(cfg, ests, |l| left.push(l), keep_shadows);
+            serves += 1;
+            for &i in &g.stayed {
+                digests[class[i]] = digest(&g.outcome);
+            }
+            pending.extend(
+                left.into_iter()
+                    .map(|l| l.iter().map(|&i| class[i]).collect()),
+            );
+        }
+        (digests, serves)
+    }
+
+    /// The six orders of the three stacks.
+    const ORDERS: [[usize; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+
+    #[test]
+    fn every_group_member_ends_with_its_solo_outcome() {
+        for seed in [42, 7] {
+            for arrivals in PINNED_ARRIVALS {
+                let cfg = OpenConfig {
+                    arrivals,
+                    seed,
+                    ..quick_cfg()
+                };
+                let solo: Vec<Vec<u8>> = STACKS.iter().map(|s| digest(&serve(&cfg, s()))).collect();
+                for order in ORDERS {
+                    let what = format!("seed {seed}, {arrivals:?}, member order {order:?}");
+                    let (got, serves) = serve_classes(&cfg, &order, false);
+                    assert_eq!(got, solo, "{what}");
+                    // Latest and Window select alike on constant-rate
+                    // clients, so the three stacks never need three
+                    // serves.
+                    assert_eq!(serves, 2, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_group_that_keeps_a_disagreeing_shadow_is_caught() {
+        let cfg = quick_cfg();
+        let solo: Vec<Vec<u8>> = STACKS.iter().map(|s| digest(&serve(&cfg, s()))).collect();
+        for order in ORDERS {
+            let (got, serves) = serve_classes(&cfg, &order, true);
+            assert_eq!(serves, 1, "a group that keeps its shadows serves once");
+            assert_ne!(
+                got, solo,
+                "member order {order:?}: a shadow kept past its split must not end with its solo outcome"
+            );
+        }
     }
 
     #[test]
