@@ -449,7 +449,7 @@ impl Scheduler for PolicyStack {
 /// pipeline — no estimator, admission, placer, trace emission, or timing.
 ///
 /// Two uses: unit tests that need the selector's own accessors (e.g. the
-/// Linux baseline's epoch counter), and the `bench tick-rate` guard that
+/// Linux baseline's epoch counter), and the `pipeline_guard` example that
 /// measures what the pipeline indirection costs relative to calling the
 /// selection logic directly. Only meaningful for selectors that return
 /// [`Selection::Pinned`]; gang selections have no placer here and yield an

@@ -457,25 +457,6 @@ impl ExecStats {
         }
     }
 
-    /// Stats accumulated since an earlier snapshot of the same engine
-    /// (e.g. the warm pass of `bench sweep`).
-    pub fn since(&self, earlier: &ExecStats) -> ExecStats {
-        ExecStats {
-            declared: self.declared - earlier.declared,
-            unique: self.unique - earlier.unique,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            cache_corrupt: self.cache_corrupt - earlier.cache_corrupt,
-            executed: self.executed - earlier.executed,
-            groups: self.groups - earlier.groups,
-            forks: self.forks - earlier.forks,
-            shared_ticks: self.shared_ticks - earlier.shared_ticks,
-            serves: self.serves - earlier.serves,
-            subtasks: self.subtasks - earlier.subtasks,
-            steals: self.steals - earlier.steals,
-        }
-    }
-
     /// Record these stats into a metrics registry under the engine's
     /// counter namespace (`cells.*`, `cache.*`, `pool.*`,
     /// `sim.shared_ticks`, and `managerd.serves` once a serve has run).

@@ -10,8 +10,6 @@
 //!   summary                                  §5 max/avg table (needs fig2 runs)
 //!   ablate-window | ablate-quantum | ablate-fitness | ablate-smt
 //!   ablate --stages                          estimator x selector x placer sweep
-//!   bench tick-rate [--guard PCT]            throughput + pipeline-overhead guard
-//!   bench profile                             phase-attributed tick-engine breakdown
 //!   audit [--fuzz N]                         invariant catalog + differential fuzzer
 //!   open [--arrivals SPEC] [--duration S]    open-system managerd tail-latency figure
 //!   topo                                      socket-aware placers on 1/2/4-socket shapes
@@ -21,9 +19,7 @@
 //!
 //! `--policy` composes the fig2/summary scheduler from pipeline stages,
 //! e.g. `--policy estimator=window:5,selector=fitness,placer=packed`; see
-//! [`StackSpec`] for the grammar. `--guard PCT` makes `bench tick-rate`
-//! assert that driving the selection logic through the composed pipeline
-//! costs less than PCT % versus calling it directly.
+//! [`StackSpec`] for the grammar.
 //!
 //! Output goes to stdout and, per figure, to `<out>/<id>.txt`,
 //! `<out>/<id>.csv` and a machine-readable `<out>/<id>.manifest.json`
@@ -66,16 +62,16 @@ use busbw_experiments::validate::{fold_validate, plan_validate};
 use busbw_experiments::variance::{fold_variance, plan_variance};
 use busbw_experiments::{
     collect_metrics, effective_workers, fold_suite, merge_traces, plan_suite, render_validation,
-    run_audit, AuditConfig, CellStats, Engine, ExecStats, Executed, Fig2Set, Plan, PolicyKind,
-    RunCache, RunResult, RunnerConfig, StackSpec, SuiteFigure, TraceMode,
+    run_audit, AuditConfig, CellStats, Engine, Executed, Fig2Set, Plan, PolicyKind, RunCache,
+    RunResult, RunnerConfig, StackSpec, SuiteFigure, TraceMode,
 };
 use busbw_metrics::{FigureSummary, MetricsRegistry, Table};
 use busbw_sim::{StageTimings, STAGE_BUCKET_BOUNDS_NS};
-use busbw_trace::{fnv1a64, git_describe, json, ArtifactSum, Manifest, TraceInfo};
+use busbw_trace::{git_describe, json, ArtifactSum, Manifest, TraceInfo};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <fig1a|fig1b|fig2a|fig2b|fig2c|trace <figure>|summary|ablate-window|ablate-quantum|ablate-fitness|ablate-smt|ablate-stages|ablate --stages|dynamic|open|baselines|robustness|topo|regret|validate|variance|bench tick-rate|bench profile|bench sweep|audit|all> [--scale X] [--seed N] [--workers N] [--out DIR] [--trace-out PATH] [--cache-dir DIR] [--no-cache] [--policy SPEC] [--guard PCT] [--fuzz N] [--arrivals SPEC] [--duration S]\n\n  --policy composes a scheduler from pipeline stages for the fig2 panels\n  and summary, e.g. --policy estimator=window:5,selector=fitness,placer=packed\n  (stages: estimator=latest|window[:n]|ewma[:n]|raw|null,\n   admission=head|strict|fcfs|widest|open,\n   selector=fitness|random[:seed]|greedy|lookahead|none,\n   placer=packed|scatter|smt|pack_local|spread_sockets|migrate, quantum=<ms>)\n  --guard PCT (bench tick-rate) asserts the policy-pipeline indirection\n  costs < PCT % versus driving the same selector directly\n  --fuzz N (audit) sets the number of random differential cells; audit\n  defaults to --scale 0.1 and writes <out>/repro.json on failure\n  --arrivals SPEC (open) picks the arrival process:\n  poisson:<rate|small> | pareto:<rate|small>[:alpha] |\n  diurnal:<rate|small>[:period_s] | trace:diurnal (rates in clients/s)\n  --duration S (open) sets the unscaled horizon in seconds (or `short`)"
+        "usage: experiments <fig1a|fig1b|fig2a|fig2b|fig2c|trace <figure>|summary|ablate-window|ablate-quantum|ablate-fitness|ablate-smt|ablate-stages|ablate --stages|dynamic|open|baselines|robustness|topo|regret|validate|variance|audit|all> [--scale X] [--seed N] [--workers N] [--out DIR] [--trace-out PATH] [--cache-dir DIR] [--no-cache] [--policy SPEC] [--fuzz N] [--arrivals SPEC] [--duration S]\n\n  --policy composes a scheduler from pipeline stages for the fig2 panels\n  and summary, e.g. --policy estimator=window:5,selector=fitness,placer=packed\n  (stages: estimator=latest|window[:n]|ewma[:n]|raw|null,\n   admission=head|strict|fcfs|widest|open,\n   selector=fitness|random[:seed]|greedy|lookahead|none,\n   placer=packed|scatter|smt|pack_local|spread_sockets|migrate, quantum=<ms>)\n  --fuzz N (audit) sets the number of random differential cells; audit\n  defaults to --scale 0.1 and writes <out>/repro.json on failure\n  --arrivals SPEC (open) picks the arrival process:\n  poisson:<rate|small> | pareto:<rate|small>[:alpha] |\n  diurnal:<rate|small>[:period_s] | trace:diurnal (rates in clients/s)\n  --duration S (open) sets the unscaled horizon in seconds (or `short`)"
     );
     std::process::exit(2);
 }
@@ -113,7 +109,6 @@ struct Args {
     cache_dir: Option<PathBuf>,
     no_cache: bool,
     policy: Option<StackSpec>,
-    guard_pct: Option<f64>,
     fuzz: usize,
     scale_set: bool,
     arrivals: busbw_managerd::ArrivalProcess,
@@ -123,8 +118,8 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = std::env::args().skip(1);
     let mut command = args.next().unwrap_or_else(|| usage());
-    if command == "bench" || command == "trace" {
-        // `bench <what>` / `trace <figure>` — two-word commands.
+    if command == "trace" {
+        // `trace <figure>` — a two-word command.
         let sub = args.next().unwrap_or_else(|| usage());
         command = format!("{command} {sub}");
     } else if command == "ablate" {
@@ -144,7 +139,6 @@ fn parse_args() -> Args {
     let mut cache_dir = None;
     let mut no_cache = false;
     let mut policy = None;
-    let mut guard_pct = None;
     let mut fuzz = 25;
     let mut scale_set = false;
     let mut arrivals = busbw_managerd::ArrivalProcess::Poisson {
@@ -181,14 +175,6 @@ fn parse_args() -> Args {
             "--policy" => {
                 policy = Some(flag_value("--policy", args.next(), StackSpec::parse));
             }
-            "--guard" => {
-                guard_pct = Some(flag_value("--guard", args.next(), |v| {
-                    match v.parse::<f64>() {
-                        Ok(p) if p > 0.0 && p.is_finite() => Ok(p),
-                        _ => Err(format!("bad guard `{v}` (a finite percentage > 0)")),
-                    }
-                }));
-            }
             "--fuzz" => {
                 fuzz = flag_value("--fuzz", args.next(), |v| {
                     count(v, MAX_FUZZ_CELLS, "fuzz cell count")
@@ -212,534 +198,11 @@ fn parse_args() -> Args {
         cache_dir,
         no_cache,
         policy,
-        guard_pct,
         fuzz,
         scale_set,
         arrivals,
         duration_us,
     }
-}
-
-/// `bench tick-rate`: run a representative slice of the figure workloads
-/// (a coarsenable solo run, a saturated mix, and two time-shared Fig. 2
-/// sets) and report the simulator's tick throughput. Writes
-/// `BENCH_tick.json` both to the output directory and the working
-/// directory so tooling can find it without knowing `--out`.
-///
-/// The runs execute with a null-sink tracer attached, so the reported
-/// throughput *includes* the cost of every emission site — the number the
-/// ≤2 % tracing-overhead budget is checked against.
-///
-/// With `--guard PCT` it also measures the policy-pipeline indirection:
-/// the same workload is run under the Linux preset stack and under a
-/// [`SoloSelector`](busbw_core::SoloSelector) driving the identical
-/// selector directly (same decisions, no estimate/admit/place framing or
-/// per-stage timing), interleaved min-of-N, and the run asserts the
-/// overhead stays under PCT %.
-fn pipeline_overhead_pct(rc: &RunnerConfig) -> (f64, f64, f64) {
-    use busbw_core::{linux_like, LinuxConfig, LinuxEpochSelector, SoloSelector};
-    use busbw_sim::{AppDescriptor, ConstantDemand, Machine, StopCondition, ThreadSpec};
-
-    // A fixed simulated horizon of endless-work gangs: both schedulers
-    // make identical decisions every quantum, the run is long enough
-    // (tens of milliseconds of wall time) for sub-percent timing
-    // resolution, and the measurement is independent of `--scale`.
-    let build = || {
-        let mut m = Machine::new(rc.machine);
-        for i in 0..4 {
-            let threads = (0..2)
-                .map(|_| ThreadSpec::new(f64::INFINITY, Box::new(ConstantDemand::new(5.0, 0.6))))
-                .collect();
-            m.add_app(AppDescriptor::new(format!("a{i}"), threads));
-        }
-        m
-    };
-    // On-CPU nanoseconds of the calling thread (Linux schedstat), which
-    // excludes preemption and steal time — the dominant noise when
-    // benchmarking inside shared containers/CI runners.
-    let thread_cpu_ns = || -> Option<u64> {
-        let s = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-        s.split_whitespace().next()?.parse().ok()
-    };
-    let run = |stack: bool| {
-        let mut machine = build();
-        let stop = StopCondition::At(15_000_000);
-        let cpu0 = thread_cpu_ns();
-        let t = std::time::Instant::now();
-        if stack {
-            machine.run(&mut linux_like(), stop);
-        } else {
-            let mut solo =
-                SoloSelector::new(LinuxEpochSelector::new(), LinuxConfig::default().quantum_us);
-            machine.run(&mut solo, stop);
-        }
-        let wall = t.elapsed().as_secs_f64();
-        match (cpu0, thread_cpu_ns()) {
-            (Some(a), Some(b)) if b > a => (b - a) as f64 / 1e9,
-            _ => wall,
-        }
-    };
-    // One discarded warmup pair, then back-to-back (stack, direct) pairs
-    // in alternating order so neither side systematically runs first.
-    // Each pair shares its ambient load, so its overhead ratio is nearly
-    // noise-free; the median across pairs discards the few pairs a
-    // scheduling burst lands inside. Minima are reported for reference.
-    run(true);
-    run(false);
-    let (mut best_stack, mut best_solo) = (f64::INFINITY, f64::INFINITY);
-    let mut overheads: Vec<f64> = (0..15)
-        .map(|i| {
-            let (stack, solo) = if i % 2 == 0 {
-                let s = run(true);
-                (s, run(false))
-            } else {
-                let d = run(false);
-                (run(true), d)
-            };
-            best_stack = best_stack.min(stack);
-            best_solo = best_solo.min(solo);
-            100.0 * (stack - solo) / solo
-        })
-        .collect();
-    overheads.sort_by(f64::total_cmp);
-    (best_stack, best_solo, overheads[overheads.len() / 2])
-}
-
-/// Extract one numeric field from the flat JSON objects bench writes
-/// (no nesting, no string values containing the key pattern).
-fn bench_field(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = json[json.find(&pat)? + pat.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The committed `BENCH_tick.json` baseline: `git show HEAD:BENCH_tick.json`
-/// when available (so a dirty working copy — including the file this very
-/// run is about to overwrite — cannot masquerade as the baseline). Inside a
-/// git checkout whose HEAD has no `BENCH_tick.json` — a fresh branch or a
-/// shallow CI clone — the gate is skipped with a logged reason rather than
-/// silently trusting whatever file a previous run left behind; the
-/// working-copy fallback applies only outside a git checkout entirely.
-fn committed_baseline() -> Option<(String, &'static str)> {
-    match std::process::Command::new("git")
-        .args(["show", "HEAD:BENCH_tick.json"])
-        .output()
-    {
-        Ok(o) if o.status.success() => {
-            if let Ok(s) = String::from_utf8(o.stdout) {
-                return Some((s, "git HEAD"));
-            }
-            None
-        }
-        Ok(_) => {
-            let in_checkout = std::process::Command::new("git")
-                .args(["rev-parse", "--is-inside-work-tree"])
-                .output()
-                .is_ok_and(|o| o.status.success());
-            if in_checkout {
-                println!(
-                    "\n   no BENCH_tick.json in git HEAD (fresh branch?); regression gate skipped"
-                );
-                return None;
-            }
-            std::fs::read_to_string("BENCH_tick.json")
-                .ok()
-                .map(|s| (s, "working copy"))
-        }
-        Err(_) => std::fs::read_to_string("BENCH_tick.json")
-            .ok()
-            .map(|s| (s, "working copy")),
-    }
-}
-
-/// Measurement repetitions for `bench tick-rate`. The best wall time is
-/// reported: the runs are deterministic, so every rep does identical work
-/// and the minimum is the least-noise estimate of what the engine costs
-/// (medians still carry scheduler preemption on busy hosts). Every rep is
-/// recorded in the history sidecar.
-const TICK_RATE_REPS: usize = 5;
-
-fn bench_tick_rate(rc: &RunnerConfig, out: &Path, guard_pct: Option<f64>) {
-    use busbw_experiments::{pool, run_spec};
-    use busbw_workloads::mix::{fig1_solo, fig1_with_bbma, fig2_set_a, fig2_set_b, WorkloadSpec};
-    use busbw_workloads::paper::PaperApp;
-
-    let rc = RunnerConfig {
-        trace: TraceMode::Null,
-        ..*rc
-    };
-    let jobs: Vec<(WorkloadSpec, PolicyKind)> = vec![
-        (fig1_solo(PaperApp::Cg), PolicyKind::Linux),
-        (fig1_with_bbma(PaperApp::Cg), PolicyKind::Linux),
-        (fig2_set_a(PaperApp::Mg), PolicyKind::Window),
-        (fig2_set_b(PaperApp::Raytrace), PolicyKind::Latest),
-    ];
-    let workers = effective_workers(&rc);
-
-    // Best-of-reps strips host-load waves from the absolute number.
-    let mut serial_walls = Vec::with_capacity(TICK_RATE_REPS);
-    let mut ticks = 0u64;
-    let mut sim_us = 0u64;
-    for rep in 0..TICK_RATE_REPS {
-        let t0 = std::time::Instant::now();
-        let (results, _) = pool::map(&jobs, workers, |(s, p)| run_spec(s, *p, &rc));
-        serial_walls.push(t0.elapsed().as_secs_f64());
-        let rep_ticks: u64 = results.iter().map(|r| r.ticks).sum();
-        let rep_sim_us: u64 = results.iter().map(|r| r.sim_elapsed_us).sum();
-        if rep == 0 {
-            (ticks, sim_us) = (rep_ticks, rep_sim_us);
-        } else {
-            assert_eq!(
-                (rep_ticks, rep_sim_us),
-                (ticks, sim_us),
-                "deterministic runs must repeat identically"
-            );
-        }
-    }
-    let wall = serial_walls.iter().copied().fold(f64::INFINITY, f64::min);
-    let tps = ticks as f64 / wall;
-    println!("== bench tick-rate (null-sink tracer attached)\n");
-    println!(
-        "   runs: {}, workers: {workers}, reps: {TICK_RATE_REPS} (best)",
-        jobs.len()
-    );
-    println!(
-        "   wall: {wall:.3} s, ticks: {ticks}, simulated: {:.2} s",
-        sim_us as f64 / 1e6
-    );
-    println!("   ticks/sec: {tps:.0}");
-    println!(
-        "   simulated µs per wall second: {:.0}",
-        sim_us as f64 / wall
-    );
-
-    // History first — every invocation appends one line (all reps), even
-    // when an assertion below fails the run, so regressions leave a trail
-    // instead of a gap.
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let fmt_walls = |w: &[f64]| {
-        w.iter()
-            .map(|v| format!("{v:.6}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let hist = format!(
-        "{{\"unix_time\": {ts}, \"scale\": {}, \"seed\": {}, \"workers\": {workers}, \"ticks\": {ticks}, \"wall_s\": {wall:.6}, \"ticks_per_sec\": {tps:.1}, \"serial_walls_s\": [{}]}}\n",
-        rc.scale,
-        rc.seed,
-        fmt_walls(&serial_walls)
-    );
-    create_out_dir(out);
-    for path in [
-        out.join("BENCH_tick_history.jsonl"),
-        "BENCH_tick_history.jsonl".into(),
-    ] {
-        use std::io::Write as _;
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-        {
-            let _ = f.write_all(hist.as_bytes());
-        }
-    }
-
-    // Regression gate against the *committed* baseline (git HEAD, not the
-    // working copy this run overwrites). A tick-count difference means the
-    // simulation itself changed (the bench artifacts are deterministic);
-    // with `--guard` that, or a >10 % throughput drop, fails the run.
-    let mut baseline_json = String::new();
-    if let Some((base, source)) = committed_baseline() {
-        let comparable = bench_field(&base, "scale") == Some(rc.scale)
-            && bench_field(&base, "seed") == Some(rc.seed as f64)
-            && bench_field(&base, "runs") == Some(jobs.len() as f64);
-        match (
-            comparable,
-            bench_field(&base, "ticks_per_sec"),
-            bench_field(&base, "ticks"),
-            bench_field(&base, "sim_elapsed_us"),
-        ) {
-            (true, Some(base_tps), Some(base_ticks), Some(base_sim_us)) => {
-                let ratio = tps / base_tps;
-                println!(
-                    "\n   baseline ({source}): {base_tps:.0} ticks/sec ({}× {})",
-                    format_args!("{ratio:.2}"),
-                    if ratio >= 1.0 { "faster" } else { "slower" },
-                );
-                baseline_json = format!(
-                    ",\n  \"baseline_ticks_per_sec\": {base_tps:.1},\n  \"speedup_vs_baseline\": {ratio:.3}"
-                );
-                let artifacts_match =
-                    base_ticks == ticks as f64 && base_sim_us == sim_us as f64;
-                if !artifacts_match {
-                    println!(
-                        "   baseline artifact mismatch: ticks {base_ticks} → {ticks}, sim_us {base_sim_us} → {sim_us}"
-                    );
-                }
-                if guard_pct.is_some() {
-                    if !artifacts_match {
-                        guard_failed(format!(
-                            "bench artifacts diverged from the committed baseline \
-                             (ticks {base_ticks} vs {ticks}, sim_us {base_sim_us} vs {sim_us})"
-                        ));
-                    }
-                    // The throughput gate is a collapse tripwire, not a
-                    // precision check: the baseline was measured on one
-                    // particular host, and the guard may run on a slower
-                    // one, so only a ≥2× drop — an algorithmic regression
-                    // on comparable hardware — fails. Per-host trend
-                    // precision lives in BENCH_tick_history.jsonl.
-                    if ratio < 0.5 {
-                        guard_failed(format!(
-                            "tick throughput collapsed vs the committed baseline: \
-                             {tps:.0} vs {base_tps:.0} ticks/sec"
-                        ));
-                    }
-                }
-            }
-            _ => println!("\n   baseline BENCH_tick.json not comparable (different scale/seed/runs); gate skipped"),
-        }
-    }
-
-    let mut guard_json = String::new();
-    if let Some(pct) = guard_pct {
-        let (stack_s, solo_s, overhead) = pipeline_overhead_pct(&rc);
-        println!("\n   pipeline guard: stack {stack_s:.4} s vs direct selector {solo_s:.4} s");
-        println!("   pipeline indirection: {overhead:+.2} % (budget < {pct} %)");
-        guard_json = format!(
-            ",\n  \"pipeline_stack_wall_s\": {stack_s:.6},\n  \"pipeline_direct_wall_s\": {solo_s:.6},\n  \"pipeline_overhead_pct\": {overhead:.3},\n  \"pipeline_guard_pct\": {pct}"
-        );
-        if overhead >= pct {
-            guard_failed(format!(
-                "policy-pipeline indirection {overhead:.2} % exceeds the {pct} % guard"
-            ));
-        }
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"tick-rate\",\n  \"scale\": {},\n  \"seed\": {},\n  \"workers\": {},\n  \"runs\": {},\n  \"reps\": {},\n  \"wall_s\": {:.6},\n  \"ticks\": {},\n  \"sim_elapsed_us\": {},\n  \"ticks_per_sec\": {:.1},\n  \"sim_us_per_wall_s\": {:.1}{}{}\n}}\n",
-        rc.scale,
-        rc.seed,
-        workers,
-        jobs.len(),
-        TICK_RATE_REPS,
-        wall,
-        ticks,
-        sim_us,
-        tps,
-        sim_us as f64 / wall,
-        baseline_json,
-        guard_json
-    );
-    write_out(out.join("BENCH_tick.json"), &json);
-    write_out("BENCH_tick.json", &json);
-}
-
-/// A `bench tick-rate --guard` check failed: say which and exit 1.
-fn guard_failed(why: String) -> ! {
-    eprintln!("error: {why}");
-    std::process::exit(1);
-}
-
-/// One pass of `bench sweep` as a JSON object body.
-fn sweep_pass_json(wall_s: f64, stats: &ExecStats) -> String {
-    format!(
-        "{{\"wall_s\": {:.6}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}, \"executed\": {}, \"steals\": {}}}",
-        wall_s,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.hit_rate(),
-        stats.executed,
-        stats.steals
-    )
-}
-
-/// `bench sweep`: execute the full `all` plan twice on one engine — a
-/// `bench profile`: run the `bench tick-rate` workload slice with the
-/// engine's phase profiler enabled and print where the nanoseconds go.
-/// Per phase (schedule, barrier, replay, placement, demand, solve,
-/// commit, trace, codec) the breakdown reports calls, total time, and
-/// mean ns/call; the same numbers are folded into the metrics registry
-/// (`prof.<phase>.{calls,total_ns,ns}`) and written to
-/// `BENCH_profile.json` in the output directory and the working
-/// directory. Profiling is observational: the runs are byte-identical to
-/// unprofiled ones (pinned by a proptest), so the attribution can be
-/// trusted to describe exactly the production tick path plus the clock
-/// reads themselves.
-fn bench_profile(rc: &RunnerConfig, out: &Path) {
-    use busbw_experiments::cache::{decode_result, encode_result};
-    use busbw_experiments::run_spec_profiled;
-    use busbw_sim::{Phase, PhaseSet, PHASE_BUCKET_BOUNDS_NS};
-    use busbw_workloads::mix::{fig1_solo, fig1_with_bbma, fig2_set_a, fig2_set_b, WorkloadSpec};
-    use busbw_workloads::paper::PaperApp;
-
-    let rc = RunnerConfig {
-        trace: TraceMode::Null,
-        ..*rc
-    };
-    let jobs: Vec<(WorkloadSpec, PolicyKind)> = vec![
-        (fig1_solo(PaperApp::Cg), PolicyKind::Linux),
-        (fig1_with_bbma(PaperApp::Cg), PolicyKind::Linux),
-        (fig2_set_a(PaperApp::Mg), PolicyKind::Window),
-        (fig2_set_b(PaperApp::Raytrace), PolicyKind::Latest),
-    ];
-    let t0 = std::time::Instant::now();
-    let mut merged = PhaseSet::new();
-    let mut ticks = 0u64;
-    for (s, p) in &jobs {
-        let (r, profile) = run_spec_profiled(s, *p, &rc);
-        ticks += r.ticks;
-        merged.merge(&profile);
-        // Attribute the run codec too: one encode/decode round trip per
-        // run, timed with the same clock as the engine phases.
-        let c0 = std::time::Instant::now();
-        let bytes = encode_result(&r);
-        let back = decode_result(&bytes).expect("self-decode");
-        merged.record_ns(Phase::Codec, c0.elapsed().as_nanos() as u64);
-        assert_eq!(encode_result(&back), bytes, "codec round trip drifted");
-    }
-    let wall = t0.elapsed().as_secs_f64();
-
-    let attributed: u64 = merged.grand_total_ns();
-    println!("== bench profile (phase-attributed tick engine)\n");
-    println!("   runs: {}, ticks: {ticks}, wall: {wall:.3} s", jobs.len());
-    println!(
-        "   attributed: {:.3} s of {wall:.3} s ({:.0} % — remainder is loop glue and timer cost)\n",
-        attributed as f64 / 1e9,
-        100.0 * attributed as f64 / 1e9 / wall.max(1e-12)
-    );
-    println!(
-        "   {:<10} {:>10} {:>12} {:>10} {:>7}",
-        "phase", "calls", "total_ms", "ns/call", "share"
-    );
-    for (name, st) in merged.named() {
-        println!(
-            "   {:<10} {:>10} {:>12.3} {:>10.0} {:>6.1}%",
-            name,
-            st.calls,
-            st.total_ns as f64 / 1e6,
-            st.mean_ns(),
-            100.0 * st.total_ns as f64 / attributed.max(1) as f64
-        );
-    }
-
-    // The same numbers, queryable: counters + histograms in the metrics
-    // registry, mirroring the scheduler-stage convention.
-    let mut reg = MetricsRegistry::new();
-    let bounds: Vec<f64> = PHASE_BUCKET_BOUNDS_NS.iter().map(|&b| b as f64).collect();
-    for (name, st) in merged.named() {
-        reg.inc_counter(&format!("prof.{name}.calls"), st.calls);
-        reg.inc_counter(&format!("prof.{name}.total_ns"), st.total_ns);
-        let h = reg.histogram(&format!("prof.{name}.ns"), &bounds);
-        for (i, &n) in st.buckets.iter().enumerate() {
-            if n > 0 {
-                let v = PHASE_BUCKET_BOUNDS_NS
-                    .get(i)
-                    .copied()
-                    .unwrap_or(2 * PHASE_BUCKET_BOUNDS_NS[PHASE_BUCKET_BOUNDS_NS.len() - 1]);
-                h.record_n(v as f64, n);
-            }
-        }
-    }
-
-    let mut phases_json = String::new();
-    for (name, st) in merged.named() {
-        if !phases_json.is_empty() {
-            phases_json.push_str(",\n");
-        }
-        phases_json.push_str(&format!(
-            "    \"{name}\": {{\"calls\": {}, \"total_ns\": {}, \"mean_ns\": {:.1}}}",
-            st.calls,
-            st.total_ns,
-            st.mean_ns()
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"profile\",\n  \"scale\": {},\n  \"seed\": {},\n  \"runs\": {},\n  \"ticks\": {},\n  \"wall_s\": {:.6},\n  \"attributed_ns\": {},\n  \"phases\": {{\n{}\n  }}\n}}\n",
-        rc.scale,
-        rc.seed,
-        jobs.len(),
-        ticks,
-        wall,
-        attributed,
-        phases_json
-    );
-    create_out_dir(out);
-    write_out(out.join("BENCH_profile.json"), &json);
-    write_out("BENCH_profile.json", &json);
-}
-
-/// cold pass (relative to the engine's cache state at startup: empty
-/// unless `--cache-dir` points at a warm directory) and a warm pass
-/// served from the run cache — and report wall time, dedup and cache
-/// counters, and whether the two passes folded byte-identical figures.
-/// Writes `BENCH_sweep.json` to the output directory and the working
-/// directory.
-fn bench_sweep(rc: &RunnerConfig, out: &Path, engine: &mut Engine) {
-    let workers = effective_workers(rc);
-    let mut plan = Plan::new();
-    let cells = plan_suite(&mut plan, rc);
-    let digest = |figs: &[SuiteFigure]| -> u64 {
-        let mut buf = String::new();
-        for sf in figs {
-            buf.push_str(&Table::from_figure(&sf.fig).to_csv());
-        }
-        fnv1a64(buf.as_bytes())
-    };
-
-    let t0 = std::time::Instant::now();
-    let executed = engine.execute(&plan, workers);
-    let cold_wall = t0.elapsed().as_secs_f64();
-    let cold = *engine.stats();
-    let cold_digest = digest(&fold_suite(&cells, &executed));
-
-    let t1 = std::time::Instant::now();
-    let executed = engine.execute(&plan, workers);
-    let warm_wall = t1.elapsed().as_secs_f64();
-    let warm = engine.stats().since(&cold);
-    let warm_digest = digest(&fold_suite(&cells, &executed));
-
-    let identical = cold_digest == warm_digest;
-    println!("== bench sweep (full `all` plan, cold + warm)\n");
-    println!(
-        "   cells: {} declared, {} unique, {} deduped; workers: {workers}",
-        plan.declared(),
-        plan.len(),
-        plan.declared() - plan.len() as u64
-    );
-    println!(
-        "   cold: {cold_wall:.3} s ({} executed, {} cache hits, {} steals)",
-        cold.executed, cold.cache_hits, cold.steals
-    );
-    println!(
-        "   warm: {warm_wall:.3} s ({} executed, {} cache hits, hit rate {:.0} %)",
-        warm.executed,
-        warm.cache_hits,
-        100.0 * warm.hit_rate()
-    );
-    println!("   figures: fnv1a64 {cold_digest:016x}, cold == warm: {identical}");
-    assert!(identical, "warm pass must fold byte-identical figures");
-    let json = format!(
-        "{{\n  \"bench\": \"sweep\",\n  \"scale\": {},\n  \"seed\": {},\n  \"workers\": {},\n  \"cells_declared\": {},\n  \"cells_unique\": {},\n  \"cells_deduped\": {},\n  \"cold\": {},\n  \"warm\": {},\n  \"outputs_identical\": {},\n  \"figures_fnv1a64\": \"{:016x}\"\n}}\n",
-        rc.scale,
-        rc.seed,
-        workers,
-        plan.declared(),
-        plan.len(),
-        plan.declared() - plan.len() as u64,
-        sweep_pass_json(cold_wall, &cold),
-        sweep_pass_json(warm_wall, &warm),
-        identical,
-        cold_digest
-    );
-    create_out_dir(out);
-    write_out(out.join("BENCH_sweep.json"), &json);
-    write_out("BENCH_sweep.json", &json);
 }
 
 /// Context for the manifest written next to each figure's artifacts.
@@ -1244,9 +707,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        "bench tick-rate" => bench_tick_rate(&rc, out, args.guard_pct),
-        "bench profile" => bench_profile(&rc, out),
-        "bench sweep" => bench_sweep(&rc, out, &mut engine),
         "audit" => {
             // Audited cells are many and tiny; default to a light scale
             // unless the user pinned one explicitly. The differential leg

@@ -110,8 +110,9 @@ pub enum TraceMode {
     Off,
     /// A [`NullSink`] tracer attached: exercises bus wiring (attach,
     /// flush) but the sink discards, so hot emission sites skip event
-    /// construction entirely (see [`busbw_trace::EventBus::emits`]). Used
-    /// by `bench tick-rate` for an attached-but-silent configuration.
+    /// construction entirely (see [`busbw_trace::EventBus::emits`]). The
+    /// ledger benchmark's probes run with this attached-but-silent
+    /// configuration.
     Null,
     /// An in-memory sink per run; events come back in
     /// [`RunResult::events`] for merging and serialization.

@@ -2,11 +2,11 @@
 //! indistinguishable, under the run codec, from the same run with the
 //! profiler off. The `PhaseTimer` only reads wall clocks, so nothing it
 //! does may leak into simulation state — this is the property that lets
-//! `bench profile` attribute nanoseconds to the *production* tick path
-//! rather than to an instrumented variant of it.
+//! the ledger's sim probe attribute nanoseconds to the *production* tick
+//! path rather than to an instrumented variant of it.
 //!
-//! Mechanical timer semantics (nesting, re-entrancy, zero-duration
-//! phases, disabled cost) are unit-tested in `busbw-sim::prof`.
+//! Mechanical timer semantics (nesting, re-entrancy, toggling, disabled
+//! cost) are unit-tested in `busbw-sim::prof`.
 
 use busbw_experiments::cache::encode_result;
 use busbw_experiments::mix_from_names;

@@ -64,7 +64,7 @@ pub use machine::{
     AppDescriptor, AppInfo, AppReport, Assignment, AuditHook, Decision, ExecMode, Machine,
     MachineView, RunCursor, RunOutcome, Scheduler, StepEvent, StopCondition, ThreadInfo,
 };
-pub use prof::{Phase, PhaseSet, PhaseStat, PhaseTimer, PHASE_BUCKET_BOUNDS_NS};
+pub use prof::{Phase, PhaseSet, PhaseStat, PhaseTimer};
 pub use stage::{StageSnapshot, StageTiming, StageTimings, STAGE_BUCKET_BOUNDS_NS, STAGE_NAMES};
 pub use stats::{BusPressureStats, LevelPressureStats, RunStats, TickDtHist};
 pub use thread::{ThreadSpec, ThreadState};

@@ -5,9 +5,10 @@
 //! queries, the Λ solve, and the commit/integration step — and a tick
 //! budget in the hundred-nanosecond range. Attributing wall time to those
 //! phases is what turns "the engine is slow" into "62 % of the tick is
-//! demand re-evaluation". A [`PhaseTimer`] owned by the machine records a
-//! ns/call histogram per [`Phase`]; the `bench profile` subcommand folds
-//! the result into the `busbw-metrics` registry and prints the breakdown.
+//! demand re-evaluation". A [`PhaseTimer`] owned by the machine records
+//! calls and total ns per [`Phase`]; `run_spec_profiled` in the
+//! experiments crate hands the result back with the run, and the ledger
+//! benchmark reports it as its `sim.phase.*` metrics.
 //!
 //! Design constraints, in priority order:
 //!
@@ -26,8 +27,9 @@
 //! Timing granularity: `Instant::now()` costs ~20–40 ns on current
 //! hardware, comparable to the cheapest phases it measures. Per-phase
 //! *shares* remain faithful (every phase pays the same constant), but
-//! absolute ns/call for sub-100 ns phases read high; the breakdown table
-//! reports calls and totals so the skew is visible rather than hidden.
+//! absolute ns/call for sub-100 ns phases read high. The ledger's
+//! `sim.profile_overhead_frac` measures that cost against an unprofiled
+//! pass.
 
 use std::time::Instant;
 
@@ -57,29 +59,11 @@ pub enum Phase {
     /// Trace/audit emission: structured-trace events and audit-hook
     /// callbacks (only timed while a tracer or hook is attached).
     Trace = 7,
-    /// Run-codec work: encoding/decoding results through the content-
-    /// addressed cache. Never recorded by the machine itself — the
-    /// experiments layer times its codec with the same `PhaseSet` so one
-    /// table covers the whole pipeline.
-    Codec = 8,
 }
 
 impl Phase {
     /// Number of phases (array size for [`PhaseSet`]).
-    pub const COUNT: usize = 9;
-
-    /// All phases, in tick-loop order.
-    pub const ALL: [Phase; Phase::COUNT] = [
-        Phase::Schedule,
-        Phase::Barrier,
-        Phase::Replay,
-        Phase::Placement,
-        Phase::Demand,
-        Phase::Solve,
-        Phase::Commit,
-        Phase::Trace,
-        Phase::Codec,
-    ];
+    pub const COUNT: usize = 8;
 
     /// Stable snake_case name (metric keys, JSON fields).
     pub fn name(self) -> &'static str {
@@ -92,55 +76,30 @@ impl Phase {
             Phase::Solve => "solve",
             Phase::Commit => "commit",
             Phase::Trace => "trace",
-            Phase::Codec => "codec",
         }
     }
 }
 
-/// Histogram bucket upper bounds in ns, log-spaced. The low end is finer
-/// than the scheduler-stage histograms because engine phases sit in the
-/// tens-of-ns range once the tick path is allocation-free.
-pub const PHASE_BUCKET_BOUNDS_NS: [u64; 7] = [64, 256, 1_024, 4_096, 16_384, 131_072, 1_048_576];
-
-/// Call count, total ns, and a log-bucketed ns/call histogram for one
-/// phase.
+/// Call count and total ns for one phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStat {
     /// Number of recorded begin/end pairs.
     pub calls: u64,
     /// Σ duration, ns (inclusive of nested phases).
     pub total_ns: u64,
-    /// Histogram: `buckets[i]` counts durations ≤ `PHASE_BUCKET_BOUNDS_NS[i]`
-    /// (last bucket = overflow).
-    pub buckets: [u64; PHASE_BUCKET_BOUNDS_NS.len() + 1],
 }
 
 impl PhaseStat {
-    /// Record one duration. Zero-duration phases are legal and land in
-    /// the first bucket.
+    /// Record one duration. Zero-duration phases are legal.
     pub fn record_ns(&mut self, ns: u64) {
         self.calls += 1;
         self.total_ns += ns;
-        let i = PHASE_BUCKET_BOUNDS_NS.partition_point(|&b| ns > b);
-        self.buckets[i] += 1;
-    }
-
-    /// Mean ns per call (0 when never called).
-    pub fn mean_ns(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.calls as f64
-        }
     }
 
     /// Fold another stat into this one.
     pub fn merge(&mut self, other: &PhaseStat) {
         self.calls += other.calls;
         self.total_ns += other.total_ns;
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
     }
 }
 
@@ -171,19 +130,6 @@ impl PhaseSet {
         for (a, b) in self.stats.iter_mut().zip(other.stats.iter()) {
             a.merge(b);
         }
-    }
-
-    /// `(name, stat)` pairs in tick-loop order, recorded phases only.
-    pub fn named(&self) -> impl Iterator<Item = (&'static str, &PhaseStat)> {
-        Phase::ALL
-            .iter()
-            .map(move |&p| (p.name(), self.stat(p)))
-            .filter(|(_, s)| s.calls > 0)
-    }
-
-    /// Σ total_ns across phases (inclusive — nested phases double-count).
-    pub fn grand_total_ns(&self) -> u64 {
-        self.stats.iter().map(|s| s.total_ns).sum()
     }
 
     /// True when nothing was recorded.
@@ -275,7 +221,6 @@ mod tests {
         }
         let s = t.set().stat(Phase::Demand);
         assert_eq!(s.calls, 5);
-        assert_eq!(s.buckets.iter().sum::<u64>(), 5);
         assert!(t.set().stat(Phase::Solve).calls == 0);
     }
 
@@ -311,38 +256,18 @@ mod tests {
     }
 
     #[test]
-    fn zero_duration_phase_lands_in_first_bucket() {
-        let mut s = PhaseStat::default();
-        s.record_ns(0);
-        assert_eq!(s.calls, 1);
-        assert_eq!(s.total_ns, 0);
-        assert_eq!(s.buckets[0], 1);
-        // Bucket edges are inclusive on the left bound's upper edge.
-        s.record_ns(PHASE_BUCKET_BOUNDS_NS[0]);
-        assert_eq!(s.buckets[0], 2);
-        s.record_ns(PHASE_BUCKET_BOUNDS_NS[0] + 1);
-        assert_eq!(s.buckets[1], 1);
-    }
-
-    #[test]
-    fn overflow_bucket_catches_huge_durations() {
-        let mut s = PhaseStat::default();
-        s.record_ns(u64::MAX / 2);
-        assert_eq!(*s.buckets.last().unwrap(), 1);
-    }
-
-    #[test]
     fn merge_adds_everything() {
         let mut a = PhaseSet::new();
         let mut b = PhaseSet::new();
         a.record_ns(Phase::Demand, 100);
         b.record_ns(Phase::Demand, 50);
-        b.record_ns(Phase::Codec, 7);
+        b.record_ns(Phase::Solve, 7);
         a.merge(&b);
         assert_eq!(a.stat(Phase::Demand).calls, 2);
         assert_eq!(a.stat(Phase::Demand).total_ns, 150);
-        assert_eq!(a.stat(Phase::Codec).calls, 1);
-        assert_eq!(a.named().count(), 2);
+        assert_eq!(a.stat(Phase::Solve).calls, 1);
+        assert_eq!(a.stat(Phase::Solve).total_ns, 7);
+        assert_eq!(a.stat(Phase::Commit).calls, 0);
     }
 
     #[test]
