@@ -64,7 +64,7 @@ pub use linux::{linux_like, linux_like_with_config, LinuxConfig, LinuxEpochSelec
 pub use linux26::{linux_o1, linux_o1_with_config, LinuxO1Selector, O1Config};
 pub use model::{predict_set_value, ModelDrivenScheduler};
 pub use oracle::{
-    brute_force_optimal, greedy_pack, offline_optimal, random_gang, round_robin_gang,
+    brute_force_optimal, greedy_pack, offline_optimal, random_gang, record_run, round_robin_gang,
     round_robin_gang_with_quantum, simulate as oracle_simulate, BranchState, FixedPlanScheduler,
     GangState, OracleReport, OracleSearchConfig, RecordingScheduler, SimNode, ThreadSlot,
     ORACLE_IDLE_SENTINEL_US,

@@ -36,18 +36,18 @@
 //! prunes with an admissible no-contention lower bound — before
 //! simulating a child, where its parent's state already proves the
 //! child's bound meets the incumbent — and skips permutations of
-//! caller-declared symmetric gangs. Heuristic decision
-//! logs recorded with [`RecordingScheduler`] seed the incumbent, which
-//! makes the reported optimum structurally ≤ every seeded heuristic;
-//! [`FixedPlanScheduler`] replays such logs, and the winning plan, as
-//! ordinary runs.
+//! caller-declared symmetric gangs. Heuristic schedulers seed the
+//! incumbent, each run once on a clone of the instance with its
+//! decisions recorded ([`record_run`]), which makes the reported optimum
+//! structurally ≤ every seeded heuristic; [`FixedPlanScheduler`] replays
+//! such logs, and the winning plan, as ordinary runs.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc};
 
 use busbw_sim::{
-    AppId, Assignment, CpuId, Decision, Machine, MachineView, RunCursor, Scheduler, SimTime,
-    StepEvent, StopCondition, ThreadId,
+    AppId, Assignment, CpuId, Decision, Machine, MachineView, ProgressCeiling, RunCursor,
+    Scheduler, SimTime, StepEvent, StopCondition, ThreadId,
 };
 
 use crate::pipeline::{
@@ -394,25 +394,30 @@ fn lower_bound_us(state: &BranchState, measured: &[AppId], cfg: &OracleSearchCon
 const ROUNDING_MARGIN_US: f64 = 1.0;
 
 /// An admissible lower bound on the `lower_bound_us` of the child that
-/// answers `state` with `d`, known without simulating it. `None` unless
-/// the child provably stops at its next scheduling point as a `Branch`:
-/// a measured gang that is unfinished and has no thread in `d` cannot
-/// progress, so the child is no `Leaf`; and its quantum ends before the
-/// horizon, so it is not `Censored`.
+/// answers `state` with `d`, known without simulating it; `ceiling` bounds
+/// the progress of `d`'s threads (`Machine::progress_ceiling` of the
+/// parent's paused run). `None` unless the child provably stops at its
+/// next scheduling point as a `Branch`: some measured gang is unfinished
+/// there, because it has no thread in `d` or cannot finish within the
+/// quantum at its ceiling, so the child is no `Leaf`; and its quantum
+/// ends before the horizon, so it is not `Censored`.
 ///
 /// That scheduling point comes Δ or more after `now`: at the quantum's
-/// end, or sooner only when a placed gang finishes, which takes at least
-/// its remaining work. A gang left out of `d` keeps its remaining work,
-/// so its term starts Δ later than at the parent; a placed gang's term
-/// cannot fall below the parent's, less the rounding margin; a finished
-/// gang's term is fixed.
+/// end, or sooner only when a placed gang finishes, which its slowest
+/// thread cannot do before its ceiling covers its remaining work. A gang
+/// left out of `d` keeps its remaining work, so its term starts Δ later
+/// than at the parent; a placed gang's term rises by Δ less its slowest
+/// thread's ceiling over Δ, less the rounding margin; a finished gang's
+/// term is fixed.
 fn presim_bound_us(
     state: &BranchState,
     d: &Decision,
+    ceiling: &ProgressCeiling,
     measured: &[AppId],
     cfg: &OracleSearchConfig,
 ) -> Option<u64> {
-    if state.now.saturating_add(d.next_resched_in_us) >= cfg.horizon_us {
+    let quantum = d.next_resched_in_us;
+    if state.now.saturating_add(quantum) >= cfg.horizon_us {
         return None;
     }
     let placed = |g: &GangState| {
@@ -420,30 +425,50 @@ fn presim_bound_us(
             .iter()
             .any(|t| d.assignments.iter().any(|a| a.thread == t.id))
     };
+    // The earliest a placed gang can finish, or INFINITY past the
+    // quantum; the margin covers float error in the progress it adds up.
+    let earliest_finish_us = |g: &GangState| {
+        g.threads
+            .iter()
+            .map(|t| {
+                let work = t.remaining_us - ROUNDING_MARGIN_US;
+                ceiling.time_to_us(t.id, work, quantum as f64)
+            })
+            .fold(0.0, f64::max)
+    };
     let gangs = || {
         measured
             .iter()
             .filter_map(|&id| state.gangs.iter().find(|g| g.app == id))
     };
-    if !gangs().any(|g| g.finished_at.is_none() && !placed(g)) {
+    if !gangs()
+        .any(|g| g.finished_at.is_none() && (!placed(g) || earliest_finish_us(g) > quantum as f64))
+    {
         return None;
     }
     let soonest_finish = state
         .gangs
         .iter()
         .filter(|g| placed(g))
-        .map(GangState::max_remaining_us)
+        .map(earliest_finish_us)
         .fold(f64::INFINITY, f64::min);
-    let delta = (soonest_finish - ROUNDING_MARGIN_US)
-        .max(0.0)
-        .min(d.next_resched_in_us as f64) as u64;
+    let delta = soonest_finish
+        .min(quantum as f64 - ROUNDING_MARGIN_US)
+        .max(0.0);
     let bound = gangs()
         .map(|g| {
             if placed(g) {
+                let slowest = g
+                    .threads
+                    .iter()
+                    .max_by(|a, b| a.remaining_us.total_cmp(&b.remaining_us))
+                    .expect("a placed gang has threads");
+                let rise = delta - ceiling.progress_us(slowest.id, delta);
+                let from = state.now.saturating_add(rise as u64);
                 let slack = cfg.lb_slack_us + ROUNDING_MARGIN_US;
-                gang_bound_us(g, state.now, slack, cfg.horizon_us)
+                gang_bound_us(g, from, slack, cfg.horizon_us)
             } else {
-                let from = state.now.saturating_add(delta);
+                let from = state.now.saturating_add(delta as u64);
                 gang_bound_us(g, from, cfg.lb_slack_us, cfg.horizon_us)
             }
         })
@@ -582,8 +607,9 @@ impl Tasks for SerialTasks {
     }
 }
 
-/// Where a candidate simulation stopped, with its paused run at a branch.
-type Outcome = (SimNode, Option<PausedRun>);
+/// Where a candidate simulation stopped, with its paused run at a branch,
+/// and a seed's recorded decisions (empty for every other run).
+type Outcome = (SimNode, Option<PausedRun>, Vec<Decision>);
 
 /// Candidate simulations queued on a [`Tasks`] scope, collected by
 /// ticket in whatever order the search needs them.
@@ -635,7 +661,7 @@ impl<'t> InFlight<'t> {
                 // sent.
                 Err(_) => self.rx.try_recv().expect("a queued task sent its outcome"),
             };
-            if let (SimNode::Branch { lower_bound_us, .. }, run) = &mut outcome {
+            if let (SimNode::Branch { lower_bound_us, .. }, run, _) = &mut outcome {
                 if *lower_bound_us >= prune_at {
                     *run = None;
                 }
@@ -643,6 +669,29 @@ impl<'t> InFlight<'t> {
             self.arrived.insert(t, outcome);
         }
     }
+}
+
+/// Run `sched` on `machine` from t = 0 as a seed — hard cap at the
+/// horizon, stopping once every measured app has finished — recording
+/// every decision it makes. Returns where the run ended, a `Leaf` or
+/// `Censored`, and the decision log: `simulate` of that log on an equal
+/// machine ends the same way, since the machine is deterministic.
+pub fn record_run(
+    mut machine: Machine,
+    measured: &[AppId],
+    sched: &mut dyn Scheduler,
+    cfg: &OracleSearchConfig,
+) -> (SimNode, Vec<Decision>) {
+    machine.set_hard_cap_us(cfg.horizon_us);
+    let mut rec = RecordingScheduler::new(sched);
+    let out = machine.run(&mut rec, StopCondition::AppsFinished(measured.to_vec()));
+    let cost_us = censored_cost_us(&machine, measured, out.stopped_at);
+    let node = if out.condition_met {
+        SimNode::Leaf { cost_us }
+    } else {
+        SimNode::Censored { cost_us }
+    };
+    (node, rec.into_log())
 }
 
 /// Evaluate one candidate plan on a fresh machine: run it from t = 0,
@@ -822,11 +871,25 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
-    /// Queue a run of `plan` on a clone of the template.
-    fn queue_start(&self, runs: &mut InFlight<'_>, plan: Vec<Decision>) -> u64 {
+    /// Queue the root: a run on a clone of the template to its first
+    /// scheduling point.
+    fn queue_root(&self, runs: &mut InFlight<'_>) -> u64 {
         let (machine, measured, cfg) =
             (self.template.clone(), Arc::clone(&self.measured), self.cfg);
-        runs.spawn(move || start(machine, &measured, &plan, &cfg))
+        runs.spawn(move || {
+            let (node, run) = start(machine, &measured, &[], &cfg);
+            (node, run, Vec::new())
+        })
+    }
+
+    /// Queue a recorded run of `seed` on a clone of the template.
+    fn queue_seed(&self, runs: &mut InFlight<'_>, mut seed: Box<dyn Scheduler>) -> u64 {
+        let (machine, measured, cfg) =
+            (self.template.clone(), Arc::clone(&self.measured), self.cfg);
+        runs.spawn(move || {
+            let (node, log) = record_run(machine, &measured, &mut *seed, &cfg);
+            (node, None, log)
+        })
     }
 
     /// Expand `node` as popped when `nodes` candidates have been counted:
@@ -849,15 +912,20 @@ impl Search<'_> {
             .iter()
             .take(usize::try_from(room).unwrap_or(usize::MAX))
             .map(|d| {
-                if self.prune
-                    && presim_bound_us(&node.state, d, &self.measured, &self.cfg)
+                let pruned = self.prune && {
+                    let ceiling = node.run.machine.progress_ceiling(d);
+                    presim_bound_us(&node.state, d, &ceiling, &self.measured, &self.cfg)
                         .is_some_and(|lb| lb >= incumbent)
-                {
+                };
+                if pruned {
                     return None;
                 }
                 let (fork, d) = (node.run.clone(), d.clone());
                 let (measured, cfg) = (Arc::clone(&self.measured), self.cfg);
-                Some(runs.spawn(move || resume(fork, &d, &measured, &cfg)))
+                Some(runs.spawn(move || {
+                    let (node, run) = resume(fork, &d, &measured, &cfg);
+                    (node, run, Vec::new())
+                }))
             })
             .collect();
         Expansion {
@@ -871,40 +939,40 @@ impl Search<'_> {
     /// `runs`. Outcomes are consumed in the order a serial search would
     /// produce them, so the report does not depend on where or when the
     /// simulations ran.
-    fn run(&self, runs: &mut InFlight<'_>, seeds: &[Vec<Decision>], report: &mut OracleReport) {
+    fn run(
+        &self,
+        runs: &mut InFlight<'_>,
+        seeds: Vec<Box<dyn Scheduler>>,
+        report: &mut OracleReport,
+    ) {
         let budget = self.cfg.node_budget;
 
-        // Seed the incumbent with the recorded heuristic runs. Evaluating
-        // them through the same simulate() makes "oracle ≤ every seeded
+        // Seed the incumbent with whole runs of the heuristic schedulers,
+        // each recorded and scored in one run on the same kind of machine
+        // as every candidate, which makes "oracle ≤ every seeded
         // heuristic" structural rather than numerical. Every seed the
         // budget admits, and the root after them, is queued at once.
-        let admitted = seeds
-            .len()
-            .min(usize::try_from(budget).unwrap_or(usize::MAX));
-        let seed_tickets: Vec<u64> = seeds[..admitted]
-            .iter()
-            .map(|seed| self.queue_start(runs, seed.clone()))
+        let n_seeds = seeds.len();
+        let admitted = n_seeds.min(usize::try_from(budget).unwrap_or(usize::MAX));
+        let seed_tickets: Vec<u64> = seeds
+            .into_iter()
+            .take(admitted)
+            .map(|seed| self.queue_seed(runs, seed))
             .collect();
-        let root_ticket = (admitted == seeds.len() && (seeds.len() as u64) < budget)
-            .then(|| self.queue_start(runs, Vec::new()));
-        for (i, seed) in seeds.iter().enumerate() {
-            if report.nodes >= budget {
-                report.complete = false;
-                return;
-            }
+        let root_ticket =
+            (admitted == n_seeds && (n_seeds as u64) < budget).then(|| self.queue_root(runs));
+        for (i, &ticket) in seed_tickets.iter().enumerate() {
             report.nodes += 1;
-            match runs.take(seed_tickets[i], u64::MAX).0 {
-                SimNode::Leaf { cost_us } | SimNode::Censored { cost_us } => {
-                    report.leaves += 1;
+            report.leaves += 1;
+            match runs.take(ticket, u64::MAX) {
+                (SimNode::Leaf { cost_us } | SimNode::Censored { cost_us }, _, log) => {
                     if cost_us < report.best_cost_us {
                         report.best_cost_us = cost_us;
-                        report.best_plan = seed.clone();
+                        report.best_plan = log;
                         report.best_from_seed = Some(i);
                     }
                 }
-                // A seed that runs out before the horizon has no defined
-                // cost; it cannot serve as an incumbent.
-                SimNode::Branch { .. } => {}
+                (SimNode::Branch { .. }, ..) => unreachable!("a recorded run ends"),
             }
         }
 
@@ -915,7 +983,7 @@ impl Search<'_> {
         };
         report.nodes += 1;
         match runs.take(root_ticket, u64::MAX) {
-            (SimNode::Leaf { cost_us } | SimNode::Censored { cost_us }, _) => {
+            (SimNode::Leaf { cost_us } | SimNode::Censored { cost_us }, ..) => {
                 report.leaves += 1;
                 report.root_lower_bound_us = cost_us;
                 if cost_us < report.best_cost_us {
@@ -930,6 +998,7 @@ impl Search<'_> {
                     lower_bound_us,
                 },
                 run,
+                _,
             ) => {
                 report.root_lower_bound_us = lower_bound_us;
                 stack.push(Stacked::Waiting(Box::new(Interior {
@@ -1009,7 +1078,7 @@ impl Search<'_> {
                     report.presim_prunes += 1;
                     continue;
                 };
-                let (sim, run) = runs.take(ticket, prune_at);
+                let (sim, run, _) = runs.take(ticket, prune_at);
                 let mut child_plan = exp.plan.clone();
                 child_plan.push(d);
                 match sim {
@@ -1062,7 +1131,7 @@ fn search(
     template: &Machine,
     measured: &[AppId],
     cfg: &OracleSearchConfig,
-    seeds: &[Vec<Decision>],
+    seeds: Vec<Box<dyn Scheduler>>,
     sym_classes: &[Vec<AppId>],
     prune: bool,
     fan: &dyn FanOut,
@@ -1086,7 +1155,11 @@ fn search(
         sym_classes,
         prune,
     };
-    fan.scope(&mut |tasks| search.run(&mut InFlight::new(tasks), seeds, &mut report));
+    let mut seeds = Some(seeds);
+    fan.scope(&mut |tasks| {
+        let seeds = seeds.take().expect("a scope runs its body once");
+        search.run(&mut InFlight::new(tasks), seeds, &mut report);
+    });
     report
 }
 
@@ -1094,8 +1167,9 @@ fn search(
 ///
 /// `template` is the instance at t = 0, never driven itself: every
 /// candidate runs on a clone of it; `measured` lists the apps whose total
-/// turnaround is the objective; `seeds` are recorded heuristic decision
-/// logs (see [`RecordingScheduler`]) evaluated first as incumbents;
+/// turnaround is the objective; `seeds` are heuristic schedulers, each
+/// run once on a clone of the template and its recorded decision log
+/// (see [`record_run`]) taken as an incumbent before the search starts;
 /// `sym_classes` lists groups of gangs the caller asserts are
 /// bit-identical at t = 0 — the search then explores only one
 /// representative of each permutation while the gangs are unstarted.
@@ -1110,7 +1184,7 @@ pub fn offline_optimal(
     template: &Machine,
     measured: &[AppId],
     cfg: &OracleSearchConfig,
-    seeds: &[Vec<Decision>],
+    seeds: Vec<Box<dyn Scheduler>>,
     sym_classes: &[Vec<AppId>],
     fan: &dyn FanOut,
 ) -> OracleReport {
@@ -1127,15 +1201,15 @@ pub fn brute_force_optimal(
     cfg: &OracleSearchConfig,
     fan: &dyn FanOut,
 ) -> OracleReport {
-    search(template, measured, cfg, &[], &[], false, fan)
+    search(template, measured, cfg, Vec::new(), &[], false, fan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use busbw_sim::{
-        AppDescriptor, AppId, ConstantDemand, Decision, Machine, MachineConfig, Scheduler,
-        StopCondition, ThreadSpec, TopologyConfig, XEON_4WAY,
+        AppDescriptor, AppId, CacheConfig, ConstantDemand, Decision, Machine, MachineConfig,
+        Scheduler, StopCondition, ThreadSpec, TopologyConfig, XEON_4WAY, XEON_4WAY_HT,
     };
 
     fn add(m: &mut Machine, name: &str, n: usize, rate: f64) -> AppId {
@@ -1289,7 +1363,7 @@ mod tests {
         let cfg = small_cfg();
         let (m, measured) = small_instance();
         let bf = brute_force_optimal(&m, &measured, &cfg, &Serial);
-        let bb = offline_optimal(&m, &measured, &cfg, &[], &[], &Serial);
+        let bb = offline_optimal(&m, &measured, &cfg, Vec::new(), &[], &Serial);
         assert!(bf.complete && bb.complete);
         assert_eq!(bb.best_cost_us, bf.best_cost_us);
         // Same DFS order + strict incumbent updates ⇒ same winning plan.
@@ -1306,7 +1380,7 @@ mod tests {
     fn root_lower_bound_is_admissible() {
         let cfg = small_cfg();
         let (m, measured) = small_instance();
-        let r = offline_optimal(&m, &measured, &cfg, &[], &[], &Serial);
+        let r = offline_optimal(&m, &measured, &cfg, Vec::new(), &[], &Serial);
         assert!(r.complete);
         assert!(
             r.root_lower_bound_us <= r.best_cost_us,
@@ -1333,7 +1407,7 @@ mod tests {
         let (m, measured) = build();
         let bf = brute_force_optimal(&m, &measured, &cfg, &Serial);
         let sym = vec![vec![measured[0], measured[1]]];
-        let bb = offline_optimal(&m, &measured, &cfg, &[], &sym, &Serial);
+        let bb = offline_optimal(&m, &measured, &cfg, Vec::new(), &sym, &Serial);
         assert!(bf.complete && bb.complete);
         assert_eq!(bb.best_cost_us, bf.best_cost_us);
         assert!(bb.sym_prunes > 0, "twins never triggered symmetry pruning");
@@ -1359,7 +1433,12 @@ mod tests {
             })
             .sum();
 
-        let r = offline_optimal(&small_instance().0, &measured, &cfg, &[seed], &[], &Serial);
+        let seeds: Vec<Box<dyn Scheduler>> =
+            vec![Box::new(round_robin_gang_with_quantum(cfg.quantum_us))];
+        let r = offline_optimal(&small_instance().0, &measured, &cfg, seeds, &[], &Serial);
+        if r.best_from_seed.is_some() {
+            assert_eq!(r.best_plan, seed, "the seed's plan is its recorded log");
+        }
         assert!(
             r.best_cost_us <= seed_cost,
             "oracle {} worse than its own seed {}",
@@ -1408,7 +1487,7 @@ mod tests {
         let mut cfg = OracleSearchConfig::new(100_000, 1_000_000);
         cfg.node_budget = 3_000;
         let (m, measured) = build();
-        let r = offline_optimal(&m, &measured, &cfg, &[], &[], &Serial);
+        let r = offline_optimal(&m, &measured, &cfg, Vec::new(), &[], &Serial);
         assert!(r.leaves > 0);
         assert!(r.best_cost_us >= 120_000 && r.best_cost_us < u64::MAX);
         assert!(r.root_lower_bound_us <= r.best_cost_us);
@@ -1421,7 +1500,7 @@ mod tests {
             ..small_cfg()
         };
         let (m, measured) = small_instance();
-        let r = offline_optimal(&m, &measured, &cfg, &[], &[], &Serial);
+        let r = offline_optimal(&m, &measured, &cfg, Vec::new(), &[], &Serial);
         assert!(!r.complete);
         assert!(r.nodes <= 5);
     }
@@ -1466,7 +1545,7 @@ mod tests {
         let cfg = small_cfg();
         for mc in [XEON_4WAY, TWO_SOCKETS] {
             let (m, measured) = small_instance_on(mc);
-            let best = offline_optimal(&m, &measured, &cfg, &[], &[], &Serial);
+            let best = offline_optimal(&m, &measured, &cfg, Vec::new(), &[], &Serial);
             assert!(best.complete);
             let len =
                 assert_resume_matches_replay(&m, &measured, &cfg, |i, _| best.best_plan[i].clone());
@@ -1485,6 +1564,18 @@ mod tests {
         cfg: &OracleSearchConfig,
         limit: usize,
     ) -> usize {
+        walk_presim_bound(template, measured, cfg, limit, |_| {})
+    }
+
+    /// [`assert_presim_bound_is_admissible`] with every child's progress
+    /// ceiling passed through `tweak` before the bound reads it.
+    fn walk_presim_bound(
+        template: &Machine,
+        measured: &[AppId],
+        cfg: &OracleSearchConfig,
+        limit: usize,
+        tweak: impl Fn(&mut ProgressCeiling),
+    ) -> usize {
         let mut stack = Vec::new();
         if let (SimNode::Branch { state, .. }, run) = start(template.clone(), measured, &[], cfg) {
             stack.push((state, run.expect("a branch is paused")));
@@ -1497,8 +1588,10 @@ mod tests {
                     return applied;
                 }
                 simulated += 1;
+                let mut ceiling = paused.machine.progress_ceiling(&d);
+                tweak(&mut ceiling);
                 let (child, run) = resume(paused.clone(), &d, measured, cfg);
-                if let Some(bound) = presim_bound_us(&state, &d, measured, cfg) {
+                if let Some(bound) = presim_bound_us(&state, &d, &ceiling, measured, cfg) {
                     applied += 1;
                     match &child {
                         SimNode::Branch { lower_bound_us, .. } => assert!(
@@ -1524,18 +1617,113 @@ mod tests {
     #[test]
     fn presim_bound_is_admissible_on_small_instances() {
         // The second horizon cuts the schedules short, so quanta that
-        // would cross it are in the tree.
+        // would cross it are in the tree. On the SMT machine all three
+        // gangs fit at once, so children that place every gang are
+        // branches only when some gang cannot finish within the quantum.
         for horizon_us in [2_000_000, 250_000] {
             let cfg = OracleSearchConfig {
                 horizon_us,
                 ..small_cfg()
             };
-            for mc in [XEON_4WAY, TWO_SOCKETS] {
+            for mc in [XEON_4WAY, TWO_SOCKETS, XEON_4WAY_HT] {
                 let (m, measured) = small_instance_on(mc);
                 let applied = assert_presim_bound_is_admissible(&m, &measured, &cfg, 5_000);
                 assert!(applied > 0, "the bound never applied");
             }
         }
+    }
+
+    /// A gang with one thread per `(rate, µ, work)`.
+    fn add_mixed(
+        m: &mut Machine,
+        name: &str,
+        threads: &[(f64, f64, f64)],
+        barrier_us: Option<f64>,
+    ) -> AppId {
+        let threads = threads
+            .iter()
+            .map(|&(rate, mu, work)| ThreadSpec::new(work, Box::new(ConstantDemand::new(rate, mu))))
+            .collect();
+        let desc = AppDescriptor::new(name, threads);
+        m.add_app(match barrier_us {
+            Some(b) => desc.with_barrier_interval(b),
+            None => desc,
+        })
+    }
+
+    /// Two saturating gangs run while a third waits. In `a`, one thread
+    /// finishes 20 ms in; the other threads then have the bus nearly to
+    /// themselves.
+    fn early_finisher() -> (Machine, Vec<AppId>) {
+        let mut m = Machine::new(XEON_4WAY);
+        let a = add_mixed(
+            &mut m,
+            "a",
+            &[(14.0, 0.9, 20_000.0), (14.0, 0.9, 400_000.0)],
+            None,
+        );
+        let b = add_mixed(&mut m, "b", &[(14.0, 0.9, 400_000.0); 2], None);
+        let c = add_finite(&mut m, "c", 2, 1.0, 400_000.0);
+        (m, vec![a, b, c])
+    }
+
+    /// Two gangs saturate the bus while a third waits. Gang `a`'s
+    /// bus-insensitive thread, with most of the traffic, has run alone
+    /// up to the 5 ms barrier it shares with a memory-bound sibling: it
+    /// spins, issuing nothing, for the first tick of any quantum that
+    /// places its gang. Cold caches add no traffic here, so the bus floor
+    /// is tight from the first tick.
+    fn early_spinner() -> (Machine, Vec<AppId>) {
+        let mut m = Machine::new(MachineConfig {
+            cache: CacheConfig {
+                cold_demand_boost: 0.0,
+                ..XEON_4WAY.cache
+            },
+            ..XEON_4WAY
+        });
+        let spin = [(25.0, 0.0, 400_000.0), (1.0, 1.0, 400_000.0)];
+        let a = add_mixed(&mut m, "a", &spin, Some(5_000.0));
+        let b = add_mixed(&mut m, "b", &[(2.0, 1.0, 400_000.0); 2], None);
+        let c = add_finite(&mut m, "c", 2, 1.0, 400_000.0);
+        let alone = Decision {
+            assignments: vec![Assignment {
+                thread: ThreadId(0),
+                cpu: CpuId(0),
+            }],
+            next_resched_in_us: 10_000,
+            sample_period_us: None,
+        };
+        m.run(
+            &mut busbw_sim::testkit::Replay::new(alone),
+            StopCondition::At(10_000),
+        );
+        (m, vec![a, b, c])
+    }
+
+    #[test]
+    fn presim_bound_is_admissible_when_threads_finish_or_spin_early() {
+        for (m, measured) in [early_finisher(), early_spinner()] {
+            let applied = assert_presim_bound_is_admissible(&m, &measured, &small_cfg(), 200);
+            assert!(applied > 0, "the bound never applied");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pre-simulation bound")]
+    fn a_ceiling_without_its_finish_guard_trips_the_walker() {
+        let (m, measured) = early_finisher();
+        walk_presim_bound(&m, &measured, &small_cfg(), 200, |c| {
+            c.finish_us = f64::INFINITY;
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "pre-simulation bound")]
+    fn a_ceiling_without_its_spin_guard_trips_the_walker() {
+        let (m, measured) = early_spinner();
+        walk_presim_bound(&m, &measured, &small_cfg(), 200, |c| {
+            c.spin_us = f64::INFINITY;
+        });
     }
 
     /// The regret figure's mixes as the experiments harness builds them at
@@ -1559,10 +1747,13 @@ mod tests {
 
     #[test]
     fn presim_bound_is_admissible_on_the_regret_instances() {
+        // LU CB's demand oscillates over virtual time and Raytrace's
+        // bursts over wall time, so their windows end at demand changes.
         for (names, scale) in [
             (&["CG", "SP", "MG"][..], 0.03),
             (&["CG", "LU CB", "Volrend"][..], 0.03),
             (&["CG", "SP", "MG"][..], 0.07),
+            (&["Raytrace", "LU CB", "SP"][..], 0.05),
         ] {
             let (m, measured, cfg) = regret_instance(names, scale);
             let applied = assert_presim_bound_is_admissible(&m, &measured, &cfg, 300);
@@ -1572,30 +1763,49 @@ mod tests {
 
     mod presim_props {
         use super::*;
+        use busbw_workloads::phases::CyclicPhases;
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(3))]
 
             /// Random mixes of 2–3 finite gangs, demand-free ones (which
-            /// run at full speed) included, under horizons that may cut
-            /// the schedules short.
+            /// run at full speed) included, on one socket, two, or with
+            /// SMT, under horizons that may cut the schedules short. A
+            /// gang may couple its threads with a
+            /// barrier, give its second thread another µ, and oscillate
+            /// its demand over virtual time.
             #[test]
             fn presim_bound_is_admissible_on_random_mixes(
                 gangs in proptest::collection::vec(
-                    (1usize..=2, any::<bool>(), 0.0f64..12.0, 30_000.0f64..300_000.0),
+                    (
+                        (1usize..=2, any::<bool>(), 0.0f64..12.0, 30_000.0f64..300_000.0),
+                        (0u64..3, 5_000.0f64..150_000.0, 0.05f64..1.0, 20_000.0f64..300_000.0),
+                    ),
                     2..=3,
                 ),
                 horizon_us in 150_000u64..1_500_000,
-                two_sockets in any::<bool>(),
+                machine in 0usize..3,
             ) {
-                let mut m = Machine::new(if two_sockets { TWO_SOCKETS } else { XEON_4WAY });
+                let mut m = Machine::new([XEON_4WAY, TWO_SOCKETS, XEON_4WAY_HT][machine]);
                 let measured: Vec<AppId> = gangs
                     .iter()
                     .enumerate()
-                    .map(|(i, &(n, free, rate, work))| {
+                    .map(|(i, &((n, free, rate, work), (shape, barrier, mu, period)))| {
                         let rate = if free { 0.0 } else { rate };
-                        add_finite(&mut m, &format!("g{i}"), n, rate, work)
+                        let threads = (0..n)
+                            .map(|k| {
+                                let mu = if k == 1 && shape == 1 { mu } else { 0.8 };
+                                let model: Box<dyn busbw_sim::DemandModel> = if shape == 2 {
+                                    Box::new(CyclicPhases::oscillating(rate, mu, 0.5, period))
+                                } else {
+                                    Box::new(ConstantDemand::new(rate, mu))
+                                };
+                                ThreadSpec::new(work, model).with_cache_sensitivity(0.3)
+                            })
+                            .collect();
+                        let desc = AppDescriptor::new(format!("g{i}"), threads);
+                        m.add_app(if shape > 0 { desc.with_barrier_interval(barrier) } else { desc })
                     })
                     .collect();
                 let cfg = OracleSearchConfig { horizon_us, ..small_cfg() };

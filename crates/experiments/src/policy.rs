@@ -116,10 +116,14 @@ impl Default for StackSpec {
     }
 }
 
+/// A sample count of at least 1: an estimator over no samples has no
+/// estimate.
 fn parse_n(value: &str, what: &str) -> Result<usize, String> {
-    value
-        .parse()
-        .map_err(|_| format!("bad {what} count {value:?}"))
+    match value.parse() {
+        Ok(0) => Err(format!("{what} count must be at least 1, got {value:?}")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad {what} count {value:?}")),
+    }
 }
 
 impl StackSpec {
@@ -322,6 +326,8 @@ mod tests {
             "quantum=0",
             "quantum=abc",
             "estimator=window:x",
+            "estimator=window:0",
+            "estimator=ewma:0",
             "placer=moon",
         ] {
             assert!(StackSpec::parse(bad).is_err(), "{bad} should fail");

@@ -351,31 +351,6 @@ pub fn fan_out<R>(root: impl FnOnce(&Spawner) -> R) -> R {
     }
 }
 
-/// Map `f` over owned `items` as subtasks of one [`fan_out`], returning
-/// results in input order.
-pub fn fan_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
-{
-    let (f, n) = (Arc::new(f), items.len());
-    let (tx, rx) = std::sync::mpsc::channel();
-    fan_out(|s| {
-        for (i, item) in items.into_iter().enumerate() {
-            let (f, tx) = (Arc::clone(&f), tx.clone());
-            s.spawn(move |_| {
-                let _ = tx.send((i, f(item)));
-            });
-        }
-    });
-    drop(tx);
-    let mut out: Vec<(usize, R)> = rx.into_iter().collect();
-    assert_eq!(out.len(), n, "every subtask ran");
-    out.sort_unstable_by_key(|&(i, _)| i);
-    out.into_iter().map(|(_, r)| r).collect()
-}
-
 /// The pool this thread is working for, as the oracle's [`FanOut`]: its
 /// candidate simulations become subtasks of the current task. Outside a
 /// pool they run serially on the caller.

@@ -21,11 +21,9 @@
 //! entry) as any heuristic cell.
 
 use busbw_core::pipeline::PAPER_QUANTUM_US;
-use busbw_core::{
-    offline_optimal, FixedPlanScheduler, OracleReport, OracleSearchConfig, RecordingScheduler,
-};
+use busbw_core::{offline_optimal, FixedPlanScheduler, OracleReport, OracleSearchConfig};
 use busbw_metrics::{ExperimentRow, FigureSummary};
-use busbw_sim::Decision;
+use busbw_sim::{AppId, Machine};
 use busbw_workloads::mix::WorkloadSpec;
 use busbw_workloads::paper::DEFAULT_SOLO_WORK_US;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -128,57 +126,49 @@ pub struct OracleOutcome {
     pub report: OracleReport,
 }
 
-/// Record one preset's full decision stream over `spec` — the oracle's
-/// incumbent seeds. Recorded untraced: decision content is what matters,
-/// and the replay re-derives everything else.
-fn record_seed(spec: &WorkloadSpec, policy: PolicyKind, rc: &RunnerConfig) -> Vec<Decision> {
-    let rc_off = RunnerConfig {
-        trace: crate::runner::TraceMode::Off,
-        ..*rc
-    };
-    let mut p = prepare_run(spec, policy, &rc_off);
-    let stop = p.stop_condition();
-    let mut rec = RecordingScheduler::new(&mut *p.sched);
-    let _ = p.machine.run(&mut rec, stop);
-    rec.into_log()
-}
-
-/// Search for the offline-optimal schedule of `spec` and return both the
-/// replayed [`RunResult`] and the search report.
-///
-/// The search horizon equals the runner's hard cap, so oracle costs are
-/// censored on exactly the same boundary as heuristic runs. Seeds come
-/// from the seven [`REGRET_PRESETS`], which makes the oracle's reported
-/// cost structurally ≤ every preset on the same cell.
-pub fn oracle_outcome(spec: &WorkloadSpec, rc: &RunnerConfig) -> OracleOutcome {
-    let horizon_us = (DEFAULT_SOLO_WORK_US * rc.scale * rc.hard_cap_factor) as u64;
-    let cfg = OracleSearchConfig {
+/// The search's configuration for `rc`: the paper's quantum, and a
+/// horizon equal to the runner's hard cap, so oracle costs are censored
+/// on exactly the same boundary as heuristic runs.
+fn search_config(rc: &RunnerConfig) -> OracleSearchConfig {
+    OracleSearchConfig {
         quantum_us: PAPER_QUANTUM_US,
-        horizon_us,
+        horizon_us: (DEFAULT_SOLO_WORK_US * rc.scale * rc.hard_cap_factor) as u64,
         node_budget: REGRET_NODE_BUDGET,
         lb_slack_us: 1.0,
-    };
+    }
+}
 
-    let (seed_spec, seed_rc) = (spec.clone(), *rc);
-    let seeds: Vec<Vec<Decision>> = crate::pool::fan_map(REGRET_PRESETS.to_vec(), move |p| {
-        record_seed(&seed_spec, p, &seed_rc)
-    });
-
+/// The instance every candidate of the search runs on a clone of, built
+/// untraced exactly as a preset's run of `spec` is, and its measured apps.
+fn search_template(spec: &WorkloadSpec, rc: &RunnerConfig) -> (Machine, Vec<AppId>) {
     let rc_off = RunnerConfig {
         trace: crate::runner::TraceMode::Off,
         ..*rc
     };
     let template = prepare_run(spec, PolicyKind::OfflineOptimal, &rc_off);
     let measured = template.measured_ids().to_vec();
+    (template.into_machine(), measured)
+}
+
+/// Search for the offline-optimal schedule of `spec` and return both the
+/// replayed [`RunResult`] and the search report.
+///
+/// Seeds are the seven [`REGRET_PRESETS`], each run once on a clone of
+/// the template, which makes the oracle's reported cost structurally ≤
+/// every preset on the same cell.
+pub fn oracle_outcome(spec: &WorkloadSpec, rc: &RunnerConfig) -> OracleOutcome {
+    let cfg = search_config(rc);
+    let (template, measured) = search_template(spec, rc);
+    let seeds = REGRET_PRESETS.iter().map(PolicyKind::build).collect();
 
     // Instances built by `build_machine` seed each gang's demand model
     // independently (seed + instance index), so even same-name instances
     // are not bit-identical — no symmetry classes are declared here.
     let report = offline_optimal(
-        &template.into_machine(),
+        &template,
         &measured,
         &cfg,
-        &seeds,
+        seeds,
         &[],
         &crate::pool::CurrentPool,
     );
@@ -339,6 +329,7 @@ pub fn regret_panel(rc: &RunnerConfig) -> FigureSummary {
 mod tests {
     use super::*;
     use crate::runner::run_spec;
+    use busbw_core::{oracle_simulate as simulate, record_run, SimNode};
 
     fn rc() -> RunnerConfig {
         RunnerConfig {
@@ -432,7 +423,43 @@ mod tests {
             ]
         );
         let presim: Vec<u64> = reports.iter().map(|r| r.presim_prunes).collect();
-        assert_eq!(presim, vec![45, 5, 1081]);
+        assert_eq!(presim, vec![61, 7, 1400]);
+    }
+
+    /// A seed is recorded and scored in one run: on both mixes at the
+    /// pinned scales, each preset's recorded run ends where `simulate` of
+    /// its decision log on the same template does, cost included.
+    #[test]
+    fn recorded_seed_runs_score_like_their_replays() {
+        for scale in [0.03, 0.07] {
+            let rc = RunnerConfig {
+                scale,
+                workers: 1,
+                ..RunnerConfig::default()
+            };
+            let cfg = search_config(&rc);
+            for mix in regret_mixes() {
+                let (template, measured) = search_template(&mix, &rc);
+                for p in REGRET_PRESETS {
+                    let (recorded, plan) =
+                        record_run(template.clone(), &measured, &mut *p.build(), &cfg);
+                    assert!(
+                        matches!(recorded, SimNode::Leaf { .. } | SimNode::Censored { .. }),
+                        "{} on {} at {scale}: {recorded:?}",
+                        p.label(),
+                        mix.name
+                    );
+                    let replayed = simulate(template.clone(), &measured, &plan, &cfg);
+                    assert_eq!(
+                        recorded,
+                        replayed,
+                        "{} on {} at {scale}",
+                        p.label(),
+                        mix.name
+                    );
+                }
+            }
+        }
     }
 
     /// Where the search's candidate simulations run never shows in its

@@ -450,6 +450,23 @@ fn run_case(
     }
 }
 
+/// Zero-sample estimators, which the fuzz below can draw but its seeded
+/// sample does not: the parser rejects them before any run starts.
+#[test]
+fn zero_sample_estimators_exit_2_without_panicking() {
+    for policy in ["estimator=window:0", "estimator=ewma:0"] {
+        let argv = ["fig2a", "--policy", policy, "--scale", "0.001"];
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(argv)
+            .output()
+            .expect("experiments binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(stderr.contains("at least 1"), "{argv:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+    }
+}
+
 #[test]
 fn argv_fuzz_never_panics_and_exits_0_1_or_2() {
     const SEED: u64 = 42;

@@ -181,6 +181,16 @@ pub trait BusModel: Send + BusModelClone {
     fn levels(&self) -> &[LevelOutcome] {
         &[]
     }
+
+    /// A floor on the dilation Λ this model imposes on `reqs`, and on any
+    /// request set that differs from it only by higher rates (the
+    /// machine's cache-cold boosts), whatever the model's memo holds. The
+    /// default, 1, is what every model guarantees: contention never makes
+    /// a thread faster than solo.
+    fn dilation_floor(&self, reqs: &[BusRequest]) -> f64 {
+        let _ = reqs;
+        1.0
+    }
 }
 
 /// Boxed cloning for [`BusModel`] trait objects; blanket-implemented for
@@ -204,7 +214,7 @@ impl Clone for Box<dyn BusModel> {
 
 /// Amdahl-style dilation speed at dilation Λ.
 #[inline]
-fn dilated_speed(mu: f64, lambda: f64) -> f64 {
+pub(crate) fn dilated_speed(mu: f64, lambda: f64) -> f64 {
     1.0 / ((1.0 - mu) + mu * lambda)
 }
 
@@ -498,6 +508,25 @@ impl BusModel for FsbBus {
     fn memo_stats(&self) -> Option<(u64, u64)> {
         Some((self.memo_hits, self.memo_misses))
     }
+
+    /// Λ of `reqs` itself, solved from a cold start. Raising any rate can
+    /// only add active masters, which shrinks the effective capacity, and
+    /// raises the total demand, hence the queueing term, and every term of
+    /// the saturation equation, whose root therefore moves right.
+    fn dilation_floor(&self, reqs: &[BusRequest]) -> f64 {
+        let threshold = self.cfg.active_master_threshold;
+        let n_masters = reqs.iter().filter(|r| r.rate > threshold).count();
+        let cap = self.cfg.effective_capacity(n_masters);
+        let total_demand: f64 = reqs.iter().map(|r| r.rate).sum();
+        let utilization = (total_demand / cap).min(1.0);
+        let queueing = self.cfg.queueing_coeff * utilization.powf(self.cfg.queueing_exponent);
+        let lambda_sat = if total_demand > cap {
+            solve_lambda(reqs, cap, 1.0)
+        } else {
+            1.0
+        };
+        lambda_sat.max(1.0 + queueing)
+    }
 }
 
 /// Evaluate f(λ) = Σ dᵢ/(aᵢ + bᵢλ) − cap and its derivative over one SoA
@@ -740,6 +769,39 @@ mod tests {
         assert_eq!(out.total_issued, 0.0);
         assert!(!out.saturated);
         assert!(out.shares.is_empty());
+    }
+
+    #[test]
+    fn dilation_floor_is_below_every_boosted_arbitration() {
+        // Light, moderate and saturating sets, each arbitrated as given
+        // and with every rate boosted up to the cache-cold 1.6×, on a
+        // bus whose memo and warm start hold an unrelated earlier solve.
+        let sets: [&[(f64, f64)]; 3] = [
+            &[(1.0, 0.2), (0.4, 0.1)],
+            &[(9.0, 0.5), (6.0, 0.4), (0.3, 0.0)],
+            &[(11.6, 0.85), (11.6, 0.85), (9.75, 0.7), (10.25, 0.78)],
+        ];
+        for set in sets {
+            let reqs: Vec<_> = (0..).zip(set).map(|(i, &(r, mu))| req(i, r, mu)).collect();
+            let mut bus = default_fsb();
+            bus.arbitrate(&[req(9, 40.0, 1.0)]);
+            let floor = bus.dilation_floor(&reqs);
+            assert!(floor >= 1.0);
+            for boost in [1.0, 1.01, 1.3, 1.6] {
+                let boosted: Vec<_> = reqs
+                    .iter()
+                    .map(|r| req(r.thread.0, r.rate * boost, r.mu))
+                    .collect();
+                let lambda = bus.arbitrate(&boosted).dilation;
+                assert!(
+                    floor <= lambda * (1.0 + 1e-12),
+                    "{set:?} ×{boost}: floor {floor} above Λ {lambda}"
+                );
+            }
+        }
+        // A model that proves nothing keeps the default floor.
+        let h = HierarchicalBus::new(BusConfig::default(), TopologyConfig::multi(2));
+        assert_eq!(h.dilation_floor(&[req(0, 40.0, 1.0)]), 1.0);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::ids::{CpuId, ThreadId};
 /// bus's unchanged-demand-set memo and the machine's tick coarsening; the
 /// induced model error is below 1e-6 relative, far under the 0.1-unit
 /// precision of the reported tables.
-const WARMTH_SNAP: f64 = 1e-6;
+pub(crate) const WARMTH_SNAP: f64 = 1e-6;
 
 /// Cache model parameters.
 #[derive(Debug, Clone, Copy)]

@@ -21,7 +21,9 @@
 //!   *virtual microseconds*; a [`demand::DemandModel`] maps virtual time to
 //!   (solo bus demand, memory-boundness).
 //! * [`machine`] — the SMP itself: tick loop, scheduler callbacks, quantum
-//!   and sampling timers, precise completion times.
+//!   and sampling timers, precise completion times, and
+//!   [`machine::ProgressCeiling`], a bound on how far a decision's threads
+//!   can get in the coming quantum.
 //! * [`stats`] — per-run accounting (saturation residency, peak pressure).
 //!
 //! Schedulers (the paper's contribution, crate `busbw-core`) plug in through
@@ -62,7 +64,8 @@ pub use demand::{ConstantDemand, Demand, DemandModel, DemandModelClone};
 pub use ids::{AppId, CpuId, SimTime, ThreadId};
 pub use machine::{
     AppDescriptor, AppInfo, AppReport, Assignment, AuditHook, Decision, ExecMode, Machine,
-    MachineView, RunCursor, RunOutcome, Scheduler, StepEvent, StopCondition, ThreadInfo,
+    MachineView, ProgressCeiling, RunCursor, RunOutcome, Scheduler, StepEvent, StopCondition,
+    ThreadInfo,
 };
 pub use prof::{Phase, PhaseSet, PhaseStat, PhaseTimer};
 pub use stage::{StageSnapshot, StageTiming, StageTimings, STAGE_BUCKET_BOUNDS_NS, STAGE_NAMES};

@@ -32,6 +32,9 @@ use crate::stage::StageSnapshot;
 use crate::stats::RunStats;
 use crate::thread::{SimThread, ThreadSpec, ThreadState};
 
+mod ceiling;
+pub use ceiling::ProgressCeiling;
+
 /// An application to place on the machine: a named gang of threads.
 pub struct AppDescriptor {
     /// Human-readable name (used in reports).

@@ -8,88 +8,153 @@
 //!
 //! The same workload runs under the Linux preset stack and under a
 //! [`SoloSelector`] driving the identical selector directly (same
-//! decisions, no estimate/admit/place framing or per-stage timing), in
-//! interleaved pairs timed by on-CPU time. The example prints the median
-//! overhead and exits 1 when it reaches [`BUDGET_PCT`].
+//! decisions, no estimate/admit/place framing or per-stage timing). Each
+//! timed pair steps the two runs in lockstep, one scheduling quantum of
+//! each in turn, so both sides see the same host conditions. The example
+//! prints the median overhead over the pairs with the interquartile
+//! range of the pairs, and exits 1 when the median reaches
+//! [`BUDGET_PCT`].
+
+use std::time::{Duration, Instant};
 
 use busbw::core::{linux_like, LinuxConfig, LinuxEpochSelector, SoloSelector};
-use busbw::sim::{AppDescriptor, ConstantDemand, Machine, StopCondition, ThreadSpec, XEON_4WAY};
+use busbw::sim::{
+    AppDescriptor, ConstantDemand, Machine, RunCursor, Scheduler, StepEvent, StopCondition,
+    ThreadSpec, XEON_4WAY,
+};
 
 /// The indirection budget, in percent of the direct selector's time.
 const BUDGET_PCT: f64 = 2.0;
 
-/// Time the Linux preset stack against a [`SoloSelector`] driving the
-/// same selector: `(best stack s, best direct s, median overhead %)`.
-fn pipeline_overhead_pct() -> (f64, f64, f64) {
-    // A fixed simulated horizon of endless-work gangs: both schedulers
-    // make identical decisions every quantum, and the run is long enough
-    // (tens of milliseconds of wall time) for sub-percent timing
-    // resolution.
-    let build = || {
-        let mut m = Machine::new(XEON_4WAY);
+/// Discarded pairs before the timed ones: they bring caches, branch
+/// predictors and the cpu clock to their steady state.
+const WARMUP_PAIRS: usize = 4;
+
+/// Timed pairs; the median over this many resolves the budget.
+const PAIRS: usize = 41;
+
+/// One side of a pair: a run paused between scheduling quanta, and the
+/// wall time spent advancing it.
+struct Side {
+    machine: Machine,
+    cur: RunCursor,
+    sched: Box<dyn Scheduler>,
+    spent: Duration,
+}
+
+impl Side {
+    /// A fixed simulated horizon of endless-work gangs: both schedulers
+    /// make identical decisions every quantum, and the run is long enough
+    /// (tens of milliseconds of wall time) for sub-percent resolution.
+    fn new(mut sched: Box<dyn Scheduler>) -> Self {
+        let mut machine = Machine::new(XEON_4WAY);
         for i in 0..4 {
             let threads = (0..2)
                 .map(|_| ThreadSpec::new(f64::INFINITY, Box::new(ConstantDemand::new(5.0, 0.6))))
                 .collect();
-            m.add_app(AppDescriptor::new(format!("a{i}"), threads));
+            machine.add_app(AppDescriptor::new(format!("a{i}"), threads));
         }
-        m
-    };
-    // On-CPU nanoseconds of the calling thread (Linux schedstat), which
-    // excludes preemption and steal time — the dominant noise when
-    // benchmarking inside shared containers/CI runners.
-    let thread_cpu_ns = || -> Option<u64> {
-        let s = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-        s.split_whitespace().next()?.parse().ok()
-    };
-    let run = |stack: bool| {
-        let mut machine = build();
-        let stop = StopCondition::At(15_000_000);
-        let cpu0 = thread_cpu_ns();
-        let t = std::time::Instant::now();
-        if stack {
-            machine.run(&mut linux_like(), stop);
-        } else {
-            let mut solo =
-                SoloSelector::new(LinuxEpochSelector::new(), LinuxConfig::default().quantum_us);
-            machine.run(&mut solo, stop);
+        sched.attach_tracer(machine.tracer());
+        sched.set_introspect(false);
+        let cur = machine.run_begin(StopCondition::At(15_000_000));
+        Self {
+            machine,
+            cur,
+            sched,
+            spent: Duration::ZERO,
         }
-        let wall = t.elapsed().as_secs_f64();
-        match (cpu0, thread_cpu_ns()) {
-            (Some(a), Some(b)) if b > a => (b - a) as f64 / 1e9,
-            _ => wall,
-        }
+    }
+
+    /// Advance through the next scheduling point; false once the run is
+    /// over.
+    fn step(&mut self) -> bool {
+        let t = Instant::now();
+        let more = loop {
+            match self.machine.run_step(&mut self.cur, None) {
+                StepEvent::Sample => self.sched.on_sample(&self.machine.view()),
+                StepEvent::Schedule => {
+                    let d = self.sched.schedule(&self.machine.view());
+                    self.machine.run_decide(&mut self.cur, &d);
+                    break true;
+                }
+                StepEvent::Done(_) => break false,
+            }
+        };
+        self.spent += t.elapsed();
+        more
+    }
+}
+
+/// One pair: `(stack s, direct s)`, stepped in lockstep, the side that
+/// steps first alternating with `stack_first`.
+fn pair(stack_first: bool) -> (f64, f64) {
+    let mut stack = Side::new(Box::new(linux_like()));
+    let solo = SoloSelector::new(LinuxEpochSelector::new(), LinuxConfig::default().quantum_us);
+    let mut solo = Side::new(Box::new(solo));
+    let (first, second) = if stack_first {
+        (&mut stack, &mut solo)
+    } else {
+        (&mut solo, &mut stack)
     };
-    // One discarded warmup pair, then back-to-back (stack, direct) pairs
-    // in alternating order so neither side systematically runs first.
-    // Each pair shares its ambient load, so its overhead ratio is nearly
-    // noise-free; the median across pairs discards the few pairs a
-    // scheduling burst lands inside. Minima are reported for reference.
-    run(true);
-    run(false);
+    loop {
+        let more = first.step();
+        if second.step() != more {
+            unreachable!("both sides make the same decisions");
+        }
+        if !more {
+            break;
+        }
+    }
+    (stack.spent.as_secs_f64(), solo.spent.as_secs_f64())
+}
+
+/// The guard's timings: minima for reference, and the median and
+/// interquartile range of the per-pair overheads, in percent.
+struct Overhead {
+    best_stack_s: f64,
+    best_solo_s: f64,
+    median_pct: f64,
+    iqr_pct: f64,
+}
+
+/// Time the Linux preset stack against a [`SoloSelector`] driving the
+/// same selector. The median across pairs discards the few pairs a
+/// scheduling burst lands inside.
+fn pipeline_overhead() -> Overhead {
+    for i in 0..WARMUP_PAIRS {
+        pair(i % 2 == 0);
+    }
     let (mut best_stack, mut best_solo) = (f64::INFINITY, f64::INFINITY);
-    let mut overheads: Vec<f64> = (0..15)
+    let mut overheads: Vec<f64> = (0..PAIRS)
         .map(|i| {
-            let (stack, solo) = if i % 2 == 0 {
-                let s = run(true);
-                (s, run(false))
-            } else {
-                let d = run(false);
-                (run(true), d)
-            };
+            let (stack, solo) = pair(i % 2 == 0);
             best_stack = best_stack.min(stack);
             best_solo = best_solo.min(solo);
             100.0 * (stack - solo) / solo
         })
         .collect();
     overheads.sort_by(f64::total_cmp);
-    (best_stack, best_solo, overheads[overheads.len() / 2])
+    let quantile = |q: f64| overheads[((overheads.len() - 1) as f64 * q).round() as usize];
+    Overhead {
+        best_stack_s: best_stack,
+        best_solo_s: best_solo,
+        median_pct: quantile(0.5),
+        iqr_pct: quantile(0.75) - quantile(0.25),
+    }
 }
 
 fn main() {
-    let (stack_s, solo_s, overhead) = pipeline_overhead_pct();
-    println!("pipeline guard: stack {stack_s:.4} s vs direct selector {solo_s:.4} s");
-    println!("pipeline indirection: {overhead:+.2} % (budget < {BUDGET_PCT} %)");
+    let o = pipeline_overhead();
+    println!(
+        "pipeline guard: stack {:.4} s vs direct selector {:.4} s",
+        o.best_stack_s, o.best_solo_s
+    );
+    let overhead = o.median_pct;
+    println!(
+        "pipeline indirection: {overhead:+.2} % (budget < {BUDGET_PCT} %), \
+         IQR of {PAIRS} pairs {:.2} %",
+        o.iqr_pct
+    );
     if overhead >= BUDGET_PCT {
         eprintln!(
             "error: policy-pipeline indirection {overhead:.2} % exceeds the {BUDGET_PCT} % budget"
