@@ -34,7 +34,10 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use crate::cache::encode_result;
 use crate::jobgraph::{Engine, Plan, RunRequest};
 use crate::policy::{AdmissionKind, EstimatorKind, PlacerKind, SelectorKind, StackSpec};
-use crate::runner::{run_spec, run_spec_hooked, PolicyKind, RunResult, RunnerConfig, TraceMode};
+use crate::runner::{
+    finalize_run, prepare_run, run_spec, run_spec_hooked, PolicyKind, RunResult, RunnerConfig,
+    TraceMode,
+};
 use crate::sibling::run_group_with;
 
 /// One fuzz cell: a policy stack over a workload mix with a seed.
@@ -255,14 +258,15 @@ pub fn check_cell_differential(cell: &FuzzCell, workers: usize) -> Vec<Violation
     let mut auditor = Auditor::with_builtins();
 
     // Execution-path differential: the event-driven baseline above vs the
-    // legacy quantized per-tick loop. `exec` is deliberately absent from
-    // the run-cache key, so this equivalence is what makes every cached
-    // result valid for both modes.
-    let rc_per_tick = RunnerConfig {
-        exec: busbw_sim::ExecMode::PerTick,
-        ..rc
-    };
-    let per_tick = run_spec_hooked(&mix, PolicyKind::Stack(cell.stack), &rc_per_tick, None);
+    // per-tick reference loop, which rebuilds the placement plan and
+    // re-queries every demand every tick. The mode is no part of any run
+    // key, so this equivalence is what makes every cached result valid
+    // for both.
+    let mut p = prepare_run(&mix, PolicyKind::Stack(cell.stack), &rc);
+    p.machine.set_exec_mode(busbw_sim::ExecMode::PerTick);
+    let stop = p.stop_condition();
+    let out = p.machine.run(&mut *p.sched, stop);
+    let per_tick = finalize_run(p, out);
     auditor.check_byte_identity_as(
         "exec-path-equivalence",
         &format!("cell {:?}: event-driven vs per-tick", cell.mix),

@@ -224,8 +224,7 @@ impl RunRequest {
     }
 
     /// The [`RunnerConfig`] this cell resolves to (single-run, so
-    /// `workers` is irrelevant and pinned to 1; `exec` is not part of the
-    /// cell identity because both modes are bit-identical).
+    /// `workers` is irrelevant and pinned to 1).
     fn runner_config(&self) -> RunnerConfig {
         RunnerConfig {
             machine: self.machine,
@@ -234,7 +233,6 @@ impl RunRequest {
             workers: 1,
             trace: self.trace,
             hard_cap_factor: self.hard_cap_factor,
-            ..RunnerConfig::default()
         }
     }
 

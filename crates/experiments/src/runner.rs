@@ -12,9 +12,7 @@ use busbw_core::{
     bus_aware, bus_aware_with_config, greedy_pack, linux_like, linux_o1, random_gang,
     round_robin_gang, OracleReport, PolicyConfig,
 };
-use busbw_sim::{
-    ExecMode, MachineConfig, Scheduler, StageTimings, StopCondition, TickDtHist, XEON_4WAY,
-};
+use busbw_sim::{MachineConfig, Scheduler, StageTimings, StopCondition, TickDtHist, XEON_4WAY};
 use busbw_trace::{EventBus, MemoryHandle, NullSink, TraceEvent};
 use busbw_workloads::mix::{build_machine, fig1_solo, WorkloadSpec};
 use busbw_workloads::paper::PaperApp;
@@ -139,11 +137,6 @@ pub struct RunnerConfig {
     /// is abandoned and reported as unfinished. 100 is far beyond any
     /// plausible schedule; tests shrink it to exercise the censored path.
     pub hard_cap_factor: f64,
-    /// Inner-loop execution mode of every machine built by this runner.
-    /// Both modes are bit-identical (the audit fuzzer enforces it), so
-    /// this is deliberately **not** part of the run-cache key: a cached
-    /// result produced under either mode answers for both.
-    pub exec: ExecMode,
 }
 
 impl Default for RunnerConfig {
@@ -155,7 +148,6 @@ impl Default for RunnerConfig {
             workers: 0,
             trace: TraceMode::Off,
             hard_cap_factor: 100.0,
-            exec: ExecMode::EventDriven,
         }
     }
 }
@@ -541,7 +533,6 @@ pub(crate) fn prepare_run(
     let scaled = spec.clone().scaled(rc.scale);
     let built = build_machine(&scaled, rc.machine, rc.seed);
     let mut machine = built.machine;
-    machine.set_exec_mode(rc.exec);
     machine.set_hard_cap_us(
         (busbw_workloads::paper::DEFAULT_SOLO_WORK_US * rc.scale * rc.hard_cap_factor) as u64,
     );

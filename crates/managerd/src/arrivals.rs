@@ -4,50 +4,12 @@
 //! scheduler faces: memoryless load ([`ArrivalProcess::Poisson`]), bursty
 //! heavy-tailed load ([`ArrivalProcess::Pareto`]), and slowly modulated
 //! trace-driven load ([`ArrivalProcess::Diurnal`]). All three are driven
-//! by the same deterministic generator, so a fixed seed produces one
-//! arrival schedule, byte-for-byte, on any machine.
+//! by the workspace's seeded `StdRng` (SplitMix64 with a 53-bit unit
+//! draw), so a fixed seed produces one arrival schedule, byte-for-byte, on
+//! any machine; the serve pins in the crate root hold the stream fixed.
 
-/// A small deterministic PRNG (SplitMix64). The open server's whole
-/// determinism contract hangs on the arrival stream, so the generator is
-/// pinned here rather than borrowed from a library whose stream could
-/// drift.
-#[derive(Debug, Clone)]
-pub struct Rng64 {
-    state: u64,
-}
-
-impl Rng64 {
-    /// A generator seeded with `seed` (any value, including 0).
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)` with 53 bits of precision.
-    pub fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform draw in `[lo, hi]` (inclusive; `lo == hi` is fine).
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        let span = hi - lo + 1;
-        lo + self.next_u64() % span
-    }
-
-    /// Uniform draw in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.f64()
-    }
-}
+use rand::rngs::StdRng;
+use rand::Rng;
 
 /// The relative-rate profile [`ArrivalProcess::Diurnal`] cycles through:
 /// one synthetic "day" of load, sampled at eight phases (night trough to
@@ -149,7 +111,7 @@ impl ArrivalProcess {
     }
 
     /// Draw the gap (µs, ≥ 1) from `now_us` to the next arrival.
-    pub fn next_gap_us(&self, now_us: u64, rng: &mut Rng64) -> u64 {
+    pub fn next_gap_us(&self, now_us: u64, rng: &mut StdRng) -> u64 {
         let gap = match *self {
             ArrivalProcess::Poisson { rate_per_s } => exp_gap_us(1e6 / rate_per_s.max(1e-9), rng),
             ArrivalProcess::Pareto { rate_per_s, alpha } => {
@@ -157,7 +119,7 @@ impl ArrivalProcess {
                 let mean_us = 1e6 / rate_per_s.max(1e-9);
                 // Scale x_m so the Pareto mean x_m·α/(α−1) equals mean_us.
                 let xm = mean_us * (alpha - 1.0) / alpha;
-                xm / (1.0 - rng.f64()).powf(1.0 / alpha)
+                xm / (1.0 - rng.gen_range(0.0..1.0)).powf(1.0 / alpha)
             }
             ArrivalProcess::Diurnal {
                 rate_per_s,
@@ -175,13 +137,14 @@ impl ArrivalProcess {
 }
 
 /// Exponential gap with the given mean, µs.
-fn exp_gap_us(mean_us: f64, rng: &mut Rng64) -> f64 {
-    -mean_us * (1.0 - rng.f64()).ln()
+fn exp_gap_us(mean_us: f64, rng: &mut StdRng) -> f64 {
+    -mean_us * (1.0 - rng.gen_range(0.0..1.0)).ln()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn pareto_label_and_stream_agree_for_subcritical_alpha() {
@@ -200,8 +163,8 @@ mod tests {
             }
         );
         assert_eq!(raw.label(), canon.label());
-        let mut a = Rng64::new(7);
-        let mut b = Rng64::new(7);
+        let mut a = StdRng::seed_from_u64(7);
+        let mut b = StdRng::seed_from_u64(7);
         let ga: Vec<u64> = (0..64).map(|i| raw.next_gap_us(i * 1000, &mut a)).collect();
         let gb: Vec<u64> = (0..64)
             .map(|i| canon.next_gap_us(i * 1000, &mut b))
@@ -222,16 +185,16 @@ mod tests {
 
     #[test]
     fn rng_stream_is_stable_and_seed_sensitive() {
-        let mut a = Rng64::new(42);
-        let mut b = Rng64::new(42);
-        let mut c = Rng64::new(43);
+        let mut a = StdRng::seed_from_u64(42);
+        let mut b = StdRng::seed_from_u64(42);
+        let mut c = StdRng::seed_from_u64(43);
         let sa: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
         let sb: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         let sc: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();
         assert_eq!(sa, sb);
         assert_ne!(sa, sc);
         for _ in 0..1000 {
-            let u = a.f64();
+            let u: f64 = a.gen_range(0.0..1.0);
             assert!((0.0..1.0).contains(&u));
         }
     }
@@ -239,7 +202,7 @@ mod tests {
     #[test]
     fn poisson_gaps_have_roughly_the_configured_mean() {
         let p = ArrivalProcess::Poisson { rate_per_s: 100.0 }; // mean gap 10 ms
-        let mut rng = Rng64::new(7);
+        let mut rng = StdRng::seed_from_u64(7);
         let n = 4000;
         let total: u64 = (0..n).map(|_| p.next_gap_us(0, &mut rng)).sum();
         let mean = total as f64 / n as f64;
@@ -249,7 +212,7 @@ mod tests {
     #[test]
     fn pareto_gaps_are_heavier_tailed_than_poisson_at_equal_mean() {
         let rate = 50.0;
-        let mut rng = Rng64::new(11);
+        let mut rng = StdRng::seed_from_u64(11);
         let pareto = ArrivalProcess::Pareto {
             rate_per_s: rate,
             alpha: 1.5,
@@ -276,10 +239,10 @@ mod tests {
             rate_per_s: 100.0,
             period_us: 8_000_000,
         };
-        let mut rng = Rng64::new(3);
+        let mut rng = StdRng::seed_from_u64(3);
         // Trough phase (index 0) vs peak phase (index 4): mean gaps must
         // differ by roughly the profile ratio.
-        let mean_at = |at: u64, rng: &mut Rng64| -> f64 {
+        let mean_at = |at: u64, rng: &mut StdRng| -> f64 {
             let n = 3000;
             (0..n).map(|_| d.next_gap_us(at, rng)).sum::<u64>() as f64 / n as f64
         };
@@ -295,7 +258,7 @@ mod tests {
     fn gaps_never_stall_the_clock() {
         // An absurd rate still yields strictly positive gaps.
         let p = ArrivalProcess::Poisson { rate_per_s: 1e12 };
-        let mut rng = Rng64::new(0);
+        let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..100 {
             assert!(p.next_gap_us(0, &mut rng) >= 1);
         }

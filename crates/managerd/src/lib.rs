@@ -47,7 +47,7 @@
 
 pub mod arrivals;
 
-pub use arrivals::{ArrivalProcess, Rng64, DIURNAL_PROFILE, MIN_PARETO_ALPHA};
+pub use arrivals::{ArrivalProcess, DIURNAL_PROFILE, MIN_PARETO_ALPHA};
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -56,6 +56,8 @@ use busbw_core::manager::{AppRuntime, ClientId, CpuManager, ManagerConfig, Threa
 use busbw_core::{select_gangs, Candidate};
 use busbw_sim::AppId;
 use busbw_trace::TraceEvent;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A bandwidth-oblivious estimator: every job reads as bandwidth-free, so
 /// the manager's gang selection degenerates to plain width-first rotation
@@ -440,8 +442,8 @@ fn serve_group_with(
 
     // Independent streams so the arrival schedule does not shift when
     // the client-parameter model changes.
-    let mut arr_rng = Rng64::new(cfg.seed);
-    let mut cli_rng = Rng64::new(cfg.seed ^ 0xC0FF_EE00_DEAD_BEEF);
+    let mut arr_rng = StdRng::seed_from_u64(cfg.seed);
+    let mut cli_rng = StdRng::seed_from_u64(cfg.seed ^ 0xC0FF_EE00_DEAD_BEEF);
 
     let mut now: u64 = 0;
     let mut next_arrival = cfg.arrivals.next_gap_us(0, &mut arr_rng);
@@ -536,11 +538,11 @@ fn serve_group_with(
             // Client parameters are always drawn, admitted or not, so
             // the parameter stream stays aligned with the arrival stream
             // whatever the shed pattern.
-            let width = (cli_rng.range_u64(1, cfg.service.max_width.max(1) as u64) as usize)
+            let width = (cli_rng.gen_range(1..=cfg.service.max_width.max(1) as u64) as usize)
                 .min(mcfg.num_cpus);
             let service_us =
-                cli_rng.range_u64(cfg.service.min_service_us, cfg.service.max_service_us);
-            let rate = cli_rng.range_f64(cfg.service.min_rate, cfg.service.max_rate);
+                cli_rng.gen_range(cfg.service.min_service_us..=cfg.service.max_service_us);
+            let rate = cli_rng.gen_range(cfg.service.min_rate..=cfg.service.max_rate);
             if live.len() >= cfg.queue_capacity {
                 out.shed += 1;
                 out.overhead_us += overhead::SHED_US;

@@ -297,19 +297,9 @@ impl MetricsRegistry {
             .or_insert_with(|| Histogram::new(bounds.to_vec()))
     }
 
-    /// Read-only view of a histogram, if it exists.
-    pub fn get_histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// The named timeline, created empty on first access.
     pub fn timeline(&mut self, name: &str) -> &mut Timeline {
         self.timelines.entry(name.to_string()).or_default()
-    }
-
-    /// Read-only view of a timeline, if it exists.
-    pub fn get_timeline(&self, name: &str) -> Option<&Timeline> {
-        self.timelines.get(name)
     }
 
     /// Render the whole registry as one JSON object (the `metrics` field

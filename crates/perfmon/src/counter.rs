@@ -1,9 +1,9 @@
 //! Event counters.
 //!
 //! A [`Counter`] mimics one hardware event counter: a monotone accumulator
-//! that can be read destructively (`take_delta`) or non-destructively
-//! (`total`). A [`CounterSet`] groups the counters of a single thread, the
-//! same granularity at which the `perfctr` driver virtualizes the PMU.
+//! that readers sample (`total`) and difference between sampling points.
+//! A [`CounterSet`] groups the counters of a single thread, the same
+//! granularity at which the `perfctr` driver virtualizes the PMU.
 
 use std::fmt;
 
@@ -70,14 +70,12 @@ impl fmt::Display for EventKind {
 
 /// One monotone event counter.
 ///
-/// `total` only grows (the simulator adds non-negative amounts); a separate
-/// high-water mark of what has already been consumed supports
-/// read-and-reset semantics without ever rolling the hardware count back —
-/// exactly how user-space samples a `perfctr` virtual counter.
+/// `total` only grows (the simulator adds non-negative amounts); readers
+/// keep their own previous reading and take differences, exactly how
+/// user-space samples a `perfctr` virtual counter.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
     total: f64,
-    consumed: f64,
 }
 
 impl Counter {
@@ -103,28 +101,6 @@ impl Counter {
     #[inline]
     pub fn total(&self) -> f64 {
         self.total
-    }
-
-    /// Total events truncated to an integer, as real hardware would report.
-    #[inline]
-    pub fn total_u64(&self) -> u64 {
-        self.total as u64
-    }
-
-    /// Events accumulated since the previous `take_delta` call, and mark
-    /// them consumed. This is the sampling primitive: the CPU manager calls
-    /// it at every sampling point.
-    pub fn take_delta(&mut self) -> f64 {
-        let d = self.total - self.consumed;
-        self.consumed = self.total;
-        d
-    }
-
-    /// Events accumulated since the previous `take_delta`, without
-    /// consuming them.
-    #[inline]
-    pub fn peek_delta(&self) -> f64 {
-        self.total - self.consumed
     }
 }
 
@@ -171,29 +147,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_is_monotone_and_delta_resets() {
-        let mut c = Counter::new();
-        c.add(10.0);
-        assert_eq!(c.total(), 10.0);
-        assert_eq!(c.take_delta(), 10.0);
-        assert_eq!(c.take_delta(), 0.0);
-        c.add(2.5);
-        assert_eq!(c.peek_delta(), 2.5);
-        assert_eq!(c.take_delta(), 2.5);
-        assert_eq!(c.total(), 12.5);
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_increment_rejected() {
         Counter::new().add(-1.0);
-    }
-
-    #[test]
-    fn truncated_view_matches_hardware_semantics() {
-        let mut c = Counter::new();
-        c.add(3.9);
-        assert_eq!(c.total_u64(), 3);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! * [`EventKind`] — the event set a Pentium-4-era PMU exposes that the paper
 //!   uses (bus transactions) plus a few neighbours useful for extensions.
-//! * [`Counter`] — one monotone event counter (read, read-and-reset-delta).
+//! * [`Counter`] — one monotone event counter.
 //! * [`CounterSet`] — all counters of one thread (what `perfctr` calls a
 //!   per-thread *virtual counter* file).
 //! * [`Registry`] — all counter sets on the machine, keyed by an opaque
@@ -20,9 +20,8 @@
 //!   paper samples **twice per scheduling quantum**; the sampler is
 //!   parameterized accordingly.
 //!
-//! Counts are kept in `f64` internally because the fluid simulator produces
-//! fractional transactions per tick; reads expose both the fractional total
-//! and a truncated `u64` view (what real hardware would show).
+//! Counts are kept in `f64` because the fluid simulator produces fractional
+//! transactions per tick.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -93,7 +93,8 @@ impl Registry {
         self.slot(t)
     }
 
-    /// Mutable access to one thread's counters (for destructive sampling).
+    /// Mutable access to one thread's counters (the simulator's per-tick
+    /// accounting).
     pub fn counters_mut(&mut self, t: ThreadKey) -> Option<&mut CounterSet> {
         self.slots.get_mut(t.0 as usize).and_then(Option::as_mut)
     }

@@ -58,9 +58,9 @@ impl Demand {
 /// never on how often or at which intermediate instants it was queried —
 /// stateful models must catch up lazily (as the burst process does by
 /// replaying state switches up to `wall_us`). The event-driven execution
-/// mode relies on this: it provably skips redundant queries inside a
-/// constant region, so a model whose answers drifted with query cadence
-/// would diverge between the per-tick and event-driven paths.
+/// mode relies on this: it caches each answer and skips the queries
+/// inside its constant region, so a model whose answers drifted with query
+/// cadence would diverge between the per-tick and event-driven paths.
 ///
 /// Models are `Clone` (through [`DemandModelClone`], implemented for every
 /// `Clone` model), so a whole machine can be forked mid-run.
@@ -80,11 +80,16 @@ pub trait DemandModel: Send + DemandModelClone {
     /// `[vt_us, vt_us + virtual_horizon_us)` and wall clocks in
     /// `[wall_us, wall_us + wall_horizon_us)`.
     ///
-    /// This powers the machine's tick coarsening: when every placed
-    /// thread's demand is provably constant across a window, the simulator
-    /// advances it in one jump. The default `(0.0, 0.0)` means "unknown,
-    /// never coarsen" and is always safe; `f64::INFINITY` means "constant
-    /// forever" in that dimension.
+    /// This is the machine's one lookahead. It bounds how long a thread's
+    /// cached demand is reused without a new `demand_at` query, and it
+    /// powers tick coarsening: when every placed thread's demand is
+    /// provably constant across a window, the simulator advances it in one
+    /// jump. The coarsening scan calls it at the current point without a
+    /// fresh `demand_at` whenever the cached answer still holds, so by
+    /// query-frequency invariance its answer there must equal the one a
+    /// fresh query would leave. The default `(0.0, 0.0)` means "unknown,
+    /// never coarsen, re-query every tick" and is always safe;
+    /// `f64::INFINITY` means "constant forever" in that dimension.
     ///
     /// **Contract (both horizons, always).** The two dimensions are
     /// independent and *both* must be honest: a model driven purely by
@@ -98,25 +103,6 @@ pub trait DemandModel: Send + DemandModelClone {
     /// straight through the window without re-querying.
     fn constant_for(&self, _vt_us: f64, _wall_us: u64) -> (f64, f64) {
         (0.0, 0.0)
-    }
-
-    /// Absolute next-change prediction: the earliest virtual time and wall
-    /// clock at which the demand returned at `(vt_us, wall_us)` may
-    /// change, as `(virtual_edge_us, wall_edge_us)`. `f64::INFINITY` in a
-    /// dimension means "never changes along that axis".
-    ///
-    /// The event-driven machine keeps a thread's demand cached until its
-    /// progress or the wall clock crosses these edges. The default derives
-    /// the edges from [`DemandModel::constant_for`] — so a model with the
-    /// default `(0.0, 0.0)` horizon yields edges at "now", the cache is
-    /// invalid immediately, and event prediction degrades gracefully to
-    /// per-tick re-querying. Models that know their exact switch instants
-    /// (e.g. a wall-time burst process holding the next switch as an
-    /// integer) should override this to avoid the rounding of
-    /// `now + horizon` and return the exact edge.
-    fn next_change(&self, vt_us: f64, wall_us: u64) -> (f64, f64) {
-        let (virt_h, wall_h) = self.constant_for(vt_us, wall_us);
-        (vt_us + virt_h, wall_us as f64 + wall_h)
     }
 }
 
@@ -162,10 +148,6 @@ impl DemandModel for ConstantDemand {
     fn constant_for(&self, _vt_us: f64, _wall_us: u64) -> (f64, f64) {
         (f64::INFINITY, f64::INFINITY)
     }
-
-    fn next_change(&self, _vt_us: f64, _wall_us: u64) -> (f64, f64) {
-        (f64::INFINITY, f64::INFINITY)
-    }
 }
 
 #[cfg(test)]
@@ -177,26 +159,7 @@ mod tests {
         let mut m = ConstantDemand::new(5.0, 0.5);
         assert_eq!(m.demand_at(0.0, 0), m.demand_at(1e9, 77));
         assert_eq!(m.mean_rate(), 5.0);
-        assert_eq!(m.next_change(123.0, 456), (f64::INFINITY, f64::INFINITY));
-    }
-
-    #[test]
-    fn default_next_change_degrades_to_edges_at_now() {
-        // A model that cannot look ahead keeps the default (0, 0) horizon;
-        // its predicted edges must then sit exactly at the query point so
-        // any cached demand is invalid immediately.
-        #[derive(Clone)]
-        struct Opaque;
-        impl DemandModel for Opaque {
-            fn demand_at(&mut self, _vt_us: f64, _wall_us: u64) -> Demand {
-                Demand::ZERO
-            }
-            fn mean_rate(&self) -> f64 {
-                0.0
-            }
-        }
-        assert_eq!(Opaque.constant_for(10.0, 20), (0.0, 0.0));
-        assert_eq!(Opaque.next_change(10.0, 20), (10.0, 20.0));
+        assert_eq!(m.constant_for(123.0, 456), (f64::INFINITY, f64::INFINITY));
     }
 
     #[test]

@@ -43,10 +43,16 @@ pub struct AppDescriptor {
     pub threads: Vec<ThreadSpec>,
     /// Barrier interval in virtual µs: threads synchronize this often, so
     /// no thread's progress may exceed the slowest unfinished sibling's
-    /// progress by more than this. A thread at the limit spin-waits —
-    /// burning its processor without progress or bus traffic, exactly what
-    /// an OpenMP barrier does when a sibling is descheduled. `None`
-    /// disables coupling (independent threads, e.g. microbenchmarks).
+    /// progress by more than this. A thread that starts a tick at the
+    /// limit spin-waits for that tick: it burns its processor with no
+    /// progress and no bus request, what an OpenMP barrier does when a
+    /// sibling is descheduled. A thread that would cross the limit within
+    /// a tick is clamped at it by `tick_commit`, which scales its progress
+    /// and issued traffic down, while the tick's Λ was solved with its
+    /// full demand. So a leader whose slowest sibling is placed advances
+    /// at the sibling's pace without ever spinning, and each tick charges
+    /// the bus its full demand, more than it issues. `None` disables
+    /// coupling (independent threads, e.g. microbenchmarks).
     pub barrier_interval_us: Option<f64>,
 }
 
@@ -157,11 +163,6 @@ pub struct AppInfo<'a> {
 }
 
 impl AppInfo<'_> {
-    /// Whether any thread still wants cpu time.
-    pub fn is_live(&self) -> bool {
-        self.finished_at.is_none()
-    }
-
     /// Number of threads in the gang.
     pub fn width(&self) -> usize {
         self.threads.len()
@@ -409,52 +410,44 @@ pub struct AppReport {
     pub quanta_run: f64,
 }
 
-impl AppReport {
-    /// Useful progress per cpu-µs consumed: 1.0 = never slowed by the
-    /// bus, caches, SMT sharing, or barrier spins.
-    pub fn efficiency(&self) -> f64 {
-        if self.cpu_time_us == 0.0 {
-            0.0
-        } else {
-            self.progress_us / self.cpu_time_us
-        }
-    }
-
-    /// Mean bus transaction rate while on cpu, tx/µs.
-    pub fn rate_on_cpu(&self) -> f64 {
-        if self.cpu_time_us == 0.0 {
-            0.0
-        } else {
-            self.transactions / self.cpu_time_us
-        }
-    }
+/// One placed thread in the placement plan: the parts of its bus request
+/// that change only when the placement does.
+#[derive(Debug, Clone, Copy)]
+struct PlanEntry {
+    /// Executing cpu index.
+    cpu: usize,
+    /// Thread index.
+    thread: usize,
+    /// SMT speed factor of the thread's core under this placement.
+    smt: f64,
+    /// Executing socket.
+    socket: usize,
+    /// Interconnect traffic fraction: depends only on the home socket,
+    /// fixed at first placement, and the executing socket.
+    remote: f64,
 }
 
-/// Per-tick scratch buffers, reused across ticks so the hot path makes no
-/// allocations. All vectors are CPU- or thread-indexed and fully rewritten
-/// (or cleared) at the start of every tick; `f64::INFINITY` in
-/// `barrier_cap` means "no cap". Taken out of the machine with
-/// `std::mem::take` for the duration of a tick to keep borrows simple.
+/// Per-tick buffers, reused across ticks so the hot path makes no
+/// allocations. The placement plan (`placement`, `plan`, `busy_per_core`)
+/// persists until the placement changes; the other vectors are rewritten
+/// every tick. `f64::INFINITY` in `barrier_cap` means "no cap". Taken out
+/// of the machine for the duration of a tick to keep borrows simple.
 #[derive(Debug, Clone)]
 struct TickScratch {
     /// Occupant per cpu.
     placement: Vec<Option<ThreadId>>,
+    /// The placed threads, one entry per occupied cpu (cpu order).
+    plan: Vec<PlanEntry>,
     /// Barrier progress cap per thread index (`INFINITY` = uncapped).
     barrier_cap: Vec<f64>,
     /// Cache×SMT speed factor per thread index (valid for placed threads).
     cache_speed: Vec<f64>,
     /// Busy hardware threads per physical core.
     busy_per_core: Vec<usize>,
-    /// Bus requests, one per occupied cpu (cpu order).
+    /// Bus requests, parallel to `plan`.
     reqs: Vec<BusRequest>,
     /// Parallel to `reqs`: is the requester spin-waiting at its barrier?
     req_spin: Vec<bool>,
-    /// Parallel to `reqs`: demand-constant horizons (virtual µs, wall µs).
-    /// Only populated by the full rebuild path; the replay fast path
-    /// leaves them stale, which is safe because it refuses exactly the
-    /// ticks whose commit would read them (the coarsening gate).
-    req_virt_h: Vec<f64>,
-    req_wall_h: Vec<f64>,
     /// Were all placed, non-spinning threads at full cache warmth this
     /// tick? Feeds the coarsening gate in the commit phase.
     all_warm: bool,
@@ -466,13 +459,12 @@ impl Default for TickScratch {
     fn default() -> Self {
         Self {
             placement: Vec::new(),
+            plan: Vec::new(),
             barrier_cap: Vec::new(),
             cache_speed: Vec::new(),
             busy_per_core: Vec::new(),
             reqs: Vec::new(),
             req_spin: Vec::new(),
-            req_virt_h: Vec::new(),
-            req_wall_h: Vec::new(),
             all_warm: true,
             outcome: BusOutcome::empty(0.0),
         }
@@ -486,96 +478,15 @@ impl Default for TickScratch {
 /// simulated tick costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Event-driven (the default): between demand-change events the
-    /// machine replays the previous tick's request build from a cache
-    /// keyed on the next predicted event (barrier spin flips, demand
-    /// phase edges via [`crate::demand::DemandModel::next_change`],
-    /// wall-clock switch
-    /// points, placements, completions), skipping placement scans and
-    /// demand-model queries whose answers provably cannot have changed.
+    /// Event-driven (the default): the request build reuses the placement
+    /// plan until the placement changes and each thread's cached demand
+    /// until its progress or the wall clock reaches the edge the model's
+    /// [`crate::demand::DemandModel::constant_for`] promised.
     #[default]
     EventDriven,
-    /// The legacy path: rebuild everything from scratch every tick. Kept
-    /// as the differential baseline for the audit fuzzer.
+    /// The differential reference: rebuild the plan and re-query every
+    /// demand every tick.
     PerTick,
-}
-
-/// The event-driven replay cache: a validated snapshot of the last full
-/// request build, plus the predicted invalidation edges.
-///
-/// One entry per bus request, in placement (cpu) order. The cached
-/// quantities are exactly those whose recomputation the fast path skips:
-/// the pre-boost demand `(rate, µ)` (demand-model queries), the SMT
-/// factor (placement scan), and the spin flag. Quantities that evolve
-/// every tick — cache warmth boosts and speed multipliers — are *not*
-/// cached; the fast path recomputes them with the identical expressions,
-/// so the rebuilt requests are bit-identical to what the full path would
-/// produce. Any observable change (progress crossing a predicted demand
-/// edge, the wall clock crossing a switch point, a spin flag flipping, a
-/// new placement, a thread finishing, a tracer change) invalidates the
-/// snapshot and the next tick takes the full rebuild path, which
-/// repopulates it.
-#[derive(Debug, Clone, Default)]
-struct ReplayCache {
-    valid: bool,
-    /// Cpu index per request.
-    cpu: Vec<usize>,
-    /// Thread index per request.
-    tid: Vec<usize>,
-    /// Pre-boost demand rate per request.
-    rate: Vec<f64>,
-    /// Demand memory-boundness per request.
-    mu: Vec<f64>,
-    /// Replay is valid only while `progress < vt_guard` (virtual µs).
-    vt_guard: Vec<f64>,
-    /// … and while `now < wall_guard` (wall µs).
-    wall_guard: Vec<f64>,
-    /// Spin flag per request at snapshot time.
-    spin: Vec<bool>,
-    /// Thread cache sensitivity per request.
-    sens: Vec<f64>,
-    /// SMT speed factor per request (placement-static).
-    smt: Vec<f64>,
-    /// Executing socket per request (placement-static).
-    socket: Vec<usize>,
-    /// Interconnect traffic fraction per request (placement-static:
-    /// depends only on the home socket, fixed at first placement, and
-    /// the executing socket).
-    remote: Vec<f64>,
-}
-
-impl ReplayCache {
-    fn clear(&mut self) {
-        self.valid = false;
-        self.cpu.clear();
-        self.tid.clear();
-        self.rate.clear();
-        self.mu.clear();
-        self.vt_guard.clear();
-        self.wall_guard.clear();
-        self.spin.clear();
-        self.sens.clear();
-        self.smt.clear();
-        self.socket.clear();
-        self.remote.clear();
-    }
-}
-
-/// Pull a predicted change edge strictly below itself by a relative +
-/// absolute margin. The margins dwarf the few-ulp rounding of
-/// `now + horizon` style edge arithmetic, so a cached demand is never
-/// replayed *past* its true change point — at worst the fast path gives
-/// up one tick early and the full rebuild re-queries the model (which is
-/// always byte-safe). Integer-valued edges (the burst process's switch
-/// instant) lose nothing: for integers `now < edge − ε ⇔ now < edge`
-/// whenever ε < 1.
-#[inline]
-fn guard_edge(edge: f64) -> f64 {
-    if edge.is_finite() {
-        edge - (1e-9 + 1e-12 * edge.abs())
-    } else {
-        edge
-    }
 }
 
 /// Loop state of a stepped run (see [`Machine::run_begin`]).
@@ -658,11 +569,12 @@ pub struct Machine {
     barrier_apps: Vec<usize>,
     /// Inner-loop execution mode (event-driven by default).
     exec: ExecMode,
-    /// Event-driven replay snapshot (see [`ReplayCache`]).
-    replay: ReplayCache,
-    /// Ticks served by the replay fast path (diagnostics only — not part
-    /// of [`RunStats`], so both execution modes stay codec-identical).
-    replay_ticks: u64,
+    /// The placement changed since the plan in the scratch was built.
+    replan: bool,
+    /// Ticks built with no plan rebuild and no demand query (diagnostics
+    /// only — not part of [`RunStats`], so both execution modes stay
+    /// codec-identical).
+    cached_ticks: u64,
     /// Structured-trace emission handle (disabled by default; a disabled
     /// bus costs one branch per emission site).
     tracer: EventBus,
@@ -714,8 +626,8 @@ impl Machine {
             scratch: Some(Box::default()),
             barrier_apps: Vec::new(),
             exec: ExecMode::default(),
-            replay: ReplayCache::default(),
-            replay_ticks: 0,
+            replan: true,
+            cached_ticks: 0,
             tracer: EventBus::off(),
             traced_demand: Vec::new(),
             traced_dilation: 0.0,
@@ -729,11 +641,6 @@ impl Machine {
     /// quantity (a proptest in the experiments crate pins byte identity).
     pub fn set_profiling(&mut self, on: bool) {
         self.prof.set_enabled(on);
-    }
-
-    /// The per-phase wall-time profile recorded so far.
-    pub fn phase_profile(&self) -> &PhaseSet {
-        self.prof.set()
     }
 
     /// Take the recorded phase profile, leaving an empty one (the enable
@@ -750,28 +657,24 @@ impl Machine {
         self.traced_demand.clear();
         self.traced_dilation = 0.0;
         self.traced_level_sat = [false; MAX_BUS_LEVELS];
-        // Phase-edge detection restarts from NaN sentinels; the next tick
-        // must take the full path so re-observed demands emit.
-        self.replay.valid = false;
+        // Phase-edge detection restarts from NaN sentinels: every thread
+        // must re-query its demand so the re-observed values emit.
+        for t in &mut self.threads {
+            t.expire_demand();
+        }
     }
 
     /// Select the inner-loop execution mode (see [`ExecMode`]). Takes
     /// effect from the next tick; both modes produce bit-identical runs.
     pub fn set_exec_mode(&mut self, exec: ExecMode) {
         self.exec = exec;
-        self.replay.valid = false;
     }
 
-    /// The current inner-loop execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
-    }
-
-    /// Ticks served by the event-driven replay fast path so far (0 in
-    /// [`ExecMode::PerTick`]). Diagnostics for benches; not part of the
-    /// run statistics.
-    pub fn replay_ticks(&self) -> u64 {
-        self.replay_ticks
+    /// Ticks built with no plan rebuild and no demand query so far (0 in
+    /// [`ExecMode::PerTick`]). Diagnostics only; not part of the run
+    /// statistics.
+    pub fn cached_ticks(&self) -> u64 {
+        self.cached_ticks
     }
 
     /// The attached trace bus (disabled unless [`Machine::set_tracer`]
@@ -824,7 +727,6 @@ impl Machine {
             finished_at: None,
             barrier_interval_us: desc.barrier_interval_us,
         });
-        self.replay.valid = false;
         app_id
     }
 
@@ -1010,7 +912,7 @@ impl Machine {
             // borrow checker sees the buffers and `self` as disjoint; the
             // box makes the move a pointer swap.
             let mut s = self.scratch.take().expect("tick scratch in flight");
-            self.tick_prepare(dt_limit, &mut cur.stats, &mut s);
+            self.tick_prepare(&mut cur.stats, &mut s);
             let app_finished =
                 self.tick_commit(dt_limit, &mut cur.stats, &mut s, hook.as_deref_mut());
             self.scratch = Some(s);
@@ -1076,7 +978,7 @@ impl Machine {
     fn apply(&mut self, d: &Decision, stats: &mut RunStats) {
         // Placement changes (even re-placements of the same set: the
         // preempt/place cycle below re-runs cold-start accounting).
-        self.replay.valid = false;
+        self.replan = true;
         let mut cpu_used = vec![false; self.cfg.num_cpus];
         let mut seen = std::collections::BTreeSet::new();
         for a in &d.assignments {
@@ -1140,10 +1042,17 @@ impl Machine {
         }
     }
 
-    /// First half of a tick: build the bus-request vector (replaying the
-    /// cached build when provably unchanged) and arbitrate it into
-    /// `s.outcome`.
-    fn tick_prepare(&mut self, dt_limit: u64, stats: &mut RunStats, s: &mut TickScratch) {
+    /// First half of a tick: build the bus-request vector and arbitrate it
+    /// into `s.outcome`.
+    ///
+    /// The build is one loop over the placement plan, which is rebuilt
+    /// only when the placement changed. Each placed thread's demand comes
+    /// from its cache and is re-queried only when its progress or the wall
+    /// clock has reached the cache's edge ([`SimThread::demand_holds`]).
+    /// Warmth-dependent boosts and speeds move every tick and are always
+    /// recomputed. [`ExecMode::PerTick`] rebuilds the plan and re-queries
+    /// every demand every tick.
+    fn tick_prepare(&mut self, stats: &mut RunStats, s: &mut TickScratch) {
         stats.ticks += 1;
         let n_threads = self.threads.len();
         let trace_on = self.tracer.emits();
@@ -1156,8 +1065,7 @@ impl Machine {
         // Barrier caps: a thread may not run ahead of its slowest
         // unfinished sibling by more than the app's barrier interval.
         // Threads at their cap spin-wait: they hold the cpu but demand no
-        // bus bandwidth and make no progress. (Computed before the replay
-        // attempt — the spin guards need fresh caps.)
+        // bus bandwidth and make no progress.
         let tok = self.prof.begin();
         if self.barrier_apps.is_empty() {
             // No app has barriers: the caps are all-INFINITY and only the
@@ -1191,24 +1099,82 @@ impl Machine {
 
         self.prof.end(Phase::Barrier, tok);
 
-        // Event-driven fast path: if every cached request is still inside
-        // its predicted-constant region, rebuild the request vector from
-        // the snapshot without touching placement scans or demand models.
-        if self.exec == ExecMode::EventDriven && self.replay.valid {
+        let build_tok = self.prof.begin();
+        let per_tick = self.exec == ExecMode::PerTick;
+        let mut cached = true;
+        if self.replan || per_tick {
             let tok = self.prof.begin();
-            let replayed = self.try_replay(dt_limit, s);
-            self.prof.end(Phase::Replay, tok);
-            if replayed {
-                self.replay_ticks += 1;
-                let tok = self.prof.begin();
-                self.bus.arbitrate_into(&s.reqs, &mut s.outcome);
-                self.prof.end(Phase::Solve, tok);
-                return;
-            }
+            self.rebuild_plan(s);
+            self.prof.end(Phase::Placement, tok);
+            cached = false;
         }
+        s.reqs.clear();
+        s.req_spin.clear();
+        let mut all_warm = true;
+        for e in &s.plan {
+            let t = &mut self.threads[e.thread];
+            if t.progress_us >= s.barrier_cap[e.thread] {
+                // Spin-wait on a cached flag: no bus traffic, no progress,
+                // no interconnect share, and no demand query.
+                s.reqs.push(BusRequest {
+                    thread: t.id,
+                    rate: 0.0,
+                    mu: 0.0,
+                    socket: e.socket,
+                    remote: 0.0,
+                });
+                s.req_spin.push(true);
+                s.cache_speed[e.thread] = 0.0;
+                continue;
+            }
+            if per_tick || !t.demand_holds(self.now) {
+                let tok = self.prof.begin();
+                let d = t.query_demand(self.now);
+                self.prof.end(Phase::Demand, tok);
+                cached = false;
+                if trace_on && self.traced_demand[e.thread] != (d.rate, d.mu) {
+                    self.traced_demand[e.thread] = (d.rate, d.mu);
+                    self.tracer.emit(TraceEvent::PhaseEdge {
+                        at_us: self.now,
+                        thread: t.id.0,
+                        rate: d.rate,
+                        mu: d.mu,
+                    });
+                }
+            }
+            // One fused warmth lookup feeds the boost, the speed factor,
+            // and the staticness check.
+            let (w, boost, spd) = self.cache.factors(CpuId(e.cpu), t.id, t.cache_sensitivity);
+            if w != 1.0 {
+                // Warmth below its fixed point still moves every tick, so
+                // demand boosts and cache speeds are not static.
+                all_warm = false;
+            }
+            s.reqs.push(BusRequest {
+                thread: t.id,
+                rate: t.demand.rate * boost,
+                mu: t.demand.mu,
+                socket: e.socket,
+                remote: e.remote,
+            });
+            s.req_spin.push(false);
+            s.cache_speed[e.thread] = spd * e.smt;
+        }
+        s.all_warm = all_warm;
+        if cached {
+            self.cached_ticks += 1;
+        }
+        self.prof.end(Phase::Replay, build_tok);
 
-        // Current placement.
         let tok = self.prof.begin();
+        self.bus.arbitrate_into(&s.reqs, &mut s.outcome);
+        self.prof.end(Phase::Solve, tok);
+    }
+
+    /// Rebuild the placement plan, with the per-cpu occupancy the cache
+    /// model advances over, from the threads' states.
+    fn rebuild_plan(&mut self, s: &mut TickScratch) {
+        self.replan = false;
         s.placement.clear();
         s.placement.resize(self.cfg.num_cpus, None);
         for t in &self.threads {
@@ -1222,195 +1188,31 @@ impl Machine {
         let cores = self.cfg.num_cpus / self.cfg.smt_threads_per_core.max(1);
         s.busy_per_core.clear();
         s.busy_per_core.resize(cores.max(1), 0);
-        for (cpu_idx, occ) in s.placement.iter().enumerate() {
+        for (cpu, occ) in s.placement.iter().enumerate() {
             if occ.is_some() {
-                s.busy_per_core[self.cfg.core_of(cpu_idx)] += 1;
+                s.busy_per_core[self.cfg.core_of(cpu)] += 1;
             }
         }
 
-        self.prof.end(Phase::Placement, tok);
-
-        // Collect demands (with cache-cold boosts) plus the per-request
-        // metadata the coarsening gate needs, re-arming the replay
-        // snapshot as we go (event-driven mode only).
-        let tok = self.prof.begin();
-        let record = self.exec == ExecMode::EventDriven;
-        self.replay.clear();
-        s.reqs.clear();
-        s.req_spin.clear();
-        s.req_virt_h.clear();
-        s.req_wall_h.clear();
-        s.cache_speed.clear();
-        s.cache_speed.resize(n_threads, 0.0);
-        let mut all_warm = true;
-        for (cpu_idx, occ) in s.placement.iter().enumerate() {
+        s.plan.clear();
+        for (cpu, occ) in s.placement.iter().enumerate() {
             let Some(tid) = occ else { continue };
-            let cpu = CpuId(cpu_idx);
-            let ti = tid.0 as usize;
-            let spinning = self.threads[ti].progress_us >= s.barrier_cap[ti];
-            let smt = self
-                .cfg
-                .smt_speed_factor(s.busy_per_core[self.cfg.core_of(cpu_idx)]);
-            let sens = self.threads[ti].cache_sensitivity;
-            let (boost, spd) = if spinning {
-                (1.0, 0.0)
-            } else {
-                // One fused warmth lookup feeds the boost, the speed
-                // factor, and the staticness check (identical expressions
-                // to the separate accessors).
-                let (w, boost, spd) = self.cache.factors(cpu, *tid, sens);
-                if w != 1.0 {
-                    // Warmth below its fixed point still moves every tick,
-                    // so demand boosts and cache speeds are not static.
-                    all_warm = false;
-                }
-                (boost, spd)
-            };
-            let t = &mut self.threads[ti];
-            let (d, cs, virt_h, wall_h, edge_v, edge_w) = if spinning {
-                // Spin-wait on a cached flag: no bus traffic, no progress.
-                // The demand model is never queried while spinning, so the
-                // snapshot needs no demand edges either — spin-flip guards
-                // cover invalidation.
-                (
-                    crate::demand::Demand::ZERO,
-                    0.0,
-                    f64::INFINITY,
-                    f64::INFINITY,
-                    f64::INFINITY,
-                    f64::INFINITY,
-                )
-            } else {
-                let d = t.model.demand_at(t.progress_us, self.now);
-                let (virt_h, wall_h) = t.model.constant_for(t.progress_us, self.now);
-                let (edge_v, edge_w) = t.model.next_change(t.progress_us, self.now);
-                (d, spd * smt, virt_h, wall_h, edge_v, edge_w)
-            };
-            if trace_on && !spinning {
-                let cur = (d.rate, d.mu);
-                if self.traced_demand[ti] != cur {
-                    self.traced_demand[ti] = cur;
-                    self.tracer.emit(TraceEvent::PhaseEdge {
-                        at_us: self.now,
-                        thread: tid.0,
-                        rate: d.rate,
-                        mu: d.mu,
-                    });
-                }
-            }
-            let socket = self.cfg.socket_of(cpu_idx);
-            // Spinners issue no traffic, so they are charged to no
-            // interconnect; placed threads cross it by the topology's
+            let socket = self.cfg.socket_of(cpu);
+            // Placed threads cross the interconnect by the topology's
             // remote share (0.0 on single-socket machines).
-            let remote = if spinning {
-                0.0
-            } else {
-                let home = self.threads[ti].home_socket.unwrap_or(socket);
-                self.cfg.topology.remote_share(home, socket)
-            };
-            s.reqs.push(BusRequest {
-                thread: *tid,
-                rate: d.rate * boost,
-                mu: d.mu,
+            let home = self.threads[tid.0 as usize].home_socket.unwrap_or(socket);
+            s.plan.push(PlanEntry {
+                cpu,
+                thread: tid.0 as usize,
+                smt: self
+                    .cfg
+                    .smt_speed_factor(s.busy_per_core[self.cfg.core_of(cpu)]),
                 socket,
-                remote,
+                remote: self.cfg.topology.remote_share(home, socket),
             });
-            s.req_spin.push(spinning);
-            s.req_virt_h.push(virt_h);
-            s.req_wall_h.push(wall_h);
-            s.cache_speed[ti] = cs;
-            if record {
-                self.replay.cpu.push(cpu_idx);
-                self.replay.tid.push(ti);
-                self.replay.rate.push(d.rate);
-                self.replay.mu.push(d.mu);
-                self.replay.vt_guard.push(guard_edge(edge_v));
-                self.replay.wall_guard.push(guard_edge(edge_w));
-                self.replay.spin.push(spinning);
-                self.replay.sens.push(sens);
-                self.replay.smt.push(smt);
-                self.replay.socket.push(socket);
-                self.replay.remote.push(remote);
-            }
         }
-        s.all_warm = all_warm;
-        self.replay.valid = record;
-        self.prof.end(Phase::Demand, tok);
-
-        let tok = self.prof.begin();
-        self.bus.arbitrate_into(&s.reqs, &mut s.outcome);
-        self.prof.end(Phase::Solve, tok);
-    }
-
-    /// Attempt the event-driven fast path: verify each snapshot guard and
-    /// rebuild `s.reqs`/`s.req_spin`/`s.cache_speed` bit-identically to
-    /// what the full build would produce, in a single fused pass (one
-    /// warmth lookup per request feeds the guard and both multipliers).
-    /// Returns false when any guard fails; the scratch may then hold a
-    /// partial rebuild, which is safe because the full path clears and
-    /// rewrites every buffer it reads.
-    fn try_replay(&mut self, dt_limit: u64, s: &mut TickScratch) -> bool {
-        let r = &self.replay;
-        let n = r.cpu.len();
-        let mut all_warm = true;
-        s.reqs.clear();
-        s.req_spin.clear();
-        for i in 0..n {
-            let ti = r.tid[i];
-            let t = &self.threads[ti];
-            // A spin flip (either direction) changes the request shape.
-            let spin_now = t.progress_us >= s.barrier_cap[ti];
-            if spin_now != r.spin[i] {
-                return false;
-            }
-            if spin_now {
-                // Identical to the full path's spin request: ZERO demand,
-                // unit boost (0.0 · 1.0 = 0.0 exactly), zero cache speed,
-                // no interconnect share.
-                s.reqs.push(BusRequest {
-                    thread: ThreadId(ti as u64),
-                    rate: 0.0,
-                    mu: 0.0,
-                    socket: r.socket[i],
-                    remote: 0.0,
-                });
-                s.req_spin.push(true);
-                s.cache_speed[ti] = 0.0;
-            } else {
-                // Strictly inside the guarded-constant region in both
-                // dimensions, else the demand model must be re-queried.
-                if !(t.progress_us < r.vt_guard[i] && (self.now as f64) < r.wall_guard[i]) {
-                    return false;
-                }
-                // Warmth-dependent factors are recomputed with the exact
-                // expressions of the full path; only the demand query and
-                // placement scan are skipped.
-                let tid = ThreadId(ti as u64);
-                let (w, boost, spd) = self.cache.factors(CpuId(r.cpu[i]), tid, r.sens[i]);
-                if w != 1.0 {
-                    all_warm = false;
-                }
-                s.reqs.push(BusRequest {
-                    thread: tid,
-                    rate: r.rate[i] * boost,
-                    mu: r.mu[i],
-                    socket: r.socket[i],
-                    remote: r.remote[i],
-                });
-                s.req_spin.push(false);
-                s.cache_speed[ti] = spd * r.smt[i];
-            }
-        }
-        // The coarsening window scan in the commit phase reads the
-        // per-request horizons, which replay leaves stale. Its gate is
-        // exactly `non-empty ∧ all_warm ∧ wide window`; refuse those ticks
-        // so the full path recomputes fresh horizons (and coarsens, which
-        // amortizes the rebuild anyway).
-        if n > 0 && all_warm && dt_limit > 2 * self.cfg.tick_us {
-            return false;
-        }
-        s.all_warm = all_warm;
-        true
+        s.cache_speed.clear();
+        s.cache_speed.resize(self.threads.len(), 0.0);
     }
 
     /// Second half of a tick: choose the (possibly coarsened) step width,
@@ -1483,6 +1285,7 @@ impl Machine {
                         window = window.min(slack / vmax);
                     }
                 } else {
+                    let (virt_h, wall_h) = t.model.constant_for(t.progress_us, self.now);
                     let speed = share.speed * s.cache_speed[ti];
                     if speed > 0.0 {
                         window = window.min(t.remaining_us() / speed);
@@ -1490,9 +1293,9 @@ impl Machine {
                         if cap.is_finite() {
                             window = window.min((cap - t.progress_us).max(0.0) / speed);
                         }
-                        window = window.min(s.req_virt_h[i] / speed);
+                        window = window.min(virt_h / speed);
                     }
-                    window = window.min(s.req_wall_h[i]);
+                    window = window.min(wall_h);
                 }
             }
             let k = (window / tick_us as f64).floor() as u64;
@@ -1635,9 +1438,8 @@ impl Machine {
         // App completion.
         let mut any_app_finished = false;
         if any_thread_finished {
-            // A finished thread leaves its cpu, changing the request
-            // shape; the snapshot is dead.
-            self.replay.valid = false;
+            // A finished thread leaves its cpu: the plan is stale.
+            self.replan = true;
             for (i, rec) in self.apps.iter_mut().enumerate() {
                 if rec.finished_at.is_none()
                     && rec
@@ -2111,12 +1913,9 @@ mod tests {
         fn constant_for(&self, _vt_us: f64, wall_us: u64) -> (f64, f64) {
             (f64::INFINITY, (30_000 - wall_us % 30_000) as f64)
         }
-        fn next_change(&self, _vt_us: f64, wall_us: u64) -> (f64, f64) {
-            (f64::INFINITY, (wall_us - wall_us % 30_000 + 30_000) as f64)
-        }
     }
 
-    /// A mix exercising every replay guard: virtual-time phase edges,
+    /// A mix exercising every demand-cache edge: virtual-time phase edges,
     /// wall-clock switches, a barrier gang that spins, saturated and
     /// unsaturated bus regimes, cache warm-up and coarsened jumps.
     fn mixed_machine() -> Machine {
@@ -2365,7 +2164,8 @@ mod tests {
 
     #[test]
     fn forked_machine_continues_bit_identically() {
-        // A fork taken mid-run (replay snapshot, bus memo, warm caches,
+        // A fork taken mid-run (placement plan, demand caches, bus memo,
+        // warm caches,
         // barrier state and all) must finish exactly as the original does,
         // on one socket and on the hierarchical bus.
         for cfg in [XEON_4WAY, two_socket_cfg()] {
@@ -2407,18 +2207,17 @@ mod tests {
 
     #[test]
     fn replay_fast_path_actually_engages() {
-        // Short quanta keep `dt_limit ≤ 2·tick`, so the coarsening bail
-        // never triggers and steady regions must replay. Each 2-tick
-        // quantum costs one full rebuild (the reschedule invalidates the
-        // snapshot), so the ceiling is 50%; anything near it means the
-        // steady regions replayed.
+        // The fast path is the request build served from the placement
+        // plan and the demand caches alone. 2-tick quanta: each reschedule
+        // rebuilds the plan, so at most half the ticks can be served;
+        // anything near that means the caches held across steady regions.
         let mut m = mixed_machine();
         let mut s = GreedyScheduler { quantum: 200 };
         let out = m.run(&mut s, StopCondition::At(400_000));
         assert!(
-            m.replay_ticks() * 5 >= out.stats.ticks * 2,
-            "replay served {} of {} ticks",
-            m.replay_ticks(),
+            m.cached_ticks() * 5 >= out.stats.ticks * 2,
+            "cache served {} of {} ticks",
+            m.cached_ticks(),
             out.stats.ticks
         );
         // And never in the per-tick mode.
@@ -2428,6 +2227,40 @@ mod tests {
             &mut GreedyScheduler { quantum: 200 },
             StopCondition::At(400_000),
         );
-        assert_eq!(m2.replay_ticks(), 0);
+        assert_eq!(m2.cached_ticks(), 0);
+    }
+
+    #[test]
+    fn exec_modes_emit_identical_trace_streams() {
+        // Phase edges are emitted when a demand query observes a new
+        // value, so the event-driven build, which queries only at cache
+        // edges, must emit exactly the per-tick stream. Attaching the
+        // tracer mid-run restarts edge detection: every cached demand has
+        // to be re-observed.
+        let stream = |exec: ExecMode, attach_at: SimTime| {
+            let mut m = mixed_machine();
+            m.set_exec_mode(exec);
+            let mut s = GreedyScheduler { quantum: 30_000 };
+            if attach_at > 0 {
+                m.run(&mut s, StopCondition::At(attach_at));
+            }
+            let (bus, handle) = busbw_trace::EventBus::memory();
+            m.set_tracer(bus);
+            m.run(&mut s, StopCondition::At(1_500_000));
+            handle
+                .events()
+                .iter()
+                .map(|e| e.to_json())
+                .collect::<Vec<_>>()
+        };
+        for attach_at in [0, 412_345] {
+            let ed = stream(ExecMode::EventDriven, attach_at);
+            let pt = stream(ExecMode::PerTick, attach_at);
+            assert!(
+                ed.iter().any(|e| e.contains("phase_edge")),
+                "no phase edges traced (attached at {attach_at})"
+            );
+            assert_eq!(ed, pt, "trace streams diverged (attached at {attach_at})");
+        }
     }
 }

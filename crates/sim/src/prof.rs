@@ -1,8 +1,8 @@
 //! Phase-attributed self-profiling for the tick engine.
 //!
 //! The tick loop is a handful of phases — scheduler decisions, barrier
-//! caps, the event-driven replay attempt, placement scans, demand-model
-//! queries, the Λ solve, and the commit/integration step — and a tick
+//! caps, the request build (with its nested plan rebuilds and demand-model
+//! queries), the Λ solve, and the commit/integration step — and a tick
 //! budget in the hundred-nanosecond range. Attributing wall time to those
 //! phases is what turns "the engine is slow" into "62 % of the tick is
 //! demand re-evaluation". A [`PhaseTimer`] owned by the machine records
@@ -42,13 +42,20 @@ pub enum Phase {
     Schedule = 0,
     /// Barrier-cap rebuild at the top of every tick.
     Barrier = 1,
-    /// The event-driven replay attempt: guard checks plus, when they
-    /// pass, the snapshot-based request rebuild.
+    /// The request build, once per tick: spin checks, cache-warmth
+    /// multipliers and the request vector, inclusive of the nested
+    /// [`Phase::Placement`] and [`Phase::Demand`] spans. (The name is kept
+    /// from the replay fast path this build replaced, since the benchmark
+    /// reports phases by name.)
     Replay = 2,
-    /// Placement scan and SMT busy-count rebuild (full path only).
+    /// Placement-plan rebuild: occupancy scan, SMT busy counts, and each
+    /// placed thread's SMT factor, socket and remote share. Runs only when
+    /// the placement changed (every tick under `ExecMode::PerTick`).
     Placement = 3,
-    /// Demand evaluation: demand-model queries, cache warmth multipliers,
-    /// and the request-vector build (full path only).
+    /// One demand-model re-query (`demand_at` plus `constant_for`), nested
+    /// in the build: runs only for a thread whose cached demand reached
+    /// its edge (every placed, non-spinning thread per tick under
+    /// `ExecMode::PerTick`).
     Demand = 4,
     /// Bus arbitration: the memo probe and, on a miss, the saturated-Λ
     /// Newton solve (inline or out-of-line via a solver lane).

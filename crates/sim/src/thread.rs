@@ -1,6 +1,6 @@
 //! Simulated threads: specification and runtime state.
 
-use crate::demand::DemandModel;
+use crate::demand::{Demand, DemandModel};
 use crate::ids::{AppId, CpuId, SimTime, ThreadId};
 
 /// How a thread is created: its work volume and demand behaviour.
@@ -84,6 +84,12 @@ pub(crate) struct SimThread {
     pub home_socket: Option<usize>,
     /// Wall time at which the thread finished, if it has.
     pub finished_at: Option<SimTime>,
+    /// The model's last answer, cached until progress reaches
+    /// `demand_virt_edge` or the wall clock reaches `demand_wall_edge`
+    /// (see [`SimThread::demand_holds`]).
+    pub demand: Demand,
+    pub demand_virt_edge: f64,
+    pub demand_wall_edge: f64,
 }
 
 impl SimThread {
@@ -100,12 +106,55 @@ impl SimThread {
             last_cpu: None,
             home_socket: None,
             finished_at: None,
+            demand: Demand::ZERO,
+            demand_virt_edge: f64::NEG_INFINITY,
+            demand_wall_edge: f64::NEG_INFINITY,
         }
     }
 
     /// Remaining useful work, virtual µs.
     pub fn remaining_us(&self) -> f64 {
         (self.work_us - self.progress_us).max(0.0)
+    }
+
+    /// Whether the cached demand still answers for the current progress
+    /// and wall clock `now`: both are strictly below their edges, so the
+    /// model's `constant_for` promised no change since it was queried.
+    #[inline]
+    pub fn demand_holds(&self, now: SimTime) -> bool {
+        self.progress_us < self.demand_virt_edge && (now as f64) < self.demand_wall_edge
+    }
+
+    /// Query the model at the current progress and `now` and cache the
+    /// answer with the guarded edges of its constant region.
+    pub fn query_demand(&mut self, now: SimTime) -> Demand {
+        let d = self.model.demand_at(self.progress_us, now);
+        let (virt_h, wall_h) = self.model.constant_for(self.progress_us, now);
+        self.demand = d;
+        self.demand_virt_edge = guard_edge(self.progress_us + virt_h);
+        self.demand_wall_edge = guard_edge(now as f64 + wall_h);
+        d
+    }
+
+    /// Drop the cached demand: the next request build re-queries the
+    /// model.
+    pub fn expire_demand(&mut self) {
+        self.demand_virt_edge = f64::NEG_INFINITY;
+    }
+}
+
+/// Pull a change edge strictly below itself by a relative + absolute
+/// margin. The margins dwarf the few-ulp rounding of `now + horizon`, so
+/// a cached demand is never used *past* its true change point — at worst
+/// the model is re-queried one tick early, which is always byte-safe.
+/// Integer-valued edges (the burst process's switch instant) lose
+/// nothing: for integers `now < edge − ε ⇔ now < edge` whenever ε < 1.
+#[inline]
+fn guard_edge(edge: f64) -> f64 {
+    if edge.is_finite() {
+        edge - (1e-9 + 1e-12 * edge.abs())
+    } else {
+        edge
     }
 }
 

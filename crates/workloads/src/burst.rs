@@ -138,13 +138,6 @@ impl DemandModel for TwoStateBurst {
             self.next_switch_us.saturating_sub(wall_us) as f64,
         )
     }
-
-    fn next_change(&self, _vt_us: f64, _wall_us: u64) -> (f64, f64) {
-        // The switch instant is held exactly as an integer; returning it
-        // directly avoids the `wall_us + horizon` rounding of the default
-        // and lets the event-driven machine compare `now < edge` exactly.
-        (f64::INFINITY, self.next_switch_us as f64)
-    }
 }
 
 #[cfg(test)]
@@ -235,17 +228,14 @@ mod tests {
     fn next_change_is_the_exact_switch_instant() {
         let mut m = TwoStateBurst::raytrace(10.0, 0.8, 42);
         let d0 = m.demand_at(0.0, 0);
-        let (virt_edge, wall_edge) = m.next_change(0.0, 0);
-        assert_eq!(virt_edge, f64::INFINITY);
-        let switch = wall_edge as u64;
-        // Demand is unchanged strictly before the edge and switched at it.
+        let (virt_h, wall_h) = m.constant_for(0.0, 100);
+        assert_eq!(virt_h, f64::INFINITY);
+        // The switch instant is an integer, and `now + horizon` recovers
+        // it exactly.
+        let switch = 100 + wall_h as u64;
+        assert_eq!(100.0 + wall_h, switch as f64);
+        // Demand is unchanged strictly before the switch and changed at it.
         assert_eq!(m.demand_at(0.0, switch - 1), d0);
         assert_ne!(m.demand_at(0.0, switch), d0);
-        // And the edge agrees with the relative horizon at any earlier
-        // wall clock.
-        let mut m2 = TwoStateBurst::raytrace(10.0, 0.8, 42);
-        let _ = m2.demand_at(0.0, 0);
-        let (_, h) = m2.constant_for(0.0, 100);
-        assert_eq!(100.0 + h, wall_edge);
     }
 }
