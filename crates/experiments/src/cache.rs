@@ -1,38 +1,42 @@
 //! Content-addressed run cache.
 //!
-//! Every simulator run is identified by a **run key**: an FNV-1a 64-bit
-//! hash (the `busbw-trace` manifest hasher) over a canonical byte
+//! Every simulator run is identified by a **run key**: a canonical byte
 //! encoding of the fully-resolved run tuple — workload spec, policy,
 //! machine config, seed, scale, hard-cap factor, and trace wiring —
-//! salted with [`RUN_SCHEMA_VERSION`]. The encoded bytes travel with the
-//! hash, so key equality compares content, not just the 64-bit digest:
-//! a hash collision degrades to a cache miss, never to a wrong result.
+//! salted with [`RUN_SCHEMA_VERSION`], plus a word-at-a-time 64-bit hash
+//! of it. Key equality compares the encoded bytes, not just the digest,
+//! so a hash collision degrades to a cache miss, never to a wrong result.
 //!
 //! Cached [`RunResult`]s round-trip through a hand-rolled binary codec
 //! that stores every `f64` as its IEEE-754 bit pattern, so a cache-served
 //! result is **bit-identical** to the fresh run that produced it —
 //! including the structured trace events. The cache itself is an
-//! in-memory map plus an optional on-disk store (`--cache-dir`), with
-//! writes going through a temp-file rename so concurrent processes never
-//! observe a torn entry.
+//! in-memory map plus an optional on-disk store (`--cache-dir`): one
+//! **pack file** per directory, read once on the first disk probe and
+//! rewritten whole by [`RunCache::flush`] through a temp-file rename, so
+//! concurrent processes never observe a torn pack.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fs::File;
 use std::hash::{Hash, Hasher};
-use std::path::PathBuf;
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use busbw_sim::MachineConfig;
-use busbw_trace::{fnv1a64, TraceEvent};
+use busbw_trace::TraceEvent;
 use busbw_workloads::app::{AppSpec, Behavior};
 use busbw_workloads::mix::WorkloadSpec;
 
 use crate::policy::{AdmissionKind, EstimatorKind, PlacerKind, SelectorKind, StackSpec};
 use crate::runner::{PolicyKind, RunCompletion, RunResult, TraceMode, UnfinishedApp};
 
-/// Schema-version salt mixed into every run key and stamped on every
-/// cache file. Bump it whenever the [`RunResult`] layout, the canonical
-/// key encoding, or anything that feeds a run's numbers changes: old
-/// entries then simply stop matching (cache invalidation by content).
+/// Schema-version salt mixed into every run key and stamped on the pack
+/// file. Bump it whenever the [`RunResult`] layout, the canonical key
+/// encoding, the run-key hash, or anything that feeds a run's numbers
+/// changes: a pack stamped with another version reads as empty, and the
+/// next flush replaces it (cache invalidation by content).
 ///
 /// v2: `PolicyKind::Stack` joined the policy encoding, `StageDecision`
 /// joined the event codec, and [`RunResult`] grew stage timings.
@@ -54,8 +58,11 @@ use crate::runner::{PolicyKind, RunCompletion, RunResult, TraceMode, UnfinishedA
 /// v7: [`RunResult`] grew optional [`crate::runner::OracleStats`].
 pub const RUN_SCHEMA_VERSION: u32 = 7;
 
-/// Magic bytes prefixing every on-disk cache entry.
-const MAGIC: &[u8; 8] = b"BBWRUN\x00\x01";
+/// Magic bytes opening the pack file.
+const PACK_MAGIC: &[u8; 8] = b"BBWPACK\x01";
+
+/// The pack file's name inside the cache directory.
+const PACK_FILE: &str = "runs.pack";
 
 // ---------------------------------------------------------------------
 // Canonical byte encoding
@@ -209,9 +216,8 @@ impl<'a> Dec<'a> {
 // Run keys
 // ---------------------------------------------------------------------
 
-/// A content-addressed run identity: the FNV-1a 64-bit digest of the
-/// canonical encoding, plus the encoding itself for collision-proof
-/// equality.
+/// A content-addressed run identity: the canonical encoding, for
+/// collision-proof equality, plus its 64-bit [`key_hash`].
 #[derive(Debug, Clone)]
 pub struct RunKey {
     hash: u64,
@@ -222,25 +228,51 @@ impl RunKey {
     /// Wrap a finished canonical encoding.
     pub fn from_encoded(encoded: Vec<u8>) -> Self {
         Self {
-            hash: fnv1a64(&encoded),
+            hash: key_hash(&encoded),
             encoded: Arc::new(encoded),
         }
     }
 
-    /// The 64-bit digest (names the on-disk cache entry).
+    /// The 64-bit digest: the memory tier's map hash and the pack index.
     pub fn hash64(&self) -> u64 {
         self.hash
-    }
-
-    /// Lowercase-hex digest, e.g. for cache file names.
-    pub fn hex(&self) -> String {
-        format!("{:016x}", self.hash)
     }
 
     /// The canonical encoding the digest was computed over.
     pub fn encoded(&self) -> &[u8] {
         &self.encoded
     }
+}
+
+/// The run-key hash: a word-at-a-time 64-bit mix over the canonical
+/// encoding. The byte length seeds the state, so zero-padding the tail
+/// word cannot alias keys of different lengths; each little-endian word
+/// goes through a multiply and a shift-xor (a bijection of the state for
+/// a fixed word, so keys differing in one word never collide), and the
+/// murmur3 finalizer spreads the result over all 64 bits. Stored in the
+/// pack, so changing it bumps [`RUN_SCHEMA_VERSION`].
+fn key_hash(bytes: &[u8]) -> u64 {
+    const M: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |h: u64, w: u64| {
+        let h = (h ^ w).wrapping_mul(M);
+        h ^ (h >> 32)
+    };
+    let mut words = bytes.chunks_exact(8);
+    let mut h = bytes.len() as u64;
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        h = mix(h, u64::from_le_bytes(tail));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
 }
 
 impl PartialEq for RunKey {
@@ -920,30 +952,216 @@ pub fn decode_result(bytes: &[u8]) -> Result<RunResult, String> {
 pub enum CacheTier {
     /// Served from the in-process map.
     Memory,
-    /// Loaded (and verified) from the on-disk store.
+    /// Loaded (and verified) from the pack file.
     Disk,
 }
 
-/// How a disk entry failed to serve a lookup.
-enum EntryReject {
-    /// A different schema version or a different key's bytes: the entry is
-    /// well-formed but simply not ours (stale store, digest collision).
-    Stale,
-    /// Bad magic, truncated header, or a payload that fails to decode —
-    /// the file is damaged. Counted in [`RunCache::corrupt_count`].
-    Corrupt,
+/// One record of a pack: its key hash, and its key and payload bytes in
+/// one allocation.
+#[derive(Debug)]
+struct Record {
+    hash: u64,
+    key_len: usize,
+    /// The key, then the payload; `None` once the record is served, so the
+    /// pack's image shrinks as its results move to the memory tier.
+    bytes: Option<Vec<u8>>,
+}
+
+impl Record {
+    /// The key and the payload, unless the record was served.
+    fn parts(&self) -> Option<(&[u8], &[u8])> {
+        self.bytes.as_deref().map(|b| b.split_at(self.key_len))
+    }
+}
+
+/// A pack file read into memory and indexed by key hash.
+///
+/// The file is a header — [`PACK_MAGIC`], then [`RUN_SCHEMA_VERSION`] as a
+/// little-endian `u32` — followed by records of `[key hash u64, key len
+/// u32, key bytes, payload len u32, payload]`, where the payload is the
+/// [`encode_result`] bytes.
+#[derive(Debug, Default)]
+struct Pack {
+    /// Every well-framed record, sorted by hash (stably, so file order
+    /// breaks ties).
+    index: Vec<Record>,
+}
+
+/// Reads a pack front to back. Every length is checked against the bytes
+/// left in the file before anything is sized from it, so a poisoned
+/// prefix fails at once and allocates nothing.
+struct PackReader {
+    file: BufReader<File>,
+    left: u64,
+}
+
+impl PackReader {
+    fn claim(&mut self, n: u64) -> std::io::Result<()> {
+        self.left = self.left.checked_sub(n).ok_or(ErrorKind::UnexpectedEof)?;
+        Ok(())
+    }
+
+    fn word<const N: usize>(&mut self) -> std::io::Result<[u8; N]> {
+        self.claim(N as u64)?;
+        let mut w = [0; N];
+        self.file.read_exact(&mut w)?;
+        Ok(w)
+    }
+
+    /// Append a `u32`-length-prefixed span to `bytes`, returning its
+    /// length.
+    fn span(&mut self, bytes: &mut Vec<u8>) -> std::io::Result<usize> {
+        let n = u32::from_le_bytes(self.word()?);
+        self.claim(n.into())?;
+        let n = n as usize;
+        let start = bytes.len();
+        bytes.reserve_exact(n);
+        bytes.resize(start + n, 0);
+        self.file.read_exact(&mut bytes[start..])?;
+        Ok(n)
+    }
+
+    fn record(&mut self) -> std::io::Result<Record> {
+        let hash = u64::from_le_bytes(self.word()?);
+        let mut bytes = Vec::new();
+        let key_len = self.span(&mut bytes)?;
+        self.span(&mut bytes)?;
+        Ok(Record {
+            hash,
+            key_len,
+            bytes: Some(bytes),
+        })
+    }
+}
+
+impl Pack {
+    /// Read and index the pack at `path`, returning it with the number of
+    /// damaged spans found. A missing pack, or one stamped with another
+    /// schema version, is empty and undamaged. A bad header empties the
+    /// pack and a framing error drops the records from it on; each counts
+    /// one.
+    fn read(path: &Path) -> (Self, u64) {
+        let Ok(file) = File::open(path) else {
+            return (Self::default(), 0);
+        };
+        let mut r = PackReader {
+            left: file.metadata().map_or(0, |m| m.len()),
+            // Under glibc's 128 KiB mmap threshold, so the buffer comes
+            // from the heap instead of a fresh mapping per read.
+            file: BufReader::with_capacity(64 << 10, file),
+        };
+        let magic = r.word::<8>().ok().filter(|m| m == PACK_MAGIC);
+        let version = magic.and_then(|_| r.word::<4>().ok());
+        match version.map(u32::from_le_bytes) {
+            None => return (Self::default(), 1),
+            Some(v) if v != RUN_SCHEMA_VERSION => return (Self::default(), 0),
+            Some(_) => {}
+        }
+        let mut index = Vec::new();
+        let mut corrupt = 0;
+        while r.left > 0 {
+            match r.record() {
+                Ok(record) => index.push(record),
+                Err(_) => {
+                    corrupt = 1;
+                    break;
+                }
+            }
+        }
+        index.sort_by_key(|r| r.hash);
+        (Self { index }, corrupt)
+    }
+
+    /// The unserved record stored under `key`: found by hash, confirmed by
+    /// the full key bytes.
+    fn find(&mut self, key: &RunKey) -> Option<&mut Record> {
+        let from = self.index.partition_point(|r| r.hash < key.hash64());
+        self.index[from..]
+            .iter_mut()
+            .take_while(|r| r.hash == key.hash64())
+            .find(|r| r.parts().is_some_and(|(k, _)| k == key.encoded()))
+    }
+}
+
+/// Frame one pack record. Both spans are checked before anything is
+/// written, so an unframeable record fails the flush, never the pack.
+fn write_record(w: &mut impl Write, hash: u64, key: &[u8], payload: &[u8]) -> std::io::Result<()> {
+    let len = |b: &[u8]| u32::try_from(b.len()).map_err(std::io::Error::other);
+    let (key_len, payload_len) = (len(key)?, len(payload)?);
+    w.write_all(&hash.to_le_bytes())?;
+    w.write_all(&key_len.to_le_bytes())?;
+    w.write_all(key)?;
+    w.write_all(&payload_len.to_le_bytes())?;
+    w.write_all(payload)
+}
+
+/// Stream `old`'s intact records, less those a `new` entry replaces,
+/// then the `new` entries into a temp file in `dir`, and rename it over
+/// `path`. Payloads are encoded one at a
+/// time, so the write holds no more than one of them beyond the write
+/// buffer.
+fn write_pack(
+    dir: &Path,
+    path: &Path,
+    old: &Pack,
+    new: &[(RunKey, Arc<RunResult>)],
+) -> std::io::Result<()> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    std::fs::create_dir_all(dir)?;
+    let tmp = dir.join(format!(
+        ".{PACK_FILE}.{}-{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let replaced: HashSet<(u64, &[u8])> =
+        new.iter().map(|(k, _)| (k.hash64(), k.encoded())).collect();
+    let written = (|| {
+        let mut w = BufWriter::new(File::create(&tmp)?);
+        w.write_all(PACK_MAGIC)?;
+        w.write_all(&RUN_SCHEMA_VERSION.to_le_bytes())?;
+        for r in &old.index {
+            let Some((key, payload)) = r.parts() else {
+                continue;
+            };
+            // A record whose key no longer hashes to its stored hash is
+            // damaged (it can never hit): drop it rather than carry it.
+            if key_hash(key) == r.hash && !replaced.contains(&(r.hash, key)) {
+                write_record(&mut w, r.hash, key, payload)?;
+            }
+        }
+        for (key, result) in new {
+            write_record(&mut w, key.hash64(), key.encoded(), &encode_result(result))?;
+        }
+        w.into_inner().map_err(|e| e.into_error())?;
+        std::fs::rename(&tmp, path)
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// In-memory + optional on-disk store of [`RunResult`]s keyed by
 /// [`RunKey`].
+///
+/// The disk tier is one pack file, `runs.pack`, in the cache directory.
+/// The first lookup that misses memory reads the whole pack and indexes
+/// it; later lookups never touch the file system. [`RunCache::put`] only
+/// buffers; [`RunCache::flush`] (which [`crate::Engine::execute`] calls
+/// once after its puts, and `Drop` calls as a fallback) writes the
+/// buffered results to the pack.
 #[derive(Debug, Default)]
 pub struct RunCache {
     mem: HashMap<RunKey, Arc<RunResult>>,
     dir: Option<PathBuf>,
     enabled: bool,
-    /// Disk entries rejected as damaged (vs merely stale). Every corrupt
-    /// read degrades to a miss; this counter makes the degradation
-    /// observable as the `cache.corrupt` metric.
+    /// The pack, read on the first disk probe.
+    pack: Option<Pack>,
+    /// Results put since the last flush, in put order.
+    pending: Vec<(RunKey, Arc<RunResult>)>,
+    /// Damaged pack spans and payloads seen. Every corrupt read degrades
+    /// to a miss; this counter makes the degradation observable as the
+    /// `cache.corrupt` metric.
     corrupt: u64,
 }
 
@@ -956,6 +1174,8 @@ impl RunCache {
             mem: HashMap::new(),
             dir,
             enabled,
+            pack: None,
+            pending: Vec::new(),
             corrupt: 0,
         }
     }
@@ -983,20 +1203,15 @@ impl RunCache {
         self.enabled
     }
 
-    /// Disk entries rejected as damaged since this cache was created.
+    /// Damaged pack spans and payloads seen since this cache was created.
     pub fn corrupt_count(&self) -> u64 {
         self.corrupt
     }
 
-    fn file_for(&self, key: &RunKey) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("{}.run", key.hex())))
-    }
-
-    /// Look `key` up, memory first, then disk. A disk hit is verified
-    /// against the full encoded key (collision check) and the schema
-    /// version, then promoted into the memory tier.
+    /// Look `key` up, memory first, then the pack (read on the first such
+    /// probe). A pack hit is confirmed against the full encoded key,
+    /// decoded, and promoted into the memory tier; a payload that fails to
+    /// decode is counted corrupt and misses.
     pub fn get(&mut self, key: &RunKey) -> Option<(Arc<RunResult>, CacheTier)> {
         if !self.enabled {
             return None;
@@ -1004,61 +1219,54 @@ impl RunCache {
         if let Some(r) = self.mem.get(key) {
             return Some((Arc::clone(r), CacheTier::Memory));
         }
-        let path = self.file_for(key)?;
-        let data = std::fs::read(&path).ok()?;
-        let result = match Self::parse_entry(key, &data) {
-            Ok(r) => r,
-            Err(EntryReject::Stale) => return None,
-            Err(EntryReject::Corrupt) => {
-                self.corrupt += 1;
-                return None;
-            }
+        let dir = self.dir.as_ref()?;
+        let pack = self.pack.get_or_insert_with(|| {
+            let (pack, corrupt) = Pack::read(&dir.join(PACK_FILE));
+            self.corrupt += corrupt;
+            pack
+        });
+        let record = pack.find(key)?;
+        let decoded = decode_result(record.parts()?.1);
+        // Served: the result now lives in memory, and damage counts once.
+        record.bytes = None;
+        let Ok(result) = decoded else {
+            self.corrupt += 1;
+            return None;
         };
         let arc = Arc::new(result);
         self.mem.insert(key.clone(), Arc::clone(&arc));
         Some((arc, CacheTier::Disk))
     }
 
-    fn parse_entry(key: &RunKey, data: &[u8]) -> Result<RunResult, EntryReject> {
-        let mut d = Dec::new(data);
-        if d.take(MAGIC.len()).map_err(|_| EntryReject::Corrupt)? != MAGIC {
-            return Err(EntryReject::Corrupt);
-        }
-        if d.u32().map_err(|_| EntryReject::Corrupt)? != RUN_SCHEMA_VERSION {
-            return Err(EntryReject::Stale);
-        }
-        let key_len = d.u32().map_err(|_| EntryReject::Corrupt)? as usize;
-        if d.take(key_len).map_err(|_| EntryReject::Corrupt)? != key.encoded() {
-            // Digest collision or a stale store: well-formed, just not ours.
-            return Err(EntryReject::Stale);
-        }
-        decode_result(&data[d.pos..]).map_err(|_| EntryReject::Corrupt)
-    }
-
     /// Store a result under `key` in memory and, when a directory is
-    /// configured, on disk (atomically, via temp-file rename). Disk write
-    /// failures are silently ignored — the cache is an accelerator, never
-    /// a correctness dependency.
+    /// configured, buffer it for the next [`RunCache::flush`].
     pub fn put(&mut self, key: RunKey, result: Arc<RunResult>) {
         if !self.enabled {
             return;
         }
-        if let Some(path) = self.file_for(&key) {
-            let mut data = Vec::with_capacity(256 + key.encoded().len());
-            data.extend_from_slice(MAGIC);
-            data.extend_from_slice(&RUN_SCHEMA_VERSION.to_le_bytes());
-            data.extend_from_slice(&(key.encoded().len() as u32).to_le_bytes());
-            data.extend_from_slice(key.encoded());
-            data.extend_from_slice(&encode_result(&result));
-            if let Some(dir) = path.parent() {
-                let _ = std::fs::create_dir_all(dir);
-                let tmp = dir.join(format!(".{}.tmp{}", key.hex(), std::process::id()));
-                if std::fs::write(&tmp, &data).is_ok() {
-                    let _ = std::fs::rename(&tmp, &path);
-                }
-            }
+        if self.dir.is_some() {
+            self.pending.push((key.clone(), Arc::clone(&result)));
         }
         self.mem.insert(key, result);
+    }
+
+    /// Write the results put since the last flush to the pack: re-read
+    /// the pack on disk, merge the new results in, stream the merge to a
+    /// temp file and rename it into place. The rename is atomic, so
+    /// concurrent writers never tear the pack; the last rename wins, and a
+    /// result it drops is just a later miss. A pack of another schema
+    /// version merges as empty, so the flush replaces it. Write failures
+    /// are silent — the cache is an accelerator, never a correctness
+    /// dependency.
+    pub fn flush(&mut self) {
+        let Some(dir) = self.dir.as_ref().filter(|_| !self.pending.is_empty()) else {
+            return;
+        };
+        let path = dir.join(PACK_FILE);
+        // Damage on disk was counted by the read that served lookups.
+        let (on_disk, _) = Pack::read(&path);
+        let _ = write_pack(dir, &path, &on_disk, &self.pending);
+        self.pending.clear();
     }
 
     /// Number of entries held in memory.
@@ -1067,10 +1275,17 @@ impl RunCache {
     }
 }
 
+impl Drop for RunCache {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use busbw_sim::TickDtHist;
+    use busbw_trace::fnv1a64;
 
     fn sample_result() -> RunResult {
         let mut hist = TickDtHist::default();
@@ -1238,89 +1453,323 @@ mod tests {
         let b = RunKey::from_encoded(vec![1, 2, 3]);
         let c = RunKey::from_encoded(vec![1, 2, 4]);
         assert_eq!(a, b);
+        assert_eq!(a.hash64(), b.hash64());
         assert_ne!(a, c);
-        assert_eq!(a.hex().len(), 16);
+    }
+
+    #[test]
+    fn key_hash_separates_padded_lengths_and_single_bit_flips() {
+        let h = |bytes: &[u8]| key_hash(bytes);
+        // The zero-padded tail word cannot alias a shorter key.
+        assert_ne!(h(&[]), h(&[0]));
+        assert_ne!(h(&[1, 2, 3]), h(&[1, 2, 3, 0]));
+        assert_ne!(h(&[0; 8]), h(&[0; 16]));
+        // Every single-bit flip of a multi-word key gives a new hash.
+        let base: Vec<u8> = (0..27).collect();
+        let mut seen = std::collections::HashSet::from([h(&base)]);
+        for bit in 0..base.len() * 8 {
+            let mut flipped = base.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(seen.insert(h(&flipped)), "flip of bit {bit} collides");
+        }
+    }
+
+    /// An empty scratch cache directory unique to this process and label.
+    fn scratch_dir(label: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("busbw-cache-{label}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// `n` distinct keys of assorted lengths, each with its own result.
+    fn entries(n: u8) -> Vec<(RunKey, Arc<RunResult>)> {
+        (0..n)
+            .map(|i| {
+                let mut r = sample_result();
+                r.ticks += u64::from(i);
+                let key = RunKey::from_encoded(vec![i; 3 + 5 * usize::from(i)]);
+                (key, Arc::new(r))
+            })
+            .collect()
+    }
+
+    /// Put `entries` through one cache over `dir`, then flush.
+    fn fill(dir: &Path, entries: &[(RunKey, Arc<RunResult>)]) {
+        let mut c = RunCache::new(Some(dir.to_path_buf()), true);
+        for (k, r) in entries {
+            c.put(k.clone(), Arc::clone(r));
+        }
+        c.flush();
+    }
+
+    /// The names of the files in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
     fn disk_cache_round_trips_and_survives_corruption() {
-        let dir = std::env::temp_dir().join(format!("busbw-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("round-trip");
+        let path = dir.join(PACK_FILE);
         let key = RunKey::from_encoded(vec![9, 9, 9]);
         let r = Arc::new(sample_result());
 
         let mut c1 = RunCache::new(Some(dir.clone()), true);
         assert!(c1.get(&key).is_none());
         c1.put(key.clone(), Arc::clone(&r));
-        // Fresh cache (cold memory): must come back from disk.
+        assert!(!path.exists(), "put only buffers");
+        c1.flush();
+        assert_eq!(listing(&dir), [PACK_FILE]);
+        // Fresh cache (cold memory): must come back from the pack.
         let mut c2 = RunCache::new(Some(dir.clone()), true);
         let (got, tier) = c2.get(&key).expect("disk hit");
         assert_eq!(tier, CacheTier::Disk);
-        assert_eq!(got.events, r.events);
+        assert_eq!(encode_result(&got), encode_result(&r));
         // Second get is served from memory.
         let (_, tier) = c2.get(&key).expect("mem hit");
         assert_eq!(tier, CacheTier::Memory);
 
-        // Corrupt the file: the entry degrades to a miss, and the damage
+        // Dropping a cache flushes what it buffered, merged with the pack.
+        let other = RunKey::from_encoded(vec![8]);
+        RunCache::new(Some(dir.clone()), true).put(other.clone(), Arc::clone(&r));
+        let mut c3 = RunCache::new(Some(dir.clone()), true);
+        assert!(c3.get(&key).is_some() && c3.get(&other).is_some());
+
+        // Corrupt the pack: every entry degrades to a miss, and the damage
         // is counted.
-        let path = dir.join(format!("{}.run", key.hex()));
         let pristine = std::fs::read(&path).unwrap();
         std::fs::write(&path, b"garbage").unwrap();
-        let mut c3 = RunCache::new(Some(dir.clone()), true);
-        assert!(c3.get(&key).is_none());
-        assert_eq!(c3.corrupt_count(), 1);
+        let mut c4 = RunCache::new(Some(dir.clone()), true);
+        assert!(c4.get(&key).is_none() && c4.get(&other).is_none());
+        assert_eq!(c4.corrupt_count(), 1);
 
+        // The pristine bytes hit again.
         std::fs::write(&path, &pristine).unwrap();
+        let mut c5 = RunCache::new(Some(dir.clone()), true);
+        assert!(c5.get(&key).is_some() && c5.get(&other).is_some());
+        assert_eq!(c5.corrupt_count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn byte_flip_fuzz_never_panics_and_counts_damage() {
-        // Write one valid disk entry, then re-read it under systematic
-        // single-byte flips and truncations. Every read must either miss
+        // Write a three-record pack, then re-read it under systematic
+        // single-byte flips and truncations. Every lookup must either miss
         // cleanly or produce *some* decoded result — never panic, never
         // over-allocate on a poisoned length prefix. (A flip in a payload
-        // f64 can still decode; only the key bytes are identity-checked.)
-        let dir = std::env::temp_dir().join(format!("busbw-cache-fuzz-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = RunKey::from_encoded(vec![7, 7, 7]);
-        let mut seed_cache = RunCache::new(Some(dir.clone()), true);
-        seed_cache.put(key.clone(), Arc::new(sample_result()));
-        let path = dir.join(format!("{}.run", key.hex()));
+        // f64 can still decode; the key bytes are identity-checked.)
+        let dir = scratch_dir("fuzz");
+        let entries = entries(3);
+        fill(&dir, &entries);
+        let path = dir.join(PACK_FILE);
         let pristine = std::fs::read(&path).unwrap();
+        let read = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            let mut c = RunCache::new(Some(dir.clone()), true);
+            let hits: Vec<bool> = entries.iter().map(|(k, _)| c.get(k).is_some()).collect();
+            (hits, c.corrupt_count())
+        };
 
-        let mut rejected = 0u64;
-        let mut corrupt_total = 0u64;
-        // Flip one byte at a time across the whole file (stride 3 keeps
-        // the loop fast while still covering header, key, lengths, and
-        // payload), plus a sweep of truncation lengths.
+        let mut rejected = 0;
+        let mut corrupt_total = 0;
+        // Flip one byte at a time across the whole pack (stride 3 keeps the
+        // loop fast while still covering header, hashes, lengths, keys and
+        // payloads), plus a sweep of truncation lengths.
         for pos in (0..pristine.len()).step_by(3) {
             for mask in [0x01u8, 0x80, 0xFF] {
                 let mut mutated = pristine.clone();
                 mutated[pos] ^= mask;
-                std::fs::write(&path, &mutated).unwrap();
-                let mut c = RunCache::new(Some(dir.clone()), true);
-                if c.get(&key).is_none() {
-                    rejected += 1;
-                }
-                corrupt_total += c.corrupt_count();
+                let (hits, corrupt) = read(&mutated);
+                rejected += hits.iter().filter(|&&h| !h).count();
+                corrupt_total += corrupt;
             }
         }
         for cut in (0..pristine.len()).step_by(7) {
-            std::fs::write(&path, &pristine[..cut]).unwrap();
-            let mut c = RunCache::new(Some(dir.clone()), true);
-            assert!(c.get(&key).is_none(), "truncation at {cut} cannot hit");
-            corrupt_total += c.corrupt_count();
+            let (hits, corrupt) = read(&pristine[..cut]);
+            // Records are written in put order, so the last one is cut.
+            assert!(!hits[2], "truncation at {cut} cannot serve the last record");
+            corrupt_total += corrupt;
         }
         assert!(rejected > 0, "some flips must be rejected");
-        assert!(corrupt_total > 0, "damaged entries must tick the counter");
+        assert!(corrupt_total > 0, "damaged packs must tick the counter");
 
         // The pristine bytes still hit afterwards: rejection is per-read,
         // not sticky.
-        std::fs::write(&path, &pristine).unwrap();
+        assert_eq!(read(&pristine), (vec![true; 3], 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_schema_pack_reads_as_empty_and_the_next_flush_replaces_it() {
+        let dir = scratch_dir("stale");
+        let path = dir.join(PACK_FILE);
+        let entries = entries(2);
+        fill(&dir, &entries[..1]);
+        let version = PACK_MAGIC.len()..PACK_MAGIC.len() + 4;
+        let mut stale = std::fs::read(&path).unwrap();
+        stale[version.clone()].copy_from_slice(&(RUN_SCHEMA_VERSION - 1).to_le_bytes());
+        std::fs::write(&path, &stale).unwrap();
+
         let mut c = RunCache::new(Some(dir.clone()), true);
-        assert!(c.get(&key).is_some());
+        assert!(c.get(&entries[0].0).is_none());
+        assert_eq!(c.corrupt_count(), 0, "a stale pack is not damage");
+        c.put(entries[1].0.clone(), Arc::clone(&entries[1].1));
+        c.flush();
+
+        assert_eq!(
+            std::fs::read(&path).unwrap()[version],
+            RUN_SCHEMA_VERSION.to_le_bytes()
+        );
+        let mut fresh = RunCache::new(Some(dir.clone()), true);
+        assert!(
+            fresh.get(&entries[0].0).is_none(),
+            "stale records are not carried over"
+        );
+        assert!(fresh.get(&entries[1].0).is_some());
+        assert_eq!(fresh.corrupt_count(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn legacy_run_files_are_ignored() {
+        let dir = scratch_dir("legacy");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (key, r) = &entries(1)[0];
+        // A per-cell entry in the old layout — magic, version, key length,
+        // key, payload — under its old name, plus a damaged one.
+        let mut legacy = b"BBWRUN\x00\x01".to_vec();
+        legacy.extend(RUN_SCHEMA_VERSION.to_le_bytes());
+        legacy.extend((key.encoded().len() as u32).to_le_bytes());
+        legacy.extend(key.encoded());
+        legacy.extend(encode_result(r));
+        let old_name = format!("{:016x}.run", fnv1a64(key.encoded()));
+        std::fs::write(dir.join(&old_name), &legacy).unwrap();
+        std::fs::write(dir.join("0123456789abcdef.run"), b"garbage").unwrap();
+
+        let mut c = RunCache::new(Some(dir.clone()), true);
+        assert!(c.get(key).is_none(), "per-cell files are not read");
         assert_eq!(c.corrupt_count(), 0);
+        c.put(key.clone(), Arc::clone(r));
+        c.flush();
+        let mut want = vec![
+            "0123456789abcdef.run".to_string(),
+            old_name,
+            PACK_FILE.to_string(),
+        ];
+        want.sort();
+        assert_eq!(listing(&dir), want);
+        let mut warm = RunCache::new(Some(dir.clone()), true);
+        assert_eq!(warm.get(key).map(|(_, t)| t), Some(CacheTier::Disk));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flush_drops_records_whose_key_was_damaged() {
+        let dir = scratch_dir("damaged-key");
+        let path = dir.join(PACK_FILE);
+        let entries = entries(2);
+        fill(&dir, &entries[..1]);
+        // Flip the first key byte: after the header, the hash and the key
+        // length.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[PACK_MAGIC.len() + 4 + 8 + 4] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let mut c = RunCache::new(Some(dir.clone()), true);
+        assert!(c.get(&entries[0].0).is_none(), "a damaged key cannot hit");
+
+        fill(&dir, &entries[1..]);
+        let (mut pack, corrupt) = Pack::read(&path);
+        assert_eq!(corrupt, 0);
+        assert_eq!(pack.index.len(), 1, "only the intact record is carried");
+        assert!(pack.find(&entries[1].0).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interleaved_writers_over_one_directory_keep_every_flushed_entry() {
+        // Two caches over one directory put and flush in interleaved order.
+        // Each flush merges with the pack on disk, so after every flush the
+        // pack parses cleanly and serves every entry flushed so far, bit
+        // for bit.
+        let dir = scratch_dir("interleaved");
+        let path = dir.join(PACK_FILE);
+        let entries = entries(6);
+        let mut writers = [
+            RunCache::new(Some(dir.clone()), true),
+            RunCache::new(Some(dir.clone()), true),
+        ];
+        let mut pending: [Vec<usize>; 2] = Default::default();
+        let mut flushed = Vec::new();
+        // (writer, Some(entry) to put it, None to flush)
+        let schedule = [
+            (0, Some(0)),
+            (1, Some(1)),
+            (1, None),
+            (0, Some(2)),
+            (0, None),
+            (1, Some(3)),
+            (0, Some(4)),
+            (1, None),
+            (0, None),
+            (1, Some(5)),
+            (1, None),
+        ];
+        for (w, step) in schedule {
+            if let Some(i) = step {
+                writers[w].put(entries[i].0.clone(), Arc::clone(&entries[i].1));
+                pending[w].push(i);
+                continue;
+            }
+            writers[w].flush();
+            flushed.append(&mut pending[w]);
+            assert_eq!(Pack::read(&path).1, 0, "the pack parses cleanly");
+            let mut fresh = RunCache::new(Some(dir.clone()), true);
+            for &i in &flushed {
+                let (got, tier) = fresh.get(&entries[i].0).expect("a flushed entry survives");
+                assert_eq!(tier, CacheTier::Disk);
+                assert_eq!(encode_result(&got), encode_result(&entries[i].1));
+            }
+        }
+        assert_eq!(flushed.len(), entries.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_flushes_never_tear_the_pack() {
+        // Two threads flush over one directory at once. The last rename
+        // wins, so an entry may be lost to a later miss, but the pack
+        // always parses and every hit is bit-identical.
+        let dir = scratch_dir("concurrent");
+        let entries = entries(40);
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let (dir, entries) = (&dir, &entries);
+                s.spawn(move || {
+                    for (k, r) in entries.iter().skip(t).step_by(2) {
+                        let mut c = RunCache::new(Some(dir.clone()), true);
+                        c.put(k.clone(), Arc::clone(r));
+                        c.flush();
+                        assert_eq!(Pack::read(&dir.join(PACK_FILE)).1, 0);
+                    }
+                });
+            }
+        });
+        let mut fresh = RunCache::new(Some(dir.clone()), true);
+        let mut hits = 0;
+        for (k, r) in &entries {
+            if let Some((got, _)) = fresh.get(k) {
+                assert_eq!(encode_result(&got), encode_result(r));
+                hits += 1;
+            }
+        }
+        assert!(hits > 0);
+        assert_eq!(fresh.corrupt_count(), 0);
+        assert_eq!(listing(&dir), [PACK_FILE], "no temp file is left behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

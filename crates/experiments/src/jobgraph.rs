@@ -512,7 +512,8 @@ impl Engine {
     /// group of its own and runs exactly as [`RunRequest::execute`].
     /// Groups are dispatched in the plan order of their first member;
     /// work a group fans out (forked branches, classes served again,
-    /// oracle candidates) runs on the same pool.
+    /// oracle candidates) runs on the same pool. The fresh results reach
+    /// the disk tier in one [`RunCache::flush`].
     pub fn execute(&mut self, plan: &Plan, workers: usize) -> Executed {
         let mut slots: Vec<Option<Arc<RunResult>>> = vec![None; plan.requests.len()];
         let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -550,6 +551,7 @@ impl Engine {
                 slots[i] = Some(arc);
             }
         }
+        self.cache.flush();
         self.stats.declared += plan.declared;
         self.stats.unique += plan.requests.len() as u64;
         self.stats.cache_corrupt = self.cache.corrupt_count();

@@ -175,7 +175,11 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let n = items.len();
-    let workers = if current().is_some() {
+    // An empty batch runs on the caller alone: no task can fan out, so a
+    // spare worker would only be spawned and joined. A non-empty batch
+    // keeps every worker even when it has fewer cells than workers, since
+    // the spares steal the subtasks those cells fan out.
+    let workers = if current().is_some() || n == 0 {
         1
     } else {
         workers.max(1)
