@@ -29,11 +29,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use busbw_sim::MachineConfig;
+use busbw_trace::wire::{Enc, Wire};
 use busbw_workloads::mix::WorkloadSpec;
 use busbw_workloads::paper::PaperApp;
 
 use crate::cache::{
-    encode_machine, encode_policy, encode_trace_mode, encode_workload, Enc, RunCache, RunKey,
+    encode_machine, encode_policy, encode_trace_mode, encode_workload, RunCache, RunKey,
     RUN_SCHEMA_VERSION,
 };
 use crate::runner::{
@@ -155,7 +156,7 @@ impl RunRequest {
     /// [`RUN_SCHEMA_VERSION`].
     pub fn key(&self) -> RunKey {
         let mut e = Enc::new();
-        e.u32(RUN_SCHEMA_VERSION);
+        RUN_SCHEMA_VERSION.put(&mut e);
         match &self.shape {
             RunShape::Spec(spec) => {
                 e.u8(0);
@@ -164,7 +165,7 @@ impl RunRequest {
             RunShape::Staggered { app, stagger_us } => {
                 e.u8(1);
                 e.str(app.name());
-                e.u64(*stagger_us);
+                stagger_us.put(&mut e);
             }
             RunShape::Open(spec) => {
                 e.u8(2);
@@ -183,10 +184,10 @@ impl RunRequest {
     /// Encode every field but the shape and the policy.
     fn encode_setting(&self, e: &mut Enc) {
         encode_machine(e, &self.machine);
-        e.f64(self.scale);
-        e.u64(self.seed);
+        self.scale.put(e);
+        self.seed.put(e);
         encode_trace_mode(e, self.trace);
-        e.f64(self.hard_cap_factor);
+        self.hard_cap_factor.put(e);
     }
 
     /// The identity this cell shares with its group partners: for a
@@ -198,7 +199,7 @@ impl RunRequest {
             return None;
         }
         let mut e = Enc::new();
-        e.u32(RUN_SCHEMA_VERSION);
+        RUN_SCHEMA_VERSION.put(&mut e);
         match &self.shape {
             RunShape::Spec(spec) => {
                 e.u8(0);

@@ -33,11 +33,11 @@ use busbw_managerd::{serve, serve_group, ArrivalProcess, OpenConfig, OpenOutcome
 use busbw_metrics::{ExperimentRow, FigureSummary, Histogram};
 use busbw_sim::TickDtHist;
 
-use crate::cache::Enc;
 use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
 use crate::pool::{fan_out, Spawner};
 use crate::runner::{OpenStats, RunCompletion, RunResult, RunnerConfig, TraceMode};
 use crate::sibling::GroupRun;
+use busbw_trace::wire::{Enc, Wire};
 
 /// The estimator stack an open serve schedules with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,25 +106,25 @@ impl OpenSpec {
         match self.arrivals.normalized() {
             ArrivalProcess::Poisson { rate_per_s } => {
                 e.u8(0);
-                e.f64(rate_per_s);
+                rate_per_s.put(e);
             }
             ArrivalProcess::Pareto { rate_per_s, alpha } => {
                 e.u8(1);
-                e.f64(rate_per_s);
-                e.f64(alpha);
+                rate_per_s.put(e);
+                alpha.put(e);
             }
             ArrivalProcess::Diurnal {
                 rate_per_s,
                 period_us,
             } => {
                 e.u8(2);
-                e.f64(rate_per_s);
-                e.u64(period_us);
+                rate_per_s.put(e);
+                period_us.put(e);
             }
         }
-        e.u64(self.duration_us);
+        self.duration_us.put(e);
         e.u8(self.stack.tag());
-        e.u64(self.queue_capacity as u64);
+        self.queue_capacity.put(e);
     }
 }
 

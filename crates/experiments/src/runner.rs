@@ -13,7 +13,8 @@ use busbw_core::{
     round_robin_gang, OracleReport, PolicyConfig,
 };
 use busbw_sim::{MachineConfig, Scheduler, StageTimings, StopCondition, TickDtHist, XEON_4WAY};
-use busbw_trace::{EventBus, MemoryHandle, NullSink, TraceEvent};
+use busbw_trace::wire::{Dec, Enc, Wire};
+use busbw_trace::{wire_struct, EventBus, MemoryHandle, NullSink, TraceEvent};
 use busbw_workloads::mix::{build_machine, fig1_solo, WorkloadSpec};
 use busbw_workloads::paper::PaperApp;
 
@@ -195,15 +196,17 @@ pub fn effective_workers(rc: &RunnerConfig) -> usize {
     }
 }
 
-/// A measured application that had not finished when its run hit the
-/// hard cap.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UnfinishedApp {
-    /// Application name from the workload spec.
-    pub name: String,
-    /// Fraction of the app's finite work completed at the cap, in
-    /// `[0, 1]` (0 when the app has no finite-work threads).
-    pub progress_frac: f64,
+wire_struct! {
+    /// A measured application that had not finished when its run hit the
+    /// hard cap.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct UnfinishedApp {
+        /// Application name from the workload spec.
+        pub name: String,
+        /// Fraction of the app's finite work completed at the cap, in
+        /// `[0, 1]` (0 when the app has no finite-work threads).
+        pub progress_frac: f64,
+    }
 }
 
 /// How a run ended.
@@ -227,86 +230,110 @@ impl RunCompletion {
     }
 }
 
-/// The result of one workload run.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Turnaround (µs) of each measured application instance, spec order.
-    /// Censored at the stop time for apps listed in an unfinished
-    /// [`RunCompletion::HardCap`].
-    pub turnarounds_us: Vec<f64>,
-    /// Mean turnaround over the measured instances — the quantity whose
-    /// improvement Fig. 2 reports.
-    pub mean_turnaround_us: f64,
-    /// Cumulative bus transaction rate over the run, tx/µs (whole
-    /// workload) — Fig. 1A's quantity for the microbenchmark mixes.
-    pub workload_rate: f64,
-    /// Sum over measured apps of their individual transaction rates —
-    /// Fig. 1A's quantity for the application-only configurations.
-    pub measured_apps_rate: f64,
-    /// Fraction of wall time the bus was saturated.
-    pub saturated_fraction: f64,
-    /// Tick-loop iterations the run executed (with event-driven tick
-    /// coarsening this is typically far below `sim_elapsed_us / tick_us`).
-    pub ticks: u64,
-    /// Simulated wall time of the run, µs.
-    pub sim_elapsed_us: u64,
-    /// Whether the run finished or was censored at the hard cap.
-    pub completion: RunCompletion,
-    /// Structured trace of the run (empty unless
-    /// [`RunnerConfig::trace`] is [`TraceMode::Collect`]).
-    pub events: Vec<TraceEvent>,
-    /// Histogram of nominal ticks covered per tick-loop iteration.
-    pub tick_dt_hist: TickDtHist,
-    /// Λ-solve memo hits of the bus model (0 when the bus keeps no memo).
-    pub memo_hits: u64,
-    /// Λ-solve memo misses of the bus model.
-    pub memo_misses: u64,
-    /// Per-stage wall-time accounting when the policy is a pipeline stack
-    /// (`None` for schedulers that expose no stage breakdown). Wall-clock
-    /// derived: a cache hit replays the producing run's readings, and the
-    /// manifest checksum excludes them.
-    pub stage_timings: Option<StageTimings>,
-    /// Open-system accounting when the run was an open managerd serve
-    /// (`None` for the closed-batch workloads).
-    pub open: Option<OpenStats>,
-    /// Search accounting when the run replayed the offline-optimal
-    /// oracle's plan (`None` for every other run).
-    pub oracle: Option<OracleStats>,
-    /// Number of bus levels the machine reported (0 = flat single bus;
-    /// hierarchical topologies report one per socket plus the
-    /// interconnect).
-    pub n_levels: usize,
-    /// Per-level mean utilization over the run (first `n_levels` slots).
-    pub level_utilization: [f64; busbw_sim::MAX_BUS_LEVELS],
-    /// Per-level fraction of wall time spent saturated (first `n_levels`
-    /// slots).
-    pub level_saturated: [f64; busbw_sim::MAX_BUS_LEVELS],
+/// Laid out as an `Option<Vec<UnfinishedApp>>`: `None` when finished.
+impl Wire for RunCompletion {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, e: &mut Enc) {
+        e.opt(match self {
+            RunCompletion::Finished => None,
+            RunCompletion::HardCap { unfinished } => Some(unfinished),
+        });
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, String> {
+        Ok(match Option::get(d)? {
+            None => RunCompletion::Finished,
+            Some(unfinished) => RunCompletion::HardCap { unfinished },
+        })
+    }
 }
 
-/// Accounting of one open-system managerd run (see `busbw_managerd`):
-/// how many clients arrived, were shed by overload admission control, or
-/// were served to completion, plus the manager's modeled overhead — the
-/// numbers behind the shed-rate and 4.5 %-bound columns of
-/// `experiments open`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpenStats {
-    /// Clients the arrival process offered.
-    pub arrived: u64,
-    /// Clients rejected because the accept queue was full.
-    pub shed: u64,
-    /// Clients served to completion (departed before the horizon).
-    pub served: u64,
-    /// Virtual duration of the serve, µs.
-    pub duration_us: u64,
-    /// Modeled manager work (pump/sample/quantum bookkeeping), virtual µs.
-    pub overhead_us: u64,
-    /// Quantum boundaries the manager served.
-    pub quanta: u64,
-    /// The most clients live at once (the accept queue's peak depth).
-    pub queue_peak: u64,
-    /// Mean slowdown (turnaround ÷ solo service time) over served clients
-    /// (0 when none were served).
-    pub mean_slowdown: f64,
+wire_struct! {
+    /// The result of one workload run. Its fields, in declaration order,
+    /// are the run cache's payload layout ([`crate::cache::encode_result`]).
+    #[derive(Debug, Clone)]
+    pub struct RunResult {
+        /// Turnaround (µs) of each measured application instance, spec order.
+        /// Censored at the stop time for apps listed in an unfinished
+        /// [`RunCompletion::HardCap`].
+        pub turnarounds_us: Vec<f64>,
+        /// Mean turnaround over the measured instances — the quantity whose
+        /// improvement Fig. 2 reports.
+        pub mean_turnaround_us: f64,
+        /// Cumulative bus transaction rate over the run, tx/µs (whole
+        /// workload) — Fig. 1A's quantity for the microbenchmark mixes.
+        pub workload_rate: f64,
+        /// Sum over measured apps of their individual transaction rates —
+        /// Fig. 1A's quantity for the application-only configurations.
+        pub measured_apps_rate: f64,
+        /// Fraction of wall time the bus was saturated.
+        pub saturated_fraction: f64,
+        /// Tick-loop iterations the run executed (with event-driven tick
+        /// coarsening this is typically far below `sim_elapsed_us / tick_us`).
+        pub ticks: u64,
+        /// Simulated wall time of the run, µs.
+        pub sim_elapsed_us: u64,
+        /// Whether the run finished or was censored at the hard cap.
+        pub completion: RunCompletion,
+        /// Structured trace of the run (empty unless
+        /// [`RunnerConfig::trace`] is [`TraceMode::Collect`]).
+        pub events: Vec<TraceEvent>,
+        /// Histogram of nominal ticks covered per tick-loop iteration.
+        pub tick_dt_hist: TickDtHist,
+        /// Λ-solve memo hits of the bus model (0 when the bus keeps no memo).
+        pub memo_hits: u64,
+        /// Λ-solve memo misses of the bus model.
+        pub memo_misses: u64,
+        /// Per-stage wall-time accounting when the policy is a pipeline stack
+        /// (`None` for schedulers that expose no stage breakdown). Wall-clock
+        /// derived: a cache hit replays the producing run's readings, and the
+        /// manifest checksum excludes them.
+        pub stage_timings: Option<StageTimings>,
+        /// Open-system accounting when the run was an open managerd serve
+        /// (`None` for the closed-batch workloads).
+        pub open: Option<OpenStats>,
+        /// Search accounting when the run replayed the offline-optimal
+        /// oracle's plan (`None` for every other run).
+        pub oracle: Option<OracleStats>,
+        /// Number of bus levels the machine reported (0 = flat single bus;
+        /// hierarchical topologies report one per socket plus the
+        /// interconnect).
+        pub n_levels: usize,
+        /// Per-level mean utilization over the run (first `n_levels` slots).
+        pub level_utilization: [f64; busbw_sim::MAX_BUS_LEVELS],
+        /// Per-level fraction of wall time spent saturated (first `n_levels`
+        /// slots).
+        pub level_saturated: [f64; busbw_sim::MAX_BUS_LEVELS],
+    }
+}
+
+wire_struct! {
+    /// Accounting of one open-system managerd run (see `busbw_managerd`):
+    /// how many clients arrived, were shed by overload admission control, or
+    /// were served to completion, plus the manager's modeled overhead — the
+    /// numbers behind the shed-rate and 4.5 %-bound columns of
+    /// `experiments open`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct OpenStats {
+        /// Clients the arrival process offered.
+        pub arrived: u64,
+        /// Clients rejected because the accept queue was full.
+        pub shed: u64,
+        /// Clients served to completion (departed before the horizon).
+        pub served: u64,
+        /// Virtual duration of the serve, µs.
+        pub duration_us: u64,
+        /// Modeled manager work (pump/sample/quantum bookkeeping), virtual µs.
+        pub overhead_us: u64,
+        /// Quantum boundaries the manager served.
+        pub quanta: u64,
+        /// The most clients live at once (the accept queue's peak depth).
+        pub queue_peak: u64,
+        /// Mean slowdown (turnaround ÷ solo service time) over served clients
+        /// (0 when none were served).
+        pub mean_slowdown: f64,
+    }
 }
 
 impl OpenStats {
@@ -366,25 +393,27 @@ impl OpenStats {
     }
 }
 
-/// Search accounting of one offline-optimal oracle run (see
-/// [`crate::regret`]): the numbers behind the `oracle.*` counters of
-/// `regret.manifest.json`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OracleStats {
-    /// Search nodes counted against the node budget.
-    pub nodes: u64,
-    /// Nodes that ended, as a leaf or censored at the horizon.
-    pub leaves: u64,
-    /// Interior nodes pruned because their lower bound met the incumbent.
-    pub bound_prunes: u64,
-    /// Of `bound_prunes`, those pruned before they were simulated.
-    pub presim_prunes: u64,
-    /// Whether the search exhausted its tree within the node budget.
-    pub complete: bool,
-    /// Best total turnaround found, µs.
-    pub best_cost_us: u64,
-    /// Admissible lower bound at the root, µs.
-    pub root_lower_bound_us: u64,
+wire_struct! {
+    /// Search accounting of one offline-optimal oracle run (see
+    /// [`crate::regret`]): the numbers behind the `oracle.*` counters of
+    /// `regret.manifest.json`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct OracleStats {
+        /// Search nodes counted against the node budget.
+        pub nodes: u64,
+        /// Nodes that ended, as a leaf or censored at the horizon.
+        pub leaves: u64,
+        /// Interior nodes pruned because their lower bound met the incumbent.
+        pub bound_prunes: u64,
+        /// Of `bound_prunes`, those pruned before they were simulated.
+        pub presim_prunes: u64,
+        /// Whether the search exhausted its tree within the node budget.
+        pub complete: bool,
+        /// Best total turnaround found, µs.
+        pub best_cost_us: u64,
+        /// Admissible lower bound at the root, µs.
+        pub root_lower_bound_us: u64,
+    }
 }
 
 impl From<&OracleReport> for OracleStats {

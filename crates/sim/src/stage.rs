@@ -44,16 +44,18 @@ pub struct StageSnapshot {
 pub const STAGE_BUCKET_BOUNDS_NS: [u64; 7] =
     [250, 1_000, 4_000, 16_000, 64_000, 256_000, 1_024_000];
 
-/// Wall-time accounting for one pipeline stage.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StageTiming {
-    /// Number of times the stage ran.
-    pub calls: u64,
-    /// Total wall time across all calls, nanoseconds.
-    pub total_ns: u64,
-    /// Call counts bucketed by duration: `buckets[i]` counts calls taking
-    /// ≤ [`STAGE_BUCKET_BOUNDS_NS`]`[i]` ns; the last slot is overflow.
-    pub buckets: [u64; 8],
+busbw_trace::wire_struct! {
+    /// Wall-time accounting for one pipeline stage.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct StageTiming {
+        /// Number of times the stage ran.
+        pub calls: u64,
+        /// Total wall time across all calls, nanoseconds.
+        pub total_ns: u64,
+        /// Call counts bucketed by duration: `buckets[i]` counts calls taking
+        /// ≤ [`STAGE_BUCKET_BOUNDS_NS`]`[i]` ns; the last slot is overflow.
+        pub buckets: [u64; 8],
+    }
 }
 
 impl StageTiming {
@@ -75,12 +77,14 @@ impl StageTiming {
     }
 }
 
-/// Wall-time accounting for all four stages of one run, indexed in
-/// [`STAGE_NAMES`] order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StageTimings {
-    /// Per-stage timings, in [`STAGE_NAMES`] order.
-    pub stages: [StageTiming; 4],
+busbw_trace::wire_struct! {
+    /// Wall-time accounting for all four stages of one run, indexed in
+    /// [`STAGE_NAMES`] order.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct StageTimings {
+        /// Per-stage timings, in [`STAGE_NAMES`] order.
+        pub stages: [StageTiming; 4],
+    }
 }
 
 impl StageTimings {

@@ -56,15 +56,17 @@ impl LevelPressureStats {
     }
 }
 
-/// Histogram of per-iteration time advances, in nominal ticks — the
-/// observability layer's tick-time histogram. With event-driven tick
-/// coarsening an iteration can cover many nominal ticks; the bucket
-/// spread shows how much of a run executed coarsened.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TickDtHist {
-    /// Log₂-spaced bucket counts: iterations covering 1, 2–3, 4–7, …,
-    /// 64–127, and ≥128 nominal ticks.
-    pub buckets: [u64; 8],
+busbw_trace::wire_struct! {
+    /// Histogram of per-iteration time advances, in nominal ticks — the
+    /// observability layer's tick-time histogram. With event-driven tick
+    /// coarsening an iteration can cover many nominal ticks; the bucket
+    /// spread shows how much of a run executed coarsened.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TickDtHist {
+        /// Log₂-spaced bucket counts: iterations covering 1, 2–3, 4–7, …,
+        /// 64–127, and ≥128 nominal ticks.
+        pub buckets: [u64; 8],
+    }
 }
 
 impl TickDtHist {

@@ -1,6 +1,11 @@
-//! The event taxonomy: one enum, one JSONL line per event.
+//! The event taxonomy: one table declares every event, and the enum, its
+//! `kind`/`at_us`, its JSONL line and its run-cache codec all follow from
+//! it.
+
+use std::fmt::Write as _;
 
 use crate::json::{escape_into, push_f64};
+use crate::wire::{Dec, Enc, Wire};
 
 /// One stage of a composable scheduling pipeline (see
 /// `busbw-core::pipeline`): the four-step decomposition every reschedule
@@ -38,12 +43,7 @@ impl PipelineStage {
 
     /// Index in pipeline order (0..4).
     pub fn index(self) -> usize {
-        match self {
-            PipelineStage::Estimate => 0,
-            PipelineStage::Admit => 1,
-            PipelineStage::Select => 2,
-            PipelineStage::Place => 3,
-        }
+        self as usize
     }
 
     /// Inverse of [`PipelineStage::index`].
@@ -52,424 +52,356 @@ impl PipelineStage {
     }
 }
 
-/// One structured trace event.
+/// One byte: the stage's [`PipelineStage::index`].
+impl Wire for PipelineStage {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, e: &mut Enc) {
+        e.u8(self.index() as u8);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, String> {
+        let i = d.u8()?;
+        Self::from_index(i.into()).ok_or_else(|| format!("bad pipeline stage index {i}"))
+    }
+}
+
+/// How an event field's value appears in its JSON line.
+trait JsonField {
+    fn push_json(&self, out: &mut String);
+}
+
+macro_rules! display_json {
+    ($($t:ty),*) => {$(
+        impl JsonField for $t {
+            fn push_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+display_json!(u64, usize, bool);
+
+impl JsonField for f64 {
+    fn push_json(&self, out: &mut String) {
+        push_f64(out, *self);
+    }
+}
+
+impl JsonField for String {
+    fn push_json(&self, out: &mut String) {
+        out.push('"');
+        escape_into(out, self);
+        out.push('"');
+    }
+}
+
+impl JsonField for PipelineStage {
+    fn push_json(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.as_str());
+    }
+}
+
+/// Declares [`TraceEvent`] from one row per variant:
 ///
-/// Variants cover the three instrumented layers (simulator, scheduler,
-/// CPU manager) plus the experiment runner. Events that happen in
-/// simulated time carry `at_us`; CPU-manager events happen in wall time
-/// (the manager is a real-time component) and sort at time 0.
+/// ```text
+/// Variant = <binary tag>, "<ev kind>"[, at_us] { field: Type => "<json key>", … }
+/// ```
 ///
-/// Hot-path variants are deliberately `String`-free so constructing one
-/// never allocates.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// Simulator: a thread was placed on a cpu when a scheduling decision
-    /// was applied. `cold` mirrors the cache-warmth test used for the
-    /// cold-start counter (warmth < 0.5).
-    Placement {
-        /// Simulated time, µs.
-        at_us: u64,
-        /// Target cpu index.
-        cpu: usize,
-        /// Placed thread id.
-        thread: u64,
-        /// Owning application id.
-        app: u64,
-        /// Whether the placement was cache-cold.
-        cold: bool,
-    },
-    /// Simulator: a placed thread's solo demand changed — it crossed a
-    /// phase edge in its demand model.
-    PhaseEdge {
-        /// Simulated time, µs.
-        at_us: u64,
-        /// The thread whose demand changed.
-        thread: u64,
-        /// New solo bus demand, tx/µs.
-        rate: f64,
-        /// New memory-boundness µ ∈ [0, 1].
-        mu: f64,
-    },
-    /// Simulator: the tick loop coarsened — one iteration advanced
-    /// several nominal ticks because every input was provably static.
-    CoarseJump {
-        /// Simulated time at the start of the jump, µs.
-        at_us: u64,
-        /// Length of the jump, µs.
-        dt_us: u64,
-        /// Nominal ticks covered by the single iteration.
-        ticks_covered: u64,
-    },
-    /// Simulator: the bus arbitration produced a new dilation factor Λ
-    /// (emitted on change, not every tick — memoized solves that reuse
-    /// the previous Λ are silent).
-    BusSolve {
-        /// Simulated time, µs.
-        at_us: u64,
-        /// Dilation factor Λ (1.0 = unsaturated).
-        lambda: f64,
-        /// Bus utilization ρ ∈ [0, 1].
-        utilization: f64,
-        /// Whether demand exceeded effective capacity.
-        saturated: bool,
-        /// Number of requesting threads.
-        requesters: usize,
-    },
-    /// Simulator: an application's last thread finished.
-    AppFinished {
-        /// Simulated time, µs.
-        at_us: u64,
-        /// The finished application.
-        app: u64,
-        /// Turnaround (finish − arrival), µs.
-        turnaround_us: u64,
-    },
-    /// Scheduler: the head of the circular applications list was admitted
-    /// unconditionally (the paper's starvation-freedom rule).
-    HeadAdmission {
-        /// Simulated time, µs.
-        at_us: u64,
-        /// Admitted application.
-        app: u64,
-        /// Gang width (threads admitted).
-        width: usize,
-    },
-    /// Scheduler: the fitness loop admitted a gang.
-    GangSelected {
-        /// Simulated time, µs.
-        at_us: u64,
-        /// Admitted application.
-        app: u64,
-        /// Gang width (threads admitted).
-        width: usize,
-        /// Fitness score that won the admission.
-        fitness: f64,
-        /// Available bus bandwidth per unallocated processor at the time
-        /// of the decision, tx/µs.
-        available_per_proc: f64,
-    },
-    /// Scheduler: bandwidth demand reconstructed for an application from
-    /// measured consumption and mean dilation (demand ≈ consumption × Λ̄).
-    Reconstruct {
-        /// Simulated time, µs.
-        at_us: u64,
-        /// The application observed.
-        app: u64,
-        /// Measured per-thread consumption, tx/µs.
-        measured_per_thread: f64,
-        /// Mean dilation Λ̄ over the observation interval.
-        dilation: f64,
-        /// Reconstructed per-thread demand, tx/µs.
-        demand_per_thread: f64,
-    },
-    /// Runner: a measured application had not finished when the run hit
-    /// its deadline (hard cap). Replaces the former panic.
-    RunUnfinished {
-        /// Simulated time at which the run was cut off, µs.
-        at_us: u64,
-        /// The unfinished application.
-        app: u64,
-        /// Application name.
-        name: String,
-        /// Fraction of its total work completed, ∈ [0, 1].
-        progress_frac: f64,
-    },
-    /// CPU manager: a client connected.
-    MgrConnect {
-        /// Client id.
-        client: u64,
-        /// Thread gates already registered when the connection was
-        /// processed (threads register after the handshake, so usually 0).
-        threads: usize,
-    },
-    /// CPU manager: a client disconnected.
-    MgrDisconnect {
-        /// Client id.
-        client: u64,
-    },
-    /// CPU manager: a signal gate transitioned (block or unblock
-    /// delivered), with the counter pair after the transition.
-    MgrGate {
-        /// Owning client id.
-        client: u64,
-        /// Gated thread id.
-        thread: u64,
-        /// True if the thread should now run (unblocks ≥ blocks).
-        resumed: bool,
-        /// Block signals delivered so far.
-        blocks: u64,
-        /// Unblock signals delivered so far.
-        unblocks: u64,
-    },
-    /// CPU manager: a signal pair was injected in reversed order
-    /// (unblock before block) to exercise inversion tolerance.
-    MgrSignalReorder {
-        /// Owning client id.
-        client: u64,
-        /// Gated thread id.
-        thread: u64,
-    },
-    /// Manager (open system): a client arrived and was admitted by the
-    /// managerd accept queue. Unlike the wall-time `Mgr*` events these
-    /// happen in the open server's deterministic virtual time.
-    ClientArrived {
-        /// Virtual arrival time, µs.
-        at_us: u64,
-        /// Admitted client id.
-        client: u64,
-        /// Gang width (threads the client will register).
-        width: usize,
-    },
-    /// Manager (open system): a client arrived while the accept queue was
-    /// full and was shed by the overload admission control.
-    ClientShed {
-        /// Virtual arrival time, µs.
-        at_us: u64,
-        /// Sequential arrival index of the shed client (shed clients
-        /// never get a manager id).
-        arrival: u64,
-        /// Live clients when the shed decision was made.
-        live: usize,
-    },
-    /// Manager (open system): a client completed its work and
-    /// disconnected.
-    ClientDeparted {
-        /// Virtual departure time, µs.
-        at_us: u64,
-        /// Departing client id.
-        client: u64,
-        /// Turnaround (departure − arrival), µs.
-        turnaround_us: u64,
-    },
-    /// Simulator: one level of a hierarchical bus topology (a socket's
-    /// local bus or the cross-socket interconnect) entered saturation.
-    /// Emitted on the transition only, like [`TraceEvent::BusSolve`].
-    LevelSaturated {
-        /// Simulated time, µs.
-        at_us: u64,
-        /// Level index: sockets first, the interconnect last.
-        level: u64,
-        /// The level's utilization at the transition.
-        utilization: f64,
-        /// The dilation the level imposes on its requesters.
-        dilation: f64,
-    },
-    /// Scheduler: one pipeline stage completed during a reschedule. The
-    /// payload is deliberately deterministic (no wall-clock readings) so
-    /// merged traces stay invariant under worker counts; stage wall times
-    /// live in the metrics registry instead.
-    StageDecision {
-        /// Simulated time, µs.
-        at_us: u64,
-        /// Which stage completed.
-        stage: PipelineStage,
-        /// Items the stage produced (candidates estimated, gangs
-        /// admitted/selected, threads placed).
-        items: usize,
-    },
+/// A row naming `at_us` gets a leading `at_us: u64` field, written first
+/// in the binary layout and as the JSON `t`; a row without it writes
+/// `"t":0`. The remaining fields follow in row order in both layouts.
+macro_rules! trace_events {
+    (@at) => { 0 };
+    (@at $at:ident) => { $at };
+    (@at_bytes) => { 0 };
+    (@at_bytes $at:ident) => { 8 };
+    (
+        $(#[$meta:meta])*
+        pub enum TraceEvent {$(
+            $(#[$vmeta:meta])*
+            $name:ident = $tag:literal, $kind:literal $(, $at:ident)? {
+                $($(#[$fmeta:meta])* $field:ident: $ty:ty => $key:literal),* $(,)?
+            }
+        ),* $(,)?}
+    ) => {
+        $(#[$meta])*
+        pub enum TraceEvent {$(
+            $(#[$vmeta])*
+            $name {
+                $(
+                    /// Time of the event, µs: simulated, or the open
+                    /// server's virtual time.
+                    $at: u64,
+                )?
+                $($(#[$fmeta])* $field: $ty,)*
+            },
+        )*}
+
+        impl TraceEvent {
+            /// Short machine-readable kind tag (the JSON `ev` field).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$name { .. } => $kind,)*
+                }
+            }
+
+            /// Simulated time of the event, µs. Wall-time (CPU manager)
+            /// events report 0 so they sort before simulated activity.
+            pub fn at_us(&self) -> u64 {
+                match *self {
+                    $(TraceEvent::$name { $($at,)? .. } => trace_events!(@at $($at)?),)*
+                }
+            }
+
+            /// Append this event as one JSON object (no trailing newline).
+            pub fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{{\"ev\":\"{}\",\"t\":{}", self.kind(), self.at_us());
+                match self {
+                    $(TraceEvent::$name { $($field,)* .. } => {
+                        $(
+                            out.push_str(concat!(",\"", $key, "\":"));
+                            $field.push_json(out);
+                        )*
+                    })*
+                }
+                out.push('}');
+            }
+        }
+
+        /// The binary tag byte, then the row's fields in order.
+        impl Wire for TraceEvent {
+            const MIN_BYTES: usize = {
+                let mut min = usize::MAX;
+                $(
+                    let n = 1 + trace_events!(@at_bytes $($at)?)
+                        $(+ <$ty as Wire>::MIN_BYTES)*;
+                    if n < min {
+                        min = n;
+                    }
+                )*
+                min
+            };
+
+            fn put(&self, e: &mut Enc) {
+                match self {
+                    $(TraceEvent::$name { $($at,)? $($field),* } => {
+                        e.u8($tag);
+                        $($at.put(e);)?
+                        $($field.put(e);)*
+                    })*
+                }
+            }
+
+            fn get(d: &mut Dec<'_>) -> Result<Self, String> {
+                Ok(match d.u8()? {
+                    $($tag => TraceEvent::$name {
+                        $($at: Wire::get(d)?,)?
+                        $($field: Wire::get(d)?,)*
+                    },)*
+                    t => return Err(format!("unknown event tag {t}")),
+                })
+            }
+        }
+    };
+}
+
+trace_events! {
+    /// One structured trace event.
+    ///
+    /// Variants cover the three instrumented layers (simulator, scheduler,
+    /// CPU manager) plus the experiment runner. Events that happen in
+    /// simulated time carry `at_us`; CPU-manager events happen in wall time
+    /// (the manager is a real-time component) and sort at time 0.
+    ///
+    /// Hot-path variants are deliberately `String`-free so constructing one
+    /// never allocates. Binary tags are part of the run-cache layout: a new
+    /// variant takes the next free tag, and changing a row's tag, fields or
+    /// their order bumps the run cache's schema version.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TraceEvent {
+        /// Simulator: a thread was placed on a cpu when a scheduling decision
+        /// was applied. `cold` mirrors the cache-warmth test used for the
+        /// cold-start counter (warmth < 0.5).
+        Placement = 0, "placement", at_us {
+            /// Target cpu index.
+            cpu: usize => "cpu",
+            /// Placed thread id.
+            thread: u64 => "thread",
+            /// Owning application id.
+            app: u64 => "app",
+            /// Whether the placement was cache-cold.
+            cold: bool => "cold",
+        },
+        /// Simulator: a placed thread's solo demand changed — it crossed a
+        /// phase edge in its demand model.
+        PhaseEdge = 1, "phase_edge", at_us {
+            /// The thread whose demand changed.
+            thread: u64 => "thread",
+            /// New solo bus demand, tx/µs.
+            rate: f64 => "rate",
+            /// New memory-boundness µ ∈ [0, 1].
+            mu: f64 => "mu",
+        },
+        /// Simulator: the tick loop coarsened — one iteration advanced
+        /// several nominal ticks because every input was provably static.
+        /// `at_us` is the start of the jump.
+        CoarseJump = 2, "coarse_jump", at_us {
+            /// Length of the jump, µs.
+            dt_us: u64 => "dt_us",
+            /// Nominal ticks covered by the single iteration.
+            ticks_covered: u64 => "ticks_covered",
+        },
+        /// Simulator: the bus arbitration produced a new dilation factor Λ
+        /// (emitted on change, not every tick — memoized solves that reuse
+        /// the previous Λ are silent).
+        BusSolve = 3, "bus_solve", at_us {
+            /// Dilation factor Λ (1.0 = unsaturated).
+            lambda: f64 => "lambda",
+            /// Bus utilization ρ ∈ [0, 1].
+            utilization: f64 => "rho",
+            /// Whether demand exceeded effective capacity.
+            saturated: bool => "saturated",
+            /// Number of requesting threads.
+            requesters: usize => "requesters",
+        },
+        /// Simulator: an application's last thread finished.
+        AppFinished = 4, "app_finished", at_us {
+            /// The finished application.
+            app: u64 => "app",
+            /// Turnaround (finish − arrival), µs.
+            turnaround_us: u64 => "turnaround_us",
+        },
+        /// Scheduler: the head of the circular applications list was admitted
+        /// unconditionally (the paper's starvation-freedom rule).
+        HeadAdmission = 5, "head_admission", at_us {
+            /// Admitted application.
+            app: u64 => "app",
+            /// Gang width (threads admitted).
+            width: usize => "width",
+        },
+        /// Scheduler: the fitness loop admitted a gang.
+        GangSelected = 6, "gang_selected", at_us {
+            /// Admitted application.
+            app: u64 => "app",
+            /// Gang width (threads admitted).
+            width: usize => "width",
+            /// Fitness score that won the admission.
+            fitness: f64 => "fitness",
+            /// Available bus bandwidth per unallocated processor at the time
+            /// of the decision, tx/µs.
+            available_per_proc: f64 => "available_per_proc",
+        },
+        /// Scheduler: bandwidth demand reconstructed for an application from
+        /// measured consumption and mean dilation (demand ≈ consumption × Λ̄).
+        Reconstruct = 7, "reconstruct", at_us {
+            /// The application observed.
+            app: u64 => "app",
+            /// Measured per-thread consumption, tx/µs.
+            measured_per_thread: f64 => "measured",
+            /// Mean dilation Λ̄ over the observation interval.
+            dilation: f64 => "dilation",
+            /// Reconstructed per-thread demand, tx/µs.
+            demand_per_thread: f64 => "demand",
+        },
+        /// Runner: a measured application had not finished when the run hit
+        /// its deadline (hard cap) at `at_us`. Replaces the former panic.
+        RunUnfinished = 8, "run_unfinished", at_us {
+            /// The unfinished application.
+            app: u64 => "app",
+            /// Application name.
+            name: String => "name",
+            /// Fraction of its total work completed, ∈ [0, 1].
+            progress_frac: f64 => "progress_frac",
+        },
+        /// CPU manager: a client connected.
+        MgrConnect = 9, "mgr_connect" {
+            /// Client id.
+            client: u64 => "client",
+            /// Thread gates already registered when the connection was
+            /// processed (threads register after the handshake, so usually 0).
+            threads: usize => "threads",
+        },
+        /// CPU manager: a client disconnected.
+        MgrDisconnect = 10, "mgr_disconnect" {
+            /// Client id.
+            client: u64 => "client",
+        },
+        /// CPU manager: a signal gate transitioned (block or unblock
+        /// delivered), with the counter pair after the transition.
+        MgrGate = 11, "mgr_gate" {
+            /// Owning client id.
+            client: u64 => "client",
+            /// Gated thread id.
+            thread: u64 => "thread",
+            /// True if the thread should now run (unblocks ≥ blocks).
+            resumed: bool => "resumed",
+            /// Block signals delivered so far.
+            blocks: u64 => "blocks",
+            /// Unblock signals delivered so far.
+            unblocks: u64 => "unblocks",
+        },
+        /// CPU manager: a signal pair was injected in reversed order
+        /// (unblock before block) to exercise inversion tolerance.
+        MgrSignalReorder = 12, "mgr_signal_reorder" {
+            /// Owning client id.
+            client: u64 => "client",
+            /// Gated thread id.
+            thread: u64 => "thread",
+        },
+        /// Manager (open system): a client arrived and was admitted by the
+        /// managerd accept queue. Unlike the wall-time `Mgr*` events these
+        /// happen in the open server's deterministic virtual time.
+        ClientArrived = 14, "client_arrived", at_us {
+            /// Admitted client id.
+            client: u64 => "client",
+            /// Gang width (threads the client will register).
+            width: usize => "width",
+        },
+        /// Manager (open system): a client arrived while the accept queue was
+        /// full and was shed by the overload admission control.
+        ClientShed = 15, "client_shed", at_us {
+            /// Sequential arrival index of the shed client (shed clients
+            /// never get a manager id).
+            arrival: u64 => "arrival",
+            /// Live clients when the shed decision was made.
+            live: usize => "live",
+        },
+        /// Manager (open system): a client completed its work and
+        /// disconnected.
+        ClientDeparted = 16, "client_departed", at_us {
+            /// Departing client id.
+            client: u64 => "client",
+            /// Turnaround (departure − arrival), µs.
+            turnaround_us: u64 => "turnaround_us",
+        },
+        /// Simulator: one level of a hierarchical bus topology (a socket's
+        /// local bus or the cross-socket interconnect) entered saturation.
+        /// Emitted on the transition only, like [`TraceEvent::BusSolve`].
+        LevelSaturated = 17, "level_saturated", at_us {
+            /// Level index: sockets first, the interconnect last.
+            level: u64 => "level",
+            /// The level's utilization at the transition.
+            utilization: f64 => "rho",
+            /// The dilation the level imposes on its requesters.
+            dilation: f64 => "lambda",
+        },
+        /// Scheduler: one pipeline stage completed during a reschedule. The
+        /// payload is deliberately deterministic (no wall-clock readings) so
+        /// merged traces stay invariant under worker counts; stage wall times
+        /// live in the metrics registry instead.
+        StageDecision = 13, "stage_decision", at_us {
+            /// Which stage completed.
+            stage: PipelineStage => "stage",
+            /// Items the stage produced (candidates estimated, gangs
+            /// admitted/selected, threads placed).
+            items: usize => "items",
+        },
+    }
 }
 
 impl TraceEvent {
-    /// Short machine-readable kind tag (the JSON `ev` field).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::Placement { .. } => "placement",
-            TraceEvent::PhaseEdge { .. } => "phase_edge",
-            TraceEvent::CoarseJump { .. } => "coarse_jump",
-            TraceEvent::BusSolve { .. } => "bus_solve",
-            TraceEvent::AppFinished { .. } => "app_finished",
-            TraceEvent::HeadAdmission { .. } => "head_admission",
-            TraceEvent::GangSelected { .. } => "gang_selected",
-            TraceEvent::Reconstruct { .. } => "reconstruct",
-            TraceEvent::RunUnfinished { .. } => "run_unfinished",
-            TraceEvent::MgrConnect { .. } => "mgr_connect",
-            TraceEvent::MgrDisconnect { .. } => "mgr_disconnect",
-            TraceEvent::MgrGate { .. } => "mgr_gate",
-            TraceEvent::MgrSignalReorder { .. } => "mgr_signal_reorder",
-            TraceEvent::ClientArrived { .. } => "client_arrived",
-            TraceEvent::ClientShed { .. } => "client_shed",
-            TraceEvent::ClientDeparted { .. } => "client_departed",
-            TraceEvent::LevelSaturated { .. } => "level_saturated",
-            TraceEvent::StageDecision { .. } => "stage_decision",
-        }
-    }
-
-    /// Simulated time of the event, µs. Wall-time (CPU manager) events
-    /// report 0 so they sort before simulated activity.
-    pub fn at_us(&self) -> u64 {
-        match *self {
-            TraceEvent::Placement { at_us, .. }
-            | TraceEvent::PhaseEdge { at_us, .. }
-            | TraceEvent::CoarseJump { at_us, .. }
-            | TraceEvent::BusSolve { at_us, .. }
-            | TraceEvent::AppFinished { at_us, .. }
-            | TraceEvent::HeadAdmission { at_us, .. }
-            | TraceEvent::GangSelected { at_us, .. }
-            | TraceEvent::Reconstruct { at_us, .. }
-            | TraceEvent::RunUnfinished { at_us, .. }
-            | TraceEvent::ClientArrived { at_us, .. }
-            | TraceEvent::ClientShed { at_us, .. }
-            | TraceEvent::ClientDeparted { at_us, .. }
-            | TraceEvent::LevelSaturated { at_us, .. }
-            | TraceEvent::StageDecision { at_us, .. } => at_us,
-            TraceEvent::MgrConnect { .. }
-            | TraceEvent::MgrDisconnect { .. }
-            | TraceEvent::MgrGate { .. }
-            | TraceEvent::MgrSignalReorder { .. } => 0,
-        }
-    }
-
-    /// Append this event as one JSON object (no trailing newline).
-    pub fn write_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(out, "{{\"ev\":\"{}\",\"t\":{}", self.kind(), self.at_us());
-        match self {
-            TraceEvent::Placement {
-                cpu,
-                thread,
-                app,
-                cold,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"cpu\":{cpu},\"thread\":{thread},\"app\":{app},\"cold\":{cold}"
-                );
-            }
-            TraceEvent::PhaseEdge {
-                thread, rate, mu, ..
-            } => {
-                let _ = write!(out, ",\"thread\":{thread},\"rate\":");
-                push_f64(out, *rate);
-                out.push_str(",\"mu\":");
-                push_f64(out, *mu);
-            }
-            TraceEvent::CoarseJump {
-                dt_us,
-                ticks_covered,
-                ..
-            } => {
-                let _ = write!(out, ",\"dt_us\":{dt_us},\"ticks_covered\":{ticks_covered}");
-            }
-            TraceEvent::BusSolve {
-                lambda,
-                utilization,
-                saturated,
-                requesters,
-                ..
-            } => {
-                out.push_str(",\"lambda\":");
-                push_f64(out, *lambda);
-                out.push_str(",\"rho\":");
-                push_f64(out, *utilization);
-                let _ = write!(
-                    out,
-                    ",\"saturated\":{saturated},\"requesters\":{requesters}"
-                );
-            }
-            TraceEvent::AppFinished {
-                app, turnaround_us, ..
-            } => {
-                let _ = write!(out, ",\"app\":{app},\"turnaround_us\":{turnaround_us}");
-            }
-            TraceEvent::HeadAdmission { app, width, .. } => {
-                let _ = write!(out, ",\"app\":{app},\"width\":{width}");
-            }
-            TraceEvent::GangSelected {
-                app,
-                width,
-                fitness,
-                available_per_proc,
-                ..
-            } => {
-                let _ = write!(out, ",\"app\":{app},\"width\":{width},\"fitness\":");
-                push_f64(out, *fitness);
-                out.push_str(",\"available_per_proc\":");
-                push_f64(out, *available_per_proc);
-            }
-            TraceEvent::Reconstruct {
-                app,
-                measured_per_thread,
-                dilation,
-                demand_per_thread,
-                ..
-            } => {
-                let _ = write!(out, ",\"app\":{app},\"measured\":");
-                push_f64(out, *measured_per_thread);
-                out.push_str(",\"dilation\":");
-                push_f64(out, *dilation);
-                out.push_str(",\"demand\":");
-                push_f64(out, *demand_per_thread);
-            }
-            TraceEvent::RunUnfinished {
-                app,
-                name,
-                progress_frac,
-                ..
-            } => {
-                let _ = write!(out, ",\"app\":{app},\"name\":\"");
-                escape_into(out, name);
-                out.push_str("\",\"progress_frac\":");
-                push_f64(out, *progress_frac);
-            }
-            TraceEvent::MgrConnect {
-                client, threads, ..
-            } => {
-                let _ = write!(out, ",\"client\":{client},\"threads\":{threads}");
-            }
-            TraceEvent::MgrDisconnect { client } => {
-                let _ = write!(out, ",\"client\":{client}");
-            }
-            TraceEvent::MgrGate {
-                client,
-                thread,
-                resumed,
-                blocks,
-                unblocks,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"client\":{client},\"thread\":{thread},\"resumed\":{resumed},\
-                     \"blocks\":{blocks},\"unblocks\":{unblocks}"
-                );
-            }
-            TraceEvent::MgrSignalReorder { client, thread } => {
-                let _ = write!(out, ",\"client\":{client},\"thread\":{thread}");
-            }
-            TraceEvent::ClientArrived { client, width, .. } => {
-                let _ = write!(out, ",\"client\":{client},\"width\":{width}");
-            }
-            TraceEvent::ClientShed { arrival, live, .. } => {
-                let _ = write!(out, ",\"arrival\":{arrival},\"live\":{live}");
-            }
-            TraceEvent::ClientDeparted {
-                client,
-                turnaround_us,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"client\":{client},\"turnaround_us\":{turnaround_us}"
-                );
-            }
-            TraceEvent::LevelSaturated {
-                level,
-                utilization,
-                dilation,
-                ..
-            } => {
-                let _ = write!(out, ",\"level\":{level},\"rho\":");
-                push_f64(out, *utilization);
-                out.push_str(",\"lambda\":");
-                push_f64(out, *dilation);
-            }
-            TraceEvent::StageDecision { stage, items, .. } => {
-                let _ = write!(out, ",\"stage\":\"{}\",\"items\":{items}", stage.as_str());
-            }
-        }
-        out.push('}');
-    }
-
     /// Render this event as one JSON object string.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);

@@ -25,6 +25,8 @@
 //!   checksums ([`fnv1a64`]) and an optional metrics snapshot.
 //! * [`json`] — a minimal JSON renderer/parser so manifests and traces
 //!   can be validated without external crates.
+//! * [`wire`] — the bit-exact binary codec the run cache stores results
+//!   (and their events) in.
 //!
 //! Everything here is deterministic: events carry simulated time only, so
 //! a run traced with 1 worker and with 4 workers produces byte-identical
@@ -39,6 +41,7 @@ pub mod json;
 mod manifest;
 mod sink;
 pub mod validate;
+pub mod wire;
 
 pub use bus::{EventBus, RECENT_CAPACITY};
 pub use event::{PipelineStage, TraceEvent};
