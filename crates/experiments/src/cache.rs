@@ -56,7 +56,11 @@ use crate::runner::{PolicyKind, RunResult, TraceMode};
 /// v6: [`crate::runner::OpenStats`] grew `quanta` and `queue_peak`.
 ///
 /// v7: [`RunResult`] grew optional [`crate::runner::OracleStats`].
-pub const RUN_SCHEMA_VERSION: u32 = 7;
+///
+/// v8: an open cell stores its turnaround histogram
+/// ([`crate::runner::OpenStats::turnarounds`]) instead of one turnaround
+/// per served client in [`RunResult::turnarounds_us`].
+pub const RUN_SCHEMA_VERSION: u32 = 8;
 
 /// Magic bytes opening the pack file.
 const PACK_MAGIC: &[u8; 8] = b"BBWPACK\x01";
@@ -794,6 +798,13 @@ mod tests {
                 quanta: 25,
                 queue_peak: 8,
                 mean_slowdown: f64::consts_hack(),
+                turnarounds: {
+                    let mut h = busbw_metrics::Histogram::new(busbw_managerd::turnaround_bounds());
+                    for t in [20.0, 1_500.0, 1_500.0, 2e9] {
+                        h.record(t);
+                    }
+                    crate::runner::Turnarounds(h)
+                },
             }),
             oracle: Some(crate::runner::OracleStats {
                 nodes: 2000,
@@ -874,7 +885,7 @@ mod tests {
     /// JSONL. Either moving means the wire or the trace format changed:
     /// the payload needs a [`RUN_SCHEMA_VERSION`] bump, the JSONL a note
     /// for every trace consumer.
-    const SAMPLE_PAYLOAD_FNV: u64 = 0x21dd_2cdc_eaa6_f57d;
+    const SAMPLE_PAYLOAD_FNV: u64 = 0x2ce2_e76b_8628_d367;
     const SAMPLE_JSONL_FNV: u64 = 0x80a9_6943_9ef7_8c37;
 
     #[test]
@@ -968,6 +979,31 @@ mod tests {
             let mut bad = good.clone();
             bad[at..at + patch.len()].copy_from_slice(&patch);
             assert!(decode_result(&bad).is_err(), "{what} must be rejected");
+        }
+
+        // Two turnaround histograms no serve records, each otherwise well
+        // framed. The histogram follows `OpenStats`' seven counters and
+        // mean slowdown: a bucket-count prefix, the counts, then the count.
+        let hist = offset_of(&good, ARRIVED) + 8 * 8;
+        let buckets = busbw_managerd::turnaround_bounds().len() + 1;
+        let word = |at: usize| u64::from_le_bytes(good[at..at + 8].try_into().unwrap());
+        assert_eq!(word(hist), buckets as u64);
+        let count_at = hist + 8 + 8 * buckets;
+        let empty = (1..buckets)
+            .map(|i| hist + 8 * (i + 1))
+            .find(|&at| word(at) == 0)
+            .expect("an empty bucket");
+        let mut short = good.clone();
+        short.drain(empty..empty + 8);
+        short[hist..hist + 8].copy_from_slice(&(buckets as u64 - 1).to_le_bytes());
+        let mut miscounted = good.clone();
+        miscounted[count_at..count_at + 8].copy_from_slice(&(word(count_at) + 1).to_le_bytes());
+        for (what, bad) in [
+            ("a bucket short of bounds + 1", short),
+            ("counts off the count", miscounted),
+        ] {
+            let err = decode_result(&bad).expect_err(what);
+            assert!(err.contains("bucket counts"), "{what}: {err}");
         }
     }
 

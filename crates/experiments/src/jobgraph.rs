@@ -401,7 +401,7 @@ impl Executed {
             reg.inc_counter("bus.memo_hits", r.memo_hits);
             reg.inc_counter("bus.memo_misses", r.memo_misses);
         }
-        OpenStats::record_all(cells.iter().filter_map(|r| r.open), reg);
+        OpenStats::record_all(cells.iter().filter_map(|r| r.open.as_ref()), reg);
         OracleStats::record_all(cells.iter().filter_map(|r| r.oracle), reg);
     }
 }
