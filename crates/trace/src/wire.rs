@@ -37,6 +37,15 @@ impl Enc {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// Append a sequence as a `Vec<T>` writes it: a `u64` element count,
+    /// then the elements.
+    pub fn seq<T: Wire>(&mut self, s: &[T]) {
+        s.len().put(self);
+        for v in s {
+            v.put(self);
+        }
+    }
+
     /// Append an optional value: tag 0, or tag 1 and the value.
     pub fn opt<T: Wire>(&mut self, v: Option<&T>) {
         match v {
@@ -204,15 +213,12 @@ impl Wire for String {
     }
 }
 
-/// A `u64` element count, then the elements.
+/// As written by [`Enc::seq`].
 impl<T: Wire> Wire for Vec<T> {
     const MIN_BYTES: usize = 8;
 
     fn put(&self, e: &mut Enc) {
-        self.len().put(e);
-        for v in self {
-            v.put(e);
-        }
+        e.seq(self);
     }
 
     fn get(d: &mut Dec<'_>) -> Result<Self, String> {
