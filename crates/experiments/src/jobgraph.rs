@@ -775,6 +775,71 @@ mod tests {
         assert_eq!(base.key(), k);
     }
 
+    /// The run keys of the shapes the benchmark ledger declares, pinned:
+    /// per shape, the declared and unique cell counts and an FNV-1a digest
+    /// over every unique cell's key and sibling key in plan order. Packs
+    /// on disk are indexed by these bytes, so a change here must come
+    /// with a [`RUN_SCHEMA_VERSION`] bump and a re-pin from the table the
+    /// failure prints.
+    #[test]
+    fn ledger_shapes_declare_pinned_run_keys() {
+        let rc = |scale| RunnerConfig {
+            scale,
+            ..RunnerConfig::default()
+        };
+        let mut shapes: Vec<(&str, Plan)> = Vec::new();
+        let mut plan = Plan::new();
+        crate::plan_suite(&mut plan, &rc(0.1));
+        shapes.push(("suite", plan));
+        let mut plan = Plan::new();
+        crate::plan_open(
+            &mut plan,
+            &rc(0.4),
+            crate::parse_arrivals("poisson:20").expect("a poisson rate parses"),
+            12_000_000_000,
+            crate::open::DEFAULT_QUEUE_CAPACITY,
+        );
+        shapes.push(("open", plan));
+        let mut plan = Plan::new();
+        crate::plan_regret(&mut plan, &rc(0.07));
+        shapes.push(("regret", plan));
+        let mut plan = Plan::new();
+        for shape in crate::TOPO_SHAPES {
+            crate::plan_topo(&mut plan, shape, &rc(1.5));
+        }
+        shapes.push(("topo", plan));
+
+        let got: Vec<(&str, u64, usize, u64)> = shapes
+            .iter()
+            .map(|(name, plan)| {
+                let mut bytes = Vec::new();
+                for (req, key) in plan.requests().iter().zip(&plan.keys) {
+                    assert_eq!(&req.key(), key, "a request's key is stable");
+                    // A cell that groups with none writes an empty sibling key.
+                    let sibling = req.sibling_key();
+                    for k in [key.encoded(), sibling.as_ref().map_or(&[], RunKey::encoded)] {
+                        bytes.extend((k.len() as u64).to_le_bytes());
+                        bytes.extend_from_slice(k);
+                    }
+                }
+                (*name, plan.declared(), plan.len(), busbw_trace::fnv1a64(&bytes))
+            })
+            .collect();
+        const PINNED: &[(&str, u64, usize, u64)] = &[
+            ("suite", 339, 279, 0xe2e92b2dfe251dba),
+            ("open", 12, 12, 0x6b84686313dc4bbd),
+            ("regret", 56, 56, 0x41d0537fcab8f80a),
+            ("topo", 48, 48, 0x5ac10f2bc00ab8d5),
+        ];
+        assert!(
+            got == PINNED,
+            "run keys moved; new table:\n{}",
+            got.iter()
+                .map(|(n, d, u, h)| format!("    (\"{n}\", {d}, {u}, {h:#018x}),\n"))
+                .collect::<String>()
+        );
+    }
+
     mod props {
         use super::*;
         use crate::policy::{AdmissionKind, EstimatorKind, PlacerKind, SelectorKind, StackSpec};

@@ -7,7 +7,7 @@
 //! the table from the complete new table the failure prints.
 //!
 //! Covered, at seed 42:
-//! - the `all` sweep at scale 0.02 (its 13 figures and `summary`);
+//! - the `all` sweep at scale 0.1 (its 13 figures and `summary`);
 //! - `open --arrivals poisson:small --duration short` at scale 1;
 //! - `regret` at scale 0.02;
 //! - `topo` (its three panels) at scale 0.1.
@@ -48,8 +48,8 @@ fn push_figure(out: &mut Vec<(String, u64)>, prefix: &str, fig: &FigureSummary) 
 fn digests() -> Vec<(String, u64)> {
     let mut out = Vec::new();
 
-    // `experiments all --scale 0.02`, in the binary's emission order.
-    let rc_all = rc(0.02);
+    // `experiments all --scale 0.1`, in the binary's emission order.
+    let rc_all = rc(0.1);
     let mut plan = Plan::new();
     let cells = plan_suite(&mut plan, &rc_all);
     let executed = Engine::ephemeral().execute(&plan, WORKERS);
@@ -95,34 +95,34 @@ fn digests() -> Vec<(String, u64)> {
 
 /// FNV-1a digest of every artifact, keyed `<command>/<file>`.
 const PINNED: &[(&str, u64)] = &[
-    ("all/fig1a.txt", 0x3d935b6c8046e632),
-    ("all/fig1a.csv", 0xa18ad51b183c84a7),
-    ("all/fig1b.txt", 0x17aa092aae27ddcf),
-    ("all/fig1b.csv", 0x68ce0a3ed08cc17a),
-    ("all/fig2a.txt", 0xd23f7a421bd8faf2),
-    ("all/fig2a.csv", 0xbffdd34309f6c400),
-    ("all/fig2b.txt", 0xe7fa11e54a631f82),
-    ("all/fig2b.csv", 0xd58f531b7bfc542e),
-    ("all/fig2c.txt", 0x459a3c114c2295f6),
-    ("all/fig2c.csv", 0x51c20d915f680fec),
-    ("all/summary.txt", 0x6a395d2b0246b9b4),
-    ("all/summary.csv", 0x64ae7abf1a025edd),
-    ("all/ablate-window.txt", 0x955aa5ab1ad3ff6c),
-    ("all/ablate-window.csv", 0x74aa5891940f4184),
-    ("all/ablate-quantum.txt", 0x29db9b7a96a30d61),
-    ("all/ablate-quantum.csv", 0x7c6242e510681614),
-    ("all/ablate-fitness.txt", 0xabf2ca99475a776e),
-    ("all/ablate-fitness.csv", 0x35e2065077769d8c),
-    ("all/ablate-smt.txt", 0x4591adbfb4c2d32f),
-    ("all/ablate-smt.csv", 0x1094db8be70a89b4),
-    ("all/dynamic.txt", 0xf7cd5e6279e9d725),
-    ("all/dynamic.csv", 0xf8bb05bc2785566e),
-    ("all/baselines.txt", 0x55f1a83bf6c0f813),
-    ("all/baselines.csv", 0x8ec87b3eeb990234),
-    ("all/robustness.txt", 0x8df570414ea8f3a6),
-    ("all/robustness.csv", 0x7c3de6ed62e41cb9),
-    ("all/ablate-stages.txt", 0x635dd7796b7bf8ab),
-    ("all/ablate-stages.csv", 0x75e61f4810a42aa3),
+    ("all/fig1a.txt", 0x721ddfac5853a30a),
+    ("all/fig1a.csv", 0x08ac06103cc116f9),
+    ("all/fig1b.txt", 0xbddba1f6c0f62710),
+    ("all/fig1b.csv", 0x8afdd51b794b1467),
+    ("all/fig2a.txt", 0xdab56342050fae67),
+    ("all/fig2a.csv", 0x0f1b59b48fc84823),
+    ("all/fig2b.txt", 0xb8f9c4540fe5d2fd),
+    ("all/fig2b.csv", 0x7e3571a5d0a6d215),
+    ("all/fig2c.txt", 0x04f7e689acd7acfe),
+    ("all/fig2c.csv", 0x183b5577039384e0),
+    ("all/summary.txt", 0x2eed9133482ae878),
+    ("all/summary.csv", 0x851ffde895a4c4bf),
+    ("all/ablate-window.txt", 0xd2d7dbfc561cb44e),
+    ("all/ablate-window.csv", 0x792ca64140ecc306),
+    ("all/ablate-quantum.txt", 0x033ab9976fb2b414),
+    ("all/ablate-quantum.csv", 0x42e4b7bb5d62a39b),
+    ("all/ablate-fitness.txt", 0x7bef7412bcec886f),
+    ("all/ablate-fitness.csv", 0x8e2580e14d8b90b3),
+    ("all/ablate-smt.txt", 0x38d53edfa1d3ffac),
+    ("all/ablate-smt.csv", 0xa844fe6e5de1840f),
+    ("all/dynamic.txt", 0x5593ac383edaf7f3),
+    ("all/dynamic.csv", 0xa5c693363fc16536),
+    ("all/baselines.txt", 0x9ad1776847da9b94),
+    ("all/baselines.csv", 0xe2743e1bac645425),
+    ("all/robustness.txt", 0xcdc1e86e94654b16),
+    ("all/robustness.csv", 0xaafe722a4e1cd993),
+    ("all/ablate-stages.txt", 0xf258727148ff472f),
+    ("all/ablate-stages.csv", 0x5ad0ca6e7b9c0d27),
     ("open/open.txt", 0x97cfe11815d42371),
     ("open/open.csv", 0x0d7177e957489f1c),
     ("regret/regret.txt", 0xa3a04c1afe9771da),
