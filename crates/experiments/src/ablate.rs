@@ -25,7 +25,7 @@ use busbw_workloads::burst::TwoStateBurst;
 use busbw_workloads::paper::PaperApp;
 
 use crate::fig2::{fold_fig2, plan_fig2, Fig2Cells, Fig2Set};
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
+use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
 use crate::policy::{EstimatorKind, PlacerKind, SelectorKind, StackSpec};
 use crate::runner::{PolicyKind, RunnerConfig};
 
@@ -60,11 +60,11 @@ pub fn plan_window(plan: &mut Plan, rc: &RunnerConfig) -> WindowCells {
     let per_app = WINDOW_APPS
         .iter()
         .map(|&app| {
-            let spec = Fig2Set::B.spec(app);
-            let linux = plan.cell(RunRequest::spec(spec.clone(), PolicyKind::Linux, rc));
+            let workload = Workload::new(Fig2Set::B.spec(app));
+            let linux = plan.cell(RunRequest::spec(&workload, PolicyKind::Linux, rc));
             let windowed = WINDOW_SWEEP
                 .iter()
-                .map(|&w| plan.cell(RunRequest::spec(spec.clone(), PolicyKind::WindowN(w), rc)))
+                .map(|&w| plan.cell(RunRequest::spec(&workload, PolicyKind::WindowN(w), rc)))
                 .collect();
             (linux, windowed)
         })
@@ -127,13 +127,13 @@ pub fn plan_quantum(plan: &mut Plan, rc: &RunnerConfig) -> QuantumCells {
     let per_app = QUANTUM_APPS
         .iter()
         .map(|&app| {
-            let spec = Fig2Set::C.spec(app);
-            let linux = plan.cell(RunRequest::spec(spec.clone(), PolicyKind::Linux, rc));
+            let workload = Workload::new(Fig2Set::C.spec(app));
+            let linux = plan.cell(RunRequest::spec(&workload, PolicyKind::Linux, rc));
             let swept = QUANTUM_SWEEP
                 .iter()
                 .map(|&q| {
                     plan.cell(RunRequest::spec(
-                        spec.clone(),
+                        &workload,
                         PolicyKind::LatestWithQuantum(q),
                         rc,
                     ))
@@ -234,12 +234,12 @@ pub fn plan_smt(plan: &mut Plan, rc: &RunnerConfig) -> SmtCells {
     let per_app = SMT_APPS
         .iter()
         .map(|&app| {
-            let spec = Fig2Set::C.spec(app);
+            let workload = Workload::new(Fig2Set::C.spec(app));
             let mut ids = Vec::with_capacity(2 * (1 + SMT_POLICIES.len()));
             for cfg in [rc, &ht_rc] {
-                ids.push(plan.cell(RunRequest::spec(spec.clone(), PolicyKind::Linux, cfg)));
+                ids.push(plan.cell(RunRequest::spec(&workload, PolicyKind::Linux, cfg)));
                 for p in SMT_POLICIES {
-                    ids.push(plan.cell(RunRequest::spec(spec.clone(), p, cfg)));
+                    ids.push(plan.cell(RunRequest::spec(&workload, p, cfg)));
                 }
             }
             ids
@@ -329,8 +329,8 @@ pub struct StageCells {
 /// is a [`PolicyKind::Stack`], so this sweep exercises exactly the same
 /// composition path as the `--policy` CLI grammar.
 pub fn plan_stages(plan: &mut Plan, rc: &RunnerConfig) -> StageCells {
-    let spec = Fig2Set::C.spec(STAGE_APP);
-    let linux = plan.cell(RunRequest::spec(spec.clone(), PolicyKind::Linux, rc));
+    let workload = Workload::new(Fig2Set::C.spec(STAGE_APP));
+    let linux = plan.cell(RunRequest::spec(&workload, PolicyKind::Linux, rc));
     let mut combos = Vec::new();
     for est in STAGE_ESTIMATORS {
         for sel in stage_selectors(rc) {
@@ -341,7 +341,7 @@ pub fn plan_stages(plan: &mut Plan, rc: &RunnerConfig) -> StageCells {
                     placer,
                     ..StackSpec::default()
                 };
-                let id = plan.cell(RunRequest::spec(spec.clone(), PolicyKind::Stack(stack), rc));
+                let id = plan.cell(RunRequest::spec(&workload, PolicyKind::Stack(stack), rc));
                 combos.push((stack, id));
             }
         }

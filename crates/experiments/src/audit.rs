@@ -32,7 +32,7 @@ use busbw_workloads::{
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::cache::encode_result;
-use crate::jobgraph::{Engine, Plan, RunRequest};
+use crate::jobgraph::{Engine, Plan, RunRequest, Workload};
 use crate::policy::{AdmissionKind, EstimatorKind, PlacerKind, SelectorKind, StackSpec};
 use crate::runner::{
     finalize_run, prepare_run, run_spec, run_spec_hooked, PolicyKind, RunResult, RunnerConfig,
@@ -283,7 +283,11 @@ pub fn check_cell_differential(cell: &FuzzCell, workers: usize) -> Vec<Violation
     check_grouped_arm(&mut auditor, cell, &mix, &rc, &baseline_bytes, false);
 
     let mut plan = Plan::new();
-    let id = plan.cell(RunRequest::spec(mix, PolicyKind::Stack(cell.stack), &rc));
+    let id = plan.cell(RunRequest::spec(
+        &Workload::new(mix),
+        PolicyKind::Stack(cell.stack),
+        &rc,
+    ));
     let mut engine = Engine::ephemeral();
     let cold = engine.execute(&plan, workers);
     auditor.check_byte_identity(

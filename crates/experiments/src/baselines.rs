@@ -9,7 +9,7 @@ use busbw_metrics::{improvement_pct, ExperimentRow, FigureSummary};
 use busbw_workloads::paper::PaperApp;
 
 use crate::fig2::Fig2Set;
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
+use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
 use crate::runner::{PolicyKind, RunnerConfig};
 
 const BASELINE_APPS: [PaperApp; 4] = [PaperApp::Volrend, PaperApp::Bt, PaperApp::Mg, PaperApp::Cg];
@@ -32,10 +32,10 @@ pub struct BaselineCells {
 pub fn plan_baselines(plan: &mut Plan, rc: &RunnerConfig) -> BaselineCells {
     let mut cells = Vec::new();
     for app in BASELINE_APPS {
-        let spec = Fig2Set::C.spec(app);
-        cells.push(plan.cell(RunRequest::spec(spec.clone(), PolicyKind::Linux, rc)));
+        let workload = Workload::new(Fig2Set::C.spec(app));
+        cells.push(plan.cell(RunRequest::spec(&workload, PolicyKind::Linux, rc)));
         for p in BASELINE_POLICIES {
-            cells.push(plan.cell(RunRequest::spec(spec.clone(), p, rc)));
+            cells.push(plan.cell(RunRequest::spec(&workload, p, rc)));
         }
     }
     BaselineCells { cells }

@@ -22,7 +22,7 @@ use busbw_workloads::mix::{
 };
 use busbw_workloads::paper::PaperApp;
 
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
+use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
 use crate::runner::{PolicyKind, RunResult, RunnerConfig};
 
 /// The four per-application configurations, in legend order.
@@ -47,7 +47,8 @@ pub fn plan_fig1(plan: &mut Plan, rc: &RunnerConfig) -> Fig1Cells {
     let cells = PaperApp::ALL
         .iter()
         .flat_map(|&app| fig1_configs(app))
-        .map(|spec| plan.cell(RunRequest::spec(spec, PolicyKind::Linux, rc)))
+        .map(Workload::new)
+        .map(|w| plan.cell(RunRequest::spec(&w, PolicyKind::Linux, rc)))
         .collect();
     Fig1Cells { cells }
 }

@@ -10,7 +10,7 @@ use busbw_metrics::{improvement_pct, ExperimentRow, FigureSummary};
 use busbw_workloads::mix::{fig2_set_a, fig2_set_b, fig2_set_c, WorkloadSpec};
 use busbw_workloads::paper::PaperApp;
 
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
+use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
 use crate::runner::{PolicyKind, RunResult, RunnerConfig};
 
 /// The three workload families of §5.
@@ -75,10 +75,10 @@ pub fn plan_fig2(
 ) -> Fig2Cells {
     let mut cells = Vec::with_capacity(PaperApp::ALL.len() * (1 + policies.len()));
     for &app in PaperApp::ALL.iter() {
-        let spec = set.spec(app);
-        cells.push(plan.cell(RunRequest::spec(spec.clone(), PolicyKind::Linux, rc)));
+        let workload = Workload::new(set.spec(app));
+        cells.push(plan.cell(RunRequest::spec(&workload, PolicyKind::Linux, rc)));
         for &p in policies {
-            cells.push(plan.cell(RunRequest::spec(spec.clone(), p, rc)));
+            cells.push(plan.cell(RunRequest::spec(&workload, p, rc)));
         }
     }
     Fig2Cells {

@@ -46,12 +46,44 @@ use crate::sibling::run_group;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellId(usize);
 
+/// A workload declared once: the spec plus its canonical key encoding,
+/// made when a planner builds the mix. Every cell that runs the mix holds
+/// the same handle (`Arc::clone`), and its key and sibling key splice the
+/// cached bytes instead of encoding the spec again.
+#[derive(Debug)]
+pub struct Workload {
+    spec: WorkloadSpec,
+    encoded: Vec<u8>,
+}
+
+impl Workload {
+    /// Encode `spec` once and wrap it for sharing between cells.
+    pub fn new(spec: WorkloadSpec) -> Arc<Self> {
+        Arc::new(Self {
+            encoded: encoded(|e| encode_workload(e, &spec)),
+            spec,
+        })
+    }
+
+    /// The workload itself.
+    pub fn spec(&self) -> &WorkloadSpec {
+        &self.spec
+    }
+}
+
+/// The bytes `put` writes, on their own, for splicing into a key.
+fn encoded(put: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let mut e = Enc::new();
+    put(&mut e);
+    e.into_bytes()
+}
+
 /// The shape of one simulator run.
 #[derive(Debug, Clone)]
 pub enum RunShape {
     /// A closed-system run: everything arrives at t = 0
     /// ([`run_spec`] semantics).
-    Spec(WorkloadSpec),
+    Spec(Arc<Workload>),
     /// The open-system staggered-arrival run of the `dynamic` figure:
     /// microbenchmark background at t = 0, two instances of `app` at
     /// `stagger_us` and `2 × stagger_us`
@@ -68,8 +100,13 @@ pub enum RunShape {
     /// An offline-optimal oracle run: branch-and-bound search for the
     /// best gang schedule of a closed workload, seeded by the preset
     /// heuristics ([`crate::regret::oracle_run`] semantics).
-    Oracle(WorkloadSpec),
+    Oracle(Arc<Workload>),
 }
+
+/// Bytes a key holds besides its shape payload, at most: the schema
+/// word, the shape tag, the largest policy (a composed stack) and the
+/// setting (machine, scale, seed, trace wiring, hard cap).
+const KEY_FRAME_BYTES: usize = 256;
 
 /// One fully-resolved run: shape + policy + every [`RunnerConfig`] field
 /// that can change the numbers. `workers` is deliberately absent — it
@@ -86,18 +123,10 @@ pub struct RunRequest {
 }
 
 impl RunRequest {
-    /// A closed-system cell: `spec` under `policy` with `rc`'s machine,
-    /// scale, seed, trace wiring, and hard cap.
-    pub fn spec(spec: WorkloadSpec, policy: PolicyKind, rc: &RunnerConfig) -> Self {
-        Self {
-            shape: RunShape::Spec(spec),
-            policy,
-            machine: rc.machine,
-            scale: rc.scale,
-            seed: rc.seed,
-            trace: rc.trace,
-            hard_cap_factor: rc.hard_cap_factor,
-        }
+    /// A closed-system cell: `workload` under `policy` with `rc`'s
+    /// machine, scale, seed, trace wiring, and hard cap.
+    pub fn spec(workload: &Arc<Workload>, policy: PolicyKind, rc: &RunnerConfig) -> Self {
+        Self::with_shape(RunShape::Spec(Arc::clone(workload)), policy, rc)
     }
 
     /// A staggered-arrival cell (the `dynamic` figure).
@@ -107,8 +136,34 @@ impl RunRequest {
         policy: PolicyKind,
         rc: &RunnerConfig,
     ) -> Self {
+        Self::with_shape(RunShape::Staggered { app, stagger_us }, policy, rc)
+    }
+
+    /// An open managerd-serve cell (the `open` figure). The estimator
+    /// stack lives inside [`crate::open::OpenSpec`], so the simulator
+    /// policy slot is pinned to the Linux baseline — it never runs and
+    /// exists only to keep the request shape uniform.
+    pub fn open(spec: crate::open::OpenSpec, rc: &RunnerConfig) -> Self {
+        Self::with_shape(RunShape::Open(spec), PolicyKind::Linux, rc)
+    }
+
+    /// An offline-optimal oracle cell (the `regret` figure). The search
+    /// owns policy selection end to end, so the policy slot is pinned to
+    /// [`PolicyKind::OfflineOptimal`] — the request stays uniform and the
+    /// key still separates oracle cells from every heuristic on the same
+    /// workload.
+    pub fn oracle(workload: &Arc<Workload>, rc: &RunnerConfig) -> Self {
+        Self::with_shape(
+            RunShape::Oracle(Arc::clone(workload)),
+            PolicyKind::OfflineOptimal,
+            rc,
+        )
+    }
+
+    /// A cell of `shape` under `policy` with `rc`'s setting.
+    fn with_shape(shape: RunShape, policy: PolicyKind, rc: &RunnerConfig) -> Self {
         Self {
-            shape: RunShape::Staggered { app, stagger_us },
+            shape,
             policy,
             machine: rc.machine,
             scale: rc.scale,
@@ -118,76 +173,22 @@ impl RunRequest {
         }
     }
 
-    /// An open managerd-serve cell (the `open` figure). The estimator
-    /// stack lives inside [`crate::open::OpenSpec`], so the simulator
-    /// policy slot is pinned to the Linux baseline — it never runs and
-    /// exists only to keep the request shape uniform.
-    pub fn open(spec: crate::open::OpenSpec, rc: &RunnerConfig) -> Self {
-        Self {
-            shape: RunShape::Open(spec),
-            policy: PolicyKind::Linux,
-            machine: rc.machine,
-            scale: rc.scale,
-            seed: rc.seed,
-            trace: rc.trace,
-            hard_cap_factor: rc.hard_cap_factor,
-        }
-    }
-
-    /// An offline-optimal oracle cell (the `regret` figure). The search
-    /// owns policy selection end to end, so the policy slot is pinned to
-    /// [`PolicyKind::OfflineOptimal`] — the request stays uniform and the
-    /// key still separates oracle cells from every heuristic on the same
-    /// workload.
-    pub fn oracle(spec: WorkloadSpec, rc: &RunnerConfig) -> Self {
-        Self {
-            shape: RunShape::Oracle(spec),
-            policy: PolicyKind::OfflineOptimal,
-            machine: rc.machine,
-            scale: rc.scale,
-            seed: rc.seed,
-            trace: rc.trace,
-            hard_cap_factor: rc.hard_cap_factor,
-        }
-    }
-
-    /// The content-addressed identity of this run: FNV-1a over the
-    /// canonical encoding of every field above, salted with
-    /// [`RUN_SCHEMA_VERSION`].
+    /// The content-addressed identity of this run: the canonical encoding
+    /// of every field above, salted with [`RUN_SCHEMA_VERSION`].
     pub fn key(&self) -> RunKey {
-        let mut e = Enc::new();
-        RUN_SCHEMA_VERSION.put(&mut e);
+        let policy = Some(&self.policy);
         match &self.shape {
-            RunShape::Spec(spec) => {
-                e.u8(0);
-                encode_workload(&mut e, spec);
-            }
+            RunShape::Spec(w) => self.encode_key(0, &w.encoded, policy),
             RunShape::Staggered { app, stagger_us } => {
-                e.u8(1);
-                e.str(app.name());
-                stagger_us.put(&mut e);
+                let payload = encoded(|e| {
+                    e.str(app.name());
+                    stagger_us.put(e);
+                });
+                self.encode_key(1, &payload, policy)
             }
-            RunShape::Open(spec) => {
-                e.u8(2);
-                spec.encode(&mut e);
-            }
-            RunShape::Oracle(spec) => {
-                e.u8(3);
-                encode_workload(&mut e, spec);
-            }
+            RunShape::Open(spec) => self.encode_key(2, &encoded(|e| spec.encode(e)), policy),
+            RunShape::Oracle(w) => self.encode_key(3, &w.encoded, policy),
         }
-        encode_policy(&mut e, &self.policy);
-        self.encode_setting(&mut e);
-        RunKey::from_encoded(e.into_bytes())
-    }
-
-    /// Encode every field but the shape and the policy.
-    fn encode_setting(&self, e: &mut Enc) {
-        encode_machine(e, &self.machine);
-        self.scale.put(e);
-        self.seed.put(e);
-        encode_trace_mode(e, self.trace);
-        self.hard_cap_factor.put(e);
     }
 
     /// The identity this cell shares with its group partners: for a
@@ -198,25 +199,37 @@ impl RunRequest {
         if self.trace != TraceMode::Off {
             return None;
         }
-        let mut e = Enc::new();
-        RUN_SCHEMA_VERSION.put(&mut e);
         match &self.shape {
-            RunShape::Spec(spec) => {
-                e.u8(0);
-                encode_workload(&mut e, spec);
-            }
+            RunShape::Spec(w) => Some(self.encode_key(0, &w.encoded, None)),
             RunShape::Open(spec) => {
-                e.u8(2);
                 let any_stack = crate::open::OpenSpec {
                     stack: crate::open::OpenStack::ALL[0],
                     ..*spec
                 };
-                any_stack.encode(&mut e);
+                Some(self.encode_key(2, &encoded(|e| any_stack.encode(e)), None))
             }
-            RunShape::Staggered { .. } | RunShape::Oracle(_) => return None,
+            RunShape::Staggered { .. } | RunShape::Oracle(_) => None,
         }
-        self.encode_setting(&mut e);
-        Some(RunKey::from_encoded(e.into_bytes()))
+    }
+
+    /// The one key layout behind [`RunRequest::key`] and
+    /// [`RunRequest::sibling_key`]: the schema word, the shape tag, the
+    /// shape's encoded payload, the policy (a sibling key has none), then
+    /// the machine, scale, seed, trace wiring and hard cap.
+    fn encode_key(&self, tag: u8, payload: &[u8], policy: Option<&PolicyKind>) -> RunKey {
+        let mut e = Enc::with_capacity(payload.len() + KEY_FRAME_BYTES);
+        RUN_SCHEMA_VERSION.put(&mut e);
+        e.u8(tag);
+        e.raw(payload);
+        if let Some(p) = policy {
+            encode_policy(&mut e, p);
+        }
+        encode_machine(&mut e, &self.machine);
+        self.scale.put(&mut e);
+        self.seed.put(&mut e);
+        encode_trace_mode(&mut e, self.trace);
+        self.hard_cap_factor.put(&mut e);
+        RunKey::from_encoded(e.into_bytes())
     }
 
     /// The shape of this run.
@@ -242,12 +255,12 @@ impl RunRequest {
     pub fn execute(&self) -> RunResult {
         let rc = self.runner_config();
         match &self.shape {
-            RunShape::Spec(spec) => run_spec(spec, self.policy, &rc),
+            RunShape::Spec(w) => run_spec(&w.spec, self.policy, &rc),
             RunShape::Staggered { app, stagger_us } => {
                 crate::dynamic::staggered_run(*app, self.policy, *stagger_us, &rc)
             }
             RunShape::Open(spec) => crate::open::open_run(spec, &rc),
-            RunShape::Oracle(spec) => crate::regret::oracle_run(spec, &rc),
+            RunShape::Oracle(w) => crate::regret::oracle_run(&w.spec, &rc),
         }
     }
 }
@@ -576,10 +589,10 @@ impl Engine {
 fn execute_group(plan: &Plan, cells: &[usize]) -> crate::sibling::GroupRun {
     let first = &plan.requests[cells[0]];
     match &first.shape {
-        RunShape::Spec(spec) if cells.len() > 1 => {
+        RunShape::Spec(w) if cells.len() > 1 => {
             let policies: Vec<PolicyKind> =
                 cells.iter().map(|&i| plan.requests[i].policy).collect();
-            run_group(spec, &policies, &first.runner_config())
+            run_group(&w.spec, &policies, &first.runner_config())
         }
         RunShape::Open(spec) => {
             let stacks: Vec<_> = cells
@@ -630,17 +643,17 @@ mod tests {
         let rc = quick();
         let mut plan = Plan::new();
         let a = plan.cell(RunRequest::spec(
-            fig2_set_b(PaperApp::Cg),
+            &Workload::new(fig2_set_b(PaperApp::Cg)),
             PolicyKind::Linux,
             &rc,
         ));
         let b = plan.cell(RunRequest::spec(
-            fig2_set_b(PaperApp::Cg),
+            &Workload::new(fig2_set_b(PaperApp::Cg)),
             PolicyKind::Linux,
             &rc,
         ));
         let c = plan.cell(RunRequest::spec(
-            fig2_set_b(PaperApp::Cg),
+            &Workload::new(fig2_set_b(PaperApp::Cg)),
             PolicyKind::Window,
             &rc,
         ));
@@ -655,7 +668,7 @@ mod tests {
         let rc = quick();
         let mut plan = Plan::new();
         let id = plan.cell(RunRequest::spec(
-            fig2_set_b(PaperApp::Volrend),
+            &Workload::new(fig2_set_b(PaperApp::Volrend)),
             PolicyKind::Linux,
             &rc,
         ));
@@ -676,7 +689,7 @@ mod tests {
         let mut plan = Plan::new();
         let m0 = plan.checkpoint();
         plan.cell(RunRequest::spec(
-            fig2_set_b(PaperApp::Cg),
+            &Workload::new(fig2_set_b(PaperApp::Cg)),
             PolicyKind::Linux,
             &rc,
         ));
@@ -691,12 +704,12 @@ mod tests {
         let m1 = plan.checkpoint();
         // A second "figure" re-declares the same cell plus one new one.
         plan.cell(RunRequest::spec(
-            fig2_set_b(PaperApp::Cg),
+            &Workload::new(fig2_set_b(PaperApp::Cg)),
             PolicyKind::Linux,
             &rc,
         ));
         plan.cell(RunRequest::spec(
-            fig2_set_b(PaperApp::Cg),
+            &Workload::new(fig2_set_b(PaperApp::Cg)),
             PolicyKind::Latest,
             &rc,
         ));
@@ -714,23 +727,35 @@ mod tests {
     #[test]
     fn run_key_separates_every_tunable() {
         let rc = quick();
-        let base = RunRequest::spec(fig2_set_b(PaperApp::Cg), PolicyKind::Linux, &rc);
+        let base = RunRequest::spec(
+            &Workload::new(fig2_set_b(PaperApp::Cg)),
+            PolicyKind::Linux,
+            &rc,
+        );
         let k = base.key();
         let variants = [
-            RunRequest::spec(fig2_set_b(PaperApp::Mg), PolicyKind::Linux, &rc),
-            RunRequest::spec(fig2_set_b(PaperApp::Cg), PolicyKind::Latest, &rc),
             RunRequest::spec(
-                fig2_set_b(PaperApp::Cg),
+                &Workload::new(fig2_set_b(PaperApp::Mg)),
+                PolicyKind::Linux,
+                &rc,
+            ),
+            RunRequest::spec(
+                &Workload::new(fig2_set_b(PaperApp::Cg)),
+                PolicyKind::Latest,
+                &rc,
+            ),
+            RunRequest::spec(
+                &Workload::new(fig2_set_b(PaperApp::Cg)),
                 PolicyKind::Linux,
                 &RunnerConfig { seed: 43, ..rc },
             ),
             RunRequest::spec(
-                fig2_set_b(PaperApp::Cg),
+                &Workload::new(fig2_set_b(PaperApp::Cg)),
                 PolicyKind::Linux,
                 &RunnerConfig { scale: 0.06, ..rc },
             ),
             RunRequest::spec(
-                fig2_set_b(PaperApp::Cg),
+                &Workload::new(fig2_set_b(PaperApp::Cg)),
                 PolicyKind::Linux,
                 &RunnerConfig {
                     hard_cap_factor: 50.0,
@@ -738,7 +763,7 @@ mod tests {
                 },
             ),
             RunRequest::spec(
-                fig2_set_b(PaperApp::Cg),
+                &Workload::new(fig2_set_b(PaperApp::Cg)),
                 PolicyKind::Linux,
                 &RunnerConfig {
                     trace: TraceMode::Collect,
@@ -746,7 +771,7 @@ mod tests {
                 },
             ),
             RunRequest::spec(
-                fig2_set_b(PaperApp::Cg),
+                &Workload::new(fig2_set_b(PaperApp::Cg)),
                 PolicyKind::Linux,
                 &RunnerConfig {
                     machine: busbw_sim::MachineConfig {
@@ -757,7 +782,7 @@ mod tests {
                 },
             ),
             RunRequest::staggered(PaperApp::Cg, 100_000, PolicyKind::Linux, &rc),
-            RunRequest::oracle(fig2_set_b(PaperApp::Cg), &rc),
+            RunRequest::oracle(&Workload::new(fig2_set_b(PaperApp::Cg)), &rc),
             RunRequest::open(
                 crate::open::OpenSpec {
                     arrivals: busbw_managerd::ArrivalProcess::Poisson { rate_per_s: 30.0 },
@@ -773,6 +798,26 @@ mod tests {
         }
         // But workers never enters the key: same request, same key.
         assert_eq!(base.key(), k);
+    }
+
+    /// [`KEY_FRAME_BYTES`] covers everything a key holds besides its
+    /// shape payload, so each key is built in one allocation.
+    #[test]
+    fn key_frame_bytes_bound_each_key_beyond_its_workload() {
+        let mut plan = Plan::new();
+        crate::plan_suite(&mut plan, &quick());
+        crate::plan_regret(&mut plan, &quick());
+        let frame = plan
+            .requests()
+            .iter()
+            .filter_map(|req| match req.shape() {
+                RunShape::Spec(w) | RunShape::Oracle(w) => {
+                    Some(req.key().encoded().len() - w.encoded.len())
+                }
+                _ => None,
+            })
+            .max();
+        assert!(frame.is_some_and(|f| f <= KEY_FRAME_BYTES), "{frame:?}");
     }
 
     /// The run keys of the shapes the benchmark ledger declares, pinned:
@@ -822,7 +867,12 @@ mod tests {
                         bytes.extend_from_slice(k);
                     }
                 }
-                (*name, plan.declared(), plan.len(), busbw_trace::fnv1a64(&bytes))
+                (
+                    *name,
+                    plan.declared(),
+                    plan.len(),
+                    busbw_trace::fnv1a64(&bytes),
+                )
             })
             .collect();
         const PINNED: &[(&str, u64, usize, u64)] = &[
@@ -894,7 +944,7 @@ mod tests {
             fn stage_substitution_changes_the_run_key(a in arb_stack(), b in arb_stack()) {
                 let rc = quick();
                 let key = |s: StackSpec| {
-                    RunRequest::spec(fig2_set_b(PaperApp::Cg), PolicyKind::Stack(s), &rc).key()
+                    RunRequest::spec(&Workload::new(fig2_set_b(PaperApp::Cg)), PolicyKind::Stack(s), &rc).key()
                 };
                 if a == b {
                     prop_assert_eq!(key(a), key(b));

@@ -59,7 +59,7 @@ pub use dynamic::{dynamic_arrivals, staggered_run, staggered_turnaround};
 pub use fig1::{fig1a, fig1a_traced, fig1b, fig1b_traced};
 pub use fig2::{fig2, fig2_with_policies_traced, Fig2Set};
 pub use jobgraph::{
-    CellId, CellStats, Engine, ExecStats, Executed, Plan, PlanMark, RunRequest, RunShape,
+    CellId, CellStats, Engine, ExecStats, Executed, Plan, PlanMark, RunRequest, RunShape, Workload,
 };
 pub use open::{
     fold_open, open_run, open_tail_latency, parse_arrivals, parse_duration, plan_open, OpenCells,

@@ -29,7 +29,7 @@ use busbw_workloads::paper::DEFAULT_SOLO_WORK_US;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::audit::mix_from_names;
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
+use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
 use crate::policy::{AdmissionKind, EstimatorKind, PlacerKind, SelectorKind, StackSpec};
 use crate::runner::{finalize_run, prepare_run, OracleStats, PolicyKind, RunResult, RunnerConfig};
 
@@ -239,14 +239,15 @@ pub fn plan_regret(plan: &mut Plan, rc: &RunnerConfig) -> RegretCells {
     let cells = mixes
         .iter()
         .map(|mix| {
+            let workload = Workload::new(mix.clone());
             comps
                 .iter()
                 .map(|c| {
                     plan.cell(match c {
-                        Competitor::Oracle => RunRequest::oracle(mix.clone(), rc),
-                        Competitor::Preset(p) => RunRequest::spec(mix.clone(), *p, rc),
+                        Competitor::Oracle => RunRequest::oracle(&workload, rc),
+                        Competitor::Preset(p) => RunRequest::spec(&workload, *p, rc),
                         Competitor::Sampled(s) => {
-                            RunRequest::spec(mix.clone(), PolicyKind::Stack(*s), rc)
+                            RunRequest::spec(&workload, PolicyKind::Stack(*s), rc)
                         }
                     })
                 })

@@ -19,7 +19,7 @@ use busbw_metrics::{improvement_pct, ExperimentRow, FigureSummary};
 use busbw_workloads::mix::WorkloadSpec;
 use busbw_workloads::synth::{generate, SynthConfig};
 
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
+use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
 use crate::runner::{PolicyKind, RunnerConfig};
 
 const ROBUSTNESS_POLICIES: [PolicyKind; 3] = [
@@ -73,10 +73,10 @@ pub fn plan_robustness(
     };
     let mut cells = Vec::new();
     for trial in 0..trials {
-        let spec = random_spec(trial, jobs, rc);
-        cells.push(plan.cell(RunRequest::spec(spec.clone(), PolicyKind::Linux, &cell_rc)));
+        let workload = Workload::new(random_spec(trial, jobs, rc));
+        cells.push(plan.cell(RunRequest::spec(&workload, PolicyKind::Linux, &cell_rc)));
         for p in ROBUSTNESS_POLICIES {
-            cells.push(plan.cell(RunRequest::spec(spec.clone(), p, &cell_rc)));
+            cells.push(plan.cell(RunRequest::spec(&workload, p, &cell_rc)));
         }
     }
     RobustnessCells {

@@ -22,7 +22,7 @@ use busbw_sim::{MachineConfig, TopologyConfig};
 use busbw_workloads::mix::fig2_set_c;
 use busbw_workloads::paper::PaperApp;
 
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
+use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
 use crate::policy::StackSpec;
 use crate::runner::{PolicyKind, RunnerConfig};
 
@@ -129,10 +129,10 @@ pub fn plan_topo(plan: &mut Plan, shape: TopoShape, rc: &RunnerConfig) -> TopoCe
     };
     let mut cells = Vec::with_capacity(TOPO_APPS.len() * (1 + TOPO_PLACERS.len()));
     for app in TOPO_APPS {
-        let spec = fig2_set_c(app);
-        cells.push(plan.cell(RunRequest::spec(spec.clone(), stack("packed"), &rc_shape)));
+        let workload = Workload::new(fig2_set_c(app));
+        cells.push(plan.cell(RunRequest::spec(&workload, stack("packed"), &rc_shape)));
         for placer in TOPO_PLACERS {
-            cells.push(plan.cell(RunRequest::spec(spec.clone(), stack(placer), &rc_shape)));
+            cells.push(plan.cell(RunRequest::spec(&workload, stack(placer), &rc_shape)));
         }
     }
     TopoCells { shape, cells }

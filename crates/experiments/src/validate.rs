@@ -18,7 +18,7 @@ use busbw_workloads::mix;
 use busbw_workloads::paper::PaperApp;
 
 use crate::fig2::{fold_fig2, plan_fig2, Fig2Cells, Fig2Set};
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
+use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
 use crate::runner::{PolicyKind, RunnerConfig};
 
 /// One validated claim.
@@ -80,10 +80,11 @@ pub struct ValidateCells {
 pub fn plan_validate(plan: &mut Plan, rc: &RunnerConfig) -> ValidateCells {
     let solos = PaperApp::ALL
         .iter()
-        .map(|&app| plan.cell(RunRequest::spec(mix::fig1_solo(app), PolicyKind::Linux, rc)))
+        .map(|&app| Workload::new(mix::fig1_solo(app)))
+        .map(|w| plan.cell(RunRequest::spec(&w, PolicyKind::Linux, rc)))
         .collect::<Vec<_>>();
     let cg_bbma = plan.cell(RunRequest::spec(
-        mix::fig1_with_bbma(PaperApp::Cg),
+        &Workload::new(mix::fig1_with_bbma(PaperApp::Cg)),
         PolicyKind::Linux,
         rc,
     ));
@@ -93,17 +94,17 @@ pub fn plan_validate(plan: &mut Plan, rc: &RunnerConfig) -> ValidateCells {
         .expect("MG is in the suite");
     let mg_solo = solos[mg];
     let mg_two = plan.cell(RunRequest::spec(
-        mix::fig1_two_instances(PaperApp::Mg),
+        &Workload::new(mix::fig1_two_instances(PaperApp::Mg)),
         PolicyKind::Linux,
         rc,
     ));
     let mg_bbma = plan.cell(RunRequest::spec(
-        mix::fig1_with_bbma(PaperApp::Mg),
+        &Workload::new(mix::fig1_with_bbma(PaperApp::Mg)),
         PolicyKind::Linux,
         rc,
     ));
     let mg_nbbma = plan.cell(RunRequest::spec(
-        mix::fig1_with_nbbma(PaperApp::Mg),
+        &Workload::new(mix::fig1_with_nbbma(PaperApp::Mg)),
         PolicyKind::Linux,
         rc,
     ));
@@ -119,25 +120,17 @@ pub fn plan_validate(plan: &mut Plan, rc: &RunnerConfig) -> ValidateCells {
     let fitness = FITNESS_CELLS
         .iter()
         .map(|&(set, app)| {
-            let spec = set.spec(app);
+            let workload = Workload::new(set.spec(app));
             (
-                plan.cell(RunRequest::spec(
-                    spec.clone(),
-                    PolicyKind::RoundRobinGang,
-                    rc,
-                )),
-                plan.cell(RunRequest::spec(spec, PolicyKind::Window, rc)),
+                plan.cell(RunRequest::spec(&workload, PolicyKind::RoundRobinGang, rc)),
+                plan.cell(RunRequest::spec(&workload, PolicyKind::Window, rc)),
             )
         })
         .collect();
-    let strawman_spec = Fig2Set::C.spec(PaperApp::Mg);
+    let strawman = Workload::new(Fig2Set::C.spec(PaperApp::Mg));
     let strawman = (
-        plan.cell(RunRequest::spec(
-            strawman_spec.clone(),
-            PolicyKind::Linux,
-            rc,
-        )),
-        plan.cell(RunRequest::spec(strawman_spec, PolicyKind::GreedyPack, rc)),
+        plan.cell(RunRequest::spec(&strawman, PolicyKind::Linux, rc)),
+        plan.cell(RunRequest::spec(&strawman, PolicyKind::GreedyPack, rc)),
     );
     ValidateCells {
         solos,

@@ -16,7 +16,7 @@ use busbw_metrics::{improvement_pct, mean, ExperimentRow, FigureSummary};
 use busbw_workloads::paper::PaperApp;
 
 use crate::fig2::Fig2Set;
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
+use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
 use crate::runner::{PolicyKind, RunnerConfig};
 
 /// Cell handles for the variance figure: per app, `seeds` pairs of
@@ -39,7 +39,7 @@ pub fn plan_variance(
     let per_app = PaperApp::ALL
         .iter()
         .map(|&app| {
-            let spec = Fig2Set::B.spec(app);
+            let workload = Workload::new(Fig2Set::B.spec(app));
             (0..seeds)
                 .map(|k| {
                     let rck = RunnerConfig {
@@ -47,8 +47,8 @@ pub fn plan_variance(
                         ..*rc
                     };
                     (
-                        plan.cell(RunRequest::spec(spec.clone(), PolicyKind::Linux, &rck)),
-                        plan.cell(RunRequest::spec(spec.clone(), policy, &rck)),
+                        plan.cell(RunRequest::spec(&workload, PolicyKind::Linux, &rck)),
+                        plan.cell(RunRequest::spec(&workload, policy, &rck)),
                     )
                 })
                 .collect()

@@ -7,7 +7,9 @@ use std::path::PathBuf;
 
 use busbw_experiments::cache::encode_result;
 use busbw_experiments::fig2::{fold_fig2, plan_fig2, Fig2Set};
-use busbw_experiments::{Engine, Plan, PolicyKind, RunCache, RunRequest, RunnerConfig, TraceMode};
+use busbw_experiments::{
+    Engine, Plan, PolicyKind, RunCache, RunRequest, RunnerConfig, TraceMode, Workload,
+};
 use busbw_metrics::Table;
 use busbw_sim::{XEON_4WAY, XEON_4WAY_HT};
 use busbw_workloads::mix::fig2_set_b;
@@ -49,7 +51,7 @@ proptest! {
                 machine: if ht == 1 { XEON_4WAY_HT } else { XEON_4WAY },
                 ..RunnerConfig::default()
             };
-            RunRequest::spec(fig2_set_b(PaperApp::ALL[app]), policies[pol], &rc)
+            RunRequest::spec(&Workload::new(fig2_set_b(PaperApp::ALL[app])), policies[pol], &rc)
         };
         let a = mk(seed_a, scale_a, app_a, pol_a, cap_a, ht_a);
         let b = mk(seed_b, scale_b, app_b, pol_b, cap_b, ht_b);
@@ -77,7 +79,11 @@ fn cache_served_result_is_bit_identical_including_trace() {
         trace: TraceMode::Collect,
         ..RunnerConfig::default()
     };
-    let req = RunRequest::spec(fig2_set_b(PaperApp::Cg), PolicyKind::Window, &rc);
+    let req = RunRequest::spec(
+        &Workload::new(fig2_set_b(PaperApp::Cg)),
+        PolicyKind::Window,
+        &rc,
+    );
 
     let mut plan = Plan::new();
     let id = plan.cell(req);

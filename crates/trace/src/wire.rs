@@ -20,6 +20,19 @@ impl Enc {
         Self::default()
     }
 
+    /// An empty encoder with room for `n` bytes.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(n),
+        }
+    }
+
+    /// Append bytes an encoder already wrote, verbatim: splices a cached
+    /// encoding into a larger one.
+    pub fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// The bytes written so far.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
