@@ -41,40 +41,24 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Render with aligned columns.
+    /// Render with aligned columns: numbers right-aligned, text
+    /// left-aligned, every line trimmed of trailing whitespace. A column
+    /// is as wide as its longest cell in bytes, and cells are padded by
+    /// `char` count, as `format!` pads.
     pub fn render(&self) -> String {
-        let ncols = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
+        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for r in &self.rows {
-            for (i, c) in r.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+            for (w, c) in widths.iter_mut().zip(r) {
+                *w = (*w).max(c.len());
             }
         }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
-            for i in 0..ncols {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                let cell = &cells[i];
-                // Right-align numbers, left-align text.
-                if cell.parse::<f64>().is_ok() {
-                    line.push_str(&format!("{:>width$}", cell, width = widths[i]));
-                } else {
-                    line.push_str(&format!("{:<width$}", cell, width = widths[i]));
-                }
-            }
-            line.trim_end().to_string()
-        };
-        out.push_str(&fmt_row(&self.header, &widths));
-        out.push('\n');
-        let total: usize = widths.iter().sum::<usize>() + 2 * (ncols - 1);
-        out.push_str(&"-".repeat(total));
+        let total = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
+        let mut out = String::with_capacity((total + 1) * (self.rows.len() + 2));
+        push_aligned(&mut out, &self.header, &widths);
+        out.extend(std::iter::repeat_n('-', total));
         out.push('\n');
         for r in &self.rows {
-            out.push_str(&fmt_row(r, &widths));
-            out.push('\n');
+            push_aligned(&mut out, r, &widths);
         }
         out
     }
@@ -82,25 +66,16 @@ impl Table {
     /// Render as CSV (no quoting needed for our content, but commas in
     /// cells are escaped by quoting anyway).
     pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
+        let lines = std::iter::once(&self.header).chain(&self.rows);
+        let len = lines.clone().flatten().map(|c| c.len() + 1).sum();
+        let mut out = String::with_capacity(len);
+        for r in lines {
+            for (i, c) in r.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_csv_cell(&mut out, c);
             }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
         out
@@ -127,6 +102,43 @@ impl Table {
         }
         t
     }
+}
+
+/// Append one aligned line of [`Table::render`] and its newline.
+fn push_aligned(out: &mut String, cells: &[String], widths: &[usize]) {
+    let start = out.len();
+    for (i, (cell, &width)) in cells.iter().zip(widths).enumerate() {
+        if i > 0 {
+            out.push_str("  ");
+        }
+        let pad = std::iter::repeat_n(' ', width.saturating_sub(cell.chars().count()));
+        if cell.parse::<f64>().is_ok() {
+            out.extend(pad);
+            out.push_str(cell);
+        } else {
+            out.push_str(cell);
+            out.extend(pad);
+        }
+    }
+    out.truncate(start + out[start..].trim_end().len());
+    out.push('\n');
+}
+
+/// Append one CSV cell, quoted (with quotes doubled) when it holds a comma
+/// or a quote.
+fn push_csv_cell(out: &mut String, cell: &str) {
+    if !cell.contains([',', '"']) {
+        out.push_str(cell);
+        return;
+    }
+    out.push('"');
+    for ch in cell.chars() {
+        if ch == '"' {
+            out.push('"');
+        }
+        out.push(ch);
+    }
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -169,6 +181,122 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("App,Latest,Window"));
         assert!(csv.contains("CG,68.0,53.0"));
+    }
+
+    /// The renderer before it wrote into one buffer, kept as the oracle
+    /// for [`Table::render`].
+    fn render_oracle(t: &Table) -> String {
+        let ncols = t.header.len();
+        let mut widths: Vec<usize> = t.header.iter().map(|h| h.len()).collect();
+        for r in &t.rows {
+            for (i, c) in r.iter().enumerate() {
+                widths[i] = widths[i].max(c.len());
+            }
+        }
+        let mut out = String::new();
+        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
+            let mut line = String::new();
+            for i in 0..ncols {
+                if i > 0 {
+                    line.push_str("  ");
+                }
+                let cell = &cells[i];
+                if cell.parse::<f64>().is_ok() {
+                    line.push_str(&format!("{:>width$}", cell, width = widths[i]));
+                } else {
+                    line.push_str(&format!("{:<width$}", cell, width = widths[i]));
+                }
+            }
+            line.trim_end().to_string()
+        };
+        out.push_str(&fmt_row(&t.header, &widths));
+        out.push('\n');
+        let total: usize = widths.iter().sum::<usize>() + 2 * (ncols - 1);
+        out.push_str(&"-".repeat(total));
+        out.push('\n');
+        for r in &t.rows {
+            out.push_str(&fmt_row(r, &widths));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The CSV writer before it wrote into one buffer, kept as the oracle
+    /// for [`Table::to_csv`].
+    fn csv_oracle(t: &Table) -> String {
+        let esc = |s: &str| {
+            if s.contains(',') || s.contains('"') {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s.to_string()
+            }
+        };
+        let mut out = String::new();
+        out.push_str(
+            &t.header
+                .iter()
+                .map(|h| esc(h))
+                .collect::<Vec<_>>()
+                .join(","),
+        );
+        out.push('\n');
+        for r in &t.rows {
+            out.push_str(&r.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
+            out.push('\n');
+        }
+        out
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Cells are runs of these fragments: they join into numbers
+        /// (`-2.5`, `1e3`, `NaN`), empty cells, text with commas, quotes
+        /// and trailing (also non-ASCII) whitespace, and multi-byte text.
+        const FRAGMENTS: &[&str] = &[
+            "", "1", "2.5", "-", "e3", "NaN", "inf", "x", "a b", ",", "\"", " ", "é", "日本",
+            "\u{3000}", "\t",
+        ];
+
+        fn cell() -> impl Strategy<Value = String> {
+            prop::collection::vec(0..FRAGMENTS.len(), 0..4)
+                .prop_map(|ix| ix.into_iter().map(|i| FRAGMENTS[i]).collect())
+        }
+
+        /// A table of 1–5 columns and 0–6 rows; with `text_last`, every
+        /// last-column cell ends in a letter, so that column is left-aligned
+        /// and its padding is trimmed.
+        fn table() -> impl Strategy<Value = Table> {
+            (1usize..6, 0usize..7, any::<bool>()).prop_flat_map(|(ncols, nrows, text_last)| {
+                prop::collection::vec(prop::collection::vec(cell(), ncols), nrows + 1).prop_map(
+                    move |mut lines| {
+                        if text_last {
+                            for line in &mut lines {
+                                line[ncols - 1].push('z');
+                            }
+                        }
+                        let header: Vec<&str> = lines[0].iter().map(String::as_str).collect();
+                        let mut t = Table::new(&header);
+                        for row in &lines[1..] {
+                            t.row(row.clone());
+                        }
+                        t
+                    },
+                )
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            /// The one-buffer renderers write exactly what the oracles do.
+            #[test]
+            fn render_and_csv_match_their_oracles(t in table()) {
+                prop_assert_eq!(t.render(), render_oracle(&t), "{:?}", t);
+                prop_assert_eq!(t.to_csv(), csv_oracle(&t), "{:?}", t);
+            }
+        }
     }
 
     #[test]
