@@ -94,12 +94,12 @@ impl MovingWindow {
         if overall == 0.0 {
             return Some(0.0);
         }
-        let mut w = MovingWindow::new(cap);
         let mut acc = 0.0;
-        for &s in trace {
-            w.push(s);
-            // The window is non-empty: a sample was just pushed.
-            let m = w.mean().unwrap_or(s);
+        for (n, &s) in trace.iter().enumerate() {
+            // What a window of `cap` holds once `s` is pushed, oldest
+            // first: its mean sums in the order `MovingWindow::mean` does.
+            let held = &trace[(n + 1).saturating_sub(cap)..=n];
+            let m = held.iter().sum::<f64>() / held.len() as f64;
             acc += (s - m).abs() / overall;
         }
         Some(acc / trace.len() as f64)
@@ -193,6 +193,22 @@ mod tests {
                     let m = w.mean().unwrap();
                     prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
                 }
+            }
+
+            /// The distance reads each window straight from the trace, bit
+            /// for bit what feeding a `MovingWindow` gives.
+            #[test]
+            fn distance_matches_a_fed_window(cap in 1usize..20, trace in proptest::collection::vec(0.0f64..100.0, 1..80)) {
+                let overall = trace.iter().sum::<f64>() / trace.len() as f64;
+                let mut w = MovingWindow::new(cap);
+                let mut acc = 0.0;
+                for &s in &trace {
+                    w.push(s);
+                    acc += (s - w.mean().unwrap()).abs() / overall;
+                }
+                let fed = acc / trace.len() as f64;
+                let got = MovingWindow::mean_relative_distance(cap, &trace).unwrap();
+                prop_assert_eq!(got.to_bits(), fed.to_bits());
             }
         }
     }
