@@ -59,9 +59,13 @@ pub struct Workload {
 impl Workload {
     /// Encode `spec` once and wrap it for sharing between cells.
     pub fn new(spec: WorkloadSpec) -> Arc<Self> {
+        // Room for the name and the measured list, and for each app's
+        // name and fixed fields, in one allocation.
+        let mut e = Enc::with_capacity(64 + 128 * spec.apps.len());
+        encode_workload(&mut e, &spec);
         Arc::new(Self {
-            encoded: encoded(|e| encode_workload(e, &spec)),
             spec,
+            encoded: e.into_bytes(),
         })
     }
 
