@@ -68,11 +68,6 @@ impl Workload {
             encoded: e.into_bytes(),
         })
     }
-
-    /// The workload itself.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
 }
 
 /// The bytes `put` writes, on their own, for splicing into a key.
