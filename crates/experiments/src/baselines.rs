@@ -56,7 +56,7 @@ pub fn fold_baselines(cells: &BaselineCells, executed: &Executed) -> FigureSumma
                     .enumerate()
                     .map(|(i, p)| {
                         (
-                            p.label(),
+                            p.series_label(),
                             improvement_pct(linux24, executed.get(ids[i + 1]).mean_turnaround_us),
                         )
                     })

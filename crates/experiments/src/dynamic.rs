@@ -146,7 +146,7 @@ pub fn fold_dynamic(cells: &DynamicCells, executed: &Executed) -> FigureSummary 
                     .enumerate()
                     .map(|(i, p)| {
                         (
-                            p.label(),
+                            p.series_label(),
                             improvement_pct(linux, executed.get(ids[i + 1]).mean_turnaround_us),
                         )
                     })

@@ -104,7 +104,7 @@ pub fn fold_fig2(cells: &Fig2Cells, executed: &Executed) -> FigureSummary {
                     .enumerate()
                     .map(|(i, p)| {
                         (
-                            p.label(),
+                            p.series_label(),
                             improvement_pct(
                                 linux.mean_turnaround_us,
                                 executed.get(ids[i + 1]).mean_turnaround_us,

@@ -105,13 +105,13 @@ pub fn fold_robustness(cells: &RobustnessCells, executed: &Executed) -> FigureSu
     let mut wins: Vec<u32> = vec![0; ROBUSTNESS_POLICIES.len()];
     for (trial, ids) in cells.cells.chunks_exact(per_trial).enumerate() {
         let linux = trial_turnaround(executed, ids[0]);
-        let mut values = Vec::new();
+        let mut values = Vec::with_capacity(ROBUSTNESS_POLICIES.len());
         for (i, &p) in ROBUSTNESS_POLICIES.iter().enumerate() {
             let imp = improvement_pct(linux, trial_turnaround(executed, ids[i + 1]));
             if imp > 0.0 {
                 wins[i] += 1;
             }
-            values.push((p.label(), imp));
+            values.push((p.series_label(), imp));
         }
         rows.push(ExperimentRow {
             app: format!("trial {trial}"),
@@ -123,7 +123,12 @@ pub fn fold_robustness(cells: &RobustnessCells, executed: &Executed) -> FigureSu
         values: ROBUSTNESS_POLICIES
             .iter()
             .enumerate()
-            .map(|(i, p)| (p.label(), 100.0 * wins[i] as f64 / cells.trials as f64))
+            .map(|(i, p)| {
+                (
+                    p.series_label(),
+                    100.0 * wins[i] as f64 / cells.trials as f64,
+                )
+            })
             .collect(),
     });
     FigureSummary {
