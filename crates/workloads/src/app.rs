@@ -5,6 +5,8 @@
 //! on the bus. It compiles down to a [`busbw_sim::AppDescriptor`] — a gang
 //! of [`busbw_sim::ThreadSpec`]s with concrete demand models.
 
+use std::borrow::Cow;
+
 use busbw_sim::{AppDescriptor, ConstantDemand, DemandModel, ThreadSpec};
 
 use crate::burst::TwoStateBurst;
@@ -30,8 +32,10 @@ pub enum Behavior {
 /// One application instance's specification.
 #[derive(Debug, Clone)]
 pub struct AppSpec {
-    /// Display name (e.g. `"CG"`, `"BBMA"`).
-    pub name: String,
+    /// Display name (e.g. `"CG"`, `"BBMA"`). The paper's applications and
+    /// microbenchmarks name themselves with static strings, so building
+    /// their specs allocates no name.
+    pub name: Cow<'static, str>,
     /// Gang width (the paper runs every application with 2 threads and
     /// every microbenchmark with 1).
     pub nthreads: usize,
@@ -54,7 +58,7 @@ pub struct AppSpec {
 impl AppSpec {
     /// A constant-rate application.
     pub fn constant(
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         nthreads: usize,
         work_us_per_thread: f64,
         rate_per_thread: f64,

@@ -144,7 +144,7 @@ impl PaperApp {
 pub fn paper_app(which: PaperApp) -> AppSpec {
     let (rate_2t, mu, sens, behavior) = which.calibration();
     AppSpec {
-        name: which.name().to_string(),
+        name: which.name().into(),
         nthreads: 2,
         work_us_per_thread: DEFAULT_SOLO_WORK_US,
         rate_per_thread: rate_2t / 2.0,
