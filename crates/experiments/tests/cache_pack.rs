@@ -95,7 +95,8 @@ fn poisoned_length_prefix_neither_panics_nor_allocates() {
         assert_eq!(c.corrupt_count(), 1, "poison at byte {at} is counted");
         let peak = PEAK.load(Ordering::Relaxed);
         // A poisoned prefix would ask for up to 4 GiB; the largest honest
-        // allocation is the reader's 64 KiB buffer.
+        // allocation is the pack's image, the size of the file (a few
+        // hundred bytes here).
         assert!(
             peak <= 64 * 1024,
             "poison at byte {at}: a {peak}-byte allocation"
