@@ -22,7 +22,7 @@ use crate::{Invariant, Violation};
 const CAPACITY_REL_TOL: f64 = 1e-6;
 
 /// The full built-in catalog, in the order the crate docs list it.
-pub fn builtin_invariants() -> Vec<Box<dyn Invariant>> {
+pub(crate) fn builtin_invariants() -> Vec<Box<dyn Invariant>> {
     vec![
         Box::new(NoDoubleAllocation),
         Box::new(CpuBounds),
@@ -42,7 +42,7 @@ pub fn builtin_invariants() -> Vec<Box<dyn Invariant>> {
 
 /// No processor double-allocation: a decision names each cpu at most once
 /// and each thread at most once.
-pub struct NoDoubleAllocation;
+pub(crate) struct NoDoubleAllocation;
 
 impl Invariant for NoDoubleAllocation {
     fn name(&self) -> &'static str {
@@ -83,7 +83,7 @@ impl Invariant for NoDoubleAllocation {
 
 /// Allocated CPUs stay within the machine: every cpu id is in range and
 /// the total allocation cannot exceed the processor count.
-pub struct CpuBounds;
+pub(crate) struct CpuBounds;
 
 impl Invariant for CpuBounds {
     fn name(&self) -> &'static str {
@@ -134,7 +134,7 @@ impl Invariant for CpuBounds {
 /// Needs a [`StageSnapshot`] (introspection mode) and only applies to
 /// gang selections; pinned schedules (the Linux baselines) deliberately
 /// timeshare threads independently.
-pub struct GangIntegrity;
+pub(crate) struct GangIntegrity;
 
 impl Invariant for GangIntegrity {
     fn name(&self) -> &'static str {
@@ -180,7 +180,7 @@ impl Invariant for GangIntegrity {
 /// `admitted_head ∪ selected_extra` (in that order, duplicate-free), every
 /// committed app was a candidate, the placed threads belong to committed
 /// apps, and the committed widths fit the machine.
-pub struct StageCoherence;
+pub(crate) struct StageCoherence;
 
 impl Invariant for StageCoherence {
     fn name(&self) -> &'static str {
@@ -262,7 +262,7 @@ impl Invariant for StageCoherence {
 /// sustained capacity × tick length (beyond `f64` rounding slack). The
 /// Λ-dilation solve exists precisely to enforce this, so a violation
 /// means the solve or the share accounting regressed.
-pub struct BusCapacity;
+pub(crate) struct BusCapacity;
 
 impl Invariant for BusCapacity {
     fn name(&self) -> &'static str {
@@ -307,7 +307,7 @@ impl Invariant for BusCapacity {
 /// Monotonic trace timestamps and balanced stage cycles, delegated to
 /// [`busbw_trace::validate_stream`] (which documents why retrospective
 /// `app_finished` timestamps are exempt).
-pub struct MonotonicTrace;
+pub(crate) struct MonotonicTrace;
 
 impl Invariant for MonotonicTrace {
     fn name(&self) -> &'static str {
@@ -333,7 +333,7 @@ impl Invariant for MonotonicTrace {
 /// estimate stays within the min/max of the (sanitized) samples it
 /// actually recorded — Equations 1 and 2 are selections/averages of
 /// measurements, so they can never extrapolate beyond them.
-pub struct EstimatorRange;
+pub(crate) struct EstimatorRange;
 
 /// Drive `est` with `samples` (via both `record_sample` and
 /// `record_quantum`, so quantum-fed and sample-fed estimators both see
@@ -344,7 +344,7 @@ pub struct EstimatorRange;
 ///
 /// Public so seeded-fault tests can aim it at a deliberately broken
 /// estimator.
-pub fn check_estimator_range(
+pub(crate) fn check_estimator_range(
     est: &mut dyn BandwidthEstimator,
     samples: &[f64],
     window_hint: Option<usize>,
@@ -441,7 +441,7 @@ impl Invariant for EstimatorRange {
 ///
 /// Public so seeded-fault tests can aim it at reads taken around
 /// `SeqlockArena::publish_torn_rate`.
-pub fn check_arena_coherence(reads: &[ArenaSnapshot]) -> Vec<Violation> {
+pub(crate) fn check_arena_coherence(reads: &[ArenaSnapshot]) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut fail = |at_us: u64, detail: String| {
         out.push(Violation {
@@ -490,7 +490,7 @@ pub fn check_arena_coherence(reads: &[ArenaSnapshot]) -> Vec<Violation> {
 /// through a live [`CpuManager`] — plus a raw seqlock publish/read
 /// interleave, and runs [`check_arena_coherence`] over every snapshot
 /// observed.
-pub struct ManagerArenaCoherence;
+pub(crate) struct ManagerArenaCoherence;
 
 impl Invariant for ManagerArenaCoherence {
     fn name(&self) -> &'static str {
@@ -549,7 +549,7 @@ impl Invariant for ManagerArenaCoherence {
 /// names a previously admitted client, no client arrives or departs
 /// twice, and the reported turnaround equals departure minus arrival
 /// time. Streams without client events pass vacuously.
-pub struct ManagerLifecycle;
+pub(crate) struct ManagerLifecycle;
 
 impl Invariant for ManagerLifecycle {
     fn name(&self) -> &'static str {
@@ -618,7 +618,7 @@ impl Invariant for ManagerLifecycle {
 /// [`crate::Auditor::check_byte_identity`], comparing artifacts from
 /// executions that shared a run key (serial vs parallel vs cache-warm).
 /// Installed in the catalog so audits report it alongside the others.
-pub struct CacheConsistency;
+pub(crate) struct CacheConsistency;
 
 impl Invariant for CacheConsistency {
     fn name(&self) -> &'static str {
@@ -640,7 +640,7 @@ impl Invariant for CacheConsistency {
 /// re-execution and every sibling-group member against its serial
 /// baseline. Installed in the catalog so audits report it alongside the
 /// others.
-pub struct ExecPathEquivalence;
+pub(crate) struct ExecPathEquivalence;
 
 impl Invariant for ExecPathEquivalence {
     fn name(&self) -> &'static str {
@@ -658,7 +658,7 @@ impl Invariant for ExecPathEquivalence {
 /// capacity, and never more than was demanded of it. Flat single-bus
 /// machines report no levels, so the check passes vacuously there (the
 /// flat ceiling is [`BusCapacity`]'s job).
-pub struct TopologyCapacity;
+pub(crate) struct TopologyCapacity;
 
 impl Invariant for TopologyCapacity {
     fn name(&self) -> &'static str {
@@ -711,7 +711,7 @@ impl Invariant for TopologyCapacity {
 /// experiments audit command drives it differentially, replaying tiny
 /// cells through the oracle and every preset and comparing turnarounds.
 /// Installed in the catalog so audits report it alongside the others.
-pub struct OracleAdmissibility;
+pub(crate) struct OracleAdmissibility;
 
 impl Invariant for OracleAdmissibility {
     fn name(&self) -> &'static str {

@@ -6,7 +6,7 @@
 //! exclusivity, the sustained bus-bandwidth ceiling (§2: 29.5
 //! transactions/µs measured with STREAM), and estimates that stay inside
 //! the measurements that produced them (§4, Equations 1–2). This crate
-//! turns each property into an executable [`Invariant`] and composes them
+//! turns each property into an executable `Invariant` and composes them
 //! into an [`Auditor`] that plugs into the live simulation through
 //! [`busbw_sim::AuditHook`] (see `Machine::run_audited`).
 //!
@@ -37,7 +37,7 @@
 
 pub mod invariants;
 
-pub use invariants::{builtin_invariants, check_arena_coherence, check_estimator_range};
+pub(crate) use invariants::builtin_invariants;
 
 use busbw_sim::{AuditHook, Decision, LevelOutcome, MachineView, SimTime, StageSnapshot};
 use busbw_trace::TraceEvent;
@@ -70,7 +70,7 @@ impl std::fmt::Display for Violation {
 /// state, but a windowed check could); each hook appends any violations
 /// it finds to `out`. All hooks default to no-ops so an invariant only
 /// implements the observation points it cares about.
-pub trait Invariant: Send {
+pub(crate) trait Invariant: Send {
     /// Stable kebab-case name (the [`Violation::invariant`] tag).
     fn name(&self) -> &'static str;
 
@@ -124,7 +124,7 @@ pub trait Invariant: Send {
     }
 }
 
-/// A set of [`Invariant`]s observing one run (or one differential batch),
+/// A set of `Invariant`s observing one run (or one differential batch),
 /// accumulating every violation found.
 ///
 /// Plug it into a live run via [`busbw_sim::AuditHook`]:
@@ -136,7 +136,7 @@ pub struct Auditor {
 
 impl Auditor {
     /// An auditor over a custom invariant set.
-    pub fn new(invariants: Vec<Box<dyn Invariant>>) -> Self {
+    pub(crate) fn new(invariants: Vec<Box<dyn Invariant>>) -> Self {
         Self {
             invariants,
             violations: Vec::new(),

@@ -106,7 +106,7 @@ impl QuantaWindowEstimator {
     /// The paper's window length: 5 samples (2.5 quanta at 2 samples per
     /// quantum). Sourced from the pipeline's paper constants so every
     /// preset and default agrees on one definition.
-    pub const PAPER_WINDOW: usize = crate::pipeline::PAPER_WINDOW_SAMPLES;
+    pub(crate) const PAPER_WINDOW: usize = crate::pipeline::PAPER_WINDOW_SAMPLES;
 
     /// An estimator with the paper's 5-sample window.
     pub fn new() -> Self {
@@ -123,11 +123,6 @@ impl QuantaWindowEstimator {
             window,
             samples: BTreeMap::new(),
         }
-    }
-
-    /// The configured window length.
-    pub fn window(&self) -> usize {
-        self.window
     }
 }
 
@@ -188,7 +183,7 @@ impl EwmaEstimator {
     ///
     /// # Panics
     /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
+    pub(crate) fn new(alpha: f64) -> Self {
         assert!(
             alpha > 0.0 && alpha <= 1.0,
             "alpha must be in (0, 1], got {alpha}"
@@ -204,11 +199,6 @@ impl EwmaEstimator {
     pub fn matching_window(window: usize) -> Self {
         assert!(window >= 1, "window must be at least 1");
         Self::new(2.0 / (window as f64 + 1.0))
-    }
-
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 }
 

@@ -43,7 +43,7 @@ pub fn fitness(abbw_per_proc: f64, bbw_per_thread: f64) -> f64 {
 /// May be negative when the admitted set already overcommits the bus —
 /// that is intentional (see module docs).
 #[inline]
-pub fn available_bbw_per_proc(bus_total: f64, allocated_bbw: f64, free_procs: usize) -> f64 {
+pub(crate) fn available_bbw_per_proc(bus_total: f64, allocated_bbw: f64, free_procs: usize) -> f64 {
     assert!(
         free_procs > 0,
         "ABBW/proc undefined with no free processors"

@@ -45,34 +45,28 @@
 #![warn(missing_docs)]
 
 pub mod estimator;
-pub mod fitness;
-pub mod linux;
-pub mod linux26;
+pub(crate) mod fitness;
+pub(crate) mod linux;
+pub(crate) mod linux26;
 pub mod manager;
 pub mod model;
 pub mod oracle;
 pub mod pipeline;
-pub mod reconstruct;
-pub mod sched;
-pub mod selection;
+pub(crate) mod reconstruct;
+pub(crate) mod sched;
+pub(crate) mod selection;
 
-pub use estimator::{
-    BandwidthEstimator, EwmaEstimator, LatestQuantumEstimator, QuantaWindowEstimator,
-};
-pub use fitness::{available_bbw_per_proc, fitness};
-pub use linux::{linux_like, linux_like_with_config, LinuxConfig, LinuxEpochSelector};
-pub use linux26::{linux_o1, linux_o1_with_config, LinuxO1Selector, O1Config};
-pub use model::{predict_set_value, ModelDrivenScheduler};
+pub(crate) use estimator::{LatestQuantumEstimator, QuantaWindowEstimator};
+pub use fitness::fitness;
+pub use linux::{linux_like, LinuxConfig, LinuxEpochSelector};
+pub use linux26::linux_o1;
 pub use oracle::{
-    brute_force_optimal, greedy_pack, offline_optimal, random_gang, record_run, round_robin_gang,
-    round_robin_gang_with_quantum, simulate as oracle_simulate, BranchState, FixedPlanScheduler,
-    GangState, OracleReport, OracleSearchConfig, RecordingScheduler, SimNode, ThreadSlot,
-    ORACLE_IDLE_SENTINEL_US,
+    greedy_pack, offline_optimal, random_gang, record_run, round_robin_gang,
+    simulate as oracle_simulate, FixedPlanScheduler, OracleReport, OracleSearchConfig, SimNode,
 };
 pub use pipeline::{PolicyStack, SoloSelector};
-pub use reconstruct::{DemandTracker, Reconstruction};
 pub use sched::{bus_aware, bus_aware_with_config, PolicyConfig};
-pub use selection::{select_gangs, select_gangs_report, Admission, Candidate};
+pub use selection::{select_gangs, Candidate};
 
 /// Convenience: the 'Latest Quantum' policy as a ready-to-run scheduler.
 pub fn latest_quantum() -> PolicyStack {

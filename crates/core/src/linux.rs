@@ -100,7 +100,7 @@ impl LinuxEpochSelector {
     ///
     /// # Panics
     /// Panics if the quantum is zero.
-    pub fn with_config(cfg: LinuxConfig) -> Self {
+    pub(crate) fn with_config(cfg: LinuxConfig) -> Self {
         assert!(cfg.quantum_us > 0, "quantum must be positive");
         Self {
             cfg,
@@ -113,13 +113,9 @@ impl LinuxEpochSelector {
     }
 
     /// Number of epochs (global slice refills) so far.
-    pub fn epochs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn epochs(&self) -> u64 {
         self.epochs
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> LinuxConfig {
-        self.cfg
     }
 }
 
@@ -231,7 +227,7 @@ pub fn linux_like() -> PolicyStack {
 }
 
 /// [`linux_like`] with custom parameters.
-pub fn linux_like_with_config(cfg: LinuxConfig) -> PolicyStack {
+pub(crate) fn linux_like_with_config(cfg: LinuxConfig) -> PolicyStack {
     PolicyStack::new(
         "Linux",
         cfg.quantum_us,

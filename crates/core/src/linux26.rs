@@ -33,7 +33,7 @@ use crate::selection::Candidate;
 
 /// O(1)-baseline configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct O1Config {
+pub(crate) struct O1Config {
     /// Static timeslice, µs.
     pub timeslice_us: u64,
     /// Scheduler invocation period, µs (per-cpu preemption granularity —
@@ -86,7 +86,7 @@ impl PerCpu {
 /// The O(1) per-cpu runqueue machinery as a pipeline stage: charges
 /// slices, swaps active/expired arrays, load-balances, and returns a
 /// [`Selection::Pinned`] schedule (each cpu's current thread).
-pub struct LinuxO1Selector {
+pub(crate) struct LinuxO1Selector {
     cfg: O1Config,
     cpus: Vec<PerCpu>,
     /// Remaining slice of the thread currently on each cpu.
@@ -101,7 +101,7 @@ pub struct LinuxO1Selector {
 
 impl LinuxO1Selector {
     /// Selector with default parameters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_config(O1Config::default())
     }
 
@@ -109,7 +109,7 @@ impl LinuxO1Selector {
     ///
     /// # Panics
     /// Panics if any period is zero.
-    pub fn with_config(cfg: O1Config) -> Self {
+    pub(crate) fn with_config(cfg: O1Config) -> Self {
         assert!(cfg.timeslice_us > 0 && cfg.period_us > 0 && cfg.balance_period_us > 0);
         Self {
             rng: StdRng::seed_from_u64(cfg.seed),
@@ -124,7 +124,8 @@ impl LinuxO1Selector {
     }
 
     /// Load-balancer migrations so far.
-    pub fn migrations(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn migrations(&self) -> u64 {
         self.migrations
     }
 
@@ -300,7 +301,7 @@ pub fn linux_o1() -> PolicyStack {
 }
 
 /// [`linux_o1`] with custom parameters.
-pub fn linux_o1_with_config(cfg: O1Config) -> PolicyStack {
+pub(crate) fn linux_o1_with_config(cfg: O1Config) -> PolicyStack {
     PolicyStack::new(
         "LinuxO1",
         cfg.period_us,

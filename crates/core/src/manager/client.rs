@@ -36,7 +36,7 @@ use std::sync::Arc;
 use super::protocol::{ClientId, ConnectAck, ToManager};
 use super::seqlock::{ArenaSnapshot, SeqlockArena};
 use super::server::ManagerHandle;
-use super::signals::{Signal, SignalGate};
+use super::signals::SignalGate;
 
 /// Errors the run-time library reports to the application.
 ///
@@ -138,14 +138,14 @@ impl AppRuntime {
     /// [`AppRuntime::request_connect`] and pump between the two phases, or
     /// call the manager's handlers and use [`AppRuntime::in_process`].
     ///
-    /// Returns [`ManagerError::Disconnected`] when the manager is gone.
+    /// Returns `ManagerError::Disconnected` when the manager is gone.
     pub fn connect(handle: &ManagerHandle, name: impl Into<String>) -> Result<Self, ManagerError> {
         Self::request_connect(handle, name)?.complete()
     }
 
     /// Phase 1 of a connection: send the handshake without waiting.
     ///
-    /// Returns [`ManagerError::Disconnected`] when the manager is gone.
+    /// Returns `ManagerError::Disconnected` when the manager is gone.
     pub fn request_connect(
         handle: &ManagerHandle,
         name: impl Into<String>,
@@ -199,7 +199,7 @@ impl AppRuntime {
     /// Intercept a thread creation: registers a gate with the manager and
     /// returns the worker's handle.
     ///
-    /// Returns [`ManagerError::Disconnected`] when the manager is gone; the
+    /// Returns `ManagerError::Disconnected` when the manager is gone; the
     /// thread is then *not* tracked, so the application keeps running under
     /// native scheduling. An in-process runtime never fails here.
     pub fn register_thread(&mut self) -> Result<ThreadHandle, ManagerError> {
@@ -229,7 +229,8 @@ impl AppRuntime {
     /// The paper's signal forwarding: the manager signals one thread; that
     /// thread forwards the signal to every sibling. Calling this with the
     /// received signal reproduces the fan-out.
-    pub fn forward(&self, sig: Signal, skip_first: bool) {
+    #[cfg(test)]
+    pub(crate) fn forward(&self, sig: super::signals::Signal, skip_first: bool) {
         for (i, t) in self.threads.iter().enumerate() {
             if skip_first && i == 0 {
                 continue;
@@ -285,6 +286,7 @@ mod tests {
     use super::*;
     use crate::estimator::LatestQuantumEstimator;
     use crate::manager::server::{CpuManager, ManagerConfig};
+    use crate::manager::signals::Signal;
 
     fn pair() -> (CpuManager, ManagerHandle) {
         CpuManager::new(

@@ -13,20 +13,20 @@
 //!
 //! This module reproduces each artifact:
 //!
-//! * [`protocol`] — connect/disconnect/thread lifecycle messages (the
+//! * `protocol` — connect/disconnect/thread lifecycle messages (the
 //!   UNIX-socket substitute is a `std::sync::mpsc` channel, each connect
 //!   answered on a one-slot reply channel), each handled by one
 //!   [`CpuManager`] method that in-process hosts may also call directly;
-//! * [`seqlock`] — the shared arena as a lock-free seqlock page (single
+//! * `seqlock` — the shared arena as a lock-free seqlock page (single
 //!   writer, readers that never block it), matching the raw-page
 //!   semantics of the original;
-//! * [`signals`] — the block/unblock counting gate with condvar parking
+//! * `signals` — the block/unblock counting gate with condvar parking
 //!   for real OS threads, tolerant to signal inversion by construction,
 //!   that wakes the condvar only when a thread is parked;
-//! * [`client`] — the run-time library side: connect, register threads,
+//! * `client` — the run-time library side: connect, register threads,
 //!   count transactions, publish arena samples, obey the gate;
-//! * [`server`] — the manager proper: circular job list, per-quantum
-//!   sampling of every arena, the shared [`crate::selection`] algorithm,
+//! * `server` — the manager proper: circular job list, per-quantum
+//!   sampling of every arena, the shared `crate::selection` algorithm,
 //!   and signal fan-out.
 //!
 //! Everything here runs with *real* threads (see
@@ -34,14 +34,14 @@
 //! use the [`crate::bus_aware`] stacks, which share the estimator and
 //! selection logic with this manager.
 
-pub mod client;
-pub mod protocol;
-pub mod seqlock;
-pub mod server;
-pub mod signals;
+pub(crate) mod client;
+pub(crate) mod protocol;
+pub(crate) mod seqlock;
+pub(crate) mod server;
+pub(crate) mod signals;
 
-pub use client::{AppRuntime, ManagerError, ThreadHandle};
-pub use protocol::{ClientId, ConnectAck, ToManager};
+pub use client::{AppRuntime, ThreadHandle};
+pub use protocol::ClientId;
 pub use seqlock::{ArenaSnapshot, SeqlockArena};
 pub use server::{CpuManager, ManagerConfig, ManagerHandle};
 pub use signals::{Signal, SignalGate};

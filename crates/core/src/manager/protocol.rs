@@ -28,7 +28,7 @@ impl std::fmt::Display for ClientId {
 }
 
 /// Messages from applications (via the run-time library) to the manager.
-pub enum ToManager {
+pub(crate) enum ToManager {
     /// Initial handshake. The manager answers on `reply` with the shared
     /// arena and sampling contract.
     Connect {

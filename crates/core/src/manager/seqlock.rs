@@ -47,7 +47,7 @@ pub struct ArenaSnapshot {
 impl ArenaSnapshot {
     /// Per-thread rate: the application's rate equipartitioned among its
     /// threads, which is exactly the `BBW/thread` the policies consume.
-    pub fn rate_per_thread(&self) -> f64 {
+    pub(crate) fn rate_per_thread(&self) -> f64 {
         if self.threads == 0 {
             0.0
         } else {

@@ -73,7 +73,7 @@ pub struct ManagerHandle {
 
 impl ManagerHandle {
     /// The raw message channel (used by the client run-time library).
-    pub fn sender(&self) -> Sender<ToManager> {
+    pub(crate) fn sender(&self) -> Sender<ToManager> {
         self.tx.clone()
     }
 }
@@ -100,12 +100,8 @@ pub struct CpuManager {
     /// Reconstructs bandwidth requirements from arena consumption reports
     /// (see [`crate::reconstruct`]).
     demand: DemandTracker,
-    /// Average bus dilation Λ̄ for the current interval, as measured by
-    /// the operator's IOQ-occupancy counter (1.0 = uncontended). Updated
-    /// through [`CpuManager::note_dilation`].
-    dilation: f64,
-    /// Structured event sink (detached by default; see
-    /// [`CpuManager::set_tracer`]).
+    /// Structured event sink: detached, except where a unit test attaches
+    /// one with `set_tracer`.
     tracer: EventBus,
 }
 
@@ -128,7 +124,6 @@ impl CpuManager {
                 candidates: Vec::new(),
                 next_id: 0,
                 demand: DemandTracker::new(),
-                dilation: 1.0,
                 tracer: EventBus::off(),
             },
             ManagerHandle { tx },
@@ -138,7 +133,8 @@ impl CpuManager {
     /// Attach a structured-event tracer. The manager emits
     /// connect/disconnect, gate-transition, and signal-reordering events
     /// ([`TraceEvent::MgrConnect`] and friends).
-    pub fn set_tracer(&mut self, tracer: EventBus) {
+    #[cfg(test)]
+    pub(crate) fn set_tracer(&mut self, tracer: EventBus) {
         self.tracer = tracer;
     }
 
@@ -181,7 +177,7 @@ impl CpuManager {
         }
     }
 
-    /// Admit an application ([`ToManager::Connect`]): assign its id and
+    /// Admit an application (`ToManager::Connect`): assign its id and
     /// shared arena. The returned acknowledgement is what a channel client
     /// receives on its reply slot.
     pub fn connect(&mut self, name: String) -> ConnectAck {
@@ -211,7 +207,7 @@ impl CpuManager {
         }
     }
 
-    /// Track a new thread of `app` ([`ToManager::ThreadCreated`]) by its
+    /// Track a new thread of `app` (`ToManager::ThreadCreated`) by its
     /// gate. Unknown applications are ignored.
     pub fn thread_created(&mut self, app: ClientId, gate: Arc<SignalGate>) {
         if let Some(j) = self.jobs.iter_mut().find(|j| j.id == app) {
@@ -224,13 +220,13 @@ impl CpuManager {
     }
 
     /// Drop the newest thread of `app` ([`ToManager::ThreadExited`]).
-    pub fn thread_exited(&mut self, app: ClientId) {
+    pub(crate) fn thread_exited(&mut self, app: ClientId) {
         if let Some(j) = self.jobs.iter_mut().find(|j| j.id == app) {
             j.gates.pop();
         }
     }
 
-    /// Retire `app` ([`ToManager::Disconnect`]): unpark its threads if it
+    /// Retire `app` (`ToManager::Disconnect`): unpark its threads if it
     /// was blocked and forget its measurements. Unknown applications are
     /// ignored.
     pub fn disconnect(&mut self, app: ClientId) {
@@ -253,13 +249,6 @@ impl CpuManager {
         }
     }
 
-    /// Report the bus dilation Λ̄ measured over the current interval (from
-    /// an IOQ-occupancy PMU reading on real hardware). Used to reconstruct
-    /// bandwidth requirements from the consumption the arenas report.
-    pub fn note_dilation(&mut self, lambda: f64) {
-        self.dilation = lambda.max(1.0);
-    }
-
     /// Fault injection: deliver an *inverted* (Unblock before Block) signal
     /// pair to every gate of `app` — the reordering §4 explicitly
     /// tolerates ("a thread blocks only if the number of received block
@@ -267,7 +256,8 @@ impl CpuManager {
     /// net gate state is unchanged by construction; each delivery is
     /// recorded as a [`TraceEvent::MgrSignalReorder`]. Returns the number
     /// of gates signalled.
-    pub fn inject_signal_inversion(&mut self, app: ClientId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn inject_signal_inversion(&mut self, app: ClientId) -> usize {
         let mut signalled = 0;
         if let Some(j) = self.jobs.iter().find(|j| j.id == app) {
             for (ti, g) in j.gates.iter().enumerate() {
@@ -301,9 +291,11 @@ impl CpuManager {
                 continue;
             }
             let app = busbw_sim::AppId(j.id.0);
+            // No IOQ-occupancy reading reaches the manager, so the bus
+            // dilation Λ̄ is taken as 1 (uncontended).
             let demand = self
                 .demand
-                .observe(app, j.arena.read().rate_per_thread(), self.dilation);
+                .observe(app, j.arena.read().rate_per_thread(), 1.0);
             if settle {
                 self.estimator.record_quantum(app, demand);
             } else {

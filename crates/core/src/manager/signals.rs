@@ -24,7 +24,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// A scheduling signal from the manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +90,7 @@ impl SignalGate {
 
     /// Park the calling thread until `should_block()` is false.
     /// Returns immediately if the thread is not blocked.
-    pub fn wait_while_blocked(&self) {
+    pub(crate) fn wait_while_blocked(&self) {
         let mut parked = self.lock();
         *parked += 1;
         let mut parked = self
@@ -103,7 +102,8 @@ impl SignalGate {
 
     /// Like [`Self::wait_while_blocked`] but gives up after `timeout`.
     /// Returns `true` if the thread is clear to run, `false` on timeout.
-    pub fn wait_while_blocked_timeout(&self, timeout: Duration) -> bool {
+    #[cfg(test)]
+    pub(crate) fn wait_while_blocked_timeout(&self, timeout: std::time::Duration) -> bool {
         let mut parked = self.lock();
         *parked += 1;
         let (mut parked, _) = self
@@ -120,6 +120,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     #[test]
     fn fresh_gate_is_open() {

@@ -8,15 +8,15 @@
 //! [`ModelDrivenScheduler`] does exactly that at quantum granularity:
 //!
 //! 1. **Measure** like the paper's policies (reconstructed per-thread
-//!    bandwidth requirements, see [`crate::reconstruct`]).
+//!    bandwidth requirements, see `crate::reconstruct`).
 //! 2. **Model**: for any candidate gang set, predict each thread's speed
 //!    under the shared-bus dilation model
 //!    `s_i = 1 / ((1 − µ̂_i) + µ̂_i·λ)` with λ solving
 //!    `Σ d_i·s_i = C` at saturation. Memory-boundness µ̂ is not
 //!    observable from counters, so an empirical curve maps demand to µ̂
-//!    (fit to the paper's application population; see [`mu_hat`]).
+//!    (fit to the paper's application population; see `mu_hat`).
 //! 3. **Optimize**: enumerate feasible admission sets (exact up to
-//!    [`ModelDrivenScheduler::EXACT_ENUMERATION_LIMIT`] jobs, greedy
+//!    `ModelDrivenScheduler::EXACT_ENUMERATION_LIMIT` jobs, greedy
 //!    marginal-gain beyond) and pick the set maximizing predicted useful
 //!    progress, weighted by a starvation-ageing factor so no job waits
 //!    forever (replacing the head-of-list guarantee of the §4 policies).
@@ -35,7 +35,7 @@ use crate::reconstruct::DemandTracker;
 /// population: light codes (< 1 tx/µs/thread) are nearly compute bound,
 /// the saturating quartet (≈ 10–12 tx/µs/thread) is ~0.8 memory bound,
 /// and a streaming microbenchmark (23.6) is ~1. Piecewise-linear, clamped.
-pub fn mu_hat(demand_per_thread: f64) -> f64 {
+pub(crate) fn mu_hat(demand_per_thread: f64) -> f64 {
     (0.05 + 0.075 * demand_per_thread).clamp(0.02, 0.98)
 }
 
@@ -44,7 +44,7 @@ pub fn mu_hat(demand_per_thread: f64) -> f64 {
 /// `jobs` are `(width, demand_per_thread, weight)`; returns the sum over
 /// threads of `speed × weight` under the dilation model with capacity
 /// `cap`.
-pub fn predict_set_value(jobs: &[(usize, f64, f64)], cap: f64) -> f64 {
+pub(crate) fn predict_set_value(jobs: &[(usize, f64, f64)], cap: f64) -> f64 {
     let total_demand: f64 = jobs.iter().map(|&(w, d, _)| w as f64 * d).sum();
     // Solve Σ w·d/((1−µ)+µλ) = cap for λ ≥ 1 (bisection; monotone).
     let issued = |lambda: f64| -> f64 {
@@ -101,7 +101,7 @@ pub struct ModelDrivenScheduler {
 impl ModelDrivenScheduler {
     /// Beyond this many live jobs the optimizer switches from exact subset
     /// enumeration to greedy marginal gain.
-    pub const EXACT_ENUMERATION_LIMIT: usize = 14;
+    pub(crate) const EXACT_ENUMERATION_LIMIT: usize = 14;
 
     /// A model-driven scheduler with the paper's 200 ms quantum and a
     /// moderate ageing factor.
@@ -110,7 +110,7 @@ impl ModelDrivenScheduler {
     }
 
     /// Custom quantum and ageing factor.
-    pub fn with_params(quantum_us: u64, aging: f64) -> Self {
+    pub(crate) fn with_params(quantum_us: u64, aging: f64) -> Self {
         assert!(quantum_us > 0, "quantum must be positive");
         assert!(aging >= 0.0, "aging must be non-negative");
         Self {

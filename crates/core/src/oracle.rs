@@ -29,10 +29,10 @@
 //! runs to the next scheduling point, so each node costs one quantum of
 //! simulation rather than a replay of its whole prefix. Every candidate
 //! simulation is a pure function of its own machine, so the search hands
-//! them to a [`FanOut`] as tasks — [`Serial`] on the calling thread, or
-//! a thread pool — and applies its bookkeeping to the outcomes in the
-//! serial order, which keeps the [`OracleReport`] independent of where
-//! the simulations ran. The search
+//! them to a [`FanOut`] as tasks — the experiments' work-stealing pool,
+//! or the calling thread in the unit tests — and applies its bookkeeping
+//! to the outcomes in the serial order, which keeps the [`OracleReport`]
+//! independent of where the simulations ran. The search
 //! prunes with an admissible no-contention lower bound — before
 //! simulating a child, where its parent's state already proves the
 //! child's bound meets the incumbent — and skips permutations of
@@ -42,7 +42,7 @@
 //! structurally ≤ every seeded heuristic; [`FixedPlanScheduler`] replays
 //! such logs, and the winning plan, as ordinary runs.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 
 use busbw_sim::{
@@ -62,7 +62,7 @@ pub fn round_robin_gang() -> PolicyStack {
 }
 
 /// [`round_robin_gang`] with a custom quantum.
-pub fn round_robin_gang_with_quantum(quantum_us: u64) -> PolicyStack {
+pub(crate) fn round_robin_gang_with_quantum(quantum_us: u64) -> PolicyStack {
     PolicyStack::new(
         "RoundRobinGang",
         quantum_us,
@@ -107,9 +107,9 @@ pub fn greedy_pack() -> PolicyStack {
 /// Idle quantum [`FixedPlanScheduler`] returns once its plan is used
 /// up: far beyond any search horizon, so the machine's idle fast
 /// path mega-ticks straight to the hard cap without overflow.
-pub const ORACLE_IDLE_SENTINEL_US: u64 = 1 << 40;
+pub(crate) const ORACLE_IDLE_SENTINEL_US: u64 = 1 << 40;
 
-/// Tuning knobs for [`offline_optimal`] / [`brute_force_optimal`].
+/// Tuning knobs for [`offline_optimal`] and its exhaustive cross-check.
 #[derive(Debug, Clone, Copy)]
 pub struct OracleSearchConfig {
     /// Reschedule interval each appended decision runs for, µs. The
@@ -133,7 +133,8 @@ pub struct OracleSearchConfig {
 impl OracleSearchConfig {
     /// A config with the given quantum and horizon, a 2000-node budget,
     /// and 1 µs of lower-bound slack.
-    pub fn new(quantum_us: u64, horizon_us: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(quantum_us: u64, horizon_us: u64) -> Self {
         Self {
             quantum_us,
             horizon_us,
@@ -173,19 +174,19 @@ pub struct GangState {
 
 impl GangState {
     /// Number of threads that still want cpu time.
-    pub fn runnable_width(&self) -> usize {
+    pub(crate) fn runnable_width(&self) -> usize {
         self.threads.iter().filter(|t| t.runnable).count()
     }
 
     /// Whether no thread of the gang has ever run — the window in which
     /// bit-identical gangs are interchangeable (symmetry pruning).
-    pub fn is_unstarted(&self) -> bool {
+    pub(crate) fn is_unstarted(&self) -> bool {
         self.threads.iter().all(|t| !t.started)
     }
 
     /// Wall time needed to finish the slowest thread at the best possible
     /// progress rate (1 virtual µs per wall µs).
-    pub fn max_remaining_us(&self) -> f64 {
+    pub(crate) fn max_remaining_us(&self) -> f64 {
         self.threads
             .iter()
             .map(|t| t.remaining_us)
@@ -207,7 +208,7 @@ pub struct BranchState {
 
 impl BranchState {
     /// Capture the branch state from a scheduler's view.
-    pub fn capture(view: &MachineView<'_>) -> Self {
+    pub(crate) fn capture(view: &MachineView<'_>) -> Self {
         let gangs = view
             .apps()
             .map(|app| {
@@ -248,7 +249,7 @@ impl BranchState {
 /// is how the search's winning plan becomes an ordinary run
 /// (`PolicyKind::OfflineOptimal` in the experiments crate). Once the
 /// plan is used up it returns an idle decision of
-/// [`ORACLE_IDLE_SENTINEL_US`], letting the machine fast-forward to its
+/// `ORACLE_IDLE_SENTINEL_US`, letting the machine fast-forward to its
 /// hard cap.
 pub struct FixedPlanScheduler {
     plan: Vec<Decision>,
@@ -281,14 +282,14 @@ impl Scheduler for FixedPlanScheduler {
 /// heuristic's full run can later be replayed bit-identically through
 /// [`FixedPlanScheduler`] — the mechanism behind seeding the oracle's
 /// incumbent with the preset stacks.
-pub struct RecordingScheduler<'a> {
+pub(crate) struct RecordingScheduler<'a> {
     inner: &'a mut dyn Scheduler,
     log: Vec<Decision>,
 }
 
 impl<'a> RecordingScheduler<'a> {
     /// Record `inner`'s decisions.
-    pub fn new(inner: &'a mut dyn Scheduler) -> Self {
+    pub(crate) fn new(inner: &'a mut dyn Scheduler) -> Self {
         Self {
             inner,
             log: Vec::new(),
@@ -296,7 +297,7 @@ impl<'a> RecordingScheduler<'a> {
     }
 
     /// The recorded decision log, in schedule order.
-    pub fn into_log(self) -> Vec<Decision> {
+    pub(crate) fn into_log(self) -> Vec<Decision> {
         self.log
     }
 }
@@ -580,31 +581,6 @@ pub trait Tasks {
     /// thread, or wait until one running elsewhere finishes. Returns
     /// `false`, at once, when none is queued or running.
     fn help(&mut self) -> bool;
-}
-
-/// Runs every task on the calling thread, in queue order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Serial;
-
-impl FanOut for Serial {
-    fn scope(&self, body: &mut dyn FnMut(&mut dyn Tasks)) {
-        let mut queue = SerialTasks::default();
-        body(&mut queue);
-        while queue.help() {}
-    }
-}
-
-#[derive(Default)]
-struct SerialTasks(VecDeque<Task>);
-
-impl Tasks for SerialTasks {
-    fn spawn(&mut self, task: Task) {
-        self.0.push_back(task);
-    }
-
-    fn help(&mut self) -> bool {
-        self.0.pop_front().map(|task| task()).is_some()
-    }
 }
 
 /// Where a candidate simulation stopped, with its paused run at a branch,
@@ -1174,8 +1150,8 @@ fn search(
 /// bit-identical at t = 0 — the search then explores only one
 /// representative of each permutation while the gangs are unstarted.
 ///
-/// `fan` resumes the children of each expanded node ([`Serial`] on the
-/// calling thread); the report is identical for every [`FanOut`].
+/// `fan` resumes the children of each expanded node; the report is
+/// identical for every [`FanOut`].
 ///
 /// With infinite-work *measured* gangs every path is censored at the
 /// horizon and the tree is deep; provide seeds so bound pruning can bite,
@@ -1195,7 +1171,8 @@ pub fn offline_optimal(
 /// no seeds, no symmetry filtering, and no bound pruning — the ground
 /// truth the branch-and-bound search is cross-checked against. Respects
 /// `node_budget` purely as a runaway backstop.
-pub fn brute_force_optimal(
+#[cfg(test)]
+pub(crate) fn brute_force_optimal(
     template: &Machine,
     measured: &[AppId],
     cfg: &OracleSearchConfig,
@@ -1211,6 +1188,32 @@ mod tests {
         AppDescriptor, AppId, CacheConfig, ConstantDemand, Decision, Machine, MachineConfig,
         Scheduler, StopCondition, ThreadSpec, TopologyConfig, XEON_4WAY, XEON_4WAY_HT,
     };
+    use std::collections::VecDeque;
+
+    /// Runs every task on the calling thread, in queue order.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Serial;
+
+    impl FanOut for Serial {
+        fn scope(&self, body: &mut dyn FnMut(&mut dyn Tasks)) {
+            let mut queue = SerialTasks::default();
+            body(&mut queue);
+            while queue.help() {}
+        }
+    }
+
+    #[derive(Default)]
+    struct SerialTasks(VecDeque<Task>);
+
+    impl Tasks for SerialTasks {
+        fn spawn(&mut self, task: Task) {
+            self.0.push_back(task);
+        }
+
+        fn help(&mut self) -> bool {
+            self.0.pop_front().map(|task| task()).is_some()
+        }
+    }
 
     fn add(m: &mut Machine, name: &str, n: usize, rate: f64) -> AppId {
         let threads = (0..n)

@@ -56,7 +56,10 @@ impl ReconstructingEstimator {
     ///
     /// # Panics
     /// Panics if `samples_per_quantum` is zero.
-    pub fn with_samples(inner: Box<dyn BandwidthEstimator>, samples_per_quantum: u32) -> Self {
+    pub(crate) fn with_samples(
+        inner: Box<dyn BandwidthEstimator>,
+        samples_per_quantum: u32,
+    ) -> Self {
         assert!(
             samples_per_quantum >= 1,
             "need at least one sample per quantum"

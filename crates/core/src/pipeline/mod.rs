@@ -5,7 +5,7 @@
 //!
 //! 1. [`Estimator`] — settle the finished interval's counter measurements
 //!    into per-job `BBW/thread` estimates (absorbing
-//!    [`crate::BandwidthEstimator`] for the paper's policies);
+//!    [`crate::estimator::BandwidthEstimator`] for the paper's policies);
 //! 2. [`Admission`] — the unconditional admissions: the paper's
 //!    head-of-list starvation-freedom rule, FCFS fill, or nothing;
 //! 3. [`Selector`] — fill the remaining processors: the Eq. (1)/(2)
@@ -27,16 +27,17 @@
 //! wall-time into a [`StageTimings`] that the experiments layer folds
 //! into run manifests.
 
-pub mod admission;
-pub mod estimators;
-pub mod placers;
-pub mod selectors;
+pub(crate) mod admission;
+pub(crate) mod estimators;
+pub(crate) mod placers;
+pub(crate) mod selectors;
 
 pub use admission::{Fcfs, HeadOfList, Open, StrictHead, WidestFirst};
 pub use estimators::{NullEstimator, RawRateEstimator, ReconstructingEstimator};
+pub(crate) use placers::place_packed;
 pub use placers::{
-    place_packed, MigrateOnSaturationPlacer, PackLocalPlacer, PackedPlacer, ScatterPlacer,
-    SmtAwarePlacer, SpreadSocketsPlacer,
+    MigrateOnSaturationPlacer, PackLocalPlacer, PackedPlacer, ScatterPlacer, SmtAwarePlacer,
+    SpreadSocketsPlacer,
 };
 pub use selectors::{
     FitnessSelector, GreedySelector, LookaheadSelector, NullSelector, RandomSelector,
@@ -55,7 +56,7 @@ use crate::selection::Candidate;
 pub const PAPER_QUANTUM_US: u64 = 200_000;
 
 /// Counter samples per quantum (the paper: 2).
-pub const PAPER_SAMPLES_PER_QUANTUM: u32 = 2;
+pub(crate) const PAPER_SAMPLES_PER_QUANTUM: u32 = 2;
 
 /// The Quanta Window policy's window length: 5 samples (§4).
 pub const PAPER_WINDOW_SAMPLES: usize = 5;
@@ -223,7 +224,8 @@ impl PolicyStack {
     /// Attach a structured-trace bus explicitly. Usually unnecessary:
     /// running under a traced [`busbw_sim::Machine`] attaches its bus
     /// automatically via [`Scheduler::attach_tracer`].
-    pub fn set_tracer(&mut self, tracer: EventBus) {
+    #[cfg(test)]
+    pub(crate) fn set_tracer(&mut self, tracer: EventBus) {
         self.tracer = tracer;
     }
 
@@ -238,7 +240,8 @@ impl PolicyStack {
     }
 
     /// The composed stage labels, in pipeline order.
-    pub fn stage_labels(&self) -> [&'static str; 4] {
+    #[cfg(test)]
+    pub(crate) fn stage_labels(&self) -> [&'static str; 4] {
         [
             self.estimator.label(),
             self.admission.label(),
@@ -472,7 +475,8 @@ impl<S: Selector> SoloSelector<S> {
     }
 
     /// The wrapped selector.
-    pub fn selector(&self) -> &S {
+    #[cfg(test)]
+    pub(crate) fn selector(&self) -> &S {
         &self.selector
     }
 }

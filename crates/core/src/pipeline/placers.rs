@@ -8,7 +8,7 @@ use super::{Placer, StageCtx};
 /// previous cpu if free, then its warmest cache, then the lowest free
 /// cpu. This is the placement every paper policy and comparator used
 /// before the pipeline split (it "packs" threads toward low cpu indices).
-pub fn place_packed(view: &MachineView<'_>, admitted: &[AppId]) -> Vec<Assignment> {
+pub(crate) fn place_packed(view: &MachineView<'_>, admitted: &[AppId]) -> Vec<Assignment> {
     let mut free: Vec<bool> = vec![true; view.num_cpus];
     let mut assignments = Vec::new();
     let mut pending = Vec::new();
@@ -79,7 +79,7 @@ fn affinity_pass(
     pending
 }
 
-/// [`place_packed`] as a stage — the default placer of every preset.
+/// `place_packed` as a stage — the default placer of every preset.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PackedPlacer;
 

@@ -150,7 +150,7 @@ impl Selector for GreedySelector {
 
 /// Model-driven lookahead: admit the job with the best predicted marginal
 /// aggregate progress under the dilation model
-/// ([`crate::model::predict_set_value`]), stopping when every remaining
+/// (`crate::model::predict_set_value`), stopping when every remaining
 /// addition would slow the set down. Unlike [`FitnessSelector`] this can
 /// leave processors idle on purpose.
 #[derive(Debug, Default, Clone, Copy)]

@@ -39,7 +39,7 @@ use busbw_sim::AppId;
 /// One reconstruction step: the clamped inputs and the output, as fed to
 /// the estimator (the trace layer's "reconstruction inputs/outputs").
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Reconstruction {
+pub(crate) struct Reconstruction {
     /// Consumed bandwidth per thread over the interval, tx/µs (clamped
     /// at 0).
     pub measured_per_thread: f64,
@@ -51,13 +51,13 @@ pub struct Reconstruction {
 
 /// Reconstructs per-thread bandwidth requirements from observations.
 #[derive(Debug, Default, Clone)]
-pub struct DemandTracker {
+pub(crate) struct DemandTracker {
     est: BTreeMap<AppId, f64>,
 }
 
 impl DemandTracker {
     /// A tracker with no observations.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -69,14 +69,14 @@ impl DemandTracker {
     ///   uncontended; values below 1 are clamped).
     ///
     /// Returns the reconstructed requirement per thread.
-    pub fn observe(&mut self, app: AppId, measured_per_thread: f64, dilation: f64) -> f64 {
+    pub(crate) fn observe(&mut self, app: AppId, measured_per_thread: f64, dilation: f64) -> f64 {
         self.observe_detailed(app, measured_per_thread, dilation)
             .demand_per_thread
     }
 
     /// [`DemandTracker::observe`], returning the full [`Reconstruction`]
     /// record (clamped inputs plus output) for tracing.
-    pub fn observe_detailed(
+    pub(crate) fn observe_detailed(
         &mut self,
         app: AppId,
         measured_per_thread: f64,
@@ -94,12 +94,12 @@ impl DemandTracker {
     }
 
     /// Current requirement estimate (0 for never-observed jobs).
-    pub fn estimate(&self, app: AppId) -> f64 {
+    pub(crate) fn estimate(&self, app: AppId) -> f64 {
         self.est.get(&app).copied().unwrap_or(0.0)
     }
 
     /// Drop a finished job.
-    pub fn forget(&mut self, app: AppId) {
+    pub(crate) fn forget(&mut self, app: AppId) {
         self.est.remove(&app);
     }
 }

@@ -53,7 +53,7 @@ pub fn select_gangs<K: Copy + PartialEq>(
 /// One admission made by [`select_gangs_report`], carrying the decision
 /// inputs that produced it (trace/observability data).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Admission<K> {
+pub(crate) struct Admission<K> {
     /// The admitted job's key.
     pub key: K,
     /// Its gang width.
@@ -70,7 +70,7 @@ pub struct Admission<K> {
 /// [`select_gangs`], but returning each admission with the fitness score
 /// and `ABBW/proc` that justified it — what a per-decision trace needs
 /// to explain *why* a quantum's selection flipped.
-pub fn select_gangs_report<K: Copy + PartialEq>(
+pub(crate) fn select_gangs_report<K: Copy + PartialEq>(
     candidates: &[Candidate<K>],
     num_cpus: usize,
     bus_total: f64,

@@ -3,15 +3,15 @@
 //! * **Window length** (§4): the 5-sample window "limits the average
 //!   distance between the observed transactions pattern and the moving
 //!   window average to 5 % for applications with irregular bus bandwidth
-//!   requirements". [`ablate_window`] reproduces both halves of the
+//!   requirements". `experiments ablate-window` reproduces both halves of the
 //!   tradeoff: the analytic distance criterion on a bursty trace, and the
 //!   end-to-end improvement on the Raytrace set-B workload where Latest
 //!   Quantum misbehaves (−19 % in the paper).
 //! * **Quantum length** (§5): the paper moved from 100 ms to 200 ms
 //!   because of user/kernel scheduling conflicts. The simulator has no
-//!   such conflict, so [`ablate_quantum`] reports the pure policy-side
+//!   such conflict, so `experiments ablate-quantum` reports the pure policy-side
 //!   sensitivity.
-//! * **Fitness rule** (§4): [`ablate_fitness`] compares the fitness-driven
+//! * **Fitness rule** (§4): `experiments ablate-fitness` compares the fitness-driven
 //!   fill against round-robin, random, and greedy-max-bandwidth gang
 //!   fills on set C.
 //!
@@ -25,12 +25,12 @@ use busbw_workloads::burst::TwoStateBurst;
 use busbw_workloads::paper::PaperApp;
 
 use crate::fig2::{fold_fig2, plan_fig2, Fig2Cells, Fig2Set};
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
+use crate::jobgraph::{CellId, Executed, Plan, RunRequest, Workload};
 use crate::policy::{EstimatorKind, PlacerKind, SelectorKind, StackSpec};
 use crate::runner::{PolicyKind, RunnerConfig};
 
 /// Window lengths swept by [`ablate_window`].
-pub const WINDOW_SWEEP: [usize; 5] = [1, 3, 5, 9, 15];
+pub(crate) const WINDOW_SWEEP: [usize; 5] = [1, 3, 5, 9, 15];
 
 const WINDOW_APPS: [PaperApp; 2] = [PaperApp::Raytrace, PaperApp::Cg];
 
@@ -101,17 +101,8 @@ pub fn fold_window(cells: &WindowCells, executed: &Executed) -> FigureSummary {
     }
 }
 
-/// Window-length ablation.
-///
-/// Rows: one per window length. Columns: the §4 distance criterion on a
-/// Raytrace-like burst trace (%), and the end-to-end improvement over
-/// Linux on the Raytrace and CG set-B workloads.
-pub fn ablate_window(rc: &RunnerConfig) -> FigureSummary {
-    run_figure(rc, |plan| plan_window(plan, rc), fold_window)
-}
-
 /// Quantum lengths swept by [`ablate_quantum`] (µs).
-pub const QUANTUM_SWEEP: [u64; 4] = [50_000, 100_000, 200_000, 400_000];
+pub(crate) const QUANTUM_SWEEP: [u64; 4] = [50_000, 100_000, 200_000, 400_000];
 
 const QUANTUM_APPS: [PaperApp; 3] = [PaperApp::Volrend, PaperApp::Sp, PaperApp::Cg];
 
@@ -177,11 +168,6 @@ pub fn fold_quantum(cells: &QuantumCells, executed: &Executed) -> FigureSummary 
     }
 }
 
-/// Quantum-length ablation for the Latest Quantum policy on set C.
-pub fn ablate_quantum(rc: &RunnerConfig) -> FigureSummary {
-    run_figure(rc, |plan| plan_quantum(plan, rc), fold_quantum)
-}
-
 /// The fitness ablation's policy list (set C).
 fn fitness_policies(rc: &RunnerConfig) -> [PolicyKind; 5] {
     [
@@ -206,12 +192,6 @@ pub fn fold_fitness(cells: &Fig2Cells, executed: &Executed) -> FigureSummary {
     fig.id = "ablate-fitness".into();
     fig.title = "Set C improvement %: fitness vs oblivious gang fills".into();
     fig
-}
-
-/// Fitness-rule ablation on set C: the paper's policies vs gang
-/// scheduling with round-robin, random, and greedy-max-bandwidth fills.
-pub fn ablate_fitness(rc: &RunnerConfig) -> FigureSummary {
-    run_figure(rc, |plan| plan_fitness(plan, rc), fold_fitness)
 }
 
 const SMT_APPS: [PaperApp; 3] = [PaperApp::Volrend, PaperApp::Mg, PaperApp::Cg];
@@ -281,32 +261,18 @@ pub fn fold_smt(cells: &SmtCells, executed: &Executed) -> FigureSummary {
     }
 }
 
-/// Hyperthreading extension (§6 future work; the paper disabled HT
-/// because perfctr could not virtualize counters across siblings).
-///
-/// Reruns set C on the same machine with SMT enabled (8 logical cpus on
-/// 4 cores, 1.25× aggregate core speedup) and reports the policies'
-/// improvement over Linux on both configurations. With HT, all 8 threads
-/// of the workload fit simultaneously, so the baseline stops paying the
-/// gang-splitting cost — but the bus is pressured by more concurrent
-/// streams, which is exactly the regime the bandwidth-aware policies
-/// target.
-pub fn ablate_smt(rc: &RunnerConfig) -> FigureSummary {
-    run_figure(rc, |plan| plan_smt(plan, rc), fold_smt)
-}
-
 /// Estimators crossed by [`ablate_stages`].
-pub const STAGE_ESTIMATORS: [EstimatorKind; 2] = [
+pub(crate) const STAGE_ESTIMATORS: [EstimatorKind; 2] = [
     EstimatorKind::Latest,
     EstimatorKind::Window(busbw_core::pipeline::PAPER_WINDOW_SAMPLES),
 ];
 
 /// Placers crossed by [`ablate_stages`].
-pub const STAGE_PLACERS: [PlacerKind; 2] = [PlacerKind::Packed, PlacerKind::Scatter];
+pub(crate) const STAGE_PLACERS: [PlacerKind; 2] = [PlacerKind::Packed, PlacerKind::Scatter];
 
 /// Selectors crossed by [`ablate_stages`] (the random fill is seeded from
 /// the run config so the figure stays deterministic per seed).
-pub fn stage_selectors(rc: &RunnerConfig) -> [SelectorKind; 3] {
+pub(crate) fn stage_selectors(rc: &RunnerConfig) -> [SelectorKind; 3] {
     [
         SelectorKind::Fitness,
         SelectorKind::Random(rc.seed),
@@ -369,14 +335,6 @@ pub fn fold_stages(cells: &StageCells, executed: &Executed) -> FigureSummary {
         title: "Set C (MG): estimator x selector x placer cross-product".into(),
         rows,
     }
-}
-
-/// Stage cross-product ablation: every estimator × selector × placer
-/// combination of the policy pipeline, composed through [`StackSpec`]
-/// exactly as the `--policy` CLI flag composes them, against the Linux
-/// baseline on the set-C MG workload.
-pub fn ablate_stages(rc: &RunnerConfig) -> FigureSummary {
-    run_figure(rc, |plan| plan_stages(plan, rc), fold_stages)
 }
 
 #[cfg(test)]

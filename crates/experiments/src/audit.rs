@@ -10,7 +10,7 @@
 //! 2. **Differential fuzzer** — random [`StackSpec`] policy stacks ×
 //!    random paper-workload mixes, each cell executed five ways: a
 //!    serial audited run, the legacy per-tick inner loop, a sibling group
-//!    of the cell's stack and three related stacks ([`crate::sibling`]),
+//!    of the cell's stack and three related stacks (`crate::sibling`),
 //!    an N-worker run through the job-graph engine, and a cache-warm
 //!    re-execution of the same plan. All must agree byte-for-byte (codec
 //!    bytes and the CSV row), the warm pass must be all cache hits, and
@@ -78,7 +78,7 @@ pub fn mix_from_names(names: &[&str]) -> Option<WorkloadSpec> {
 
 /// The `--policy` grammar string for a stack — [`StackSpec::parse`]'s
 /// inverse, used by `repro.json` so a reproducer is copy-pasteable.
-pub fn spec_string(s: &StackSpec) -> String {
+pub(crate) fn spec_string(s: &StackSpec) -> String {
     let est = match s.estimator {
         EstimatorKind::Latest => "latest".into(),
         EstimatorKind::Window(n) => format!("window:{n}"),
@@ -116,7 +116,7 @@ pub fn spec_string(s: &StackSpec) -> String {
 
 /// Deterministic CSV row for one run — the artifact the differential
 /// passes byte-compare (mirrors the figure CSVs' `{:?}` float format).
-pub fn csv_line(r: &RunResult) -> String {
+pub(crate) fn csv_line(r: &RunResult) -> String {
     let mut line = format!(
         "{:?},{:?},{:?},{}",
         r.mean_turnaround_us, r.workload_rate, r.saturated_fraction, r.ticks
@@ -142,7 +142,7 @@ fn runner_config(cell: &FuzzCell, trace: TraceMode) -> RunnerConfig {
 
 /// Run one cell serially under the full invariant catalog and return
 /// every violation (live hooks + post-run trace validation).
-pub fn check_cell(cell: &FuzzCell) -> Vec<Violation> {
+pub(crate) fn check_cell(cell: &FuzzCell) -> Vec<Violation> {
     let Some(mix) = mix_from_names(&cell.mix) else {
         return vec![Violation {
             invariant: "cache-consistency",
@@ -375,7 +375,7 @@ fn random_mix(rng: &mut StdRng) -> Vec<&'static str> {
 }
 
 /// Draw the `i`-th fuzz cell of a seeded campaign.
-pub fn fuzz_cell(campaign_seed: u64, i: u64, scale: f64) -> FuzzCell {
+pub(crate) fn fuzz_cell(campaign_seed: u64, i: u64, scale: f64) -> FuzzCell {
     let mut rng = StdRng::seed_from_u64(campaign_seed.wrapping_mul(0x9E3779B97F4A7C15) ^ i);
     FuzzCell {
         stack: random_stack(&mut rng),
@@ -393,7 +393,7 @@ pub fn fuzz_cell(campaign_seed: u64, i: u64, scale: f64) -> FuzzCell {
 /// Tries dropping workload instances one at a time, then resetting each
 /// stack stage (and the quantum) to the paper default, repeating to a
 /// fixed point. Returns the smallest failing cell and its violations.
-pub fn shrink(
+pub(crate) fn shrink(
     cell: &FuzzCell,
     check: &mut dyn FnMut(&FuzzCell) -> Vec<Violation>,
 ) -> (FuzzCell, Vec<Violation>) {
@@ -480,7 +480,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// The ready-to-paste regression test for a shrunk failing cell.
-pub fn repro_test_snippet(cell: &FuzzCell) -> String {
+pub(crate) fn repro_test_snippet(cell: &FuzzCell) -> String {
     format!(
         r#"#[test]
 fn audit_repro() {{
@@ -511,7 +511,7 @@ fn audit_repro() {{
 }
 
 /// Serialize a shrunk failing cell and its violations as `repro.json`.
-pub fn repro_json(cell: &FuzzCell, violations: &[Violation]) -> String {
+pub(crate) fn repro_json(cell: &FuzzCell, violations: &[Violation]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(
         out,
@@ -553,7 +553,7 @@ pub fn repro_json(cell: &FuzzCell, violations: &[Violation]) -> String {
 
 /// Shrink a failing cell and write `repro.json` under `dir`. Returns the
 /// shrunk cell.
-pub fn shrink_and_write_repro(
+pub(crate) fn shrink_and_write_repro(
     dir: &Path,
     cell: &FuzzCell,
     check: &mut dyn FnMut(&FuzzCell) -> Vec<Violation>,
@@ -580,7 +580,7 @@ pub struct AuditConfig {
 
 /// The preset suite: every named policy over one figure mix per §5 set,
 /// audited serially. Returns `(label, violations)` per cell.
-pub fn preset_suite(scale: f64, seed: u64) -> Vec<(String, Vec<Violation>)> {
+pub(crate) fn preset_suite(scale: f64, seed: u64) -> Vec<(String, Vec<Violation>)> {
     let policies: [PolicyKind; 7] = [
         PolicyKind::Latest,
         PolicyKind::Window,
@@ -623,7 +623,7 @@ pub fn preset_suite(scale: f64, seed: u64) -> Vec<(String, Vec<Violation>)> {
 /// `oracle-admissibility` invariant — the optimal mean turnaround is at
 /// most every preset's on the same cell, and the search's root lower
 /// bound never exceeds the cost it achieves.
-pub fn check_oracle_admissibility(campaign_seed: u64, i: u64, scale: f64) -> Vec<Violation> {
+pub(crate) fn check_oracle_admissibility(campaign_seed: u64, i: u64, scale: f64) -> Vec<Violation> {
     let cell = fuzz_cell(campaign_seed, i, scale.min(0.05));
     let names: Vec<&'static str> = cell.mix.iter().copied().take(2).collect();
     let spec = mix_from_names(&names).expect("fuzz mixes use paper names");

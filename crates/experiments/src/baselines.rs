@@ -9,7 +9,7 @@ use busbw_metrics::{improvement_pct, ExperimentRow, FigureSummary};
 use busbw_workloads::paper::PaperApp;
 
 use crate::fig2::Fig2Set;
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
+use crate::jobgraph::{CellId, Executed, Plan, RunRequest, Workload};
 use crate::runner::{PolicyKind, RunnerConfig};
 
 const BASELINE_APPS: [PaperApp; 4] = [PaperApp::Volrend, PaperApp::Bt, PaperApp::Mg, PaperApp::Cg];
@@ -71,21 +71,16 @@ pub fn fold_baselines(cells: &BaselineCells, executed: &Executed) -> FigureSumma
     }
 }
 
-/// Improvement % over the 2.4-like baseline, on set C, for the O(1)
-/// baseline, both paper policies, and the model-driven comparator.
-pub fn baselines(rc: &RunnerConfig) -> FigureSummary {
-    run_figure(rc, |plan| plan_baselines(plan, rc), fold_baselines)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobgraph::run_figure;
     use crate::runner::run_spec;
 
     #[test]
     fn baseline_comparison_produces_all_series() {
         let rc = RunnerConfig::quick();
-        let fig = baselines(&rc);
+        let fig = run_figure(&rc, |p| plan_baselines(p, &rc), fold_baselines);
         assert_eq!(fig.rows.len(), 4);
         assert_eq!(
             fig.series(),

@@ -3,7 +3,7 @@
 //! Every simulator run is identified by a **run key**: a canonical byte
 //! encoding of the fully-resolved run tuple — workload spec, policy,
 //! machine config, seed, scale, hard-cap factor, and trace wiring —
-//! salted with [`RUN_SCHEMA_VERSION`], plus a word-at-a-time 64-bit hash
+//! salted with `RUN_SCHEMA_VERSION`, plus a word-at-a-time 64-bit hash
 //! of it. Key equality compares the encoded bytes, not just the digest,
 //! so a hash collision degrades to a cache miss, never to a wrong result.
 //!
@@ -61,7 +61,7 @@ use crate::runner::{PolicyKind, RunResult, TraceMode};
 /// v8: an open cell stores its turnaround histogram
 /// ([`crate::runner::OpenStats::turnarounds`]) instead of one turnaround
 /// per served client in [`RunResult::turnarounds_us`].
-pub const RUN_SCHEMA_VERSION: u32 = 8;
+pub(crate) const RUN_SCHEMA_VERSION: u32 = 8;
 
 /// Magic bytes opening the pack file.
 const PACK_MAGIC: &[u8; 8] = b"BBWPACK\x01";
@@ -74,7 +74,7 @@ const PACK_FILE: &str = "runs.pack";
 // ---------------------------------------------------------------------
 
 /// A content-addressed run identity: the canonical encoding, for
-/// collision-proof equality, plus its 64-bit [`key_hash`].
+/// collision-proof equality, plus its 64-bit `key_hash`.
 #[derive(Debug, Clone)]
 pub struct RunKey {
     hash: u64,
@@ -622,11 +622,6 @@ impl RunCache {
         checked
     }
 
-    /// True when lookups can ever hit.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Damaged pack spans and payloads seen since this cache was created.
     pub fn corrupt_count(&self) -> u64 {
         self.corrupt
@@ -699,7 +694,8 @@ impl RunCache {
     }
 
     /// Number of results put in memory.
-    pub fn mem_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn mem_len(&self) -> usize {
         self.mem.len()
     }
 }

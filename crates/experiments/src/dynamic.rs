@@ -18,7 +18,7 @@ use busbw_sim::{Machine, Scheduler, StopCondition};
 use busbw_workloads::micro::{bbma, nbbma};
 use busbw_workloads::paper::{paper_app, PaperApp};
 
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
+use crate::jobgraph::{CellId, Executed, Plan, RunRequest};
 use crate::runner::{PolicyKind, RunCompletion, RunResult, RunnerConfig};
 
 /// Run the staggered-arrival scenario for `app` under `policy` and return
@@ -28,7 +28,7 @@ use crate::runner::{PolicyKind, RunCompletion, RunResult, RunnerConfig};
 /// and `mean_turnaround_us` their mean; the bus/tick statistics cover the
 /// final phase of the run (arrival of the second instance onward). No
 /// tracer is wired — the open-system phases drive the machine directly.
-pub fn staggered_run(
+pub(crate) fn staggered_run(
     app: PaperApp,
     policy: PolicyKind,
     stagger_us: u64,
@@ -96,17 +96,6 @@ pub fn staggered_run(
     }
 }
 
-/// Mean turnaround (µs) of two staggered instances of `app` under
-/// `policy`, with a mixed microbenchmark background.
-pub fn staggered_turnaround(
-    app: PaperApp,
-    policy: PolicyKind,
-    stagger_us: u64,
-    rc: &RunnerConfig,
-) -> f64 {
-    staggered_run(app, policy, stagger_us, rc).mean_turnaround_us
-}
-
 /// The applications and comparison policies of the dynamic figure.
 const DYN_APPS: [PaperApp; 4] = [PaperApp::Volrend, PaperApp::Bt, PaperApp::Mg, PaperApp::Cg];
 const DYN_POLICIES: [PolicyKind; 2] = [PolicyKind::Latest, PolicyKind::Window];
@@ -161,11 +150,6 @@ pub fn fold_dynamic(cells: &DynamicCells, executed: &Executed) -> FigureSummary 
     }
 }
 
-/// The dynamic-arrival figure: improvement over Linux per application.
-pub fn dynamic_arrivals(rc: &RunnerConfig) -> FigureSummary {
-    run_figure(rc, |plan| plan_dynamic(plan, rc), fold_dynamic)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +158,7 @@ mod tests {
     fn staggered_jobs_finish_and_policies_handle_arrivals() {
         let rc = RunnerConfig::quick();
         for p in [PolicyKind::Linux, PolicyKind::Window] {
-            let t = staggered_turnaround(PaperApp::Volrend, p, 100_000, &rc);
+            let t = staggered_run(PaperApp::Volrend, p, 100_000, &rc).mean_turnaround_us;
             // 600 ms of scaled work in a multiprogrammed open system:
             // bounded well below the hard cap, above solo time.
             assert!((550_000.0..5_000_000.0).contains(&t), "{}: {t}", p.label());
@@ -187,7 +171,7 @@ mod tests {
         // already knows everyone else; the head-of-list rule must still
         // cycle it in. Turnaround within 4x of the first instance's.
         let rc = RunnerConfig::quick();
-        let mean = staggered_turnaround(PaperApp::Cg, PolicyKind::Latest, 100_000, &rc);
+        let mean = staggered_run(PaperApp::Cg, PolicyKind::Latest, 100_000, &rc).mean_turnaround_us;
         assert!(mean < 4_000_000.0, "mean turnaround {mean}");
     }
 

@@ -22,7 +22,7 @@ use busbw_workloads::mix::{
 };
 use busbw_workloads::paper::PaperApp;
 
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
+use crate::jobgraph::{CellId, Executed, Plan, RunRequest, Workload};
 use crate::runner::{PolicyKind, RunResult, RunnerConfig};
 
 /// The four per-application configurations, in legend order.
@@ -111,43 +111,6 @@ pub fn fold_fig1b(cells: &Fig1Cells, executed: &Executed) -> FigureSummary {
         title: "Slowdown vs. solo execution".into(),
         rows,
     }
-}
-
-/// Regenerate Figure 1A (cumulative bus transaction rates).
-///
-/// Series match the paper's legend: for the application-only
-/// configurations the series is the applications' own cumulative rate; for
-/// the microbenchmark mixes it is the whole workload's rate (what the
-/// paper plots — e.g. the BBMA workloads average 28.34 tx/µs, "very close
-/// to the limit of saturation").
-pub fn fig1a(rc: &RunnerConfig) -> FigureSummary {
-    fig1a_traced(rc).0
-}
-
-/// [`fig1a`] plus the per-job [`RunResult`]s (apps in `PaperApp::ALL`
-/// order, four configurations each) for trace merging and metrics.
-pub fn fig1a_traced(rc: &RunnerConfig) -> (FigureSummary, Vec<RunResult>) {
-    run_figure(
-        rc,
-        |plan| plan_fig1(plan, rc),
-        |cells, executed| (fold_fig1a(cells, executed), fig1_results(cells, executed)),
-    )
-}
-
-/// Regenerate Figure 1B (slowdowns of the three multiprogrammed
-/// configurations relative to solo execution).
-pub fn fig1b(rc: &RunnerConfig) -> FigureSummary {
-    fig1b_traced(rc).0
-}
-
-/// [`fig1b`] plus the per-job [`RunResult`]s (same job order as
-/// [`fig1a_traced`]).
-pub fn fig1b_traced(rc: &RunnerConfig) -> (FigureSummary, Vec<RunResult>) {
-    run_figure(
-        rc,
-        |plan| plan_fig1(plan, rc),
-        |cells, executed| (fold_fig1b(cells, executed), fig1_results(cells, executed)),
-    )
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use busbw_metrics::{improvement_pct, ExperimentRow, FigureSummary};
 use busbw_workloads::mix::{fig2_set_a, fig2_set_b, fig2_set_c, WorkloadSpec};
 use busbw_workloads::paper::PaperApp;
 
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
+use crate::jobgraph::{CellId, Executed, Plan, RunRequest, Workload};
 use crate::runner::{PolicyKind, RunResult, RunnerConfig};
 
 /// The three workload families of §5.
@@ -35,7 +35,7 @@ impl Fig2Set {
     }
 
     /// Figure id ("fig2a"…).
-    pub fn id(self) -> &'static str {
+    pub(crate) fn id(self) -> &'static str {
         match self {
             Fig2Set::A => "fig2a",
             Fig2Set::B => "fig2b",
@@ -44,7 +44,7 @@ impl Fig2Set {
     }
 
     /// Paper subtitle.
-    pub fn title(self) -> &'static str {
+    pub(crate) fn title(self) -> &'static str {
         match self {
             Fig2Set::A => "2 Apps (2 Threads each) + 4 BBMA — Avg. turnaround improvement (%)",
             Fig2Set::B => "2 Apps (2 Threads each) + 4 nBBMA — Avg. turnaround improvement (%)",
@@ -130,36 +130,6 @@ pub fn fig2_results(cells: &Fig2Cells, executed: &Executed) -> Vec<RunResult> {
         .iter()
         .map(|&id| executed.get(id).clone())
         .collect()
-}
-
-/// Regenerate one Figure 2 panel: improvement % of `policies` (default:
-/// Latest and Window) over the Linux baseline, per application.
-pub fn fig2(set: Fig2Set, rc: &RunnerConfig) -> FigureSummary {
-    fig2_with_policies(set, &[PolicyKind::Latest, PolicyKind::Window], rc)
-}
-
-/// Figure 2 panel with an arbitrary policy list (used by ablations).
-pub fn fig2_with_policies(
-    set: Fig2Set,
-    policies: &[PolicyKind],
-    rc: &RunnerConfig,
-) -> FigureSummary {
-    fig2_with_policies_traced(set, policies, rc).0
-}
-
-/// Like [`fig2_with_policies`], but also hands back the per-job
-/// [`RunResult`]s (job order: apps in `PaperApp::ALL` order, Linux first
-/// then each policy) so the caller can merge traces and fold metrics.
-pub fn fig2_with_policies_traced(
-    set: Fig2Set,
-    policies: &[PolicyKind],
-    rc: &RunnerConfig,
-) -> (FigureSummary, Vec<RunResult>) {
-    run_figure(
-        rc,
-        |plan| plan_fig2(plan, set, policies, rc),
-        |cells, executed| (fold_fig2(cells, executed), fig2_results(cells, executed)),
-    )
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! workload, policy, machine, seed, scale, hard cap, trace wiring) get
 //! the same [`CellId`] and the run executes **once**. [`Engine::execute`]
 //! then drains the deduplicated cell set through the content-addressed
-//! [`RunCache`](crate::cache::RunCache) and the work-stealing pool
+//! [`RunCache`] and the work-stealing pool
 //! ([`crate::pool::map`]), and each figure folds its rows from the
 //! [`Executed`] results by [`CellId`].
 //!
@@ -15,11 +15,11 @@
 //! loops for any worker count and any cache state.
 //!
 //! Cache-missing closed-system cells that differ only in policy execute
-//! as one sibling group on one pool task ([`crate::sibling`]): they share
+//! as one sibling group on one pool task (`crate::sibling`): they share
 //! the machine while their decisions agree, and the branches where they
 //! split become stealable subtasks of that task. Open cells that differ
 //! only in their estimator stack group the same way
-//! ([`crate::open::open_group`]): they share one managerd serve while
+//! (`crate::open::open_group`): they share one managerd serve while
 //! their stacks select alike, and each class that leaves is served again
 //! as a subtask. Oracle cells fan their candidate simulations out too.
 //! Results are still stored per cell, so the cache, dedup and folds
@@ -79,7 +79,7 @@ pub enum RunShape {
     /// The open-system staggered-arrival run of the `dynamic` figure:
     /// microbenchmark background at t = 0, two instances of `app` at
     /// `stagger_us` and `2 × stagger_us`
-    /// ([`crate::dynamic::staggered_run`] semantics).
+    /// (`crate::dynamic::staggered_run` semantics).
     Staggered {
         /// The measured paper application.
         app: PaperApp,
@@ -91,7 +91,7 @@ pub enum RunShape {
     Open(crate::open::OpenSpec),
     /// An offline-optimal oracle run: branch-and-bound search for the
     /// best gang schedule of a closed workload, seeded by the preset
-    /// heuristics ([`crate::regret::oracle_run`] semantics).
+    /// heuristics (`crate::regret::oracle_run` semantics).
     Oracle(Arc<Workload>),
 }
 
@@ -122,7 +122,7 @@ impl RunRequest {
     }
 
     /// A staggered-arrival cell (the `dynamic` figure).
-    pub fn staggered(
+    pub(crate) fn staggered(
         app: PaperApp,
         stagger_us: u64,
         policy: PolicyKind,
@@ -135,7 +135,7 @@ impl RunRequest {
     /// stack lives inside [`crate::open::OpenSpec`], so the simulator
     /// policy slot is pinned to the Linux baseline — it never runs and
     /// exists only to keep the request shape uniform.
-    pub fn open(spec: crate::open::OpenSpec, rc: &RunnerConfig) -> Self {
+    pub(crate) fn open(spec: crate::open::OpenSpec, rc: &RunnerConfig) -> Self {
         Self::with_shape(RunShape::Open(spec), PolicyKind::Linux, rc)
     }
 
@@ -144,7 +144,7 @@ impl RunRequest {
     /// [`PolicyKind::OfflineOptimal`] — the request stays uniform and the
     /// key still separates oracle cells from every heuristic on the same
     /// workload.
-    pub fn oracle(workload: &Arc<Workload>, rc: &RunnerConfig) -> Self {
+    pub(crate) fn oracle(workload: &Arc<Workload>, rc: &RunnerConfig) -> Self {
         Self::with_shape(
             RunShape::Oracle(Arc::clone(workload)),
             PolicyKind::OfflineOptimal,
@@ -166,7 +166,7 @@ impl RunRequest {
     }
 
     /// The content-addressed identity of this run: the canonical encoding
-    /// of every field above, salted with [`RUN_SCHEMA_VERSION`].
+    /// of every field above, salted with `RUN_SCHEMA_VERSION`.
     pub fn key(&self) -> RunKey {
         let e = &mut self.key_buffer();
         self.encode_in(e);
@@ -405,7 +405,8 @@ impl Executed {
     }
 
     /// Shared handle to one cell's result.
-    pub fn get_arc(&self, id: CellId) -> Arc<RunResult> {
+    #[cfg(test)]
+    pub(crate) fn get_arc(&self, id: CellId) -> Arc<RunResult> {
         Arc::clone(&self.results[id.0])
     }
 
@@ -426,8 +427,8 @@ impl Executed {
     /// Add what the cells in `range` report to `reg`: the counters
     /// `sim.ticks`, `bus.memo_hits` and `bus.memo_misses` summed over all
     /// of them, the managerd metrics of the open cells and the search
-    /// metrics of the oracle cells (see [`OpenStats::record_all`] and
-    /// [`OracleStats::record_all`]). `sim.ticks` counts cell ticks: a
+    /// metrics of the oracle cells (see `OpenStats::record_all` and
+    /// `OracleStats::record_all`). `sim.ticks` counts cell ticks: a
     /// tick a sibling simulated on a member's behalf counts for both, so
     /// the ticks actually simulated are `sim.ticks` minus the engine's
     /// `sim.shared_ticks` for the same cells.
@@ -483,7 +484,7 @@ pub struct ExecStats {
 
 impl ExecStats {
     /// Declared cells eliminated by plan-level dedup.
-    pub fn deduped(&self) -> u64 {
+    pub(crate) fn deduped(&self) -> u64 {
         self.declared - self.unique
     }
 
@@ -641,9 +642,10 @@ fn execute_group(plan: &Plan, cells: &[usize]) -> crate::sibling::GroupRun {
     }
 }
 
-/// Plan, execute, and fold one figure on a throwaway engine — the shared
-/// implementation of the legacy per-figure entry points.
-pub fn run_figure<C, R>(
+/// Plan, execute, and fold one figure on a throwaway engine: a figure
+/// test's standalone run.
+#[cfg(test)]
+pub(crate) fn run_figure<C, R>(
     rc: &RunnerConfig,
     declare: impl FnOnce(&mut Plan) -> C,
     fold: impl FnOnce(&C, &Executed) -> R,

@@ -22,8 +22,10 @@
 //! | `validate` | the reproduction gate: every EXPERIMENTS.md claim, PASS/FAIL |
 //! | `variance` | seed-sensitivity of Fig. 2B (the error bars the paper lacks) |
 //!
-//! Each function returns a [`busbw_metrics::FigureSummary`]; the
-//! `experiments` binary renders them as aligned text + CSV.
+//! Each figure is a `plan_*` function that declares its runs as cells of a
+//! shared [`Plan`] and a `fold_*` function that folds the [`Executed`]
+//! cells into a [`busbw_metrics::FigureSummary`]; the `experiments` binary
+//! renders those as aligned text + CSV.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,36 +44,19 @@ pub mod pool;
 pub mod regret;
 pub mod robustness;
 pub mod runner;
-pub mod sibling;
+pub(crate) mod sibling;
 pub mod suite;
 pub mod topo;
 pub mod validate;
 pub mod variance;
 
-pub use ablate::{ablate_fitness, ablate_quantum, ablate_smt, ablate_stages, ablate_window};
-pub use audit::{
-    check_cell, check_cell_differential, fuzz_cell, mix_from_names, run_audit, shrink, AuditConfig,
-    FuzzCell,
-};
-pub use baselines::baselines;
-pub use cache::{RunCache, RunKey, RUN_SCHEMA_VERSION};
-pub use dynamic::{dynamic_arrivals, staggered_run, staggered_turnaround};
-pub use fig1::{fig1a, fig1a_traced, fig1b, fig1b_traced};
-pub use fig2::{fig2, fig2_with_policies_traced, Fig2Set};
-pub use jobgraph::{
-    CellId, CellStats, Engine, ExecStats, Executed, Plan, PlanMark, RunRequest, RunShape, Workload,
-};
-pub use open::{
-    fold_open, open_run, open_tail_latency, parse_arrivals, parse_duration, plan_open, OpenCells,
-    OpenSpec, OpenStack,
-};
-pub use policy::{AdmissionKind, EstimatorKind, PlacerKind, SelectorKind, StackSpec};
-pub use pool::PoolStats;
-pub use regret::{
-    fold_regret, oracle_outcome, oracle_run, plan_regret, regret_mixes, regret_panel,
-    sampled_stacks, OracleOutcome, RegretCells, REGRET_PRESETS, REGRET_SAMPLED_STACKS,
-};
-pub use robustness::robustness;
+pub use audit::{mix_from_names, run_audit, AuditConfig};
+pub use cache::{RunCache, RunKey};
+pub use fig2::Fig2Set;
+pub use jobgraph::{CellStats, Engine, ExecStats, Executed, Plan, RunRequest, RunShape, Workload};
+pub use open::{fold_open, open_run, parse_arrivals, parse_duration, plan_open, OpenCells};
+pub use policy::{SelectorKind, StackSpec};
+pub use regret::{fold_regret, oracle_outcome, plan_regret, regret_mixes, RegretCells};
 pub use runner::{
     collect_metrics, effective_workers, merge_traces, parse_scale, run_spec, run_spec_profiled,
     solo_turnaround_us, PolicyKind, RunCompletion, RunResult, RunnerConfig, TraceMode,
@@ -80,6 +65,5 @@ pub use runner::{
 pub use suite::{
     fold_suite, plan_suite, suite_artifacts, summary_table, SuiteArtifact, SuiteCells, SuiteFigure,
 };
-pub use topo::{fold_topo, plan_topo, topo_panel, TopoCells, TopoShape, TOPO_SHAPES};
-pub use validate::{render as render_validation, validate, Claim};
-pub use variance::fig2b_variance;
+pub use topo::{fold_topo, plan_topo, TopoCells, TopoShape, TOPO_SHAPES};
+pub use validate::render as render_validation;

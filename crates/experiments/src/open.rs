@@ -21,10 +21,10 @@
 //! seeded arrival schedule, so tails are directly comparable.
 //!
 //! Open cells flow through the shared job graph like every other run:
-//! content-addressed by [`OpenSpec::encode`] in the cell key, deduped,
+//! content-addressed by `OpenSpec::encode` in the cell key, deduped,
 //! cached, and byte-identically replayable for any worker count. Cells
 //! that differ only in their stack run as one group serve
-//! ([`open_group`]) for as long as their stacks select alike.
+//! (`open_group`) for as long as their stacks select alike.
 
 use std::sync::{mpsc, Arc};
 
@@ -33,7 +33,7 @@ use busbw_managerd::{serve, serve_group, ArrivalProcess, OpenConfig, OpenOutcome
 use busbw_metrics::{ExperimentRow, FigureSummary};
 use busbw_sim::TickDtHist;
 
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest};
+use crate::jobgraph::{CellId, Executed, Plan, RunRequest};
 use crate::pool::{fan_out, Spawner};
 use crate::runner::{OpenStats, RunCompletion, RunResult, RunnerConfig, TraceMode, Turnarounds};
 use crate::sibling::GroupRun;
@@ -52,10 +52,11 @@ pub enum OpenStack {
 
 impl OpenStack {
     /// All stacks of the figure, baseline first.
-    pub const ALL: [OpenStack; 3] = [OpenStack::Oblivious, OpenStack::Latest, OpenStack::Window];
+    pub(crate) const ALL: [OpenStack; 3] =
+        [OpenStack::Oblivious, OpenStack::Latest, OpenStack::Window];
 
     /// Column label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             OpenStack::Oblivious => "Oblivious",
             OpenStack::Latest => "Latest",
@@ -64,7 +65,7 @@ impl OpenStack {
     }
 
     /// Build the estimator this stack schedules with.
-    pub fn build(&self) -> Box<dyn BandwidthEstimator> {
+    pub(crate) fn build(&self) -> Box<dyn BandwidthEstimator> {
         match self {
             OpenStack::Oblivious => Box::new(ZeroEstimator),
             OpenStack::Latest => Box::new(LatestQuantumEstimator::new()),
@@ -254,10 +255,10 @@ fn serve_class(
 }
 
 /// Offered-load multipliers swept per stack.
-pub const LOAD_MULTIPLIERS: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
+pub(crate) const LOAD_MULTIPLIERS: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
 
 /// Cell handles for the open figure: per stack, one cell per load
-/// multiplier, in [`OpenStack::ALL`] × [`LOAD_MULTIPLIERS`] order.
+/// multiplier, in `OpenStack::ALL` × `LOAD_MULTIPLIERS` order.
 #[derive(Debug)]
 pub struct OpenCells {
     cells: Vec<(OpenStack, f64, CellId)>,
@@ -319,20 +320,6 @@ pub fn fold_open(cells: &OpenCells, executed: &Executed) -> FigureSummary {
             .into(),
         rows,
     }
-}
-
-/// The open tail-latency figure on a throwaway engine (the `experiments
-/// open` entry point goes through the shared engine instead).
-pub fn open_tail_latency(
-    rc: &RunnerConfig,
-    base: ArrivalProcess,
-    duration_us: u64,
-) -> FigureSummary {
-    run_figure(
-        rc,
-        |plan| plan_open(plan, rc, base, duration_us, DEFAULT_QUEUE_CAPACITY),
-        fold_open,
-    )
 }
 
 /// Default bounded-accept-queue depth of the open figure.
@@ -415,9 +402,9 @@ pub fn parse_arrivals(s: &str) -> Result<ArrivalProcess, String> {
 /// Longest `--duration` accepted, s (11.6 simulated days; the open
 /// workload of the benchmark serves 12 000 s). Far beyond it the scaled
 /// horizon overflows its µs counter.
-pub const MAX_DURATION_S: f64 = 1e6;
+pub(crate) const MAX_DURATION_S: f64 = 1e6;
 
-/// Parse a `--duration` spec: seconds in (0, [`MAX_DURATION_S`]], or the
+/// Parse a `--duration` spec: seconds in (0, `MAX_DURATION_S`], or the
 /// `short` preset. Returns the unscaled horizon in µs.
 pub fn parse_duration(s: &str) -> Result<u64, String> {
     if s == "short" {
@@ -434,6 +421,7 @@ pub fn parse_duration(s: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobgraph::run_figure;
     use crate::jobgraph::Engine;
     use proptest::prelude::*;
 
@@ -612,7 +600,11 @@ mod tests {
     #[test]
     fn fold_reports_tails_shed_and_overhead_per_stack_and_load() {
         let rc = quick_rc();
-        let fig = open_tail_latency(&rc, quick_base(), 20_000_000);
+        let fig = run_figure(
+            &rc,
+            |p| plan_open(p, &rc, quick_base(), 20_000_000, DEFAULT_QUEUE_CAPACITY),
+            fold_open,
+        );
         assert_eq!(
             fig.rows.len(),
             OpenStack::ALL.len() * LOAD_MULTIPLIERS.len()

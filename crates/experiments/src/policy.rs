@@ -11,7 +11,7 @@
 //! admission=head | strict | fcfs | widest | open
 //! selector=fitness | random[:SEED] | greedy | lookahead | none
 //! placer=packed | scatter | smt | pack_local | spread_sockets | migrate
-//! quantum=<ms>
+//! quantum=<ms>          (1 ..= MAX_QUANTUM_MS)
 //! ```
 
 use busbw_core::estimator::{EwmaEstimator, LatestQuantumEstimator, QuantaWindowEstimator};
@@ -23,6 +23,11 @@ use busbw_core::pipeline::{
     PAPER_WINDOW_SAMPLES,
 };
 use busbw_core::PolicyStack;
+
+/// Longest accepted `quantum=<ms>`: 10⁹ ms, the CLI's longest run
+/// (`--duration` ≤ 10⁶ s). A longer quantum never ends inside any run, and
+/// in µs it stays far from `u64` overflow.
+pub(crate) const MAX_QUANTUM_MS: u64 = 1_000_000_000;
 
 /// Which estimator stage a [`StackSpec`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,7 +182,10 @@ impl StackSpec {
                     if ms == 0 {
                         return Err("quantum must be positive".into());
                     }
-                    spec.quantum_us = ms * 1000;
+                    spec.quantum_us = ms
+                        .checked_mul(1000)
+                        .filter(|_| ms <= MAX_QUANTUM_MS)
+                        .ok_or_else(|| format!("quantum {ms} ms exceeds {MAX_QUANTUM_MS} ms"))?;
                 }
                 _ => return Err(format!("unknown stage setting {part:?}")),
             }
@@ -186,7 +194,7 @@ impl StackSpec {
     }
 
     /// Short display label, e.g. `latest+head+fitness+packed`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         let est = match self.estimator {
             EstimatorKind::Latest => "latest".into(),
             EstimatorKind::Window(n) => format!("window{n}"),
@@ -225,7 +233,7 @@ impl StackSpec {
 
     /// Build the stack. Bandwidth-aware estimators are wrapped in the
     /// paper's demand-reconstruction path with two samples per quantum.
-    pub fn build(&self) -> PolicyStack {
+    pub(crate) fn build(&self) -> PolicyStack {
         let estimator: Box<dyn Estimator> = match self.estimator {
             EstimatorKind::Latest => Box::new(ReconstructingEstimator::new(Box::new(
                 LatestQuantumEstimator::new(),
@@ -295,6 +303,20 @@ mod tests {
         assert_eq!(s.placer, PlacerKind::Smt);
         assert_eq!(s.quantum_us, 100_000);
         assert_eq!(s.label(), "window7+fcfs+random9+smt@100ms");
+    }
+
+    #[test]
+    fn quantum_is_bounded_without_overflow() {
+        for bad in ["quantum=18446744073709552", "quantum=18446744073709551615"] {
+            assert!(StackSpec::parse(bad).is_err(), "{bad} should fail");
+        }
+        let max = StackSpec::parse(&format!("quantum={MAX_QUANTUM_MS}")).unwrap();
+        assert_eq!(max.quantum_us, MAX_QUANTUM_MS * 1000);
+        assert_eq!(
+            max.label(),
+            format!("latest+head+fitness+packed@{MAX_QUANTUM_MS}ms")
+        );
+        assert!(StackSpec::parse(&format!("quantum={}", MAX_QUANTUM_MS + 1)).is_err());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! [`map`] runs a batch of top-level tasks (an engine's cells) on up to
 //! `workers` OS threads; the calling thread is worker 0. A running task
-//! may call [`fan_out`] to queue subtasks on the same pool — the oracle's
+//! may call `fan_out` to queue subtasks on the same pool — the oracle's
 //! candidate simulations, a sibling group's forked branches — and wait
 //! for them. Queued subtasks are stealable:
 //!
@@ -22,7 +22,7 @@
 //!
 //! Subtasks are `'static` closures that own their inputs (a paused run is
 //! `Send`, so a fork moves into its task) and hand results back through
-//! channels. Outside a pool, [`fan_out`] runs on a private one-worker
+//! channels. Outside a pool, `fan_out` runs on a private one-worker
 //! pool: the calling thread drains its own subtasks. So `workers = 1` and
 //! "no pool" are the parallel code path without thieves, not a second
 //! implementation.
@@ -161,7 +161,7 @@ impl Drop for Enter {
 
 /// Map `f` over `items` on a pool of up to `workers` threads, returning
 /// results in input order plus the pool's stats. Each item is one
-/// top-level task; tasks may [`fan_out`] onto the same pool.
+/// top-level task; tasks may `fan_out` onto the same pool.
 ///
 /// A `map` started from inside a running task gets one worker — the
 /// calling thread — because the enclosing pool's workers are already
@@ -250,7 +250,7 @@ where
 }
 
 /// Queues the subtasks of one [`fan_out`].
-pub struct Spawner {
+pub(crate) struct Spawner {
     shared: Arc<Shared>,
     fan: u64,
 }
@@ -259,7 +259,7 @@ impl Spawner {
     /// Queue `task` as a stealable subtask of this fan-out. It receives
     /// the fan-out's spawner, so it can queue further subtasks that the
     /// same [`fan_out`] waits for.
-    pub fn spawn(&self, task: impl FnOnce(&Spawner) + Send + 'static) {
+    pub(crate) fn spawn(&self, task: impl FnOnce(&Spawner) + Send + 'static) {
         let me = Spawner {
             shared: Arc::clone(&self.shared),
             fan: self.fan,
@@ -285,7 +285,7 @@ impl Spawner {
     /// or wait until a subtask finishes. Returns `false`, at once, when
     /// none of this fan-out's subtasks is queued or running. Never starts
     /// a cell.
-    pub fn help(&self) -> bool {
+    pub(crate) fn help(&self) -> bool {
         let w = worker_index(&self.shared);
         let mut st = self.shared.lock();
         if st.fans[&self.fan].pending == 0 {
@@ -319,7 +319,7 @@ fn worker_index(shared: &Arc<Shared>) -> usize {
 /// If `root` or any subtask panics, the not-yet-started subtasks are
 /// dropped, the running ones are waited for, and the first payload is
 /// re-raised.
-pub fn fan_out<R>(root: impl FnOnce(&Spawner) -> R) -> R {
+pub(crate) fn fan_out<R>(root: impl FnOnce(&Spawner) -> R) -> R {
     let (shared, w) = current().unwrap_or_else(|| (Arc::new(Shared::default()), 0));
     let _worker = enter(&shared, w);
     let fan = {
@@ -359,7 +359,7 @@ pub fn fan_out<R>(root: impl FnOnce(&Spawner) -> R) -> R {
 /// candidate simulations become subtasks of the current task. Outside a
 /// pool they run serially on the caller.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CurrentPool;
+pub(crate) struct CurrentPool;
 
 impl FanOut for CurrentPool {
     fn scope(&self, body: &mut dyn FnMut(&mut dyn Tasks)) {

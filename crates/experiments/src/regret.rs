@@ -16,7 +16,7 @@
 //! The oracle run itself goes through the job graph as
 //! [`RunShape::Oracle`](crate::jobgraph::RunShape): the search records
 //! its winning decision sequence, replays it on a fresh machine, and
-//! folds the replay through the ordinary [`finalize_run`] path, so an
+//! folds the replay through the ordinary `finalize_run` path, so an
 //! oracle cell produces the same [`RunResult`] shape (and run-cache
 //! entry) as any heuristic cell.
 
@@ -31,13 +31,13 @@ use busbw_workloads::paper::DEFAULT_SOLO_WORK_US;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::audit::mix_from_names;
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
+use crate::jobgraph::{CellId, Executed, Plan, RunRequest, Workload};
 use crate::policy::{AdmissionKind, EstimatorKind, PlacerKind, SelectorKind, StackSpec};
 use crate::runner::{finalize_run, prepare_run, OracleStats, PolicyKind, RunResult, RunnerConfig};
 
 /// The seven preset policies ranked by the figure (the audit preset
 /// suite's list).
-pub const REGRET_PRESETS: [PolicyKind; 7] = [
+pub(crate) const REGRET_PRESETS: [PolicyKind; 7] = [
     PolicyKind::Latest,
     PolicyKind::Window,
     PolicyKind::Linux,
@@ -48,7 +48,7 @@ pub const REGRET_PRESETS: [PolicyKind; 7] = [
 ];
 
 /// Number of sampled [`StackSpec`]s ranked alongside the presets.
-pub const REGRET_SAMPLED_STACKS: usize = 20;
+pub(crate) const REGRET_SAMPLED_STACKS: usize = 20;
 
 /// Node budget per oracle cell. Regret instances are three gangs on four
 /// cpus; the seeds give a finite incumbent before the tree is entered,
@@ -72,7 +72,7 @@ pub fn regret_mixes() -> Vec<WorkloadSpec> {
 /// drawn from `seed`, deduplicated by label. Quanta are restricted to
 /// round values ≥ 100 ms so cells stay cheap and comparable to the
 /// presets.
-pub fn sampled_stacks(seed: u64, n: usize) -> Vec<StackSpec> {
+pub(crate) fn sampled_stacks(seed: u64, n: usize) -> Vec<StackSpec> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x005E_ED0F_5EED);
     let mut out: Vec<StackSpec> = Vec::with_capacity(n);
     let mut labels = std::collections::BTreeSet::new();
@@ -155,7 +155,7 @@ fn search_template(spec: &WorkloadSpec, rc: &RunnerConfig) -> (Machine, Vec<AppI
 /// Search for the offline-optimal schedule of `spec` and return both the
 /// replayed [`RunResult`] and the search report.
 ///
-/// Seeds are the seven [`REGRET_PRESETS`], each run once on a clone of
+/// Seeds are the seven `REGRET_PRESETS`, each run once on a clone of
 /// the template, which makes the oracle's reported cost structurally ≤
 /// every preset on the same cell.
 pub fn oracle_outcome(spec: &WorkloadSpec, rc: &RunnerConfig) -> OracleOutcome {
@@ -190,7 +190,7 @@ pub fn oracle_outcome(spec: &WorkloadSpec, rc: &RunnerConfig) -> OracleOutcome {
 
 /// [`RunShape::Oracle`](crate::jobgraph::RunShape)'s executor: the
 /// replayed optimal schedule as a plain [`RunResult`].
-pub fn oracle_run(spec: &WorkloadSpec, rc: &RunnerConfig) -> RunResult {
+pub(crate) fn oracle_run(spec: &WorkloadSpec, rc: &RunnerConfig) -> RunResult {
     oracle_outcome(spec, rc).result
 }
 
@@ -324,14 +324,10 @@ pub fn fold_regret(cells: &RegretCells, executed: &Executed) -> FigureSummary {
     }
 }
 
-/// Regenerate the regret figure.
-pub fn regret_panel(rc: &RunnerConfig) -> FigureSummary {
-    run_figure(rc, |plan| plan_regret(plan, rc), fold_regret)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobgraph::run_figure;
     use crate::runner::run_spec;
     use busbw_core::{oracle_simulate as simulate, record_run, SimNode};
 
@@ -496,7 +492,8 @@ mod tests {
 
     #[test]
     fn regret_figure_ranks_all_competitors_nonnegatively() {
-        let fig = regret_panel(&rc());
+        let rc = rc();
+        let fig = run_figure(&rc, |p| plan_regret(p, &rc), fold_regret);
         assert_eq!(fig.id, "regret");
         // Oracle + 7 presets + 20 sampled stacks.
         assert_eq!(

@@ -19,7 +19,7 @@ use busbw_metrics::{improvement_pct, ExperimentRow, FigureSummary};
 use busbw_workloads::mix::WorkloadSpec;
 use busbw_workloads::synth::{generate, SynthConfig};
 
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
+use crate::jobgraph::{CellId, Executed, Plan, RunRequest, Workload};
 use crate::runner::{PolicyKind, RunnerConfig};
 
 const ROBUSTNESS_POLICIES: [PolicyKind; 3] = [
@@ -141,24 +141,15 @@ pub fn fold_robustness(cells: &RobustnessCells, executed: &Executed) -> FigureSu
     }
 }
 
-/// The robustness figure: per trial, improvement % of each policy over
-/// Linux; plus an aggregate row.
-pub fn robustness(trials: u64, jobs: usize, rc: &RunnerConfig) -> FigureSummary {
-    run_figure(
-        rc,
-        |plan| plan_robustness(plan, trials, jobs, rc),
-        fold_robustness,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobgraph::run_figure;
 
     #[test]
     fn random_workloads_complete_under_all_policies() {
         let rc = RunnerConfig::quick();
-        let fig = robustness(2, 4, &rc);
+        let fig = run_figure(&rc, |p| plan_robustness(p, 2, 4, &rc), fold_robustness);
         // 2 trials + the win-rate row.
         assert_eq!(fig.rows.len(), 3);
         for row in &fig.rows {
@@ -171,7 +162,7 @@ mod tests {
     #[test]
     fn policies_win_most_random_workloads() {
         let rc = RunnerConfig::quick();
-        let fig = robustness(5, 5, &rc);
+        let fig = run_figure(&rc, |p| plan_robustness(p, 5, 5, &rc), fold_robustness);
         let win_rate = fig
             .rows
             .last()

@@ -51,7 +51,7 @@ pub enum PolicyKind {
     Stack(crate::policy::StackSpec),
     /// The offline-optimal oracle (`busbw_core::oracle::offline_optimal`).
     /// Not a live scheduler: `build()` yields an empty-plan replayer that
-    /// idles — real oracle runs go through [`crate::regret::oracle_run`],
+    /// idles — real oracle runs go through `crate::regret::oracle_run`,
     /// which searches for the optimal plan first and replays it. The
     /// variant exists so oracle cells share the run-cache/job-graph
     /// plumbing of every other policy.
@@ -66,7 +66,7 @@ impl PolicyKind {
 
     /// [`PolicyKind::label`] as a figure series label: a kind without
     /// parameters has a fixed name, which folds without allocating.
-    pub fn series_label(&self) -> Cow<'static, str> {
+    pub(crate) fn series_label(&self) -> Cow<'static, str> {
         match self {
             PolicyKind::Linux => "Linux".into(),
             PolicyKind::Latest => "Latest".into(),
@@ -165,7 +165,8 @@ impl Default for RunnerConfig {
 
 impl RunnerConfig {
     /// A configuration scaled for fast test runs.
-    pub fn quick() -> Self {
+    #[cfg(test)]
+    pub(crate) fn quick() -> Self {
         Self {
             scale: 0.1,
             ..Self::default()
@@ -176,15 +177,15 @@ impl RunnerConfig {
 /// Smallest `--scale` accepted. Below it some figures' runs round to no
 /// work at all: a solo baseline takes zero time, or a random mix hits its
 /// hard cap.
-pub const MIN_SCALE: f64 = 1e-3;
+pub(crate) const MIN_SCALE: f64 = 1e-3;
 
 /// Largest `--scale` accepted: a full sweep at this multiple already runs
 /// for days, and far beyond it the scaled horizons overflow their µs
 /// counters.
-pub const MAX_SCALE: f64 = 1e3;
+pub(crate) const MAX_SCALE: f64 = 1e3;
 
 /// Parse a `--scale` value: a work-volume multiple in
-/// [`MIN_SCALE`]..=[`MAX_SCALE`]. Zero, negative, NaN and infinite scales
+/// `MIN_SCALE`..=`MAX_SCALE`. Zero, negative, NaN and infinite scales
 /// fall outside, so they are rejected here too.
 pub fn parse_scale(s: &str) -> Result<f64, String> {
     match s.parse::<f64>() {
@@ -235,7 +236,7 @@ pub enum RunCompletion {
 
 impl RunCompletion {
     /// True when every measured instance finished.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         matches!(self, RunCompletion::Finished)
     }
 }
@@ -358,7 +359,7 @@ wire_struct! {
 /// max. Decoding rebuilds it through
 /// [`Histogram::from_parts`], so parts that no serve records are an error.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Turnarounds(pub Histogram);
+pub(crate) struct Turnarounds(pub Histogram);
 
 impl Wire for Turnarounds {
     const MIN_BYTES: usize = 5 * 8;
@@ -389,7 +390,7 @@ impl OpenStats {
     /// summed overhead over the summed quanta: as a share of the quantum
     /// length it compares with the paper's ≈4.5 % bound. Records nothing
     /// when there are no serves.
-    pub fn record_all<'a>(
+    pub(crate) fn record_all<'a>(
         serves: impl IntoIterator<Item = &'a OpenStats>,
         reg: &mut busbw_metrics::MetricsRegistry,
     ) {
@@ -419,7 +420,7 @@ impl OpenStats {
 
     /// Manager overhead as a percentage of the serve duration — the
     /// number the paper bounds at ≈4.5 % (§4).
-    pub fn overhead_pct(&self) -> f64 {
+    pub(crate) fn overhead_pct(&self) -> f64 {
         if self.duration_us == 0 {
             0.0
         } else {
@@ -481,7 +482,7 @@ impl OracleStats {
     /// short. The gauge `oracle.root_gap_frac` is the mean over searches
     /// of the share of the best cost the root bound leaves open. Records
     /// nothing when there are no searches.
-    pub fn record_all(
+    pub(crate) fn record_all(
         searches: impl IntoIterator<Item = OracleStats>,
         reg: &mut busbw_metrics::MetricsRegistry,
     ) {
@@ -567,7 +568,7 @@ pub fn run_spec_profiled(
 /// ([`busbw_sim::Machine::run_begin`]). Single runs go through
 /// [`run_spec`], which drives the same preparation to completion in one
 /// call.
-pub struct PreparedRun {
+pub(crate) struct PreparedRun {
     pub(crate) machine: busbw_sim::Machine,
     pub(crate) sched: Box<dyn Scheduler>,
     pub(crate) measured_ids: Vec<busbw_sim::AppId>,

@@ -32,7 +32,7 @@ use crate::runner::{finalize_run, prepare_run, PolicyKind, PreparedRun, RunResul
 /// The outcome of one sibling group (or of one open group,
 /// [`crate::open::open_group`]).
 #[derive(Debug)]
-pub struct GroupRun {
+pub(crate) struct GroupRun {
     /// One result per member, in the order the policies were given.
     pub results: Vec<RunResult>,
     /// Machine clones made where members split; in an open group, the
@@ -66,7 +66,11 @@ struct Branch {
 /// # Panics
 /// Panics if `policies` is empty or `rc` collects a trace: trace sinks
 /// are per run, and a shared prefix would emit its events once.
-pub fn run_group(spec: &WorkloadSpec, policies: &[PolicyKind], rc: &RunnerConfig) -> GroupRun {
+pub(crate) fn run_group(
+    spec: &WorkloadSpec,
+    policies: &[PolicyKind],
+    rc: &RunnerConfig,
+) -> GroupRun {
     run_group_with(spec, policies, rc, false)
 }
 

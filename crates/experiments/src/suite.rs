@@ -230,6 +230,7 @@ pub fn fold_suite(cells: &SuiteCells, executed: &Executed) -> Vec<SuiteFigure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobgraph::run_figure;
     use crate::jobgraph::Engine;
     use crate::runner::effective_workers;
 
@@ -312,9 +313,10 @@ mod tests {
                 "ablate-window".to_string(),
             ]
         );
-        let standalone = crate::fig2::fig2(Fig2Set::C, &rc);
+        let paper = [PolicyKind::Latest, PolicyKind::Window];
+        let standalone = run_figure(&rc, |p| plan_fig2(p, Fig2Set::C, &paper, &rc), fold_fig2);
         assert_eq!(format!("{standalone:?}"), format!("{:?}", figs[4].fig));
-        let standalone = crate::baselines::baselines(&rc);
+        let standalone = run_figure(&rc, |p| plan_baselines(p, &rc), fold_baselines);
         assert_eq!(format!("{standalone:?}"), format!("{:?}", figs[10].fig));
     }
 }

@@ -15,7 +15,7 @@
 //! `spread_sockets`, `migrate`) over that baseline. Multi-socket panels
 //! append the per-level mean bus utilisation (%) of the `pack_local`
 //! run — one column per socket bus plus the interconnect — folded from
-//! [`RunResult::level_utilization`].
+//! [`RunResult::level_utilization`](crate::runner::RunResult::level_utilization).
 
 use std::borrow::Cow;
 
@@ -24,7 +24,7 @@ use busbw_sim::{MachineConfig, TopologyConfig};
 use busbw_workloads::mix::fig2_set_c;
 use busbw_workloads::paper::PaperApp;
 
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
+use crate::jobgraph::{CellId, Executed, Plan, RunRequest, Workload};
 use crate::policy::StackSpec;
 use crate::runner::{PolicyKind, RunnerConfig};
 
@@ -44,14 +44,15 @@ pub const TOPO_SHAPES: [TopoShape; 3] = [TopoShape::Flat, TopoShape::Dual, TopoS
 
 /// The applications of each panel: one light, one moderate, two
 /// bus-bound (the same subset the dynamic figure uses).
-pub const TOPO_APPS: [PaperApp; 4] = [PaperApp::Volrend, PaperApp::Bt, PaperApp::Mg, PaperApp::Cg];
+pub(crate) const TOPO_APPS: [PaperApp; 4] =
+    [PaperApp::Volrend, PaperApp::Bt, PaperApp::Mg, PaperApp::Cg];
 
 /// The socket-aware placers under comparison (spec-grammar names).
-pub const TOPO_PLACERS: [&str; 3] = ["pack_local", "spread_sockets", "migrate"];
+pub(crate) const TOPO_PLACERS: [&str; 3] = ["pack_local", "spread_sockets", "migrate"];
 
 impl TopoShape {
     /// Socket count of the shape.
-    pub fn sockets(self) -> usize {
+    pub(crate) fn sockets(self) -> usize {
         match self {
             TopoShape::Flat => 1,
             TopoShape::Dual => 2,
@@ -60,7 +61,7 @@ impl TopoShape {
     }
 
     /// Figure id ("topo1", "topo2", "topo4").
-    pub fn id(self) -> &'static str {
+    pub(crate) fn id(self) -> &'static str {
         match self {
             TopoShape::Flat => "topo1",
             TopoShape::Dual => "topo2",
@@ -69,7 +70,7 @@ impl TopoShape {
     }
 
     /// Panel title.
-    pub fn title(self) -> &'static str {
+    pub(crate) fn title(self) -> &'static str {
         match self {
             TopoShape::Flat => {
                 "1 socket x 4 cpus (flat bus) — placer improvement (%) over packed, set C"
@@ -115,8 +116,8 @@ fn stack(placer: &str) -> PolicyKind {
     PolicyKind::Stack(StackSpec::parse(&format!("placer={placer}")).expect("known placer"))
 }
 
-/// Cell handles for one topology panel: apps in [`TOPO_APPS`] order,
-/// the `packed` baseline first then each [`TOPO_PLACERS`] entry.
+/// Cell handles for one topology panel: apps in `TOPO_APPS` order,
+/// the `packed` baseline first then each `TOPO_PLACERS` entry.
 #[derive(Debug)]
 pub struct TopoCells {
     shape: TopoShape,
@@ -185,14 +186,10 @@ pub fn fold_topo(cells: &TopoCells, executed: &Executed) -> FigureSummary {
     }
 }
 
-/// Regenerate one topology panel.
-pub fn topo_panel(shape: TopoShape, rc: &RunnerConfig) -> FigureSummary {
-    run_figure(rc, |plan| plan_topo(plan, shape, rc), fold_topo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobgraph::run_figure;
 
     #[test]
     fn shape_enum_roundtrips() {
@@ -222,7 +219,7 @@ mod tests {
     #[test]
     fn dual_socket_panel_reports_per_level_utilization() {
         let rc = RunnerConfig::quick();
-        let fig = topo_panel(TopoShape::Dual, &rc);
+        let fig = run_figure(&rc, |p| plan_topo(p, TopoShape::Dual, &rc), fold_topo);
         assert_eq!(fig.id, "topo2");
         assert_eq!(fig.rows.len(), TOPO_APPS.len());
         for row in &fig.rows {
@@ -243,7 +240,7 @@ mod tests {
     #[test]
     fn flat_panel_has_no_level_columns() {
         let rc = RunnerConfig::quick();
-        let fig = topo_panel(TopoShape::Flat, &rc);
+        let fig = run_figure(&rc, |p| plan_topo(p, TopoShape::Flat, &rc), fold_topo);
         assert_eq!(fig.id, "topo1");
         for row in &fig.rows {
             assert_eq!(row.values.len(), TOPO_PLACERS.len(), "{row:?}");

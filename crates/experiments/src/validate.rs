@@ -18,7 +18,7 @@ use busbw_workloads::mix;
 use busbw_workloads::paper::PaperApp;
 
 use crate::fig2::{fold_fig2, plan_fig2, Fig2Cells, Fig2Set};
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
+use crate::jobgraph::{CellId, Executed, Plan, RunRequest, Workload};
 use crate::runner::{PolicyKind, RunnerConfig};
 
 /// One validated claim.
@@ -270,12 +270,6 @@ pub fn fold_validate(cells: &ValidateCells, executed: &Executed) -> Vec<Claim> {
     out
 }
 
-/// Run the full validation suite. Claims are grouped per figure; every
-/// run is deterministic for a given `rc`.
-pub fn validate(rc: &RunnerConfig) -> Vec<Claim> {
-    run_figure(rc, |plan| plan_validate(plan, rc), fold_validate)
-}
-
 /// Render claims as a report; returns `(text, all_passed)`.
 pub fn render(claims: &[Claim]) -> (String, bool) {
     let mut text = String::new();
@@ -301,11 +295,12 @@ pub fn render(claims: &[Claim]) -> (String, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobgraph::run_figure;
 
     #[test]
     fn validation_suite_passes_at_reduced_scale() {
         let rc = RunnerConfig::quick();
-        let claims = validate(&rc);
+        let claims = run_figure(&rc, |p| plan_validate(p, &rc), fold_validate);
         let (report, all) = render(&claims);
         assert!(all, "reproduction claims failed:\n{report}");
         assert!(claims.len() >= 12);

@@ -16,7 +16,7 @@ use busbw_metrics::{improvement_pct, mean, ExperimentRow, FigureSummary};
 use busbw_workloads::paper::PaperApp;
 
 use crate::fig2::Fig2Set;
-use crate::jobgraph::{run_figure, CellId, Executed, Plan, RunRequest, Workload};
+use crate::jobgraph::{CellId, Executed, Plan, RunRequest, Workload};
 use crate::runner::{PolicyKind, RunnerConfig};
 
 /// Cell handles for the variance figure: per app, `seeds` pairs of
@@ -100,24 +100,19 @@ pub fn fold_variance(cells: &VarianceCells, executed: &Executed) -> FigureSummar
     }
 }
 
-/// Multi-seed Figure 2B for one policy: per app, mean[min..max] over
-/// `seeds` runs (seed `rc.seed + k`).
-pub fn fig2b_variance(policy: PolicyKind, seeds: u64, rc: &RunnerConfig) -> FigureSummary {
-    run_figure(
-        rc,
-        |plan| plan_variance(plan, policy, seeds, rc),
-        fold_variance,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobgraph::run_figure;
 
     #[test]
     fn variance_rows_are_ordered_and_finite() {
         let rc = RunnerConfig::quick();
-        let fig = fig2b_variance(PolicyKind::Window, 2, &rc);
+        let fig = run_figure(
+            &rc,
+            |p| plan_variance(p, PolicyKind::Window, 2, &rc),
+            fold_variance,
+        );
         assert_eq!(fig.rows.len(), 11);
         for row in &fig.rows {
             let (mean, lo, hi) = (
@@ -133,7 +128,11 @@ mod tests {
     #[test]
     fn different_seeds_actually_vary_the_stochastic_apps() {
         let rc = RunnerConfig::quick();
-        let fig = fig2b_variance(PolicyKind::Latest, 3, &rc);
+        let fig = run_figure(
+            &rc,
+            |p| plan_variance(p, PolicyKind::Latest, 3, &rc),
+            fold_variance,
+        );
         let rt = fig
             .rows
             .iter()

@@ -14,14 +14,14 @@ use rand::Rng;
 /// The relative-rate profile [`ArrivalProcess::Diurnal`] cycles through:
 /// one synthetic "day" of load, sampled at eight phases (night trough to
 /// evening peak). Mean is 1.0 so the configured rate is the daily mean.
-pub const DIURNAL_PROFILE: [f64; 8] = [0.30, 0.45, 0.85, 1.45, 1.90, 1.45, 1.00, 0.60];
+pub(crate) const DIURNAL_PROFILE: [f64; 8] = [0.30, 0.45, 0.85, 1.45, 1.90, 1.45, 1.00, 0.60];
 
 /// Smallest admissible Pareto shape parameter. Below this the
 /// distribution's mean diverges, so the sampler has always clamped to
 /// it — and every edge that derives identity from the process (labels,
 /// encoded run keys) must clamp the same way, or two processes that
 /// sample identically would carry different keys.
-pub const MIN_PARETO_ALPHA: f64 = 1.0 + 1e-6;
+pub(crate) const MIN_PARETO_ALPHA: f64 = 1.0 + 1e-6;
 
 /// An open-system inter-arrival process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +42,7 @@ pub enum ArrivalProcess {
         alpha: f64,
     },
     /// Trace-driven diurnal load: Poisson gaps whose rate is modulated by
-    /// [`DIURNAL_PROFILE`], one full cycle over `period_us`. `rate_per_s`
+    /// `DIURNAL_PROFILE`, one full cycle over `period_us`. `rate_per_s`
     /// is the cycle-mean rate.
     Diurnal {
         /// Mean arrival rate over one full cycle, clients per second.
@@ -54,7 +54,7 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// Heavy-tailed arrivals with the shape already validated: `alpha`
-    /// is clamped to [`MIN_PARETO_ALPHA`] at construction, so the stored
+    /// is clamped to `MIN_PARETO_ALPHA` at construction, so the stored
     /// parameter is exactly the one the sampler will use.
     pub fn pareto(rate_per_s: f64, alpha: f64) -> Self {
         ArrivalProcess::Pareto {
@@ -64,7 +64,7 @@ impl ArrivalProcess {
     }
 
     /// The same process with every parameter in canonical form
-    /// (currently: Pareto `alpha` clamped to [`MIN_PARETO_ALPHA`], the
+    /// (currently: Pareto `alpha` clamped to `MIN_PARETO_ALPHA`, the
     /// value the sampler actually uses). Anything that names or encodes
     /// a process must go through this, so that processes with identical
     /// arrival streams carry identical labels and run keys.
@@ -79,7 +79,8 @@ impl ArrivalProcess {
     }
 
     /// Short stable label (figure column headers, cache diagnostics).
-    pub fn label(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn label(&self) -> String {
         match self.normalized() {
             ArrivalProcess::Poisson { rate_per_s } => format!("poisson:{rate_per_s}"),
             ArrivalProcess::Pareto { rate_per_s, alpha } => {
@@ -111,7 +112,7 @@ impl ArrivalProcess {
     }
 
     /// Draw the gap (µs, ≥ 1) from `now_us` to the next arrival.
-    pub fn next_gap_us(&self, now_us: u64, rng: &mut StdRng) -> u64 {
+    pub(crate) fn next_gap_us(&self, now_us: u64, rng: &mut StdRng) -> u64 {
         let gap = match *self {
             ArrivalProcess::Poisson { rate_per_s } => exp_gap_us(1e6 / rate_per_s.max(1e-9), rng),
             ArrivalProcess::Pareto { rate_per_s, alpha } => {

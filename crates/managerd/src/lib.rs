@@ -31,7 +31,7 @@
 //!   arrival is **shed** (counted, traced, never connected) — the open
 //!   analogue of a bounded accept queue.
 //! * **Overhead accounting.** Every manager operation is billed a fixed
-//!   virtual cost (see [`overhead`]); the sum is reported against the
+//!   virtual cost (see `overhead`); the sum is reported against the
 //!   paper's measured ≈4.5 % manager-overhead bound.
 //! * **Group serves.** [`serve_group`] serves one configuration for
 //!   several estimators at once. Member 0's estimator drives the
@@ -45,9 +45,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arrivals;
+pub(crate) mod arrivals;
 
-pub use arrivals::{ArrivalProcess, DIURNAL_PROFILE, MIN_PARETO_ALPHA};
+pub use arrivals::ArrivalProcess;
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -84,23 +84,23 @@ impl BandwidthEstimator for ZeroEstimator {
 /// overhead was measured at ≈4.5 % of machine time (paper §4); these
 /// constants bill the virtual clock for the same bookkeeping so the
 /// reported overhead is deterministic and comparable across runs.
-pub mod overhead {
+pub(crate) mod overhead {
     /// Handshake: accept-queue check + connect message + ack.
-    pub const CONNECT_US: u64 = 3;
+    pub(crate) const CONNECT_US: u64 = 3;
     /// One thread registration message.
-    pub const THREAD_US: u64 = 1;
+    pub(crate) const THREAD_US: u64 = 1;
     /// Rejecting an arrival at the accept queue.
-    pub const SHED_US: u64 = 1;
+    pub(crate) const SHED_US: u64 = 1;
     /// Disconnect message + list removal.
-    pub const DISCONNECT_US: u64 = 2;
+    pub(crate) const DISCONNECT_US: u64 = 2;
     /// Fixed cost of one sampling point…
-    pub const SAMPLE_BASE_US: u64 = 1;
+    pub(crate) const SAMPLE_BASE_US: u64 = 1;
     /// …plus one arena read per running job.
-    pub const SAMPLE_PER_JOB_US: u64 = 1;
+    pub(crate) const SAMPLE_PER_JOB_US: u64 = 1;
     /// Fixed cost of one quantum boundary (settle + rotate + select)…
-    pub const QUANTUM_BASE_US: u64 = 5;
+    pub(crate) const QUANTUM_BASE_US: u64 = 5;
     /// …plus per-candidate selection and signaling work.
-    pub const QUANTUM_PER_JOB_US: u64 = 1;
+    pub(crate) const QUANTUM_PER_JOB_US: u64 = 1;
 }
 
 /// How per-client work is drawn (seeded, uniform).
@@ -198,7 +198,7 @@ pub struct OpenOutcome {
     pub served: u64,
     /// Clients still live (admitted, unfinished) at the horizon.
     pub live_at_end: u64,
-    /// Modeled manager bookkeeping, virtual µs (see [`overhead`]).
+    /// Modeled manager bookkeeping, virtual µs (see `overhead`).
     pub overhead_us: u64,
     /// Quantum boundaries the manager served.
     pub quanta: u64,
@@ -215,7 +215,8 @@ pub struct OpenOutcome {
 impl OpenOutcome {
     /// Modeled manager overhead as a percentage of the serve duration —
     /// compare against the paper's ≈4.5 % bound.
-    pub fn overhead_pct(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn overhead_pct(&self) -> f64 {
         if self.duration_us == 0 {
             0.0
         } else {
@@ -224,7 +225,8 @@ impl OpenOutcome {
     }
 
     /// Fraction of arrivals shed, ∈ [0, 1].
-    pub fn shed_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn shed_rate(&self) -> f64 {
         if self.arrived == 0 {
             0.0
         } else {

@@ -3,24 +3,27 @@
 //! Small, dependency-light building blocks used by the experiment harness
 //! and benches:
 //!
-//! * [`window`] — moving-window averages (the analytical companion to the
-//!   Quanta Window policy, incl. the paper's window-distance criterion);
-//! * [`summary`] — slowdown, turnaround, improvement-% aggregation exactly
-//!   as the paper reports them (arithmetic mean over instances, improvement
-//!   relative to the Linux baseline);
-//! * [`table`] — fixed-width text and CSV rendering for figure tables;
-//! * [`registry`] — the run-metrics registry (counters, gauges, histograms,
-//!   ρ timelines) whose JSON snapshot is embedded in run manifests.
+//! * [`MovingWindow`] — moving-window averages (the analytical companion
+//!   to the Quanta Window policy, incl. the paper's window-distance
+//!   criterion);
+//! * [`slowdown`], [`improvement_pct`], [`FigureSummary`] — slowdown,
+//!   turnaround, improvement-% aggregation exactly as the paper reports
+//!   them (arithmetic mean over instances, improvement relative to the
+//!   Linux baseline);
+//! * [`Table`] — fixed-width text and CSV rendering for figure tables;
+//! * [`MetricsRegistry`] — the run-metrics registry (counters, gauges,
+//!   histograms, ρ timelines) whose JSON snapshot is embedded in run
+//!   manifests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod registry;
-pub mod summary;
-pub mod table;
-pub mod window;
+pub(crate) mod registry;
+pub(crate) mod summary;
+pub(crate) mod table;
+pub(crate) mod window;
 
-pub use registry::{Histogram, MetricsRegistry, Timeline};
+pub use registry::{Histogram, MetricsRegistry};
 pub use summary::{improvement_pct, mean, slowdown, ExperimentRow, FigureSummary};
 pub use table::Table;
 pub use window::MovingWindow;

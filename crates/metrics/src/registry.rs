@@ -201,7 +201,7 @@ impl Histogram {
 
     /// Per-bucket `(upper_bound, count)` pairs; the overflow bucket
     /// reports `f64::INFINITY` as its bound.
-    pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
         self.bounds
             .iter()
             .copied()
@@ -240,50 +240,10 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// An empty timeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Append a point. Out-of-order times are accepted (merged worker
     /// traces are sorted upstream) but not re-sorted here.
     pub fn push(&mut self, t_us: u64, value: f64) {
         self.points.push((t_us, value));
-    }
-
-    /// The recorded points, in insertion order.
-    pub fn points(&self) -> &[(u64, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Time-weighted mean of the series: each value holds until the next
-    /// point (`None` with fewer than 2 points, where no interval exists).
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.points.len() < 2 {
-            return None;
-        }
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        for w in self.points.windows(2) {
-            let dt = w[1].0.saturating_sub(w[0].0) as f64;
-            weighted += w[0].1 * dt;
-            total += dt;
-        }
-        if total == 0.0 {
-            None
-        } else {
-            Some(weighted / total)
-        }
     }
 
     fn write_json(&self, out: &mut String) {
@@ -342,7 +302,8 @@ impl MetricsRegistry {
     }
 
     /// Current value of a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
     }
 
@@ -677,18 +638,6 @@ mod tests {
             back.record(more);
             proptest::prop_assert_eq!(back, h);
         }
-    }
-
-    #[test]
-    fn timeline_time_weighted_mean_holds_values() {
-        let mut t = Timeline::new();
-        assert_eq!(t.time_weighted_mean(), None);
-        t.push(0, 1.0);
-        assert_eq!(t.time_weighted_mean(), None, "one point: no interval");
-        // 1.0 for 10 µs then 3.0 for 30 µs → (10 + 90) / 40 = 2.5.
-        t.push(10, 3.0);
-        t.push(40, 0.0);
-        assert!((t.time_weighted_mean().unwrap() - 2.5).abs() < 1e-9);
     }
 
     #[test]

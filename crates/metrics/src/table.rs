@@ -33,16 +33,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with aligned columns: numbers right-aligned, text
     /// left-aligned, every line trimmed of trailing whitespace. A column
     /// is as wide as its longest cell in bytes, and cells are padded by
@@ -203,7 +193,7 @@ mod tests {
             }],
         };
         let t = Table::from_figure(&fig);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.rows.len(), 1);
         let csv = t.to_csv();
         assert!(csv.contains("App,Latest,Window"));
         assert!(csv.contains("CG,68.0,53.0"));

@@ -46,21 +46,6 @@ impl MovingWindow {
         self.len = (self.len + 1).min(self.cap);
     }
 
-    /// Number of samples currently held.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no samples have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Window capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Mean of the held samples (`None` when empty).
     pub fn mean(&self) -> Option<f64> {
         if self.len == 0 {
@@ -71,7 +56,7 @@ impl MovingWindow {
     }
 
     /// Iterate held samples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = f64> + '_ {
         (0..self.len).map(move |i| {
             let idx = (self.head + self.cap - self.len + i) % self.cap;
             self.buf[idx]
@@ -113,11 +98,9 @@ mod tests {
     #[test]
     fn fills_then_evicts_oldest() {
         let mut w = MovingWindow::new(3);
-        assert!(w.is_empty());
         for v in [1.0, 2.0, 3.0, 4.0] {
             w.push(v);
         }
-        assert_eq!(w.len(), 3);
         let held: Vec<f64> = w.iter().collect();
         assert_eq!(held, vec![2.0, 3.0, 4.0]);
         assert_eq!(w.mean(), Some(3.0));
@@ -180,14 +163,14 @@ mod tests {
 
         proptest! {
             /// The windowed mean is always inside [min, max] of held
-            /// samples, and len never exceeds capacity.
+            /// samples, and it never holds more than its capacity.
             #[test]
             fn mean_bounded(cap in 1usize..10, samples in proptest::collection::vec(-100.0f64..100.0, 1..40)) {
                 let mut w = MovingWindow::new(cap);
                 for &s in &samples {
                     w.push(s);
-                    prop_assert!(w.len() <= cap);
                     let held: Vec<f64> = w.iter().collect();
+                    prop_assert!(held.len() <= cap);
                     let lo = held.iter().copied().fold(f64::INFINITY, f64::min);
                     let hi = held.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                     let m = w.mean().unwrap();

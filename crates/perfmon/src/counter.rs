@@ -5,8 +5,6 @@
 //! A [`CounterSet`] groups the counters of a single thread, the same
 //! granularity at which the `perfctr` driver virtualizes the PMU.
 
-use std::fmt;
-
 /// The hardware events the simulated PMU can count.
 ///
 /// The paper's policies use only [`EventKind::BusTransactions`] (the Pentium 4
@@ -34,7 +32,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every defined event kind, in a fixed order (used for dense storage).
-    pub const ALL: [EventKind; 5] = [
+    pub(crate) const ALL: [EventKind; 5] = [
         EventKind::BusTransactions,
         EventKind::CyclesOnCpu,
         EventKind::VirtualProgress,
@@ -44,7 +42,7 @@ impl EventKind {
 
     /// Dense index of this event within [`EventKind::ALL`].
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             EventKind::BusTransactions => 0,
             EventKind::CyclesOnCpu => 1,
@@ -55,41 +53,23 @@ impl EventKind {
     }
 }
 
-impl fmt::Display for EventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            EventKind::BusTransactions => "bus_transactions",
-            EventKind::CyclesOnCpu => "cycles_on_cpu",
-            EventKind::VirtualProgress => "virtual_progress",
-            EventKind::ColdStarts => "cold_starts",
-            EventKind::QuantaRun => "quanta_run",
-        };
-        f.write_str(s)
-    }
-}
-
 /// One monotone event counter.
 ///
 /// `total` only grows (the simulator adds non-negative amounts); readers
 /// keep their own previous reading and take differences, exactly how
 /// user-space samples a `perfctr` virtual counter.
 #[derive(Debug, Clone, Default)]
-pub struct Counter {
+pub(crate) struct Counter {
     total: f64,
 }
 
 impl Counter {
-    /// A fresh counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Accumulate `amount` events. Negative amounts are a logic error in the
     /// producer and are rejected (counters are monotone).
     ///
     /// # Panics
     /// Panics if `amount` is negative or NaN.
-    pub fn add(&mut self, amount: f64) {
+    pub(crate) fn add(&mut self, amount: f64) {
         assert!(
             amount >= 0.0 && amount.is_finite(),
             "counter increments must be finite and non-negative, got {amount}"
@@ -99,7 +79,7 @@ impl Counter {
 
     /// Total events since creation (never decreases).
     #[inline]
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.total
     }
 }
@@ -111,20 +91,15 @@ pub struct CounterSet {
 }
 
 impl CounterSet {
-    /// A fresh set with every counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Shared access to a specific counter.
     #[inline]
-    pub fn get(&self, kind: EventKind) -> &Counter {
+    pub(crate) fn get(&self, kind: EventKind) -> &Counter {
         &self.counters[kind.index()]
     }
 
     /// Mutable access to a specific counter.
     #[inline]
-    pub fn get_mut(&mut self, kind: EventKind) -> &mut Counter {
+    pub(crate) fn get_mut(&mut self, kind: EventKind) -> &mut Counter {
         &mut self.counters[kind.index()]
     }
 
@@ -132,13 +107,6 @@ impl CounterSet {
     #[inline]
     pub fn add(&mut self, kind: EventKind, amount: f64) {
         self.get_mut(kind).add(amount);
-    }
-
-    /// Iterate `(kind, total)` pairs.
-    pub fn totals(&self) -> impl Iterator<Item = (EventKind, f64)> + '_ {
-        EventKind::ALL
-            .iter()
-            .map(move |&k| (k, self.get(k).total()))
     }
 }
 
@@ -149,12 +117,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_increment_rejected() {
-        Counter::new().add(-1.0);
+        Counter::default().add(-1.0);
     }
 
     #[test]
     fn counter_set_addresses_each_event_independently() {
-        let mut s = CounterSet::new();
+        let mut s = CounterSet::default();
         s.add(EventKind::BusTransactions, 100.0);
         s.add(EventKind::CyclesOnCpu, 7.0);
         assert_eq!(s.get(EventKind::BusTransactions).total(), 100.0);

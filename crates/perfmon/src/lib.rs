@@ -10,15 +10,15 @@
 //!
 //! * [`EventKind`] — the event set a Pentium-4-era PMU exposes that the paper
 //!   uses (bus transactions) plus a few neighbours useful for extensions.
-//! * [`Counter`] — one monotone event counter.
+//! * `Counter` — one monotone event counter.
 //! * [`CounterSet`] — all counters of one thread (what `perfctr` calls a
 //!   per-thread *virtual counter* file).
 //! * [`Registry`] — all counter sets on the machine, keyed by an opaque
 //!   thread id. The simulator increments counters; schedulers sample them.
-//! * [`Sampler`] — periodic rate estimation: turns counter deltas into
-//!   transactions/µs rates, the quantity both paper policies consume. The
-//!   paper samples **twice per scheduling quantum**; the sampler is
-//!   parameterized accordingly.
+//!
+//! Turning counter deltas into transactions/µs rates — the paper samples
+//! twice per scheduling quantum — is the policies' job: see the estimators
+//! in `busbw_core::pipeline::estimators`.
 //!
 //! Counts are kept in `f64` because the fluid simulator produces fractional
 //! transactions per tick.
@@ -26,30 +26,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counter;
-pub mod registry;
-pub mod sampler;
+pub(crate) mod counter;
+pub(crate) mod registry;
 
-pub use counter::{Counter, CounterSet, EventKind};
+pub use counter::{CounterSet, EventKind};
 pub use registry::{Registry, ThreadKey};
-pub use sampler::{RateSample, Sampler, SamplerConfig};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn end_to_end_rate_estimation() {
-        let mut reg = Registry::new();
-        let t = ThreadKey(7);
-        reg.register(t);
-        // Simulate 1000 µs of a thread issuing 5 tx/µs.
-        reg.add(t, EventKind::BusTransactions, 5000.0);
-        let mut sampler = Sampler::new(SamplerConfig {
-            period_us: 1000,
-            window: 1,
-        });
-        let s = sampler.sample(&reg, t, 1000);
-        assert!((s.rate_tx_per_us - 5.0).abs() < 1e-9);
-    }
-}

@@ -22,7 +22,6 @@ pub struct ThreadKey(pub u64);
 #[derive(Debug, Default, Clone)]
 pub struct Registry {
     slots: Vec<Option<CounterSet>>,
-    live: usize,
 }
 
 impl Registry {
@@ -41,33 +40,7 @@ impl Registry {
         }
         if self.slots[i].is_none() {
             self.slots[i] = Some(CounterSet::default());
-            self.live += 1;
         }
-    }
-
-    /// Remove a thread's counters (thread exit). Returns the final set so
-    /// accounting can archive totals.
-    pub fn unregister(&mut self, t: ThreadKey) -> Option<CounterSet> {
-        let taken = self.slots.get_mut(t.0 as usize).and_then(Option::take);
-        if taken.is_some() {
-            self.live -= 1;
-        }
-        taken
-    }
-
-    /// Whether `t` has registered counters.
-    pub fn contains(&self, t: ThreadKey) -> bool {
-        self.slot(t).is_some()
-    }
-
-    /// Number of registered threads.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True if no thread is registered.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 
     fn slot(&self, t: ThreadKey) -> Option<&CounterSet> {
@@ -88,11 +61,6 @@ impl Registry {
             .add(kind, amount);
     }
 
-    /// Shared access to one thread's counters.
-    pub fn counters(&self, t: ThreadKey) -> Option<&CounterSet> {
-        self.slot(t)
-    }
-
     /// Mutable access to one thread's counters (the simulator's per-tick
     /// accounting).
     pub fn counters_mut(&mut self, t: ThreadKey) -> Option<&mut CounterSet> {
@@ -104,21 +72,6 @@ impl Registry {
         self.slot(t).map_or(0.0, |s| s.get(kind).total())
     }
 
-    /// Sum of `kind` across a group of threads — how the CPU manager
-    /// accumulates per-application bandwidth from per-thread counters.
-    pub fn group_total(&self, threads: &[ThreadKey], kind: EventKind) -> f64 {
-        threads.iter().map(|&t| self.total(t, kind)).sum()
-    }
-
-    /// Deterministic iteration over all `(thread, counters)` pairs, in
-    /// ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (ThreadKey, &CounterSet)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (ThreadKey(i as u64), s)))
-    }
-
     /// Sum of `kind` over every registered thread (machine-wide rate
     /// numerator, e.g. for utilization reports).
     pub fn machine_total(&self, kind: EventKind) -> f64 {
@@ -127,16 +80,6 @@ impl Registry {
             .flatten()
             .map(|s| s.get(kind).total())
             .sum()
-    }
-
-    /// Machine-wide totals for every event kind, as `(snake_case_name,
-    /// total)` pairs in [`EventKind::ALL`] order — the shape the metrics
-    /// registry's gauges and the run manifest consume.
-    pub fn export_totals(&self) -> Vec<(String, f64)> {
-        EventKind::ALL
-            .iter()
-            .map(|&k| (k.to_string(), self.machine_total(k)))
-            .collect()
     }
 }
 
@@ -159,56 +102,5 @@ mod tests {
     fn counting_against_unregistered_thread_panics() {
         let mut r = Registry::new();
         r.add(ThreadKey(9), EventKind::BusTransactions, 1.0);
-    }
-
-    #[test]
-    fn group_total_sums_only_named_threads() {
-        let mut r = Registry::new();
-        for i in 0..4 {
-            r.register(ThreadKey(i));
-            r.add(
-                ThreadKey(i),
-                EventKind::BusTransactions,
-                10.0 * (i + 1) as f64,
-            );
-        }
-        let g = r.group_total(&[ThreadKey(0), ThreadKey(2)], EventKind::BusTransactions);
-        assert_eq!(g, 10.0 + 30.0);
-        assert_eq!(r.machine_total(EventKind::BusTransactions), 100.0);
-    }
-
-    #[test]
-    fn unregister_returns_final_counts() {
-        let mut r = Registry::new();
-        let t = ThreadKey(3);
-        r.register(t);
-        r.add(t, EventKind::ColdStarts, 2.0);
-        let set = r.unregister(t).expect("was registered");
-        assert_eq!(set.get(EventKind::ColdStarts).total(), 2.0);
-        assert!(!r.contains(t));
-        assert!(r.unregister(t).is_none());
-    }
-
-    #[test]
-    fn export_totals_covers_every_kind_in_fixed_order() {
-        let mut r = Registry::new();
-        r.register(ThreadKey(0));
-        r.add(ThreadKey(0), EventKind::BusTransactions, 12.5);
-        r.add(ThreadKey(0), EventKind::ColdStarts, 2.0);
-        let totals = r.export_totals();
-        assert_eq!(totals.len(), EventKind::ALL.len());
-        assert_eq!(totals[0], ("bus_transactions".to_string(), 12.5));
-        assert_eq!(totals[3], ("cold_starts".to_string(), 2.0));
-        assert_eq!(totals[1].1, 0.0);
-    }
-
-    #[test]
-    fn iteration_is_deterministic_and_sorted() {
-        let mut r = Registry::new();
-        for id in [5u64, 1, 9, 3] {
-            r.register(ThreadKey(id));
-        }
-        let order: Vec<u64> = r.iter().map(|(k, _)| k.0).collect();
-        assert_eq!(order, vec![1, 3, 5, 9]);
     }
 }

@@ -51,7 +51,7 @@ pub struct BusRequest {
     pub socket: usize,
     /// Fraction of this thread's traffic that also crosses the
     /// cross-socket interconnect (see
-    /// [`crate::config::TopologyConfig::remote_share`]). 0 on a
+    /// `crate::config::TopologyConfig::remote_share`). 0 on a
     /// single-socket machine.
     pub remote: f64,
 }
@@ -88,7 +88,7 @@ pub struct BusOutcome {
 
 impl BusOutcome {
     /// An outcome with no requests (idle bus).
-    pub fn empty(capacity: f64) -> Self {
+    pub(crate) fn empty(capacity: f64) -> Self {
         Self {
             shares: Vec::new(),
             total_demand: 0.0,
@@ -134,7 +134,7 @@ pub struct LevelOutcome {
 }
 
 /// The largest number of topology levels tracked per-level in fixed-size
-/// accounting ([`crate::stats::RunStats`] arrays): 4 sockets + the
+/// accounting (`crate::stats::RunStats` arrays): 4 sockets + the
 /// interconnect. Wider topologies still simulate correctly; levels past
 /// this many fold into the last accounting slot.
 pub const MAX_BUS_LEVELS: usize = 5;
@@ -148,7 +148,7 @@ pub const MAX_BUS_LEVELS: usize = 5;
 /// may give ulp-level different answers for the same request set under a
 /// different call history; that is fine, history replays identically.)
 ///
-/// Models are `Clone` (through [`BusModelClone`], implemented for every
+/// Models are `Clone` (through `BusModelClone`, implemented for every
 /// `Clone` model) so a whole machine, memo state included, can be forked.
 pub trait BusModel: Send + BusModelClone {
     /// Resolve one tick's demands into `out`, reusing its allocations.
@@ -257,7 +257,7 @@ struct SolveJob {
 ///
 /// Bit-determinism: the result depends only on `(reqs, cap, warm)` — the
 /// request iteration order and every arithmetic operation are fixed.
-pub fn solve_lambda(reqs: &[BusRequest], cap: f64, warm: f64) -> f64 {
+pub(crate) fn solve_lambda(reqs: &[BusRequest], cap: f64, warm: f64) -> f64 {
     let n = reqs.len();
     if n <= SOLVE_INLINE_LANES {
         // Hot sizes (one request per cpu) are unpacked once into dense
@@ -388,18 +388,13 @@ impl FsbBus {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &BusConfig {
-        &self.cfg
-    }
-
     /// Arbitrations answered from the unchanged-demand-set memo.
-    pub fn memo_hits(&self) -> u64 {
+    pub(crate) fn memo_hits(&self) -> u64 {
         self.memo_hits
     }
 
     /// Arbitrations that ran the full solve.
-    pub fn memo_misses(&self) -> u64 {
+    pub(crate) fn memo_misses(&self) -> u64 {
         self.memo_misses
     }
 
@@ -561,7 +556,7 @@ fn lanes_f_and_slope(
 /// A request charges every level it crosses: its full rate on the local
 /// bus of the socket it executes on, and `remote × rate` on the
 /// interconnect. Λ is solved **per level** — each level is literally an
-/// [`FsbBus`] (same arbitration derate, saturated [`solve_lambda`] root
+/// [`FsbBus`] (same arbitration derate, saturated `solve_lambda` root
 /// with a per-level warm-start memo, sub-saturation queueing penalty; the
 /// interconnect level zeroes the per-master derate, a point-to-point link
 /// does not re-arbitrate per master) — and a thread's grant is the min
@@ -579,7 +574,6 @@ fn lanes_f_and_slope(
 #[derive(Debug, Clone)]
 pub struct HierarchicalBus {
     cfg: BusConfig,
-    topo: TopologyConfig,
     /// One solver per level: sockets `0..N`, then the interconnect.
     level_bus: Vec<FsbBus>,
     /// Per-socket request scratch, rebuilt each arbitration.
@@ -597,7 +591,7 @@ impl HierarchicalBus {
     /// A hierarchical bus over `topo` whose per-socket local buses use
     /// `cfg` (the interconnect inherits the queueing shape but uses the
     /// topology's capacity and no per-master derate).
-    pub fn new(cfg: BusConfig, topo: TopologyConfig) -> Self {
+    pub(crate) fn new(cfg: BusConfig, topo: TopologyConfig) -> Self {
         let sockets = topo.sockets.max(1);
         let inter_cfg = BusConfig {
             capacity_tx_per_us: topo.interconnect_tx_per_us,
@@ -609,7 +603,6 @@ impl HierarchicalBus {
         let n_levels = sockets + 1;
         Self {
             cfg,
-            topo,
             level_bus,
             local: vec![Vec::new(); sockets],
             inter: Vec::new(),
@@ -618,16 +611,6 @@ impl HierarchicalBus {
                 .collect(),
             levels: vec![LevelOutcome::default(); n_levels],
         }
-    }
-
-    /// The topology in use.
-    pub fn topology(&self) -> &TopologyConfig {
-        &self.topo
-    }
-
-    /// Number of levels: sockets + 1 (interconnect last).
-    pub fn n_levels(&self) -> usize {
-        self.level_bus.len()
     }
 }
 

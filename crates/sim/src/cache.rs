@@ -71,7 +71,7 @@ impl Default for CacheConfig {
 /// lists the threads whose warmth on it is nonzero, so a tick decays only
 /// the entries that can change rather than every thread slot.
 #[derive(Debug, Clone)]
-pub struct CacheState {
+pub(crate) struct CacheState {
     cfg: CacheConfig,
     /// Per cpu: warmth per thread index; `0.0` = no tracked state.
     per_cpu: Vec<Vec<f64>>,
@@ -87,7 +87,7 @@ pub struct CacheState {
 
 impl CacheState {
     /// Cold caches for `num_cpus` processors.
-    pub fn new(num_cpus: usize, cfg: CacheConfig) -> Self {
+    pub(crate) fn new(num_cpus: usize, cfg: CacheConfig) -> Self {
         Self {
             cfg,
             per_cpu: vec![Vec::new(); num_cpus],
@@ -100,22 +100,11 @@ impl CacheState {
 
     /// Warmth of `thread` on `cpu` (0 if it has never run there or its
     /// state fully decayed).
-    pub fn warmth(&self, cpu: CpuId, thread: ThreadId) -> f64 {
+    pub(crate) fn warmth(&self, cpu: CpuId, thread: ThreadId) -> f64 {
         self.per_cpu[cpu.0]
             .get(thread.0 as usize)
             .copied()
             .unwrap_or(0.0)
-    }
-
-    /// Demand multiplier for `thread` running on `cpu` right now.
-    pub fn demand_multiplier(&self, cpu: CpuId, thread: ThreadId) -> f64 {
-        self.demand_multiplier_for(self.warmth(cpu, thread))
-    }
-
-    /// Speed multiplier for `thread` with cache-sensitivity `sensitivity`
-    /// running on `cpu` right now.
-    pub fn speed_multiplier(&self, cpu: CpuId, thread: ThreadId, sensitivity: f64) -> f64 {
-        Self::speed_multiplier_for(self.warmth(cpu, thread), sensitivity)
     }
 
     /// Warmth plus both derived multipliers in one table lookup:
@@ -124,7 +113,12 @@ impl CacheState {
     /// expressions, factored out below) keeps the results bit-identical
     /// to three separate calls at a third of the indexing cost.
     #[inline]
-    pub fn factors(&self, cpu: CpuId, thread: ThreadId, sensitivity: f64) -> (f64, f64, f64) {
+    pub(crate) fn factors(
+        &self,
+        cpu: CpuId,
+        thread: ThreadId,
+        sensitivity: f64,
+    ) -> (f64, f64, f64) {
         let w = self.warmth(cpu, thread);
         (
             w,
@@ -146,7 +140,7 @@ impl CacheState {
 
     /// Advance the cache model by `dt_us` given the current placement
     /// (`running[cpu] = Some(thread)` for occupied cpus).
-    pub fn advance(&mut self, running: &[Option<ThreadId>], dt_us: f64) {
+    pub(crate) fn advance(&mut self, running: &[Option<ThreadId>], dt_us: f64) {
         assert_eq!(
             running.len(),
             self.per_cpu.len(),
@@ -202,23 +196,9 @@ impl CacheState {
         }
     }
 
-    /// Drop all state belonging to `thread` (thread exit).
-    pub fn forget(&mut self, thread: ThreadId) {
-        for (slots, live) in self.per_cpu.iter_mut().zip(&mut self.live) {
-            let ti = thread.0 as usize;
-            if let Some(w) = slots.get_mut(ti) {
-                if *w != 0.0 {
-                    let k = live.iter().position(|&i| i == ti);
-                    live.swap_remove(k.expect("a warm thread is live"));
-                }
-                *w = 0.0;
-            }
-        }
-    }
-
     /// The cpu on which `thread` currently has the warmest state, if any —
     /// what an affinity-aware placement consults.
-    pub fn warmest_cpu(&self, thread: ThreadId) -> Option<(CpuId, f64)> {
+    pub(crate) fn warmest_cpu(&self, thread: ThreadId) -> Option<(CpuId, f64)> {
         self.per_cpu
             .iter()
             .enumerate()
@@ -227,16 +207,6 @@ impl CacheState {
                 (w > 0.0).then_some((CpuId(i), w))
             })
             .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// Number of cpus modeled.
-    pub fn num_cpus(&self) -> usize {
-        self.per_cpu.len()
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
     }
 }
 
@@ -279,18 +249,18 @@ mod tests {
     fn cold_thread_demands_more_and_runs_slower() {
         let mut c = two_cpu();
         let t = ThreadId(1);
-        assert!((c.demand_multiplier(CpuId(0), t) - 1.6).abs() < 1e-12);
-        assert!((c.speed_multiplier(CpuId(0), t, 0.5) - 0.5).abs() < 1e-12);
+        assert!((c.factors(CpuId(0), t, 0.0).1 - 1.6).abs() < 1e-12);
+        assert!((c.factors(CpuId(0), t, 0.5).2 - 0.5).abs() < 1e-12);
         c.advance(&[Some(t), None], 1_000_000.0);
-        assert!(c.demand_multiplier(CpuId(0), t) < 1.001);
-        assert!(c.speed_multiplier(CpuId(0), t, 0.5) > 0.999);
+        assert!(c.factors(CpuId(0), t, 0.0).1 < 1.001);
+        assert!(c.factors(CpuId(0), t, 0.5).2 > 0.999);
     }
 
     #[test]
     fn speed_multiplier_is_floored() {
         let c = two_cpu();
         // Even a fully cold, fully sensitive thread keeps making progress.
-        assert!(c.speed_multiplier(CpuId(0), ThreadId(9), 1.0) >= 0.05);
+        assert!(c.factors(CpuId(0), ThreadId(9), 1.0).2 >= 0.05);
     }
 
     #[test]
@@ -303,15 +273,6 @@ mod tests {
         // Migrate and run longer on cpu1; cpu0 state decays only if evicted.
         c.advance(&[Some(ThreadId(2)), Some(t)], 120_000.0);
         assert_eq!(c.warmest_cpu(t).unwrap().0, CpuId(1));
-    }
-
-    #[test]
-    fn forget_removes_all_state() {
-        let mut c = two_cpu();
-        let t = ThreadId(1);
-        c.advance(&[Some(t), Some(t)], 10_000.0);
-        c.forget(t);
-        assert!(c.warmest_cpu(t).is_none());
     }
 
     #[test]
@@ -333,7 +294,7 @@ mod tests {
             c.advance(&[Some(t), None], 100.0);
         }
         assert_eq!(c.warmth(CpuId(0), t), 1.0);
-        assert_eq!(c.demand_multiplier(CpuId(0), t), 1.0);
+        assert_eq!(c.factors(CpuId(0), t, 0.0).1, 1.0);
         // A fixed point: further running changes nothing.
         c.advance(&[Some(t), None], 100.0);
         assert_eq!(c.warmth(CpuId(0), t), 1.0);
@@ -387,39 +348,21 @@ mod tests {
         const THREADS: u64 = 6;
 
         /// One step: a placement (a thread or idle per cpu, so threads
-        /// migrate and share cpus across steps) with a tick length, or the
-        /// exit of a thread.
-        #[derive(Debug, Clone)]
-        enum Step {
-            Advance(Vec<Option<ThreadId>>, f64),
-            Forget(ThreadId),
-        }
-
-        fn step() -> impl Strategy<Value = Step> {
+        /// migrate and share cpus across steps) with a tick length.
+        fn step() -> impl Strategy<Value = (Vec<Option<ThreadId>>, f64)> {
             // Mostly ticks; repeated lengths exercise the memoized
             // exponentials, long ones drive entries under the floor.
             let dts = [100.0, 100.0, 2_000.0, 0.0, 60_000.0, 1e6];
             (
-                0u8..8,
                 prop::collection::vec(0..=THREADS, CPUS),
                 (0usize..dts.len(), 1.0..300_000.0, any::<bool>()),
             )
-                .prop_map(move |(kind, cpus, (d, random_dt, fixed))| {
+                .prop_map(move |(cpus, (d, random_dt, fixed))| {
                     let placement: Vec<Option<ThreadId>> = cpus
                         .into_iter()
                         .map(|t| (t < THREADS).then_some(ThreadId(t)))
                         .collect();
-                    match kind {
-                        0 => Step::Forget(
-                            placement
-                                .iter()
-                                .flatten()
-                                .next()
-                                .copied()
-                                .unwrap_or(ThreadId(0)),
-                        ),
-                        _ => Step::Advance(placement, if fixed { dts[d] } else { random_dt }),
-                    }
+                    (placement, if fixed { dts[d] } else { random_dt })
                 })
         }
 
@@ -434,20 +377,9 @@ mod tests {
                 let mut c = CacheState::new(CPUS, cfg);
                 let mut dense = vec![Vec::new(); CPUS];
                 for s in &steps {
-                    match s {
-                        Step::Advance(running, dt) => {
-                            c.advance(running, *dt);
-                            advance_dense(&mut dense, &cfg, running, *dt);
-                        }
-                        Step::Forget(t) => {
-                            c.forget(*t);
-                            for slots in &mut dense {
-                                if let Some(w) = slots.get_mut(t.0 as usize) {
-                                    *w = 0.0;
-                                }
-                            }
-                        }
-                    }
+                    let (running, dt) = s;
+                    c.advance(running, *dt);
+                    advance_dense(&mut dense, &cfg, running, *dt);
                     for (cpu, slots) in dense.iter().enumerate() {
                         for t in 0..THREADS {
                             let want = slots.get(t as usize).copied().unwrap_or(0.0);

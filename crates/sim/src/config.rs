@@ -49,16 +49,10 @@ impl Default for BusConfig {
 
 impl BusConfig {
     /// Effective capacity with `n_masters` active bus masters.
-    pub fn effective_capacity(&self, n_masters: usize) -> f64 {
+    pub(crate) fn effective_capacity(&self, n_masters: usize) -> f64 {
         let n = n_masters.max(1) as f64;
         let derate = 1.0 - self.arbitration_per_master * (n - 1.0);
         self.capacity_tx_per_us * derate.max(0.5)
-    }
-
-    /// Sustained bandwidth in MB/s implied by this configuration.
-    pub fn sustained_mb_per_s(&self) -> f64 {
-        // tx/µs × bytes/tx = bytes/µs = MB/s.
-        self.capacity_tx_per_us * self.bytes_per_tx
     }
 }
 
@@ -86,7 +80,7 @@ pub struct TopologyConfig {
 /// interconnect fields are inert at one socket but hold the same sane
 /// values [`TopologyConfig::multi`] uses, so raising `sockets` alone
 /// yields a working machine.
-pub const SINGLE_SOCKET: TopologyConfig = TopologyConfig {
+pub(crate) const SINGLE_SOCKET: TopologyConfig = TopologyConfig {
     sockets: 1,
     interconnect_tx_per_us: 44.25,
     remote_fraction: 0.25,
@@ -114,7 +108,7 @@ impl TopologyConfig {
     /// `home`, executing on `exec`. Zero on a single-socket machine
     /// (nothing to cross), the configured fraction at home, and 1.0 when
     /// migrated off-home (every access crosses back).
-    pub fn remote_share(&self, home: usize, exec: usize) -> f64 {
+    pub(crate) fn remote_share(&self, home: usize, exec: usize) -> f64 {
         if self.sockets <= 1 {
             0.0
         } else if home == exec {
@@ -158,22 +152,22 @@ pub struct MachineConfig {
 
 impl MachineConfig {
     /// The physical core hosting a logical cpu index.
-    pub fn core_of(&self, cpu: usize) -> usize {
+    pub(crate) fn core_of(&self, cpu: usize) -> usize {
         cpu / self.smt_threads_per_core.max(1)
     }
 
     /// Logical cpus per socket (cpus are striped contiguously).
-    pub fn cpus_per_socket(&self) -> usize {
+    pub(crate) fn cpus_per_socket(&self) -> usize {
         self.num_cpus.div_ceil(self.topology.sockets.max(1)).max(1)
     }
 
     /// The socket hosting a logical cpu index.
-    pub fn socket_of(&self, cpu: usize) -> usize {
+    pub(crate) fn socket_of(&self, cpu: usize) -> usize {
         (cpu / self.cpus_per_socket()).min(self.topology.sockets.max(1) - 1)
     }
 
     /// Per-thread speed factor when `busy` hardware threads share a core.
-    pub fn smt_speed_factor(&self, busy: usize) -> f64 {
+    pub(crate) fn smt_speed_factor(&self, busy: usize) -> f64 {
         if busy <= 1 || self.smt_threads_per_core <= 1 {
             1.0
         } else {
@@ -240,7 +234,7 @@ mod tests {
         // 29.5 tx/µs × 64 B = 1888 MB/s ≈ the measured 1797 MB/s sustained
         // (the paper's two numbers are themselves ~5 % apart; we keep the
         // transaction-rate calibration since that is what the policies see).
-        let mb = c.bus.sustained_mb_per_s();
+        let mb = c.bus.capacity_tx_per_us * c.bus.bytes_per_tx;
         assert!((1700.0..2000.0).contains(&mb), "got {mb}");
     }
 

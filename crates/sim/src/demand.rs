@@ -42,7 +42,7 @@ impl Demand {
     }
 
     /// Zero demand (idle / pure compute with no bus traffic).
-    pub const ZERO: Demand = Demand { rate: 0.0, mu: 0.0 };
+    pub(crate) const ZERO: Demand = Demand { rate: 0.0, mu: 0.0 };
 }
 
 /// A thread's demand as a function of its progress.
@@ -62,7 +62,7 @@ impl Demand {
 /// inside its constant region, so a model whose answers drifted with query
 /// cadence would diverge between the per-tick and event-driven paths.
 ///
-/// Models are `Clone` (through [`DemandModelClone`], implemented for every
+/// Models are `Clone` (through `DemandModelClone`, implemented for every
 /// `Clone` model), so a whole machine can be forked mid-run.
 pub trait DemandModel: Send + DemandModelClone {
     /// Demand at virtual time `vt_us` (µs of completed useful work), with

@@ -224,12 +224,6 @@ impl<'a> MachineView<'a> {
         self.apps.get(id.0 as usize).map(|r| app_info(id, r))
     }
 
-    /// Cache warmth of `thread` on `cpu` — affinity information, the
-    /// equivalent of the kernel's affinity links.
-    pub fn warmth(&self, cpu: CpuId, thread: ThreadId) -> f64 {
-        self.cache.warmth(cpu, thread)
-    }
-
     /// The cpu where `thread` has the warmest cache state, if any.
     pub fn warmest_cpu(&self, thread: ThreadId) -> Option<(CpuId, f64)> {
         self.cache.warmest_cpu(thread)
@@ -609,7 +603,7 @@ impl Machine {
     }
 
     /// A machine with a custom bus model (ablations, tests).
-    pub fn with_bus(cfg: MachineConfig, bus: Box<dyn BusModel>) -> Self {
+    pub(crate) fn with_bus(cfg: MachineConfig, bus: Box<dyn BusModel>) -> Self {
         assert!(cfg.num_cpus > 0, "need at least one cpu");
         assert!(cfg.tick_us > 0, "tick must be positive");
         assert!(cfg.topology.sockets >= 1, "need at least one socket");
@@ -636,7 +630,7 @@ impl Machine {
         }
     }
 
-    /// Switch phase-attribution profiling on or off (see [`crate::prof`]).
+    /// Switch phase-attribution profiling on or off (see `crate::prof`).
     /// Purely observational: toggling it cannot change any simulated
     /// quantity (a proptest in the experiments crate pins byte identity).
     pub fn set_profiling(&mut self, on: bool) {
@@ -673,7 +667,8 @@ impl Machine {
     /// Ticks built with no plan rebuild and no demand query so far (0 in
     /// [`ExecMode::PerTick`]). Diagnostics only; not part of the run
     /// statistics.
-    pub fn cached_ticks(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cached_ticks(&self) -> u64 {
         self.cached_ticks
     }
 
@@ -694,11 +689,6 @@ impl Machine {
     /// `condition_met = false`).
     pub fn set_hard_cap_us(&mut self, cap: SimTime) {
         self.hard_cap_us = cap;
-    }
-
-    /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
     }
 
     /// Current simulated time.
@@ -770,7 +760,7 @@ impl Machine {
         &self.registry
     }
 
-    /// A per-application accounting report (see [`AppReport`]).
+    /// A per-application accounting report (see `AppReport`).
     pub fn app_report(&self, app: AppId) -> Option<AppReport> {
         let rec = self.apps.get(app.0 as usize)?;
         let mut r = AppReport {

@@ -73,7 +73,7 @@ pub struct ProgressCeiling {
 
 impl ProgressCeiling {
     /// The window in which the bus floor holds, µs.
-    pub fn window_us(&self) -> f64 {
+    pub(crate) fn window_us(&self) -> f64 {
         self.finish_us
             .min(self.spin_us)
             .min(self.demand_us)

@@ -70,7 +70,7 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases (array size for [`PhaseSet`]).
-    pub const COUNT: usize = 8;
+    pub(crate) const COUNT: usize = 8;
 
     /// Stable snake_case name (metric keys, JSON fields).
     pub fn name(self) -> &'static str {
@@ -98,13 +98,13 @@ pub struct PhaseStat {
 
 impl PhaseStat {
     /// Record one duration. Zero-duration phases are legal.
-    pub fn record_ns(&mut self, ns: u64) {
+    pub(crate) fn record_ns(&mut self, ns: u64) {
         self.calls += 1;
         self.total_ns += ns;
     }
 
     /// Fold another stat into this one.
-    pub fn merge(&mut self, other: &PhaseStat) {
+    pub(crate) fn merge(&mut self, other: &PhaseStat) {
         self.calls += other.calls;
         self.total_ns += other.total_ns;
     }
@@ -123,7 +123,7 @@ impl PhaseSet {
     }
 
     /// Record one duration against `phase`.
-    pub fn record_ns(&mut self, phase: Phase, ns: u64) {
+    pub(crate) fn record_ns(&mut self, phase: Phase, ns: u64) {
         self.stats[phase as usize].record_ns(ns);
     }
 
@@ -146,37 +146,32 @@ impl PhaseSet {
 }
 
 /// Opaque begin token: `Some(start)` while profiling, `None` when off.
-pub type PhaseToken = Option<Instant>;
+pub(crate) type PhaseToken = Option<Instant>;
 
 /// The engine's phase profiler: an enable flag plus a [`PhaseSet`].
 ///
 /// See the module docs for the begin/end token protocol and the disabled
 /// cost model.
 #[derive(Debug, Clone, Default)]
-pub struct PhaseTimer {
+pub(crate) struct PhaseTimer {
     enabled: bool,
     set: PhaseSet,
 }
 
 impl PhaseTimer {
     /// A disabled timer with empty stats.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Switch profiling on or off. Already-recorded stats are kept.
-    pub fn set_enabled(&mut self, on: bool) {
+    pub(crate) fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
-    }
-
-    /// Whether begin/end pairs currently record.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Start timing a phase. One branch when disabled.
     #[inline]
-    pub fn begin(&self) -> PhaseToken {
+    pub(crate) fn begin(&self) -> PhaseToken {
         if self.enabled {
             Some(Instant::now())
         } else {
@@ -187,20 +182,15 @@ impl PhaseTimer {
     /// Finish timing: record the elapsed ns against `phase`. Tokens from
     /// a disabled `begin` record nothing, so toggling mid-run is safe.
     #[inline]
-    pub fn end(&mut self, phase: Phase, token: PhaseToken) {
+    pub(crate) fn end(&mut self, phase: Phase, token: PhaseToken) {
         if let Some(t0) = token {
             let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             self.set.record_ns(phase, ns);
         }
     }
 
-    /// The recorded stats.
-    pub fn set(&self) -> &PhaseSet {
-        &self.set
-    }
-
     /// Take the recorded stats, leaving an empty set (enable flag kept).
-    pub fn take(&mut self) -> PhaseSet {
+    pub(crate) fn take(&mut self) -> PhaseSet {
         std::mem::take(&mut self.set)
     }
 }
@@ -215,7 +205,7 @@ mod tests {
         let tok = t.begin();
         assert!(tok.is_none());
         t.end(Phase::Solve, tok);
-        assert!(t.set().is_empty());
+        assert!(t.set.is_empty());
     }
 
     #[test]
@@ -226,9 +216,9 @@ mod tests {
             let tok = t.begin();
             t.end(Phase::Demand, tok);
         }
-        let s = t.set().stat(Phase::Demand);
+        let s = t.set.stat(Phase::Demand);
         assert_eq!(s.calls, 5);
-        assert!(t.set().stat(Phase::Solve).calls == 0);
+        assert!(t.set.stat(Phase::Solve).calls == 0);
     }
 
     #[test]
@@ -240,8 +230,8 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         t.end(Phase::Solve, inner);
         t.end(Phase::Commit, outer);
-        let solve = *t.set().stat(Phase::Solve);
-        let commit = *t.set().stat(Phase::Commit);
+        let solve = *t.set.stat(Phase::Solve);
+        let commit = *t.set.stat(Phase::Commit);
         assert_eq!(solve.calls, 1);
         assert_eq!(commit.calls, 1);
         // The outer span contains the inner one.
@@ -259,7 +249,7 @@ mod tests {
         let b = t.begin();
         t.end(Phase::Replay, a);
         t.end(Phase::Replay, b);
-        assert_eq!(t.set().stat(Phase::Replay).calls, 2);
+        assert_eq!(t.set.stat(Phase::Replay).calls, 2);
     }
 
     #[test]
@@ -286,11 +276,11 @@ mod tests {
         // Token predates the toggle: still records (it carries its own
         // clock), matching the documented token-value semantics.
         t.end(Phase::Barrier, tok);
-        assert_eq!(t.set().stat(Phase::Barrier).calls, 1);
+        assert_eq!(t.set.stat(Phase::Barrier).calls, 1);
         // New tokens after the toggle are inert.
         let tok = t.begin();
         t.end(Phase::Barrier, tok);
-        assert_eq!(t.set().stat(Phase::Barrier).calls, 1);
+        assert_eq!(t.set.stat(Phase::Barrier).calls, 1);
     }
 
     #[test]
@@ -301,7 +291,7 @@ mod tests {
         t.end(Phase::Schedule, tok);
         let set = t.take();
         assert_eq!(set.stat(Phase::Schedule).calls, 1);
-        assert!(t.set().is_empty());
-        assert!(t.is_enabled());
+        assert!(t.set.is_empty());
+        assert!(t.enabled);
     }
 }

@@ -68,7 +68,7 @@ impl StageTiming {
     }
 
     /// Fold another timing into this one.
-    pub fn merge(&mut self, other: &StageTiming) {
+    pub(crate) fn merge(&mut self, other: &StageTiming) {
         self.calls += other.calls;
         self.total_ns += other.total_ns;
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {

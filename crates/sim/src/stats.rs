@@ -78,12 +78,14 @@ impl TickDtHist {
     }
 
     /// Total iterations recorded.
-    pub fn total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> u64 {
         self.buckets.iter().sum()
     }
 
     /// Accumulate another histogram into this one.
-    pub fn merge(&mut self, other: &TickDtHist) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &TickDtHist) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
@@ -145,7 +147,8 @@ impl RunStats {
     }
 
     /// Mean bus utilization over the run.
-    pub fn mean_utilization(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_utilization(&self) -> f64 {
         if self.elapsed_us == 0 {
             0.0
         } else {
@@ -154,7 +157,8 @@ impl RunStats {
     }
 
     /// Fraction of placements that were cache-cold.
-    pub fn cold_placement_fraction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn cold_placement_fraction(&self) -> f64 {
         if self.placements == 0 {
             0.0
         } else {

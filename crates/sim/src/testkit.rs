@@ -9,9 +9,27 @@ use crate::machine::{Decision, MachineView, Scheduler};
 /// with the policy under test, inspect it, and then advance the machine by
 /// exactly one quantum with it:
 ///
-/// ```ignore
-/// let d = policy.schedule(&machine.view());
-/// machine.run(&mut Replay::new(d), StopCondition::At(machine.now() + 200_000));
+/// ```
+/// use busbw_sim::testkit::Replay;
+/// use busbw_sim::{
+///     AppDescriptor, Assignment, ConstantDemand, CpuId, Decision, Machine, StopCondition,
+///     ThreadId, ThreadSpec, XEON_4WAY,
+/// };
+///
+/// let mut machine = Machine::new(XEON_4WAY);
+/// let demand = Box::new(ConstantDemand::new(1.0, 0.5));
+/// let threads = vec![ThreadSpec::new(f64::INFINITY, demand)];
+/// machine.add_app(AppDescriptor::new("app", threads));
+/// // The decision under test: the app's one thread on cpu 0 for 200 ms.
+/// let d = Decision {
+///     assignments: vec![Assignment { thread: ThreadId(0), cpu: CpuId(0) }],
+///     next_resched_in_us: 200_000,
+///     sample_period_us: None,
+/// };
+/// let stop = StopCondition::At(machine.now() + 200_000);
+/// assert!(machine.run(&mut Replay::new(d), stop).condition_met);
+/// let ran = machine.view().thread(ThreadId(0)).unwrap().progress_us;
+/// assert!(ran > 0.0, "the replayed decision ran the thread");
 /// ```
 pub struct Replay {
     decision: Option<Decision>,

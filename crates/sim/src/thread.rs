@@ -12,7 +12,7 @@ pub struct ThreadSpec {
     /// The demand model (solo bus rate + memory-boundness over time).
     pub model: Box<dyn DemandModel>,
     /// Cache sensitivity in `[0, 1]`: how much speed the thread loses when
-    /// running fully cold (see [`crate::cache`]). LU CB-class codes are
+    /// running fully cold (see `crate::cache`). LU CB-class codes are
     /// high; streaming microbenchmarks are 0.
     pub cache_sensitivity: f64,
 }
@@ -50,16 +50,8 @@ pub enum ThreadState {
 }
 
 impl ThreadState {
-    /// The cpu this thread occupies, if running.
-    pub fn cpu(self) -> Option<CpuId> {
-        match self {
-            ThreadState::Running(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// Whether the thread can be placed on a cpu.
-    pub fn is_runnable(self) -> bool {
+    pub(crate) fn is_runnable(self) -> bool {
         matches!(self, ThreadState::Ready | ThreadState::Running(_))
     }
 }
@@ -93,7 +85,7 @@ pub(crate) struct SimThread {
 }
 
 impl SimThread {
-    pub fn new(id: ThreadId, app: AppId, spec: ThreadSpec) -> Self {
+    pub(crate) fn new(id: ThreadId, app: AppId, spec: ThreadSpec) -> Self {
         assert!(spec.work_us > 0.0, "thread work must be positive");
         Self {
             id,
@@ -113,7 +105,7 @@ impl SimThread {
     }
 
     /// Remaining useful work, virtual µs.
-    pub fn remaining_us(&self) -> f64 {
+    pub(crate) fn remaining_us(&self) -> f64 {
         (self.work_us - self.progress_us).max(0.0)
     }
 
@@ -121,13 +113,13 @@ impl SimThread {
     /// and wall clock `now`: both are strictly below their edges, so the
     /// model's `constant_for` promised no change since it was queried.
     #[inline]
-    pub fn demand_holds(&self, now: SimTime) -> bool {
+    pub(crate) fn demand_holds(&self, now: SimTime) -> bool {
         self.progress_us < self.demand_virt_edge && (now as f64) < self.demand_wall_edge
     }
 
     /// Query the model at the current progress and `now` and cache the
     /// answer with the guarded edges of its constant region.
-    pub fn query_demand(&mut self, now: SimTime) -> Demand {
+    pub(crate) fn query_demand(&mut self, now: SimTime) -> Demand {
         let d = self.model.demand_at(self.progress_us, now);
         let (virt_h, wall_h) = self.model.constant_for(self.progress_us, now);
         self.demand = d;
@@ -138,7 +130,7 @@ impl SimThread {
 
     /// Drop the cached demand: the next request build re-queries the
     /// model.
-    pub fn expire_demand(&mut self) {
+    pub(crate) fn expire_demand(&mut self) {
         self.demand_virt_edge = f64::NEG_INFINITY;
     }
 }
@@ -168,8 +160,6 @@ mod tests {
         assert!(ThreadState::Ready.is_runnable());
         assert!(ThreadState::Running(CpuId(1)).is_runnable());
         assert!(!ThreadState::Finished.is_runnable());
-        assert_eq!(ThreadState::Running(CpuId(2)).cpu(), Some(CpuId(2)));
-        assert_eq!(ThreadState::Ready.cpu(), None);
     }
 
     #[test]

@@ -5,10 +5,6 @@ use std::sync::{Arc, Mutex};
 use crate::event::TraceEvent;
 use crate::sink::{MemoryHandle, MemorySink, TraceSink};
 
-/// Capacity of the bounded ring of recent events kept by every enabled
-/// bus (post-mortem context independent of the sink).
-pub const RECENT_CAPACITY: usize = 512;
-
 /// A handle for emitting [`TraceEvent`]s.
 ///
 /// Cloning is cheap (an `Arc` bump) and every clone feeds the same sink,
@@ -32,16 +28,11 @@ pub struct EventBus {
 }
 
 struct Inner {
-    state: Mutex<BusState>,
+    sink: Mutex<Box<dyn TraceSink>>,
     /// Sink's [`TraceSink::records`] sampled at construction: false for a
     /// sink that provably discards everything, so hot paths can skip
-    /// emission without taking the state lock.
+    /// emission without taking the sink lock.
     emits: bool,
-}
-
-struct BusState {
-    sink: Box<dyn TraceSink>,
-    ring: Ring,
 }
 
 impl EventBus {
@@ -55,10 +46,7 @@ impl EventBus {
         let emits = sink.records();
         Self {
             inner: Some(Arc::new(Inner {
-                state: Mutex::new(BusState {
-                    sink,
-                    ring: Ring::new(RECENT_CAPACITY),
-                }),
+                sink: Mutex::new(sink),
                 emits,
             })),
         }
@@ -73,56 +61,27 @@ impl EventBus {
     /// Whether emissions reach a sink. Emission sites use this to skip
     /// event construction entirely when tracing is off.
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.inner.is_some()
     }
 
     /// Whether emitted events are observable anywhere: enabled *and* the
-    /// sink records ([`TraceSink::records`]). Hot emission sites should
-    /// gate on this rather than [`EventBus::enabled`] — a bus over a
+    /// sink records (`TraceSink::records`). Hot emission sites should
+    /// gate on this rather than `EventBus::enabled` — a bus over a
     /// [`crate::NullSink`] is enabled but emits nothing, so per-event
-    /// construction, locking, and ring bookkeeping can all be skipped.
+    /// construction and locking can both be skipped.
     #[inline]
     pub fn emits(&self) -> bool {
         matches!(&self.inner, Some(inner) if inner.emits)
     }
 
     /// Record one event (no-op when disabled or the sink discards — see
-    /// [`EventBus::emits`]; a non-recording sink also keeps no ring).
+    /// [`EventBus::emits`]).
     pub fn emit(&self, ev: TraceEvent) {
         if let Some(inner) = &self.inner {
-            if !inner.emits {
-                return;
+            if inner.emits {
+                inner.sink.lock().expect("trace bus poisoned").record(&ev);
             }
-            let mut st = inner.state.lock().expect("trace bus poisoned");
-            st.sink.record(&ev);
-            st.ring.push(ev);
-        }
-    }
-
-    /// The most recent events (oldest first), up to [`RECENT_CAPACITY`].
-    /// Empty for a disabled bus.
-    pub fn recent(&self) -> Vec<TraceEvent> {
-        match &self.inner {
-            Some(inner) => inner
-                .state
-                .lock()
-                .expect("trace bus poisoned")
-                .ring
-                .to_vec(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Flush the sink (e.g. after a run completes).
-    pub fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            inner
-                .state
-                .lock()
-                .expect("trace bus poisoned")
-                .sink
-                .flush_sink();
         }
     }
 }
@@ -132,46 +91,6 @@ impl std::fmt::Debug for EventBus {
         f.debug_struct("EventBus")
             .field("enabled", &self.enabled())
             .finish()
-    }
-}
-
-/// Fixed-capacity ring of the most recent events.
-struct Ring {
-    buf: Vec<TraceEvent>,
-    cap: usize,
-    next: usize,
-    wrapped: bool,
-}
-
-impl Ring {
-    fn new(cap: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(cap.min(64)),
-            cap: cap.max(1),
-            next: 0,
-            wrapped: false,
-        }
-    }
-
-    fn push(&mut self, ev: TraceEvent) {
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.next] = ev;
-            self.wrapped = true;
-        }
-        self.next = (self.next + 1) % self.cap;
-    }
-
-    fn to_vec(&self) -> Vec<TraceEvent> {
-        if !self.wrapped {
-            self.buf.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.cap);
-            out.extend_from_slice(&self.buf[self.next..]);
-            out.extend_from_slice(&self.buf[..self.next]);
-            out
-        }
     }
 }
 
@@ -193,8 +112,6 @@ mod tests {
         assert!(!bus.enabled());
         assert!(!bus.emits());
         bus.emit(ev(1));
-        assert!(bus.recent().is_empty());
-        bus.flush();
     }
 
     #[test]
@@ -203,9 +120,6 @@ mod tests {
         assert!(bus.enabled(), "attached bus must report enabled");
         assert!(!bus.emits(), "discarding sink must not force emission");
         bus.emit(ev(1));
-        // Nothing observable anywhere: no ring either.
-        assert!(bus.recent().is_empty());
-        bus.flush();
     }
 
     #[test]
@@ -213,8 +127,7 @@ mod tests {
         let (bus, handle) = EventBus::memory();
         assert!(bus.enabled() && bus.emits());
         bus.emit(ev(3));
-        assert_eq!(handle.len(), 1);
-        assert_eq!(bus.recent().len(), 1);
+        assert_eq!(handle.events().len(), 1);
     }
 
     #[test]
@@ -223,25 +136,6 @@ mod tests {
         let clone = bus.clone();
         bus.emit(ev(1));
         clone.emit(ev(2));
-        assert_eq!(handle.len(), 2);
-    }
-
-    #[test]
-    fn ring_keeps_the_newest_events_in_order() {
-        let mut ring = Ring::new(4);
-        for t in 0..10 {
-            ring.push(ev(t));
-        }
-        let got: Vec<u64> = ring.to_vec().iter().map(|e| e.at_us()).collect();
-        assert_eq!(got, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn recent_reflects_emissions_before_wrap() {
-        let (bus, _handle) = EventBus::memory();
-        bus.emit(ev(5));
-        let recent = bus.recent();
-        assert_eq!(recent.len(), 1);
-        assert_eq!(recent[0].at_us(), 5);
+        assert_eq!(handle.events().len(), 2);
     }
 }

@@ -24,7 +24,7 @@ pub enum PipelineStage {
 
 impl PipelineStage {
     /// All stages, in pipeline order.
-    pub const ALL: [PipelineStage; 4] = [
+    pub(crate) const ALL: [PipelineStage; 4] = [
         PipelineStage::Estimate,
         PipelineStage::Admit,
         PipelineStage::Select,
@@ -42,17 +42,17 @@ impl PipelineStage {
     }
 
     /// Index in pipeline order (0..4).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
     /// Inverse of [`PipelineStage::index`].
-    pub fn from_index(i: usize) -> Option<PipelineStage> {
+    pub(crate) fn from_index(i: usize) -> Option<PipelineStage> {
         PipelineStage::ALL.get(i).copied()
     }
 }
 
-/// One byte: the stage's [`PipelineStage::index`].
+/// One byte: the stage's `PipelineStage::index`.
 impl Wire for PipelineStage {
     const MIN_BYTES: usize = 1;
 

@@ -15,11 +15,10 @@
 //!   Every event renders to a single JSONL line.
 //! * [`EventBus`] — a cloneable handle instrumented code emits into. A
 //!   disabled bus ([`EventBus::off`]) is a single branch on the hot path;
-//!   an enabled bus feeds a bounded ring of recent events (post-mortem
-//!   context) plus one pluggable [`TraceSink`].
-//! * Sinks — [`NullSink`] (overhead measurement), [`MemorySink`]
-//!   (in-process inspection for tests), [`JsonlSink`] (streaming file
-//!   writer).
+//!   an enabled bus feeds one sink.
+//! * Sinks — [`NullSink`] (overhead measurement) and an in-memory sink
+//!   read back through its [`MemoryHandle`] ([`EventBus::memory`]). Traces
+//!   reach disk as JSONL through the experiments CLI's `trace` command.
 //! * [`Manifest`] — the run manifest written next to each `results/`
 //!   artifact: seed, scale, policies, git-describe, wall time, per-figure
 //!   checksums ([`fnv1a64`]) and an optional metrics snapshot.
@@ -40,11 +39,11 @@ mod event;
 pub mod json;
 mod manifest;
 mod sink;
-pub mod validate;
+pub(crate) mod validate;
 pub mod wire;
 
-pub use bus::{EventBus, RECENT_CAPACITY};
+pub use bus::EventBus;
 pub use event::{PipelineStage, TraceEvent};
 pub use manifest::{fnv1a64, git_describe, ArtifactSum, Manifest, TraceInfo};
-pub use sink::{JsonlSink, MemoryHandle, MemorySink, NullSink, TraceSink};
-pub use validate::{validate_stream, StreamViolation};
+pub use sink::{MemoryHandle, NullSink};
+pub use validate::validate_stream;

@@ -1,8 +1,5 @@
-//! Pluggable trace sinks: null, in-memory, JSONL file.
+//! Pluggable trace sinks: null and in-memory.
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use crate::event::TraceEvent;
@@ -12,10 +9,6 @@ use crate::event::TraceEvent;
 pub trait TraceSink: Send {
     /// Record one event.
     fn record(&mut self, ev: &TraceEvent);
-
-    /// Flush any buffered output (called when the owning bus is
-    /// finished; a no-op for unbuffered sinks).
-    fn flush_sink(&mut self) {}
 
     /// Whether recorded events are observable anywhere (default true).
     /// A sink that provably discards everything returns false, letting
@@ -28,7 +21,7 @@ pub trait TraceSink: Send {
 
 /// Discards every event. Exists to exercise the full bus plumbing
 /// (construction, attachment, flush) without I/O; hot emission sites may
-/// skip it entirely via [`TraceSink::records`], so it measures the
+/// skip it entirely via `TraceSink::records`, so it measures the
 /// *attached-but-silent* configuration, not per-event dispatch.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
@@ -41,7 +34,7 @@ impl TraceSink for NullSink {
     }
 }
 
-/// Shared read handle for a [`MemorySink`]'s collected events.
+/// Shared read handle for a `MemorySink`'s collected events.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryHandle {
     events: Arc<Mutex<Vec<TraceEvent>>>,
@@ -53,16 +46,6 @@ impl MemoryHandle {
         self.events.lock().expect("trace memory poisoned").clone()
     }
 
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("trace memory poisoned").len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Drain the recorded events, leaving the sink empty.
     pub fn take(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut *self.events.lock().expect("trace memory poisoned"))
@@ -72,13 +55,13 @@ impl MemoryHandle {
 /// Collects events in memory; tests read them back through the paired
 /// [`MemoryHandle`].
 #[derive(Debug, Default)]
-pub struct MemorySink {
+pub(crate) struct MemorySink {
     events: Arc<Mutex<Vec<TraceEvent>>>,
 }
 
 impl MemorySink {
     /// A fresh sink plus its read handle.
-    pub fn new() -> (Self, MemoryHandle) {
+    pub(crate) fn new() -> (Self, MemoryHandle) {
         let events = Arc::new(Mutex::new(Vec::new()));
         (
             Self {
@@ -95,37 +78,6 @@ impl TraceSink for MemorySink {
             .lock()
             .expect("trace memory poisoned")
             .push(ev.clone());
-    }
-}
-
-/// Streams events to a file, one JSON object per line (JSONL).
-pub struct JsonlSink {
-    w: BufWriter<File>,
-    line: String,
-}
-
-impl JsonlSink {
-    /// Create (truncate) `path` and stream events into it.
-    pub fn create(path: &Path) -> std::io::Result<Self> {
-        Ok(Self {
-            w: BufWriter::new(File::create(path)?),
-            line: String::with_capacity(128),
-        })
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        self.line.clear();
-        ev.write_json(&mut self.line);
-        self.line.push('\n');
-        // Trace output is best-effort: a full disk should not abort the
-        // run that the trace exists to explain.
-        let _ = self.w.write_all(self.line.as_bytes());
-    }
-
-    fn flush_sink(&mut self) {
-        let _ = self.w.flush();
     }
 }
 
@@ -147,29 +99,9 @@ mod tests {
         for t in [1, 2, 3] {
             sink.record(&ev(t));
         }
-        assert_eq!(handle.len(), 3);
+        assert_eq!(handle.events().len(), 3);
         let got = handle.take();
         assert_eq!(got, vec![ev(1), ev(2), ev(3)]);
-        assert!(handle.is_empty());
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_parseable_line_per_event() {
-        let dir = std::env::temp_dir().join("busbw-trace-test-jsonl");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.jsonl");
-        let mut sink = JsonlSink::create(&path).unwrap();
-        for t in [10, 20] {
-            sink.record(&ev(t));
-        }
-        sink.flush_sink();
-        drop(sink);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<_> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            crate::json::parse(line).expect("line parses");
-        }
-        std::fs::remove_file(&path).ok();
+        assert!(handle.events().is_empty());
     }
 }

@@ -132,7 +132,7 @@ impl<'a> Dec<'a> {
 
     /// Read one byte: a tag.
     #[inline]
-    pub fn u8(&mut self) -> Result<u8, String> {
+    pub(crate) fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 

@@ -57,7 +57,7 @@ pub struct AppSpec {
 
 impl AppSpec {
     /// A constant-rate application.
-    pub fn constant(
+    pub(crate) fn constant(
         name: impl Into<Cow<'static, str>>,
         nthreads: usize,
         work_us_per_thread: f64,
@@ -77,20 +77,20 @@ impl AppSpec {
     }
 
     /// Couple the gang with barriers every `interval_us` of virtual time.
-    pub fn with_barrier_interval(mut self, interval_us: f64) -> Self {
+    pub(crate) fn with_barrier_interval(mut self, interval_us: f64) -> Self {
         assert!(interval_us > 0.0, "barrier interval must be positive");
         self.barrier_interval_us = Some(interval_us);
         self
     }
 
     /// Override the cache sensitivity.
-    pub fn with_cache_sensitivity(mut self, s: f64) -> Self {
+    pub(crate) fn with_cache_sensitivity(mut self, s: f64) -> Self {
         self.cache_sensitivity = s;
         self
     }
 
     /// Override the behaviour.
-    pub fn with_behavior(mut self, b: Behavior) -> Self {
+    pub(crate) fn with_behavior(mut self, b: Behavior) -> Self {
         self.behavior = b;
         self
     }
@@ -104,7 +104,8 @@ impl AppSpec {
 
     /// Cumulative solo rate across the gang, tx/µs — the quantity the
     /// paper's Figure 1A reports per application.
-    pub fn cumulative_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn cumulative_rate(&self) -> f64 {
         self.rate_per_thread * self.nthreads as f64
     }
 

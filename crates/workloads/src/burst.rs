@@ -41,7 +41,7 @@ impl TwoStateBurst {
     ///
     /// # Panics
     /// Panics if scales are negative or sojourn means are not positive.
-    pub fn new(
+    pub(crate) fn new(
         base_rate: f64,
         mu: f64,
         high_scale: f64,
@@ -99,7 +99,7 @@ impl TwoStateBurst {
     }
 
     /// Long-run fraction of time in the high state.
-    pub fn high_fraction(&self) -> f64 {
+    pub(crate) fn high_fraction(&self) -> f64 {
         self.mean_high_us / (self.mean_high_us + self.mean_low_us)
     }
 }

@@ -28,16 +28,6 @@ pub mod mix;
 pub mod paper;
 pub mod phases;
 pub mod synth;
-pub mod tracefile;
 
-pub use app::{AppSpec, Behavior};
-pub use burst::TwoStateBurst;
-pub use micro::{bbma, nbbma, BBMA_RATE_TX_PER_US, NBBMA_RATE_TX_PER_US};
-pub use mix::{
-    build_machine, fig1_solo, fig1_two_instances, fig1_with_bbma, fig1_with_nbbma, fig2_set_a,
-    fig2_set_b, fig2_set_c, BuiltWorkload, WorkloadSpec,
-};
-pub use paper::{paper_app, paper_apps, PaperApp, DEFAULT_SOLO_WORK_US};
-pub use phases::{CyclicPhases, Phase};
-pub use synth::{generate as generate_synth, SynthConfig};
-pub use tracefile::{TraceDemand, TraceSegment};
+pub use mix::{build_machine, WorkloadSpec};
+pub use paper::{paper_app, PaperApp, DEFAULT_SOLO_WORK_US};

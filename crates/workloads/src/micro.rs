@@ -16,10 +16,10 @@
 use crate::app::AppSpec;
 
 /// BBMA's measured bus-transaction rate (paper §3), tx/µs.
-pub const BBMA_RATE_TX_PER_US: f64 = 23.6;
+pub(crate) const BBMA_RATE_TX_PER_US: f64 = 23.6;
 
 /// nBBMA's measured bus-transaction rate (paper §3), tx/µs.
-pub const NBBMA_RATE_TX_PER_US: f64 = 0.0037;
+pub(crate) const NBBMA_RATE_TX_PER_US: f64 = 0.0037;
 
 /// The bus-saturating microbenchmark (one instance = one thread).
 pub fn bbma() -> AppSpec {

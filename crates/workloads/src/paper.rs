@@ -30,7 +30,7 @@ pub const DEFAULT_SOLO_WORK_US: f64 = 6_000_000.0;
 /// Linux quantum of lead), a thread scheduled without its sibling for one
 /// quantum mostly keeps working, but persistent de-coscheduling makes it
 /// spin — the gang-scheduling motivation of §4 at realistic strength.
-pub const DEFAULT_BARRIER_INTERVAL_US: f64 = 100_000.0;
+pub(crate) const DEFAULT_BARRIER_INTERVAL_US: f64 = 100_000.0;
 
 /// The paper's eleven applications, in Figure 1A order (increasing solo
 /// bus-transaction rate).
@@ -155,14 +155,14 @@ pub fn paper_app(which: PaperApp) -> AppSpec {
     }
 }
 
-/// All eleven application specs in Figure 1A order.
-pub fn paper_apps() -> Vec<AppSpec> {
-    PaperApp::ALL.into_iter().map(paper_app).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// All eleven application specs in Figure 1A order.
+    fn paper_apps() -> Vec<AppSpec> {
+        PaperApp::ALL.into_iter().map(paper_app).collect()
+    }
 
     #[test]
     fn endpoints_match_the_paper_text() {

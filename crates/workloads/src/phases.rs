@@ -10,7 +10,7 @@ use busbw_sim::{Demand, DemandModel};
 
 /// One phase of a cyclic profile.
 #[derive(Debug, Clone, Copy)]
-pub struct Phase {
+pub(crate) struct Phase {
     /// Phase length in virtual µs.
     pub len_us: f64,
     /// Multiplier applied to the base rate during this phase.
@@ -33,7 +33,7 @@ impl CyclicPhases {
     ///
     /// # Panics
     /// Panics on an empty phase list or non-positive phase lengths.
-    pub fn new(base_rate: f64, phases: Vec<Phase>) -> Self {
+    pub(crate) fn new(base_rate: f64, phases: Vec<Phase>) -> Self {
         assert!(!phases.is_empty(), "need at least one phase");
         for p in &phases {
             assert!(p.len_us > 0.0, "phase lengths must be positive");

@@ -12,9 +12,10 @@
 //!   4-way SMP with a shared front-side bus (29.5 bus transactions/µs
 //!   sustained), per-cpu caches with warmth/affinity dynamics, and
 //!   barrier-coupled thread gangs.
-//! * [`perfmon`] — simulated performance-monitoring counters with the
-//!   read/accumulate/sample surface of the `perfctr` driver the paper
-//!   used.
+//! * [`perfmon`] — simulated performance-monitoring counters: per-thread
+//!   monotone event counts with the read/accumulate surface of the
+//!   `perfctr` driver the paper used. The policies' estimators sample them
+//!   twice per quantum (`core::pipeline`).
 //! * [`workloads`] — models of the paper's eleven NAS/Splash-2
 //!   applications and the BBMA/nBBMA microbenchmarks.
 //! * [`core`] — the contribution: the **Latest Quantum** and **Quanta
