@@ -42,14 +42,14 @@ pub struct LinuxConfig {
     pub quantum_us: u64,
     /// Goodness bonus (in slice-µs) for staying on the previous cpu.
     /// Linux 2.4's `PROC_CHANGE_PENALTY` plays the same role.
-    pub affinity_bonus_us: i64,
+    pub(crate) affinity_bonus_us: i64,
     /// Stagger threads' *initial* slices deterministically so slice
     /// expiries desynchronize across threads. On a real multiprogrammed
     /// system threads never join the runqueue at the same instant (runtime
     /// start-up, page faults, connection handshakes); the simulator's
     /// exact t=0 alignment is an artifact that would otherwise make the
     /// baseline accidentally gang-schedule sibling threads forever.
-    pub stagger_start: bool,
+    pub(crate) stagger_start: bool,
     /// Amplitude (µs of goodness) of per-decision selection noise, and the
     /// reason it exists: a real kernel's selection order is perturbed by
     /// unsynchronized per-cpu timer interrupts, page faults, and
@@ -57,9 +57,9 @@ pub struct LinuxConfig {
     /// quantum to quantum. A noiseless global model instead locks into one
     /// fixed co-run pattern — often an accidentally optimal one. The noise
     /// is seeded and deterministic per run. Set 0 to disable.
-    pub selection_jitter_us: i64,
+    pub(crate) selection_jitter_us: i64,
     /// Seed for the selection noise.
-    pub jitter_seed: u64,
+    pub(crate) jitter_seed: u64,
 }
 
 impl Default for LinuxConfig {

@@ -35,18 +35,18 @@ use crate::selection::Candidate;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct O1Config {
     /// Static timeslice, µs.
-    pub timeslice_us: u64,
+    pub(crate) timeslice_us: u64,
     /// Scheduler invocation period, µs (per-cpu preemption granularity —
     /// the tick at which expired slices are acted on).
-    pub period_us: u64,
+    pub(crate) period_us: u64,
     /// Load-balance period, µs.
-    pub balance_period_us: u64,
+    pub(crate) balance_period_us: u64,
     /// Imbalance threshold: pull only if the busiest queue has at least
     /// this many more runnable threads than ours.
-    pub imbalance_threshold: usize,
+    pub(crate) imbalance_threshold: usize,
     /// Seed for arrival placement of new threads (round-robin with a
     /// seeded tiebreak, standing in for fork-time balancing noise).
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for O1Config {

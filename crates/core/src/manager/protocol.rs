@@ -60,12 +60,12 @@ pub(crate) enum ToManager {
 /// The manager's answer to [`ToManager::Connect`].
 pub struct ConnectAck {
     /// The id assigned to this application.
-    pub app: ClientId,
+    pub(crate) app: ClientId,
     /// The shared arena for publishing transaction-rate samples.
-    pub arena: SeqlockArena,
+    pub(crate) arena: SeqlockArena,
     /// How often (µs) the manager expects the arena to be refreshed —
     /// the paper: twice per scheduling quantum.
-    pub update_period_us: u64,
+    pub(crate) update_period_us: u64,
 }
 
 #[cfg(test)]

@@ -148,28 +148,28 @@ impl OracleSearchConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadSlot {
     /// The thread.
-    pub id: ThreadId,
+    pub(crate) id: ThreadId,
     /// Whether it still wants cpu time.
-    pub runnable: bool,
+    pub(crate) runnable: bool,
     /// Affinity hint from the prefix schedule.
-    pub last_cpu: Option<CpuId>,
+    pub(crate) last_cpu: Option<CpuId>,
     /// Virtual µs of work left (`INFINITY` for run-forever threads).
-    pub remaining_us: f64,
+    pub(crate) remaining_us: f64,
     /// Whether the thread has ever run under the prefix schedule.
-    pub started: bool,
+    pub(crate) started: bool,
 }
 
 /// Frozen per-gang state at a branch point of the search tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GangState {
     /// The application.
-    pub app: AppId,
+    pub(crate) app: AppId,
     /// Arrival time, µs.
-    pub arrived_at: SimTime,
+    pub(crate) arrived_at: SimTime,
     /// Completion time under the prefix schedule, if finished.
-    pub finished_at: Option<SimTime>,
+    pub(crate) finished_at: Option<SimTime>,
     /// The gang's threads.
-    pub threads: Vec<ThreadSlot>,
+    pub(crate) threads: Vec<ThreadSlot>,
 }
 
 impl GangState {
@@ -199,11 +199,11 @@ impl GangState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BranchState {
     /// Simulated time of the scheduling point, µs.
-    pub now: SimTime,
+    pub(crate) now: SimTime,
     /// Number of processors.
-    pub num_cpus: usize,
+    pub(crate) num_cpus: usize,
     /// Every application's frozen state, in id order.
-    pub gangs: Vec<GangState>,
+    pub(crate) gangs: Vec<GangState>,
 }
 
 impl BranchState {
@@ -798,7 +798,7 @@ pub struct OracleReport {
     /// never simulated.
     pub presim_prunes: u64,
     /// Subsets skipped by symmetry-class prefix filtering.
-    pub sym_prunes: u64,
+    pub(crate) sym_prunes: u64,
     /// Admissible lower bound at the root (≤ `best_cost_us` always).
     pub root_lower_bound_us: u64,
     /// Whether the tree was exhausted (false = node budget hit; the
@@ -806,7 +806,7 @@ pub struct OracleReport {
     pub complete: bool,
     /// Index of the seed plan that holds the incumbent, if no searched
     /// schedule beat every seed.
-    pub best_from_seed: Option<usize>,
+    pub(crate) best_from_seed: Option<usize>,
 }
 
 /// An interior node waiting on the DFS stack: its decision prefix, the

@@ -68,7 +68,7 @@ pub struct StageCtx<'a, 'v> {
     pub view: &'a MachineView<'v>,
     /// Structured-trace bus (stages may emit their own events, e.g. the
     /// fitness selector's `GangSelected`).
-    pub tracer: &'a EventBus,
+    pub(crate) tracer: &'a EventBus,
 }
 
 /// Stage 1: turn counter measurements into `BBW/thread` estimates.

@@ -42,11 +42,11 @@ use busbw_sim::AppId;
 pub(crate) struct Reconstruction {
     /// Consumed bandwidth per thread over the interval, tx/µs (clamped
     /// at 0).
-    pub measured_per_thread: f64,
+    pub(crate) measured_per_thread: f64,
     /// Average bus dilation Λ̄ used (clamped at 1).
-    pub dilation: f64,
+    pub(crate) dilation: f64,
     /// Reconstructed requirement per thread, tx/µs.
-    pub demand_per_thread: f64,
+    pub(crate) demand_per_thread: f64,
 }
 
 /// Reconstructs per-thread bandwidth requirements from observations.

@@ -55,16 +55,16 @@ pub fn select_gangs<K: Copy + PartialEq>(
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Admission<K> {
     /// The admitted job's key.
-    pub key: K,
+    pub(crate) key: K,
     /// Its gang width.
-    pub width: usize,
+    pub(crate) width: usize,
     /// Its `BBW/thread` estimate at decision time, tx/µs.
-    pub bbw_per_thread: f64,
+    pub(crate) bbw_per_thread: f64,
     /// `ABBW/proc` when the admission was decided, tx/µs. `None` for the
     /// head-of-list admission, which bypasses the fitness loop.
-    pub available_per_proc: Option<f64>,
+    pub(crate) available_per_proc: Option<f64>,
     /// The winning fitness score. `None` for the head admission.
-    pub fitness: Option<f64>,
+    pub(crate) fitness: Option<f64>,
 }
 
 /// [`select_gangs`], but returning each admission with the fitness score

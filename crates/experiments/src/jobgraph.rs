@@ -452,9 +452,9 @@ impl Executed {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Cells declared on executed plans, duplicates included.
-    pub declared: u64,
+    pub(crate) declared: u64,
     /// Unique cells after plan-level dedup.
-    pub unique: u64,
+    pub(crate) unique: u64,
     /// Cells served by the run cache (memory or disk tier).
     pub cache_hits: u64,
     /// Cells the cache could not serve.

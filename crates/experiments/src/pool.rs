@@ -44,13 +44,13 @@ use busbw_core::oracle::{FanOut, Task, Tasks};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Top-level tasks executed (= input length).
-    pub executed: u64,
+    pub(crate) executed: u64,
     /// Tasks fanned out from inside a running task.
-    pub subtasks: u64,
+    pub(crate) subtasks: u64,
     /// Subtasks executed by a worker other than the one that queued them.
     /// Top-level tasks are dealt from one shared cursor, so they never
     /// count; always 0 on one worker.
-    pub steals: u64,
+    pub(crate) steals: u64,
 }
 
 /// A queued subtask: its fan-out, the worker that queued it, the work.

@@ -123,7 +123,7 @@ pub(crate) fn sampled_stacks(seed: u64, n: usize) -> Vec<StackSpec> {
 #[derive(Debug)]
 pub struct OracleOutcome {
     /// The replayed optimal schedule, folded like any other run.
-    pub result: RunResult,
+    pub(crate) result: RunResult,
     /// Search accounting: bounds, prunes, completeness.
     pub report: OracleReport,
 }

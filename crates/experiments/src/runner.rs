@@ -335,19 +335,19 @@ wire_struct! {
         /// Clients served to completion (departed before the horizon).
         pub served: u64,
         /// Virtual duration of the serve, µs.
-        pub duration_us: u64,
+        pub(crate) duration_us: u64,
         /// Modeled manager work (pump/sample/quantum bookkeeping), virtual µs.
-        pub overhead_us: u64,
+        pub(crate) overhead_us: u64,
         /// Quantum boundaries the manager served.
-        pub quanta: u64,
+        pub(crate) quanta: u64,
         /// The most clients live at once (the accept queue's peak depth).
-        pub queue_peak: u64,
+        pub(crate) queue_peak: u64,
         /// Mean slowdown (turnaround ÷ solo service time) over served clients
         /// (0 when none were served).
-        pub mean_slowdown: f64,
+        pub(crate) mean_slowdown: f64,
         /// Turnaround of every served client, µs: the histogram the figure's
         /// tail quantiles are read from.
-        pub turnarounds: Turnarounds,
+        pub(crate) turnarounds: Turnarounds,
     }
 }
 
@@ -445,19 +445,19 @@ wire_struct! {
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct OracleStats {
         /// Search nodes counted against the node budget.
-        pub nodes: u64,
+        pub(crate) nodes: u64,
         /// Nodes that ended, as a leaf or censored at the horizon.
-        pub leaves: u64,
+        pub(crate) leaves: u64,
         /// Interior nodes pruned because their lower bound met the incumbent.
-        pub bound_prunes: u64,
+        pub(crate) bound_prunes: u64,
         /// Of `bound_prunes`, those pruned before they were simulated.
-        pub presim_prunes: u64,
+        pub(crate) presim_prunes: u64,
         /// Whether the search exhausted its tree within the node budget.
-        pub complete: bool,
+        pub(crate) complete: bool,
         /// Best total turnaround found, µs.
-        pub best_cost_us: u64,
+        pub(crate) best_cost_us: u64,
         /// Admissible lower bound at the root, µs.
-        pub root_lower_bound_us: u64,
+        pub(crate) root_lower_bound_us: u64,
     }
 }
 

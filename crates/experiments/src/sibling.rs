@@ -34,16 +34,16 @@ use crate::runner::{finalize_run, prepare_run, PolicyKind, PreparedRun, RunResul
 #[derive(Debug)]
 pub(crate) struct GroupRun {
     /// One result per member, in the order the policies were given.
-    pub results: Vec<RunResult>,
+    pub(crate) results: Vec<RunResult>,
     /// Machine clones made where members split; in an open group, the
     /// classes served again.
-    pub forks: u64,
+    pub(crate) forks: u64,
     /// Member ticks another member's simulation covered: every tick a
     /// branch of `k` members simulates counts `k − 1` here, so the ticks
     /// actually simulated are `Σ results[i].ticks − shared_ticks`.
-    pub shared_ticks: u64,
+    pub(crate) shared_ticks: u64,
     /// Managerd serve loops run (0 for closed-system groups).
-    pub serves: u64,
+    pub(crate) serves: u64,
 }
 
 /// One scheduler of a group, with its position in the caller's list.

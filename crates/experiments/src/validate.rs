@@ -25,13 +25,13 @@ use crate::runner::{PolicyKind, RunnerConfig};
 #[derive(Debug, Clone)]
 pub struct Claim {
     /// Which paper artifact the claim belongs to.
-    pub figure: &'static str,
+    pub(crate) figure: &'static str,
     /// The claim, in words.
-    pub claim: &'static str,
+    pub(crate) claim: &'static str,
     /// Whether it held.
-    pub pass: bool,
+    pub(crate) pass: bool,
     /// Measured evidence.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 fn claim(figure: &'static str, text: &'static str, pass: bool, detail: String) -> Claim {

@@ -107,16 +107,16 @@ pub(crate) mod overhead {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceModel {
     /// Minimum solo service time, µs.
-    pub min_service_us: u64,
+    pub(crate) min_service_us: u64,
     /// Maximum solo service time, µs.
-    pub max_service_us: u64,
+    pub(crate) max_service_us: u64,
     /// Maximum gang width (threads); widths are drawn in `1..=max_width`
     /// and clamped to the machine so every client *can* be scheduled.
-    pub max_width: usize,
+    pub(crate) max_width: usize,
     /// Minimum per-thread bus transaction rate while running, tx/µs.
-    pub min_rate: f64,
+    pub(crate) min_rate: f64,
     /// Maximum per-thread bus transaction rate while running, tx/µs.
-    pub max_rate: f64,
+    pub(crate) max_rate: f64,
 }
 
 impl Default for ServiceModel {
@@ -189,7 +189,7 @@ pub struct OpenOutcome {
     pub turnarounds: Histogram,
     /// Sum of the served clients' slowdowns (turnaround ÷ solo service
     /// time), added in departure order.
-    pub slowdown_sum: f64,
+    pub(crate) slowdown_sum: f64,
     /// Clients the arrival process offered before the horizon.
     pub arrived: u64,
     /// Arrivals rejected by the bounded accept queue.
@@ -197,7 +197,7 @@ pub struct OpenOutcome {
     /// Clients served to completion.
     pub served: u64,
     /// Clients still live (admitted, unfinished) at the horizon.
-    pub live_at_end: u64,
+    pub(crate) live_at_end: u64,
     /// Modeled manager bookkeeping, virtual µs (see `overhead`).
     pub overhead_us: u64,
     /// Quantum boundaries the manager served.

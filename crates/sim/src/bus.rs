@@ -60,11 +60,11 @@ pub struct BusRequest {
 #[derive(Debug, Clone, Copy)]
 pub struct BusShare {
     /// The thread.
-    pub thread: ThreadId,
+    pub(crate) thread: ThreadId,
     /// Speed factor in `(0, 1]` relative to solo execution.
     pub speed: f64,
     /// Transactions/µs actually issued (`rate × speed`).
-    pub issue_rate: f64,
+    pub(crate) issue_rate: f64,
 }
 
 /// The bus's answer for a whole tick.
@@ -73,17 +73,17 @@ pub struct BusOutcome {
     /// Per-thread shares, in the order of the requests.
     pub shares: Vec<BusShare>,
     /// Σ demands, tx/µs.
-    pub total_demand: f64,
+    pub(crate) total_demand: f64,
     /// Σ issued, tx/µs.
     pub total_issued: f64,
     /// Effective capacity after arbitration derating, tx/µs.
-    pub effective_capacity: f64,
+    pub(crate) effective_capacity: f64,
     /// The uniform memory-dilation factor Λ applied (1 = uncontended).
-    pub dilation: f64,
+    pub(crate) dilation: f64,
     /// Utilization ρ = min(total_demand / effective_capacity, 1).
-    pub utilization: f64,
+    pub(crate) utilization: f64,
     /// Whether demand exceeded effective capacity.
-    pub saturated: bool,
+    pub(crate) saturated: bool,
 }
 
 impl BusOutcome {

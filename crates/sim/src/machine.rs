@@ -53,7 +53,7 @@ pub struct AppDescriptor {
     /// at the sibling's pace without ever spinning, and each tick charges
     /// the bus its full demand, more than it issues. `None` disables
     /// coupling (independent threads, e.g. microbenchmarks).
-    pub barrier_interval_us: Option<f64>,
+    pub(crate) barrier_interval_us: Option<f64>,
 }
 
 impl AppDescriptor {
@@ -79,11 +79,11 @@ impl AppDescriptor {
 
 #[derive(Clone)]
 pub(crate) struct AppRecord {
-    pub name: String,
-    pub threads: Vec<ThreadId>,
-    pub arrived_at: SimTime,
-    pub finished_at: Option<SimTime>,
-    pub barrier_interval_us: Option<f64>,
+    pub(crate) name: String,
+    pub(crate) threads: Vec<ThreadId>,
+    pub(crate) arrived_at: SimTime,
+    pub(crate) finished_at: Option<SimTime>,
+    pub(crate) barrier_interval_us: Option<f64>,
 }
 
 /// One thread-to-cpu placement in a [`Decision`].
@@ -182,11 +182,11 @@ pub struct MachineView<'a> {
     pub registry: &'a Registry,
     /// Hardware threads per physical core (1 = no SMT). Placement stages
     /// need this to prefer spreading gangs across idle cores.
-    pub smt_threads_per_core: usize,
+    pub(crate) smt_threads_per_core: usize,
     /// Number of sockets in the bus topology (1 = one shared bus).
     pub sockets: usize,
     /// Logical cpus per socket (contiguous blocks, cpu 0 on socket 0).
-    pub cpus_per_socket: usize,
+    pub(crate) cpus_per_socket: usize,
     /// Per-level bus state from the most recent arbitration — sockets
     /// first, the cross-socket interconnect last. Empty for single-level
     /// bus models; socket-aware placement stages read it to find
@@ -380,28 +380,20 @@ pub struct RunOutcome {
 /// Aggregated per-application accounting, assembled from the counters.
 #[derive(Debug, Clone)]
 pub struct AppReport {
-    /// The application.
-    pub app: AppId,
     /// Its display name.
     pub name: String,
-    /// Gang width.
-    pub threads: usize,
     /// Arrival time, µs.
     pub arrived_at_us: SimTime,
-    /// Completion time, µs (if finished).
-    pub finished_at_us: Option<SimTime>,
-    /// Turnaround, µs (if finished).
-    pub turnaround_us: Option<SimTime>,
     /// Σ cpu time consumed across threads, µs.
-    pub cpu_time_us: f64,
+    pub(crate) cpu_time_us: f64,
     /// Σ useful progress across threads, virtual µs.
-    pub progress_us: f64,
+    pub(crate) progress_us: f64,
     /// Σ bus transactions issued.
-    pub transactions: f64,
+    pub(crate) transactions: f64,
     /// Σ cache-cold placements.
-    pub cold_starts: f64,
+    pub(crate) cold_starts: f64,
     /// Σ quanta in which threads were placed.
-    pub quanta_run: f64,
+    pub(crate) quanta_run: f64,
 }
 
 /// One placed thread in the placement plan: the parts of its bus request
@@ -764,12 +756,8 @@ impl Machine {
     pub fn app_report(&self, app: AppId) -> Option<AppReport> {
         let rec = self.apps.get(app.0 as usize)?;
         let mut r = AppReport {
-            app,
             name: rec.name.clone(),
-            threads: rec.threads.len(),
             arrived_at_us: rec.arrived_at,
-            finished_at_us: rec.finished_at,
-            turnaround_us: rec.finished_at.map(|f| f - rec.arrived_at),
             cpu_time_us: 0.0,
             progress_us: 0.0,
             transactions: 0.0,

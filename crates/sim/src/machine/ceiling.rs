@@ -68,7 +68,7 @@ pub struct ProgressCeiling {
     pub spin_us: f64,
     /// Every placed thread's demand stays constant until this, by its
     /// model's `constant_for`.
-    pub demand_us: f64,
+    pub(crate) demand_us: f64,
 }
 
 impl ProgressCeiling {

@@ -10,13 +10,13 @@ pub struct BusPressureStats {
     pub total_transactions: f64,
     /// Integral of demanded transactions (tx) — what threads would have
     /// issued uncontended.
-    pub total_demanded: f64,
+    pub(crate) total_demanded: f64,
     /// Wall µs during which demand exceeded effective capacity.
-    pub saturated_us: f64,
+    pub(crate) saturated_us: f64,
     /// Peak instantaneous dilation factor Λ observed.
-    pub peak_dilation: f64,
+    pub(crate) peak_dilation: f64,
     /// Time-integral of utilization (divide by elapsed for the mean).
-    pub utilization_integral: f64,
+    pub(crate) utilization_integral: f64,
 }
 
 /// Time-weighted pressure of one topology level (a socket's local bus or
@@ -25,15 +25,15 @@ pub struct BusPressureStats {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LevelPressureStats {
     /// Integral of traffic issued through this level (tx).
-    pub total_issued: f64,
+    pub(crate) total_issued: f64,
     /// Integral of demand charged to this level (tx).
-    pub total_demanded: f64,
+    pub(crate) total_demanded: f64,
     /// Wall µs during which this level's demand exceeded its capacity.
-    pub saturated_us: f64,
+    pub(crate) saturated_us: f64,
     /// Time-integral of this level's utilization.
-    pub utilization_integral: f64,
+    pub(crate) utilization_integral: f64,
     /// Peak instantaneous dilation this level imposed.
-    pub peak_dilation: f64,
+    pub(crate) peak_dilation: f64,
 }
 
 impl LevelPressureStats {
@@ -107,13 +107,13 @@ pub struct RunStats {
     /// be far below `elapsed_us / tick_us`.
     pub ticks: u64,
     /// Number of scheduler invocations.
-    pub schedule_calls: u64,
+    pub(crate) schedule_calls: u64,
     /// Number of sampling callbacks delivered.
     pub sample_calls: u64,
     /// Number of thread-to-cpu placements that were cold (warmth < 0.5).
-    pub cold_placements: u64,
+    pub(crate) cold_placements: u64,
     /// Number of placements total.
-    pub placements: u64,
+    pub(crate) placements: u64,
     /// Bus pressure accounting (whole-machine aggregate).
     pub bus: BusPressureStats,
     /// Topology levels with live per-level accounting: 0 for

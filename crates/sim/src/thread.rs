@@ -59,29 +59,29 @@ impl ThreadState {
 /// Runtime state of one simulated thread (internal to the machine).
 #[derive(Clone)]
 pub(crate) struct SimThread {
-    pub id: ThreadId,
-    pub app: AppId,
-    pub work_us: f64,
-    pub model: Box<dyn DemandModel>,
-    pub cache_sensitivity: f64,
+    pub(crate) id: ThreadId,
+    pub(crate) app: AppId,
+    pub(crate) work_us: f64,
+    pub(crate) model: Box<dyn DemandModel>,
+    pub(crate) cache_sensitivity: f64,
     /// Completed useful work, virtual µs.
-    pub progress_us: f64,
-    pub state: ThreadState,
+    pub(crate) progress_us: f64,
+    pub(crate) state: ThreadState,
     /// Last cpu the thread ran on (affinity hint).
-    pub last_cpu: Option<CpuId>,
+    pub(crate) last_cpu: Option<CpuId>,
     /// The socket this thread's memory lives on: fixed at first
     /// placement (first-touch allocation). Traffic from other sockets
     /// crosses the interconnect in full; even at home a configured
     /// fraction does (see [`crate::config::TopologyConfig`]).
-    pub home_socket: Option<usize>,
+    pub(crate) home_socket: Option<usize>,
     /// Wall time at which the thread finished, if it has.
-    pub finished_at: Option<SimTime>,
+    pub(crate) finished_at: Option<SimTime>,
     /// The model's last answer, cached until progress reaches
     /// `demand_virt_edge` or the wall clock reaches `demand_wall_edge`
     /// (see [`SimThread::demand_holds`]).
-    pub demand: Demand,
-    pub demand_virt_edge: f64,
-    pub demand_wall_edge: f64,
+    pub(crate) demand: Demand,
+    pub(crate) demand_virt_edge: f64,
+    pub(crate) demand_wall_edge: f64,
 }
 
 impl SimThread {

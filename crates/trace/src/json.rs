@@ -103,9 +103,9 @@ pub(crate) fn quote(s: &str) -> String {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset of the failure.
-    pub at: usize,
+    pub(crate) at: usize,
     /// What went wrong.
-    pub msg: &'static str,
+    pub(crate) msg: &'static str,
 }
 
 impl std::fmt::Display for ParseError {

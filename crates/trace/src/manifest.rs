@@ -34,11 +34,11 @@ pub fn git_describe() -> String {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArtifactSum {
     /// Path of the artifact (as written).
-    pub path: String,
+    pub(crate) path: String,
     /// Size in bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// FNV-1a 64-bit checksum, lowercase hex.
-    pub fnv1a64: String,
+    pub(crate) fnv1a64: String,
 }
 
 impl ArtifactSum {

@@ -59,8 +59,6 @@ impl WorkloadSpec {
 pub struct BuiltWorkload {
     /// The machine, ready to run.
     pub machine: Machine,
-    /// App ids in spec order.
-    pub app_ids: Vec<AppId>,
     /// Ids of the measured instances.
     pub measured_ids: Vec<AppId>,
 }
@@ -76,7 +74,6 @@ pub fn build_machine(spec: &WorkloadSpec, cfg: MachineConfig, seed: u64) -> Buil
     let measured_ids = spec.measured.iter().map(|&i| app_ids[i]).collect();
     BuiltWorkload {
         machine,
-        app_ids,
         measured_ids,
     }
 }
@@ -197,7 +194,6 @@ mod tests {
     fn build_machine_registers_all_apps_and_marks_measured() {
         let w = fig2_set_c(PaperApp::Mg);
         let b = build_machine(&w, XEON_4WAY, 1);
-        assert_eq!(b.app_ids.len(), 6);
         assert_eq!(b.measured_ids.len(), 2);
         let v = b.machine.view();
         assert_eq!(v.apps().count(), 6);

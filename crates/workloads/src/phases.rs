@@ -12,11 +12,11 @@ use busbw_sim::{Demand, DemandModel};
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Phase {
     /// Phase length in virtual µs.
-    pub len_us: f64,
+    pub(crate) len_us: f64,
     /// Multiplier applied to the base rate during this phase.
-    pub rate_scale: f64,
+    pub(crate) rate_scale: f64,
     /// Memory-boundness during this phase.
-    pub mu: f64,
+    pub(crate) mu: f64,
 }
 
 /// A demand model cycling through phases over virtual time.
