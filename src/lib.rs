@@ -14,7 +14,7 @@
 //!   barrier-coupled thread gangs.
 //! * [`perfmon`] — simulated performance-monitoring counters: per-thread
 //!   monotone event counts with the read/accumulate surface of the
-//!   `perfctr` driver the paper used. The policies' estimators sample them
+//!   paper's `perfctr` counters. The policies' estimators sample them
 //!   twice per quantum (`core::pipeline`).
 //! * [`workloads`] — models of the paper's eleven NAS/Splash-2
 //!   applications and the BBMA/nBBMA microbenchmarks.
