@@ -281,7 +281,7 @@ impl Invariant for BusCapacity {
         capacity_tx_per_us: f64,
         out: &mut Vec<Violation>,
     ) {
-        // Every bus model has a finite ceiling; a NaN or infinite one would
+        // Every bus has a finite ceiling; a NaN or infinite one would
         // make the budget comparison below vacuously pass.
         if !capacity_tx_per_us.is_finite() {
             out.push(Violation {
@@ -1059,7 +1059,7 @@ mod tests {
             saturated: true,
         }];
         aud.on_levels(700, 100, &levels);
-        // Empty level slices (flat buses) are vacuously clean too.
+        // Empty level slices (one-socket buses) are vacuously clean too.
         aud.on_levels(800, 100, &[]);
         assert!(aud.is_clean(), "{:?}", aud.violations());
     }

@@ -101,7 +101,7 @@ pub(crate) trait Invariant: Send {
     }
 
     /// Check one tick's per-level bus accounting (hierarchical
-    /// topologies only; flat buses report no levels).
+    /// topologies only; a one-socket bus reports no levels).
     fn check_levels(
         &mut self,
         now: SimTime,

@@ -35,21 +35,18 @@ use crate::pipeline::{
 };
 use crate::selection::Candidate;
 
+/// Goodness bonus (in slice-µs) for staying on the previous cpu. Linux
+/// 2.4's `PROC_CHANGE_PENALTY` plays the same role.
+const AFFINITY_BONUS_US: i64 = 15_000;
+
+/// Seed for the selection noise (see `LinuxConfig::selection_jitter_us`).
+const JITTER_SEED: u64 = 0x1234_5678;
+
 /// Baseline configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct LinuxConfig {
     /// Scheduling quantum (epoch slice), µs. The paper: 100 ms.
     pub quantum_us: u64,
-    /// Goodness bonus (in slice-µs) for staying on the previous cpu.
-    /// Linux 2.4's `PROC_CHANGE_PENALTY` plays the same role.
-    pub(crate) affinity_bonus_us: i64,
-    /// Stagger threads' *initial* slices deterministically so slice
-    /// expiries desynchronize across threads. On a real multiprogrammed
-    /// system threads never join the runqueue at the same instant (runtime
-    /// start-up, page faults, connection handshakes); the simulator's
-    /// exact t=0 alignment is an artifact that would otherwise make the
-    /// baseline accidentally gang-schedule sibling threads forever.
-    pub(crate) stagger_start: bool,
     /// Amplitude (µs of goodness) of per-decision selection noise, and the
     /// reason it exists: a real kernel's selection order is perturbed by
     /// unsynchronized per-cpu timer interrupts, page faults, and
@@ -58,18 +55,13 @@ pub struct LinuxConfig {
     /// fixed co-run pattern — often an accidentally optimal one. The noise
     /// is seeded and deterministic per run. Set 0 to disable.
     pub(crate) selection_jitter_us: i64,
-    /// Seed for the selection noise.
-    pub(crate) jitter_seed: u64,
 }
 
 impl Default for LinuxConfig {
     fn default() -> Self {
         Self {
             quantum_us: 100_000,
-            affinity_bonus_us: 15_000,
-            stagger_start: true,
             selection_jitter_us: 40_000,
-            jitter_seed: 0x1234_5678,
         }
     }
 }
@@ -108,7 +100,7 @@ impl LinuxEpochSelector {
             last_running: Vec::new(),
             last_at_us: 0,
             epochs: 0,
-            rng: StdRng::seed_from_u64(cfg.jitter_seed),
+            rng: StdRng::seed_from_u64(JITTER_SEED),
         }
     }
 
@@ -155,15 +147,17 @@ impl Selector for LinuxEpochSelector {
             .collect();
         self.slices.retain(|t, _| runnable.contains(t));
         for &t in &runnable {
-            let initial = if self.cfg.stagger_start {
-                // Deterministic per-thread fraction in [0.25, 1.0) of a
-                // full quantum (see `LinuxConfig::stagger_start`).
-                let h = t.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-                let frac = 0.25 + 0.75 * (h as f64 / (1u64 << 24) as f64);
-                (self.cfg.quantum_us as f64 * frac) as i64
-            } else {
-                self.cfg.quantum_us as i64
-            };
+            // Stagger threads' *initial* slices deterministically, a
+            // per-thread fraction in [0.25, 1.0) of a full quantum, so
+            // slice expiries desynchronize across threads. On a real
+            // multiprogrammed system threads never join the runqueue at
+            // the same instant (runtime start-up, page faults, connection
+            // handshakes); the simulator's exact t=0 alignment is an
+            // artifact that would otherwise make the baseline
+            // accidentally gang-schedule sibling threads forever.
+            let h = t.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            let frac = 0.25 + 0.75 * (h as f64 / (1u64 << 24) as f64);
+            let initial = (self.cfg.quantum_us as f64 * frac) as i64;
             self.slices.entry(t).or_insert(initial);
         }
 
@@ -194,7 +188,7 @@ impl Selector for LinuxEpochSelector {
                     let info = view.thread(tid).expect("runnable thread exists");
                     let mut g = self.slices[&tid];
                     if info.last_cpu == Some(cpu) {
-                        g += self.cfg.affinity_bonus_us;
+                        g += AFFINITY_BONUS_US;
                     }
                     if self.cfg.selection_jitter_us > 0 {
                         g += self.rng.gen_range(0..=self.cfg.selection_jitter_us);

@@ -31,35 +31,19 @@ use crate::pipeline::{
 };
 use crate::selection::Candidate;
 
-/// O(1)-baseline configuration.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct O1Config {
-    /// Static timeslice, µs.
-    pub(crate) timeslice_us: u64,
-    /// Scheduler invocation period, µs (per-cpu preemption granularity —
-    /// the tick at which expired slices are acted on).
-    pub(crate) period_us: u64,
-    /// Load-balance period, µs.
-    pub(crate) balance_period_us: u64,
-    /// Imbalance threshold: pull only if the busiest queue has at least
-    /// this many more runnable threads than ours.
-    pub(crate) imbalance_threshold: usize,
-    /// Seed for arrival placement of new threads (round-robin with a
-    /// seeded tiebreak, standing in for fork-time balancing noise).
-    pub(crate) seed: u64,
-}
-
-impl Default for O1Config {
-    fn default() -> Self {
-        Self {
-            timeslice_us: 100_000,
-            period_us: 20_000,
-            balance_period_us: 200_000,
-            imbalance_threshold: 2,
-            seed: 0x51ED,
-        }
-    }
-}
+/// Static timeslice, µs.
+const TIMESLICE_US: i64 = 100_000;
+/// Scheduler invocation period, µs (per-cpu preemption granularity — the
+/// tick at which expired slices are acted on).
+const PERIOD_US: u64 = 20_000;
+/// Load-balance period, µs.
+const BALANCE_PERIOD_US: u64 = 200_000;
+/// Imbalance threshold: pull only if the busiest queue has at least this
+/// many more runnable threads than ours.
+const IMBALANCE_THRESHOLD: usize = 2;
+/// Seed for arrival placement of new threads (round-robin with a seeded
+/// tiebreak, standing in for fork-time balancing noise).
+const SEED: u64 = 0x51ED;
 
 struct PerCpu {
     /// Active array: (remaining slice µs, thread), FIFO per priority —
@@ -87,7 +71,6 @@ impl PerCpu {
 /// slices, swaps active/expired arrays, load-balances, and returns a
 /// [`Selection::Pinned`] schedule (each cpu's current thread).
 pub(crate) struct LinuxO1Selector {
-    cfg: O1Config,
     cpus: Vec<PerCpu>,
     /// Remaining slice of the thread currently on each cpu.
     current_slice: BTreeMap<ThreadId, i64>,
@@ -100,20 +83,10 @@ pub(crate) struct LinuxO1Selector {
 }
 
 impl LinuxO1Selector {
-    /// Selector with default parameters.
+    /// A selector with no threads seen yet.
     pub(crate) fn new() -> Self {
-        Self::with_config(O1Config::default())
-    }
-
-    /// Selector with custom parameters.
-    ///
-    /// # Panics
-    /// Panics if any period is zero.
-    pub(crate) fn with_config(cfg: O1Config) -> Self {
-        assert!(cfg.timeslice_us > 0 && cfg.period_us > 0 && cfg.balance_period_us > 0);
         Self {
-            rng: StdRng::seed_from_u64(cfg.seed),
-            cfg,
+            rng: StdRng::seed_from_u64(SEED),
             cpus: Vec::new(),
             current_slice: BTreeMap::new(),
             known: Default::default(),
@@ -152,9 +125,7 @@ impl LinuxO1Selector {
             .map(|(i, _)| i)
             .collect();
         let pick = candidates[self.rng.gen_range(0..candidates.len())];
-        self.cpus[pick]
-            .active
-            .push((self.cfg.timeslice_us as i64, t));
+        self.cpus[pick].active.push((TIMESLICE_US, t));
     }
 
     fn balance(&mut self) {
@@ -169,12 +140,12 @@ impl LinuxO1Selector {
             .enumerate()
             .min_by_key(|&(_, l)| *l)
             .expect("cpus exist");
-        if max >= min + self.cfg.imbalance_threshold {
+        if max >= min + IMBALANCE_THRESHOLD {
             // Pull one queued (not current) thread; prefer expired ones
             // (they are furthest from running anyway — cheapest to move).
             let src = &mut self.cpus[busiest];
             let moved = if let Some(t) = src.expired.pop() {
-                Some((self.cfg.timeslice_us as i64, t))
+                Some((TIMESLICE_US, t))
             } else {
                 src.active.pop()
             };
@@ -262,8 +233,7 @@ impl Selector for LinuxO1Selector {
             if c.current.is_none() {
                 if c.active.is_empty() && !c.expired.is_empty() {
                     // Array swap: the per-cpu epoch.
-                    let ts = self.cfg.timeslice_us as i64;
-                    c.active = c.expired.drain(..).map(|t| (ts, t)).collect();
+                    c.active = c.expired.drain(..).map(|t| (TIMESLICE_US, t)).collect();
                 }
                 if let Some((slice, t)) = c.active.pop() {
                     c.current = Some(t);
@@ -275,7 +245,7 @@ impl Selector for LinuxO1Selector {
         // Periodic load balancing.
         if view.now >= self.next_balance_us {
             self.balance();
-            self.next_balance_us = view.now + self.cfg.balance_period_us;
+            self.next_balance_us = view.now + BALANCE_PERIOD_US;
         }
 
         let assignments = self
@@ -293,21 +263,15 @@ impl Selector for LinuxO1Selector {
     }
 }
 
-/// The Linux-2.6 O(1) baseline as a policy stack with default parameters:
-/// no estimation, open admission, per-cpu runqueue pinned selection every
-/// `period_us`.
+/// The Linux-2.6 O(1) baseline as a policy stack: no estimation, open
+/// admission, per-cpu runqueue pinned selection every 20 ms.
 pub fn linux_o1() -> PolicyStack {
-    linux_o1_with_config(O1Config::default())
-}
-
-/// [`linux_o1`] with custom parameters.
-pub(crate) fn linux_o1_with_config(cfg: O1Config) -> PolicyStack {
     PolicyStack::new(
         "LinuxO1",
-        cfg.period_us,
+        PERIOD_US,
         Box::new(NullEstimator),
         Box::new(Open),
-        Box::new(LinuxO1Selector::with_config(cfg)),
+        Box::new(LinuxO1Selector::new()),
         Box::new(PackedPlacer),
     )
 }
@@ -378,7 +342,7 @@ mod tests {
         add(&mut m, "many", 8, f64::INFINITY);
         // Drive the bare selector so the migration counter stays
         // observable.
-        let mut s = SoloSelector::new(LinuxO1Selector::new(), O1Config::default().period_us);
+        let mut s = SoloSelector::new(LinuxO1Selector::new(), PERIOD_US);
         m.run(&mut s, StopCondition::At(2_000_000));
         // With random initial placement of 8 threads, some imbalance is
         // essentially certain; the balancer runs 10 times over 2 s.
@@ -402,19 +366,16 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_per_seed() {
-        let run = |seed| {
+    fn deterministic() {
+        let run = || {
             let mut m = Machine::new(XEON_4WAY);
             let a = add(&mut m, "a", 2, 400_000.0);
             add(&mut m, "bg", 4, f64::INFINITY);
-            let mut s = linux_o1_with_config(O1Config {
-                seed,
-                ..O1Config::default()
-            });
+            let mut s = linux_o1();
             m.run(&mut s, StopCondition::AppsFinished(vec![a]));
             m.turnaround_us(a).unwrap()
         };
-        assert_eq!(run(1), run(1));
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   "approach, don't exceed".
 //!
 //! The second half is [`offline_optimal`]: a branch-and-bound search over
-//! gang *sequences* that treats the simulator itself — `FsbBus` or
-//! `HierarchicalBus`, cache warmth, SMT, everything — as the exact cost
+//! gang *sequences* that treats the simulator itself — the bus at any
+//! socket count, cache warmth, SMT, everything — as the exact cost
 //! evaluator. It answers the question the heuristics cannot: what is the
 //! best turnaround any clairvoyant schedule could have achieved on this
 //! instance? Every preset stack can then be scored by *regret* against
@@ -1341,7 +1341,8 @@ mod tests {
         small_instance_on(XEON_4WAY)
     }
 
-    /// The 4-way machine split into two sockets: a `HierarchicalBus`.
+    /// The 4-way machine split into two sockets: a bus with per-socket
+    /// levels and an interconnect.
     const TWO_SOCKETS: MachineConfig = MachineConfig {
         topology: TopologyConfig::multi(2),
         ..XEON_4WAY

@@ -269,8 +269,8 @@ impl Placer for SpreadSocketsPlacer {
 /// its socket's local bus keeps up, and migrate to the least-utilized
 /// socket with a free cpu once it saturates. Reads the per-level bus
 /// state of the previous arbitration ([`MachineView::bus_levels`] — the
-/// simulated analogue of per-socket uncore counters); on a single-level
-/// bus the levels are empty, no socket ever reads as saturated, and this
+/// simulated analogue of per-socket uncore counters); on one socket the
+/// levels are empty, no socket ever reads as saturated, and this
 /// degenerates to affinity-then-lowest-free placement.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MigrateOnSaturationPlacer;

@@ -67,7 +67,7 @@ pub(crate) fn staggered_run(
     );
     let t1 = machine.turnaround_us(first).expect("first finished") as f64;
     let t2 = machine.turnaround_us(second).expect("second finished") as f64;
-    let (memo_hits, memo_misses) = machine.bus_memo_stats().unwrap_or((0, 0));
+    let (memo_hits, memo_misses) = machine.bus_memo_stats();
     let mut level_utilization = [0.0; busbw_sim::MAX_BUS_LEVELS];
     let mut level_saturated = [0.0; busbw_sim::MAX_BUS_LEVELS];
     for (k, l) in out.stats.levels[..out.stats.n_levels].iter().enumerate() {

@@ -293,9 +293,9 @@ wire_struct! {
         pub events: Vec<TraceEvent>,
         /// Histogram of nominal ticks covered per tick-loop iteration.
         pub tick_dt_hist: TickDtHist,
-        /// Λ-solve memo hits of the bus model (0 when the bus keeps no memo).
+        /// Λ-solve memo hits of the bus, summed over its levels.
         pub memo_hits: u64,
-        /// Λ-solve memo misses of the bus model.
+        /// Λ-solve memo misses of the bus, summed over its levels.
         pub memo_misses: u64,
         /// Per-stage wall-time accounting when the policy is a pipeline stack
         /// (`None` for schedulers that expose no stage breakdown). Wall-clock
@@ -686,7 +686,7 @@ pub(crate) fn finalize_run(p: PreparedRun, out: busbw_sim::RunOutcome) -> RunRes
     } else {
         RunCompletion::HardCap { unfinished }
     };
-    let (memo_hits, memo_misses) = machine.bus_memo_stats().unwrap_or((0, 0));
+    let (memo_hits, memo_misses) = machine.bus_memo_stats();
     let mut level_utilization = [0.0; busbw_sim::MAX_BUS_LEVELS];
     let mut level_saturated = [0.0; busbw_sim::MAX_BUS_LEVELS];
     for (k, l) in out.stats.levels[..out.stats.n_levels].iter().enumerate() {

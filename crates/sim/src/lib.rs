@@ -51,7 +51,7 @@ pub(crate) mod stats;
 pub mod testkit;
 pub(crate) mod thread;
 
-pub use bus::{BusModel, BusRequest, FsbBus, HierarchicalBus, LevelOutcome, MAX_BUS_LEVELS};
+pub use bus::{Bus, BusRequest, LevelOutcome, MAX_BUS_LEVELS};
 pub use cache::CacheConfig;
 pub use config::{
     BusConfig, MachineConfig, TopologyConfig, PAPER_BUS_TX_PER_US, XEON_4WAY, XEON_4WAY_HT,

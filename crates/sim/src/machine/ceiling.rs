@@ -12,7 +12,7 @@
 //!   machine reads the warmth at the start of each tick, which is lower
 //!   still; the warmth snap and the 0.05 speed floor are folded in
 //!   below.
-//! * **Bus floor.** Under [`BusModel::dilation_floor`](crate::BusModel)
+//! * **Bus floor.** Under the bus's dilation floor (`Bus::dilation_floor`)
 //!   of the placed set's current, unboosted demand, `λ_min`, the thread
 //!   runs at most `1/((1 − µ) + µ·λ_min)`. That holds only while the
 //!   request set keeps at least that demand: in the *window* before any

@@ -116,9 +116,9 @@ pub struct RunStats {
     pub(crate) placements: u64,
     /// Bus pressure accounting (whole-machine aggregate).
     pub bus: BusPressureStats,
-    /// Topology levels with live per-level accounting: 0 for
-    /// single-level bus models, sockets + 1 for a hierarchical bus
-    /// (capped at [`MAX_BUS_LEVELS`]).
+    /// Topology levels with live per-level accounting: 0 on a
+    /// one-socket machine, sockets + 1 otherwise (capped at
+    /// [`MAX_BUS_LEVELS`]).
     pub n_levels: usize,
     /// Per-level pressure, sockets first and the interconnect last;
     /// levels past [`MAX_BUS_LEVELS`] fold into the final slot.

@@ -10,7 +10,7 @@
 //! demand sweep that locates the saturation knee of the simulated bus.
 
 use busbw::core::linux_like;
-use busbw::sim::{BusConfig, BusModel, BusRequest, FsbBus, StopCondition, ThreadId, XEON_4WAY};
+use busbw::sim::{Bus, BusConfig, BusRequest, StopCondition, ThreadId, TopologyConfig, XEON_4WAY};
 use busbw::workloads::{mix, paper::PaperApp};
 
 fn run(spec: &busbw::workloads::WorkloadSpec) -> (f64, f64) {
@@ -61,7 +61,7 @@ fn main() {
     // Where does the simulated front-side bus saturate? Sweep aggregate
     // demand from four identical streamers through the knee.
     println!("\n=== saturation knee (4 identical streamers, µ = 0.9) ===\n");
-    let mut bus = FsbBus::new(BusConfig::default());
+    let mut bus = Bus::new(BusConfig::default(), TopologyConfig::default());
     println!("demand (tx/µs)  issued (tx/µs)  per-thread speed");
     for total in [8.0, 16.0, 24.0, 26.0, 28.0, 30.0, 34.0, 40.0, 60.0, 80.0] {
         let reqs: Vec<BusRequest> = (0..4)
@@ -76,7 +76,7 @@ fn main() {
         let out = bus.arbitrate(&reqs);
         println!(
             "{total:>14.1}  {:>14.1}  {:>16.2}",
-            out.total_issued, out.shares[0].speed
+            out.total.issued, out.shares[0].speed
         );
     }
 }
