@@ -144,6 +144,13 @@ impl StackSpec {
                 Some((h, a)) => (h, Some(a)),
                 None => (value, None),
             };
+            let takes_arg = matches!(
+                (key, head),
+                ("estimator", "window" | "ewma") | ("selector", "random")
+            );
+            if arg.is_some() && !takes_arg {
+                return Err(format!("{key}={head} takes no ':' argument, got {part:?}"));
+            }
             match (key, head) {
                 ("estimator", "latest") => spec.estimator = EstimatorKind::Latest,
                 ("estimator", "window") => {
@@ -351,6 +358,9 @@ mod tests {
             "estimator=window:0",
             "estimator=ewma:0",
             "placer=moon",
+            "estimator=latest:3",
+            "placer=packed:",
+            "quantum=100:5",
         ] {
             assert!(StackSpec::parse(bad).is_err(), "{bad} should fail");
         }
@@ -404,6 +414,135 @@ mod tests {
                         assert!(d.assignments.is_empty(), "{}", spec.label());
                     }
                 }
+            }
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `spec` in the `--policy` grammar, every stage spelled out.
+        fn grammar(spec: &StackSpec) -> String {
+            let est = match spec.estimator {
+                EstimatorKind::Latest => "latest".to_string(),
+                EstimatorKind::Window(n) => format!("window:{n}"),
+                EstimatorKind::Ewma(n) => format!("ewma:{n}"),
+                EstimatorKind::Raw => "raw".to_string(),
+                EstimatorKind::Null => "null".to_string(),
+            };
+            let adm = match spec.admission {
+                AdmissionKind::Head => "head",
+                AdmissionKind::StrictHead => "strict",
+                AdmissionKind::Fcfs => "fcfs",
+                AdmissionKind::Widest => "widest",
+                AdmissionKind::Open => "open",
+            };
+            let sel = match spec.selector {
+                SelectorKind::Fitness => "fitness".to_string(),
+                SelectorKind::Random(seed) => format!("random:{seed}"),
+                SelectorKind::Greedy => "greedy".to_string(),
+                SelectorKind::Lookahead => "lookahead".to_string(),
+                SelectorKind::None => "none".to_string(),
+            };
+            let pl = match spec.placer {
+                PlacerKind::Packed => "packed",
+                PlacerKind::Scatter => "scatter",
+                PlacerKind::Smt => "smt",
+                PlacerKind::PackLocal => "pack_local",
+                PlacerKind::SpreadSockets => "spread_sockets",
+                PlacerKind::Migrate => "migrate",
+            };
+            let ms = spec.quantum_us / 1000;
+            format!("estimator={est},admission={adm},selector={sel},placer={pl},quantum={ms}")
+        }
+
+        /// Either an error, or a spec whose spelled-out grammar parses
+        /// back to the same spec and label.
+        fn fails_or_round_trips(text: &str) {
+            if let Ok(spec) = StackSpec::parse(text) {
+                let written = grammar(&spec);
+                let again = StackSpec::parse(&written)
+                    .unwrap_or_else(|e| panic!("{text:?} wrote {written:?}: {e}"));
+                prop_assert_eq!(again, spec, "{:?} via {:?}", text, written);
+                prop_assert_eq!(again.label(), spec.label());
+            }
+        }
+
+        /// The grammar's own alphabet: each stage with its values, and the
+        /// arguments and strays drawn beside them (numbers at and past
+        /// their bounds, signs, empty strings, separators).
+        const STAGES: [(&str, &[&str]); 5] = [
+            ("estimator", &["latest", "window", "ewma", "raw", "null"]),
+            ("admission", &["head", "strict", "fcfs", "widest", "open"]),
+            (
+                "selector",
+                &["fitness", "random", "greedy", "lookahead", "none"],
+            ),
+            (
+                "placer",
+                &[
+                    "packed",
+                    "scatter",
+                    "smt",
+                    "pack_local",
+                    "spread_sockets",
+                    "migrate",
+                ],
+            ),
+            (
+                "quantum",
+                &["1", "200", "1000000000", "1000000001", "0", "-1"],
+            ),
+        ];
+        const ARGS: &[&str] = &[
+            "0",
+            "1",
+            "7",
+            "+5",
+            "-1",
+            "18446744073709551615",
+            "18446744073709551616",
+            "",
+            "x",
+            ":",
+            "=",
+            "é",
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            #[test]
+            fn arbitrary_bytes_fail_or_round_trip(
+                bytes in prop::collection::vec(any::<u8>(), 0..48),
+            ) {
+                fails_or_round_trips(&String::from_utf8_lossy(&bytes));
+            }
+
+            #[test]
+            fn grammar_shaped_specs_fail_or_round_trip(
+                parts in prop::collection::vec(
+                    (0..STAGES.len(), any::<u8>(), 0..ARGS.len(), any::<u8>()),
+                    1..6,
+                ),
+            ) {
+                // Mostly `stage=value` or `stage=value:arg`, now and then
+                // a stage with a stray value or no value at all.
+                let text: Vec<String> = parts
+                    .iter()
+                    .map(|&(k, v, a, shape)| {
+                        let (key, values) = STAGES[k];
+                        let value = values[v as usize % values.len()];
+                        match shape % 8 {
+                            0 | 1 => format!("{key}={value}:{}", ARGS[a]),
+                            2 => format!("{key}={}", ARGS[a]),
+                            3 => key.to_string(),
+                            _ => format!("{key}={value}"),
+                        }
+                    })
+                    .collect();
+                fails_or_round_trips(&text.join(","));
             }
         }
     }

@@ -321,9 +321,13 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err("bad number"))
+        match text.parse::<f64>() {
+            // JSON has no infinity: a literal past `f64`'s range (`1e309`)
+            // would otherwise parse as one and render back as `null`.
+            Ok(n) if n.is_finite() => Ok(Value::Number(n)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("bad number")),
+        }
     }
 }
 
@@ -362,6 +366,9 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("nul").is_err());
+        assert_eq!(parse("1e309").unwrap_err().msg, "number out of range");
+        assert_eq!(parse("[-1e999]").unwrap_err().msg, "number out of range");
+        assert_eq!(parse("1.7976931348623157e308"), Ok(Value::Number(f64::MAX)));
     }
 
     #[test]
@@ -379,5 +386,141 @@ mod tests {
         s.push(' ');
         push_f64(&mut s, f64::INFINITY);
         assert_eq!(s, "null null");
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `v` rendered with the crate's writers (`quote`, `push_f64`).
+        fn write(v: &Value, out: &mut String) {
+            match v {
+                Value::Null => out.push_str("null"),
+                Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Value::Number(n) => push_f64(out, *n),
+                Value::String(s) => out.push_str(&quote(s)),
+                Value::Array(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        write(item, out);
+                    }
+                    out.push(']');
+                }
+                Value::Object(fields) => {
+                    out.push('{');
+                    for (i, (k, item)) in fields.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        out.push_str(&quote(k));
+                        out.push(':');
+                        write(item, out);
+                    }
+                    out.push('}');
+                }
+            }
+        }
+
+        /// Either an error, or a value that the writers render into a
+        /// document parsing back to the same value.
+        fn fails_or_round_trips(text: &str) {
+            if let Ok(v) = parse(text) {
+                let mut written = String::new();
+                write(&v, &mut written);
+                prop_assert_eq!(parse(&written), Ok(v), "{:?} wrote {:?}", text, written);
+            }
+        }
+
+        /// Scalars of JSON's own alphabet: literals, numbers at the edges
+        /// of `f64`, strings with every escape form.
+        const SCALARS: &[&str] = &[
+            "null",
+            "true",
+            "false",
+            "0",
+            "-0",
+            "7.25",
+            "1e5",
+            "01",
+            "5e-324",
+            "1.7976931348623157e308",
+            r#""""#,
+            r#""k""#,
+            r#""\n\t\"\\\/""#,
+            r#""é\u0001""#,
+            r#""\ud800""#,
+            "\"é\u{1}\"",
+        ];
+        /// Strays that break the grammar: one past `f64`'s range, cut
+        /// literals and escapes, unbalanced structure.
+        const STRAYS: &[&str] = &[
+            "1e309",
+            "-1e999",
+            "nul",
+            "1e",
+            "-",
+            ".5",
+            r#""\q""#,
+            r#""\u12""#,
+            "\"",
+            "{",
+            "]",
+            ",",
+            ":",
+            "x",
+        ];
+
+        /// A document built from `choices`: arrays and objects up to four
+        /// deep around scalars, with a stray now and then, and
+        /// whitespace between tokens.
+        fn document(choices: &[u8]) -> String {
+            fn value(it: &mut std::slice::Iter<'_, u8>, depth: usize, out: &mut String) {
+                let c = it.next().copied().unwrap_or(2);
+                let n = it.next().copied().unwrap_or(0) as usize;
+                match c % 32 {
+                    0..=5 if depth < 4 => {
+                        let object = c % 2 == 1;
+                        out.push(if object { '{' } else { '[' });
+                        for i in 0..n % 4 {
+                            if i > 0 {
+                                out.push_str([",", " ,\n", ", "][n % 3]);
+                            }
+                            if object {
+                                out.push_str(SCALARS[10 + n % 3]);
+                                out.push(':');
+                            }
+                            value(it, depth + 1, out);
+                        }
+                        out.push(if object { '}' } else { ']' });
+                    }
+                    6 => out.push_str(STRAYS[n % STRAYS.len()]),
+                    _ => out.push_str(SCALARS[n % SCALARS.len()]),
+                }
+            }
+            let mut out = String::new();
+            value(&mut choices.iter(), 0, &mut out);
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            #[test]
+            fn arbitrary_bytes_fail_or_round_trip(
+                bytes in prop::collection::vec(any::<u8>(), 0..48),
+            ) {
+                fails_or_round_trips(&String::from_utf8_lossy(&bytes));
+            }
+
+            #[test]
+            fn grammar_shaped_documents_fail_or_round_trip(
+                choices in prop::collection::vec(any::<u8>(), 1..64),
+            ) {
+                fails_or_round_trips(&document(&choices));
+            }
+        }
     }
 }
