@@ -66,7 +66,7 @@ pub use oracle::{
 };
 pub use pipeline::{PolicyStack, SoloSelector};
 pub use sched::{bus_aware, bus_aware_with_config, PolicyConfig};
-pub use selection::{select_gangs, Candidate};
+pub use selection::{select_gangs, Candidate, SelectBuffers};
 
 /// Convenience: the 'Latest Quantum' policy as a ready-to-run scheduler.
 pub fn latest_quantum() -> PolicyStack {

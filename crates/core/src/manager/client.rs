@@ -27,7 +27,9 @@
 //! loop is built from the manager's [`ConnectAck`]
 //! ([`AppRuntime::in_process`]) and sends nothing: its host calls the
 //! manager's handler for each step instead (`CpuManager::thread_created`
-//! after [`AppRuntime::register_thread`], and so on).
+//! after [`AppRuntime::register_thread`], and so on). Such a host can
+//! hand a runtime whose client has disconnected to the next client
+//! ([`AppRuntime::readmit_in_process`]), which then reuses its storage.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender};
@@ -95,6 +97,15 @@ impl ThreadHandle {
     pub fn gate(&self) -> Arc<SignalGate> {
         self.gate.clone()
     }
+
+    /// This handle reset to a fresh one's state (an open gate, no
+    /// transactions counted), if nothing else holds its gate or its
+    /// counter any more.
+    fn reclaim(mut self) -> Option<Self> {
+        *Arc::get_mut(&mut self.gate)? = SignalGate::new();
+        *Arc::get_mut(&mut self.transactions)? = AtomicU64::new(0);
+        Some(self)
+    }
 }
 
 /// A connection awaiting the manager's acknowledgement.
@@ -123,6 +134,9 @@ pub struct AppRuntime {
     /// whose host calls the manager's handlers itself.
     to_manager: Option<Sender<ToManager>>,
     threads: Vec<ThreadHandle>,
+    /// Reset handles of an earlier client of this runtime, handed out
+    /// again by [`AppRuntime::register_thread`].
+    spare: Vec<ThreadHandle>,
     update_period_us: u64,
     seq: u64,
     last_total: f64,
@@ -178,12 +192,30 @@ impl AppRuntime {
             arena: ack.arena,
             to_manager,
             threads: Vec::new(),
+            spare: Vec::new(),
             update_period_us: ack.update_period_us,
             seq: 0,
             last_total: 0.0,
             last_publish_us: 0,
             last_rate: 0.0,
         }
+    }
+
+    /// Make this runtime, whose client has disconnected, the in-process
+    /// runtime of the client `ack` admits, as [`AppRuntime::in_process`]
+    /// would build it, but keeping its storage: every thread handle that
+    /// nothing else holds any more (the manager let go of its gate at the
+    /// disconnect) is reset and handed out again by
+    /// [`AppRuntime::register_thread`] instead of a new one.
+    pub fn readmit_in_process(&mut self, ack: ConnectAck) {
+        let mut threads = std::mem::take(&mut self.threads);
+        let mut spare = std::mem::take(&mut self.spare);
+        spare.extend(threads.drain(..).filter_map(ThreadHandle::reclaim));
+        *self = Self {
+            threads,
+            spare,
+            ..Self::from_ack(ack, None)
+        };
     }
 
     /// This application's id.
@@ -203,10 +235,10 @@ impl AppRuntime {
     /// thread is then *not* tracked, so the application keeps running under
     /// native scheduling. An in-process runtime never fails here.
     pub fn register_thread(&mut self) -> Result<ThreadHandle, ManagerError> {
-        let h = ThreadHandle {
+        let h = self.spare.pop().unwrap_or_else(|| ThreadHandle {
             gate: Arc::new(SignalGate::new()),
             transactions: Arc::new(AtomicU64::new(0)),
-        };
+        });
         if let Some(tx) = &self.to_manager {
             tx.send(ToManager::ThreadCreated {
                 app: self.id,
@@ -216,6 +248,11 @@ impl AppRuntime {
         }
         self.threads.push(h.clone());
         Ok(h)
+    }
+
+    /// The handles of the application's live threads, oldest first.
+    pub fn threads(&self) -> &[ThreadHandle] {
+        &self.threads
     }
 
     /// Intercept a thread destruction.

@@ -7,9 +7,10 @@
 //!
 //! Per event the manager does only bookkeeping: arena reads go straight
 //! into the estimator, the circular list is rotated in place, and the
-//! candidate list reuses one buffer, so [`CpuManager::sample`] allocates
-//! nothing and [`CpuManager::quantum`] allocates only inside the shared
-//! [`select_gangs`], whose result becomes the new running set.
+//! candidate list, the selection's working storage and the running set
+//! reuse their buffers, so neither [`CpuManager::sample`] nor
+//! [`CpuManager::quantum`] allocates once the buffers have grown to the
+//! job count. A retired job's gate list is kept for the next connect.
 //!
 //! Each protocol message has one handler: [`CpuManager::connect`],
 //! [`CpuManager::thread_created`], [`CpuManager::thread_exited`] and
@@ -34,8 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::estimator::BandwidthEstimator;
-use crate::reconstruct::DemandTracker;
-use crate::selection::{select_gangs, Candidate};
+use crate::selection::{Candidate, SelectBuffers};
 
 use super::protocol::{ClientId, ConnectAck, ToManager};
 use super::seqlock::SeqlockArena;
@@ -96,10 +96,11 @@ pub struct CpuManager {
     running: Vec<ClientId>,
     /// Selection input, rebuilt in place every quantum.
     candidates: Vec<Candidate<ClientId>>,
+    /// The selection's working storage, reused every quantum.
+    select: SelectBuffers<ClientId>,
+    /// Emptied gate lists of retired jobs, handed to the next connects.
+    spare_gates: Vec<Vec<Arc<SignalGate>>>,
     next_id: u64,
-    /// Reconstructs bandwidth requirements from arena consumption reports
-    /// (see [`crate::reconstruct`]).
-    demand: DemandTracker,
     /// Structured event sink: detached, except where a unit test attaches
     /// one with `set_tracer`.
     tracer: EventBus,
@@ -122,8 +123,9 @@ impl CpuManager {
                 jobs: Vec::new(),
                 running: Vec::new(),
                 candidates: Vec::new(),
+                select: SelectBuffers::default(),
+                spare_gates: Vec::new(),
                 next_id: 0,
-                demand: DemandTracker::new(),
                 tracer: EventBus::off(),
             },
             ManagerHandle { tx },
@@ -191,7 +193,7 @@ impl CpuManager {
             id,
             name,
             arena: arena.clone(),
-            gates: Vec::new(),
+            gates: self.spare_gates.pop().unwrap_or_default(),
             blocked: false,
         });
         if self.tracer.emits() {
@@ -233,15 +235,16 @@ impl CpuManager {
         let Some(pos) = self.jobs.iter().position(|j| j.id == app) else {
             return;
         };
-        let j = self.jobs.remove(pos);
+        let mut j = self.jobs.remove(pos);
         // Leave no thread parked forever.
         if j.blocked {
             for g in &j.gates {
                 g.deliver(Signal::Unblock);
             }
         }
+        j.gates.clear();
+        self.spare_gates.push(j.gates);
         self.estimator.forget(busbw_sim::AppId(app.0));
-        self.demand.forget(busbw_sim::AppId(app.0));
         self.running.retain(|&r| r != app);
         if self.tracer.emits() {
             self.tracer
@@ -292,10 +295,9 @@ impl CpuManager {
             }
             let app = busbw_sim::AppId(j.id.0);
             // No IOQ-occupancy reading reaches the manager, so the bus
-            // dilation Λ̄ is taken as 1 (uncontended).
-            let demand = self
-                .demand
-                .observe(app, j.arena.read().rate_per_thread(), 1.0);
+            // dilation Λ̄ is taken as 1 (uncontended) and the demand is the
+            // consumed rate itself (`crate::reconstruct`: consumption × Λ̄).
+            let demand = j.arena.read().rate_per_thread().max(0.0);
             if settle {
                 self.estimator.record_quantum(app, demand);
             } else {
@@ -325,10 +327,11 @@ impl CpuManager {
             width: j.gates.len(),
             bbw_per_thread: self.estimator.estimate(busbw_sim::AppId(j.id.0)),
         }));
-        self.running = select_gangs(
+        self.select.select_into(
             &self.candidates,
             self.cfg.num_cpus,
             self.cfg.bus_total_tx_per_us,
+            &mut self.running,
         );
 
         // Signal transitions. The manager signals every gate directly;

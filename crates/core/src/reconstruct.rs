@@ -25,8 +25,9 @@
 //! overestimate for compute-bound jobs — which is harmless because their
 //! absolute rates are small (an nBBMA measured at 0.004 tx/µs inflates to
 //! at most ~0.01). The simulator exposes the same reading as
-//! `MachineView::dilation_integral`; the real-thread CPU manager accepts
-//! it through [`crate::manager::CpuManager::note_dilation`].
+//! `MachineView::dilation_integral`. No such reading reaches the
+//! real-thread CPU manager, which therefore takes Λ̄ = 1 and feeds the
+//! consumed rate itself.
 //!
 //! Reconstruction is part of the *measurement* layer: both policies (and
 //! the ablation comparators) receive reconstructed requirements, so the

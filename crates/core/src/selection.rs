@@ -44,14 +44,80 @@ pub fn select_gangs<K: Copy + PartialEq>(
     num_cpus: usize,
     bus_total: f64,
 ) -> Vec<K> {
-    select_gangs_report(candidates, num_cpus, bus_total)
-        .into_iter()
-        .map(|a| a.key)
-        .collect()
+    let mut selected = Vec::new();
+    SelectBuffers::default().select_into(candidates, num_cpus, bus_total, &mut selected);
+    selected
 }
 
-/// One admission made by [`select_gangs_report`], carrying the decision
-/// inputs that produced it (trace/observability data).
+/// The working storage of one selection. A caller that selects every
+/// quantum keeps one and selects through [`SelectBuffers::select_into`],
+/// which then allocates nothing once the buffers have grown to the
+/// candidate count.
+#[derive(Debug, Clone)]
+pub struct SelectBuffers<K> {
+    /// Indices into the candidates, in admission order.
+    admitted: Vec<usize>,
+    /// The admissions of the last selection, in admission order, each
+    /// with the decision inputs a per-decision trace needs to explain
+    /// *why* a quantum's selection flipped.
+    report: Vec<Admission<K>>,
+}
+
+impl<K> Default for SelectBuffers<K> {
+    fn default() -> Self {
+        Self {
+            admitted: Vec::new(),
+            report: Vec::new(),
+        }
+    }
+}
+
+impl<K: Copy + PartialEq> SelectBuffers<K> {
+    /// [`select_gangs`], writing the admitted keys over `selected`.
+    /// The admissions, with the fitness score and `ABBW/proc` that
+    /// justified each one, stay in the buffers until the next selection.
+    pub fn select_into(
+        &mut self,
+        candidates: &[Candidate<K>],
+        num_cpus: usize,
+        bus_total: f64,
+        selected: &mut Vec<K>,
+    ) {
+        let mut free = num_cpus;
+        let mut allocated_bbw = 0.0f64;
+        self.admitted.clear();
+        self.report.clear();
+
+        // Head-of-list guarantee: first job that can ever fit.
+        if let Some(i) = head_position(candidates, free) {
+            free -= candidates[i].width;
+            allocated_bbw += candidates[i].bbw_per_thread * candidates[i].width as f64;
+            self.admitted.push(i);
+            self.report.push(Admission {
+                key: candidates[i].key,
+                width: candidates[i].width,
+                bbw_per_thread: candidates[i].bbw_per_thread,
+                available_per_proc: None,
+                fitness: None,
+            });
+        }
+
+        fitness_fill(
+            candidates,
+            bus_total,
+            &mut free,
+            &mut allocated_bbw,
+            &mut self.admitted,
+            &mut self.report,
+        );
+
+        selected.clear();
+        selected.extend(self.report.iter().map(|a| a.key));
+    }
+}
+
+/// One admission of a selection ([`SelectBuffers`]), carrying the
+/// decision inputs that produced it (trace/observability data).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Admission<K> {
     /// The admitted job's key.
@@ -65,45 +131,6 @@ pub(crate) struct Admission<K> {
     pub(crate) available_per_proc: Option<f64>,
     /// The winning fitness score. `None` for the head admission.
     pub(crate) fitness: Option<f64>,
-}
-
-/// [`select_gangs`], but returning each admission with the fitness score
-/// and `ABBW/proc` that justified it — what a per-decision trace needs
-/// to explain *why* a quantum's selection flipped.
-pub(crate) fn select_gangs_report<K: Copy + PartialEq>(
-    candidates: &[Candidate<K>],
-    num_cpus: usize,
-    bus_total: f64,
-) -> Vec<Admission<K>> {
-    let mut free = num_cpus;
-    let mut allocated_bbw = 0.0f64;
-    let mut admitted: Vec<usize> = Vec::new();
-    let mut report: Vec<Admission<K>> = Vec::new();
-
-    // Head-of-list guarantee: first job that can ever fit.
-    if let Some(i) = head_position(candidates, free) {
-        free -= candidates[i].width;
-        allocated_bbw += candidates[i].bbw_per_thread * candidates[i].width as f64;
-        admitted.push(i);
-        report.push(Admission {
-            key: candidates[i].key,
-            width: candidates[i].width,
-            bbw_per_thread: candidates[i].bbw_per_thread,
-            available_per_proc: None,
-            fitness: None,
-        });
-    }
-
-    fitness_fill(
-        candidates,
-        bus_total,
-        &mut free,
-        &mut allocated_bbw,
-        &mut admitted,
-        &mut report,
-    );
-
-    report
 }
 
 /// The head-of-list admission rule: index of the first candidate that can
@@ -245,9 +272,11 @@ mod tests {
     #[test]
     fn report_matches_plain_selection_and_scores_non_head_admissions() {
         let cands = [cand(0, 2, 11.0), cand(1, 2, 10.0), cand(2, 2, 0.0)];
-        let report = select_gangs_report(&cands, 4, 29.5);
-        let keys: Vec<u32> = report.iter().map(|a| a.key).collect();
+        let mut buffers = SelectBuffers::default();
+        let mut keys = Vec::new();
+        buffers.select_into(&cands, 4, 29.5, &mut keys);
         assert_eq!(keys, select_gangs(&cands, 4, 29.5));
+        let report = &buffers.report;
         // Head admission has no fitness; fitness-loop admissions do.
         assert_eq!(report[0].fitness, None);
         assert_eq!(report[0].available_per_proc, None);

@@ -335,7 +335,9 @@ pub const SHORT_DURATION_US: u64 = 10_000_000;
 
 /// Parse an `--arrivals` spec: `poisson:<rate|small>`,
 /// `pareto:<rate|small>[:alpha]`, `diurnal:<rate|small>[:period_s]`, or
-/// `trace:diurnal` (alias for the default diurnal trace).
+/// `trace:diurnal` (alias for the default diurnal trace). A period is
+/// taken in whole µs, rounded to the nearest, and bounded like a
+/// `--duration`.
 pub fn parse_arrivals(s: &str) -> Result<ArrivalProcess, String> {
     const DEFAULT_ALPHA: f64 = 1.5;
     const DEFAULT_PERIOD_US: u64 = 8_000_000;
@@ -370,8 +372,13 @@ pub fn parse_arrivals(s: &str) -> Result<ArrivalProcess, String> {
             period_us: match parts.next() {
                 None => DEFAULT_PERIOD_US,
                 Some(v) => match v.parse::<f64>() {
-                    Ok(p) if p > 0.0 && p.is_finite() => (p * 1e6) as u64,
-                    _ => return Err(format!("bad diurnal period `{v}` (seconds, > 0)")),
+                    Ok(p) if p <= MAX_DURATION_S && whole_us(p) > 0 => whole_us(p),
+                    _ => {
+                        return Err(format!(
+                            "bad diurnal period `{v}` (seconds, at least 1 µs and at most \
+                             {MAX_DURATION_S})"
+                        ))
+                    }
                 },
             },
         },
@@ -399,21 +406,29 @@ pub fn parse_arrivals(s: &str) -> Result<ArrivalProcess, String> {
     Ok(spec)
 }
 
+/// `s` seconds as whole µs, rounded to the nearest: a count of µs written
+/// as seconds (`0.000003`) reads back as that count, where truncating the
+/// product (2.9999999999999996) would lose one.
+fn whole_us(s: f64) -> u64 {
+    (s * 1e6).round() as u64
+}
+
 /// Longest `--duration` accepted, s (11.6 simulated days; the open
 /// workload of the benchmark serves 12 000 s). Far beyond it the scaled
 /// horizon overflows its µs counter.
 pub(crate) const MAX_DURATION_S: f64 = 1e6;
 
-/// Parse a `--duration` spec: seconds in (0, `MAX_DURATION_S`], or the
-/// `short` preset. Returns the unscaled horizon in µs.
+/// Parse a `--duration` spec: seconds in [1 µs, `MAX_DURATION_S`], or the
+/// `short` preset. Returns the unscaled horizon in whole µs, rounded to
+/// the nearest.
 pub fn parse_duration(s: &str) -> Result<u64, String> {
     if s == "short" {
         return Ok(SHORT_DURATION_US);
     }
     match s.parse::<f64>() {
-        Ok(v) if v > 0.0 && v <= MAX_DURATION_S => Ok((v * 1e6) as u64),
+        Ok(v) if v <= MAX_DURATION_S && whole_us(v) > 0 => Ok(whole_us(v)),
         _ => Err(format!(
-            "bad duration `{s}` (seconds, > 0 and at most {MAX_DURATION_S}, or `short`)"
+            "bad duration `{s}` (seconds, at least 1 µs and at most {MAX_DURATION_S}, or `short`)"
         )),
     }
 }
@@ -751,8 +766,131 @@ mod tests {
         assert_eq!(parse_duration("short").unwrap(), SHORT_DURATION_US);
         assert_eq!(parse_duration("2.5").unwrap(), 2_500_000);
         assert_eq!(parse_duration("1e6").unwrap(), 1_000_000_000_000);
-        for bad in ["0", "fast", "-1", "NaN", "inf", "1e300", ""] {
+        for bad in [
+            "0",
+            "fast",
+            "-1",
+            "NaN",
+            "inf",
+            "1e300",
+            "",
+            "1e-7",
+            "0.0000004",
+        ] {
             assert!(parse_duration(bad).is_err(), "`{bad}` must not parse");
+        }
+        for bad in [
+            "diurnal:20:1e-7",
+            "diurnal:20:0",
+            "diurnal:20:1e7",
+            "diurnal:20:inf",
+        ] {
+            assert!(parse_arrivals(bad).is_err(), "`{bad}` must not parse");
+        }
+        // Whole µs, rounded: 0.000003 s is 2.9999999999999996 µs in `f64`.
+        assert_eq!(parse_duration("0.000003"), Ok(3));
+        assert_eq!(
+            parse_arrivals("diurnal:20:0.000003"),
+            Ok(ArrivalProcess::Diurnal {
+                rate_per_s: 20.0,
+                period_us: 3
+            })
+        );
+    }
+
+    /// `a` as the spec that names every parameter, its period in seconds.
+    fn arrivals_spec(a: &ArrivalProcess) -> String {
+        match *a {
+            ArrivalProcess::Poisson { rate_per_s } => format!("poisson:{rate_per_s}"),
+            ArrivalProcess::Pareto { rate_per_s, alpha } => format!("pareto:{rate_per_s}:{alpha}"),
+            ArrivalProcess::Diurnal {
+                rate_per_s,
+                period_us,
+            } => format!("diurnal:{rate_per_s}:{}", period_us as f64 / 1e6),
+        }
+    }
+
+    /// Tokens of the two grammars, and near misses of them.
+    const TOKENS: &[&str] = &[
+        "poisson",
+        "pareto",
+        "diurnal",
+        "trace",
+        "small",
+        "short",
+        "uniform",
+        "",
+        "20",
+        "0",
+        "-1",
+        "1.5",
+        "1",
+        "2.5",
+        "0.3",
+        "1e-7",
+        "1e-6",
+        "0.0000005",
+        "0.000003",
+        "1e6",
+        "1000000.5",
+        "1e300",
+        "inf",
+        "NaN",
+        "-0",
+        ".5",
+        "3.",
+        "x",
+    ];
+
+    /// A spec of one to four tokens picked by `choices`, joined by `:`.
+    fn spec(choices: &[u8]) -> String {
+        let n = 1 + choices.first().map_or(0, |&c| c as usize % 4);
+        choices
+            .iter()
+            .skip(1)
+            .take(n)
+            .map(|&c| TOKENS[c as usize % TOKENS.len()])
+            .collect::<Vec<_>>()
+            .join(":")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Any `--arrivals` input is an error, or a process that its
+        /// canonical spec parses back to.
+        #[test]
+        fn arrival_specs_fail_or_round_trip(
+            bytes in prop::collection::vec(any::<u8>(), 0..24),
+            choices in prop::collection::vec(any::<u8>(), 1..6),
+        ) {
+            for text in [String::from_utf8_lossy(&bytes).into_owned(), spec(&choices)] {
+                if let Ok(a) = parse_arrivals(&text) {
+                    let canonical = arrivals_spec(&a);
+                    prop_assert_eq!(parse_arrivals(&canonical), Ok(a), "{:?} → {:?}", text, canonical);
+                }
+            }
+        }
+
+        /// Any `--duration` input is an error, or a horizon of at least
+        /// 1 µs that its canonical spec (seconds) parses back to.
+        #[test]
+        fn duration_specs_fail_or_round_trip(
+            bytes in prop::collection::vec(any::<u8>(), 0..24),
+            choices in prop::collection::vec(any::<u8>(), 1..3),
+        ) {
+            let token = TOKENS[choices[0] as usize % TOKENS.len()];
+            let shaped = match choices.get(1) {
+                Some(&c) => format!("{token}{}", TOKENS[c as usize % TOKENS.len()]),
+                None => token.to_string(),
+            };
+            for text in [String::from_utf8_lossy(&bytes).into_owned(), shaped] {
+                if let Ok(us) = parse_duration(&text) {
+                    prop_assert!(us > 0, "{:?} parsed to 0 µs", text);
+                    let canonical = format!("{}", us as f64 / 1e6);
+                    prop_assert_eq!(parse_duration(&canonical), Ok(us), "{:?} → {:?}", text, canonical);
+                }
+            }
         }
     }
 }

@@ -49,11 +49,12 @@ pub(crate) mod arrivals;
 
 pub use arrivals::ArrivalProcess;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use busbw_core::estimator::BandwidthEstimator;
-use busbw_core::manager::{AppRuntime, ClientId, CpuManager, ManagerConfig, ThreadHandle};
-use busbw_core::{select_gangs, Candidate};
+use busbw_core::manager::{AppRuntime, ClientId, CpuManager, ManagerConfig};
+use busbw_core::{Candidate, SelectBuffers};
 use busbw_metrics::Histogram;
 use busbw_sim::AppId;
 use busbw_trace::TraceEvent;
@@ -247,14 +248,13 @@ impl OpenOutcome {
 /// One live (admitted, unfinished) client.
 struct LiveClient {
     rt: AppRuntime,
-    threads: Vec<ThreadHandle>,
     arrived_at_us: u64,
     service_us: u64,
     done_us: u64,
     /// Per-thread bus transaction rate while running, tx/µs.
     rate: f64,
     /// Transactions each thread performed since the last sampling point,
-    /// summed per quiet interval as `(rate * adv) as u64` — the same
+    /// summed per quiet interval of `dt` µs as `(rate * dt) as u64` — the same
     /// terms counting every interval straight into the threads' counters
     /// would add.
     pending_tx: u64,
@@ -268,38 +268,62 @@ impl LiveClient {
     /// Whether the client's gang may progress right now (all gates get
     /// identical signals, so the first gate speaks for the gang).
     fn runnable(&self) -> bool {
-        !self.threads[0].is_blocked()
+        !self.rt.threads()[0].is_blocked()
     }
 
     /// A sampling point: hand the pending transactions to the thread
-    /// counters, then publish the application's rate to its arena.
+    /// counters (none to a gang that stayed blocked), then publish the
+    /// application's rate to its arena.
     fn publish_sample(&mut self, now: u64) {
-        for t in &self.threads {
-            t.count_transactions(self.pending_tx);
+        if self.pending_tx > 0 {
+            for t in self.rt.threads() {
+                t.count_transactions(self.pending_tx);
+            }
         }
         self.pending_tx = 0;
         self.rt.publish_sample(now);
     }
 }
 
-/// The earliest completion of a currently runnable client, or `u64::MAX`.
-fn earliest_completion(live: &[LiveClient], now: u64) -> u64 {
-    live.iter()
-        .filter(|c| c.runnable())
-        .map(|c| now + c.remaining_us())
-        .min()
-        .unwrap_or(u64::MAX)
+/// Refill `runnable` with the positions in `live` of the clients that
+/// may progress, and return the earliest completion among them, or
+/// `u64::MAX`.
+fn runnable_clients(live: &[LiveClient], runnable: &mut Vec<usize>, now: u64) -> u64 {
+    runnable.clear();
+    let mut earliest = u64::MAX;
+    for (i, c) in live.iter().enumerate() {
+        if c.runnable() {
+            runnable.push(i);
+            earliest = earliest.min(now + c.remaining_us());
+        }
+    }
+    earliest
 }
 
 /// The estimators of a group serve's shadow members, each with its
 /// member index. The [`Tee`] inside the manager feeds them; the serve
-/// loop reads their estimates after each quantum.
-type Shadows = Arc<Mutex<Vec<(usize, Box<dyn BandwidthEstimator>)>>>;
+/// loop reads their estimates after each quantum, and clears `any` when
+/// the last one leaves, so the tee stops taking the lock.
+struct Shadows {
+    any: AtomicBool,
+    list: Mutex<Vec<(usize, Box<dyn BandwidthEstimator>)>>,
+}
 
-fn lock(shadows: &Shadows) -> MutexGuard<'_, Vec<(usize, Box<dyn BandwidthEstimator>)>> {
-    shadows
-        .lock()
-        .expect("only the serve locks the shadows, and a panic ends the serve")
+impl Shadows {
+    fn lock(&self) -> MutexGuard<'_, Vec<(usize, Box<dyn BandwidthEstimator>)>> {
+        self.list
+            .lock()
+            .expect("only the serve locks the shadows, and a panic ends the serve")
+    }
+
+    /// Hand every shadow still in the group to `f`, in member order.
+    fn each(&self, mut f: impl FnMut(&mut dyn BandwidthEstimator)) {
+        if self.any.load(Ordering::Relaxed) {
+            for (_, s) in self.lock().iter_mut() {
+                f(s.as_mut());
+            }
+        }
+    }
 }
 
 /// The estimator a group serve's manager drives: member 0's, with every
@@ -307,30 +331,24 @@ fn lock(shadows: &Shadows) -> MutexGuard<'_, Vec<(usize, Box<dyn BandwidthEstima
 /// in the same order. Estimates are member 0's alone.
 struct Tee {
     primary: Box<dyn BandwidthEstimator>,
-    shadows: Shadows,
+    shadows: Arc<Shadows>,
 }
 
 impl BandwidthEstimator for Tee {
     fn record_sample(&mut self, app: AppId, rate: f64) {
         self.primary.record_sample(app, rate);
-        for (_, s) in lock(&self.shadows).iter_mut() {
-            s.record_sample(app, rate);
-        }
+        self.shadows.each(|s| s.record_sample(app, rate));
     }
     fn record_quantum(&mut self, app: AppId, rate: f64) {
         self.primary.record_quantum(app, rate);
-        for (_, s) in lock(&self.shadows).iter_mut() {
-            s.record_quantum(app, rate);
-        }
+        self.shadows.each(|s| s.record_quantum(app, rate));
     }
     fn estimate(&self, app: AppId) -> f64 {
         self.primary.estimate(app)
     }
     fn forget(&mut self, app: AppId) {
         self.primary.forget(app);
-        for (_, s) in lock(&self.shadows).iter_mut() {
-            s.forget(app);
-        }
+        self.shadows.each(|s| s.forget(app));
     }
     fn label(&self) -> &'static str {
         self.primary.label()
@@ -339,9 +357,12 @@ impl BandwidthEstimator for Tee {
 
 /// The shadow side of a group serve.
 struct Group {
-    shadows: Shadows,
+    shadows: Arc<Shadows>,
     /// The quantum's candidates re-estimated by one shadow.
     scratch: Vec<Candidate<ClientId>>,
+    /// The selection's working storage and one shadow's selection.
+    select: SelectBuffers<ClientId>,
+    selected: Vec<ClientId>,
     /// Seeded fault for the negative test: keep every shadow, whatever
     /// it selects.
     keep_shadows: bool,
@@ -354,7 +375,7 @@ impl Group {
     /// them that selected alike goes to `on_split` as one class, in
     /// member order.
     fn split(&mut self, mgr: &CpuManager, on_split: &mut impl FnMut(Vec<usize>)) {
-        let mut shadows = lock(&self.shadows);
+        let mut shadows = self.shadows.lock();
         if shadows.is_empty() {
             return;
         }
@@ -367,16 +388,25 @@ impl Group {
                     bbw_per_thread: est.estimate(AppId(c.key.0)),
                     ..*c
                 }));
-            let sel = select_gangs(&self.scratch, cfg.num_cpus, cfg.bus_total_tx_per_us);
+            self.select.select_into(
+                &self.scratch,
+                cfg.num_cpus,
+                cfg.bus_total_tx_per_us,
+                &mut self.selected,
+            );
+            let sel = &self.selected;
             if self.keep_shadows || sel == mgr.running() {
                 return true;
             }
-            match classes.iter_mut().find(|(s, _)| *s == sel) {
+            match classes.iter_mut().find(|(s, _)| s == sel) {
                 Some((_, members)) => members.push(*member),
-                None => classes.push((sel, vec![*member])),
+                None => classes.push((sel.clone(), vec![*member])),
             }
             false
         });
+        self.shadows
+            .any
+            .store(!shadows.is_empty(), Ordering::Relaxed);
         drop(shadows);
         for (_, members) in classes {
             on_split(members);
@@ -441,7 +471,10 @@ fn serve_group_with(
     let (estimator, mut group): (Box<dyn BandwidthEstimator>, _) = if shadows.is_empty() {
         (primary, None)
     } else {
-        let shadows = Arc::new(Mutex::new(shadows));
+        let shadows = Arc::new(Shadows {
+            any: AtomicBool::new(true),
+            list: Mutex::new(shadows),
+        });
         let tee = Tee {
             primary,
             shadows: Arc::clone(&shadows),
@@ -449,6 +482,8 @@ fn serve_group_with(
         let group = Group {
             shadows,
             scratch: Vec::new(),
+            select: SelectBuffers::default(),
+            selected: Vec::new(),
             keep_shadows,
         };
         (Box::new(tee), Some(group))
@@ -471,6 +506,9 @@ fn serve_group_with(
     let horizon = cfg.duration_us;
 
     let mut live: Vec<LiveClient> = Vec::new();
+    // Runtimes of departed clients: each admission takes one and its
+    // storage back (`AppRuntime::readmit_in_process`) before making new.
+    let mut retired: Vec<AppRuntime> = Vec::new();
     let mut out = OpenOutcome {
         turnarounds: Histogram::new(turnaround_bounds()),
         slowdown_sum: 0.0,
@@ -491,10 +529,15 @@ fn serve_group_with(
     // stays put.
     let mut next_completion = u64::MAX;
     let mut runnable_changed = true;
+    // Positions in `live` of the clients that may progress. Gates move
+    // only at the events that set `runnable_changed` (a quantum's signals,
+    // a departing client's own unblock, a new client's open gates), so
+    // the gates are read there and nowhere else.
+    let mut runnable: Vec<usize> = Vec::new();
 
     while now < horizon {
         if runnable_changed {
-            next_completion = earliest_completion(&live, now);
+            next_completion = runnable_clients(&live, &mut runnable, now);
             runnable_changed = false;
         }
         // The next instant anything can happen: an arrival, a sampling
@@ -507,16 +550,16 @@ fn serve_group_with(
             .min(horizon);
 
         // Advance every runnable client through the quiet interval,
-        // counting the bus transactions its threads perform.
+        // counting the bus transactions its threads perform. The interval
+        // ends at the earliest completion at the latest, so none of them
+        // runs past its remaining work.
         let dt = next - now;
         if dt > 0 {
-            for c in live.iter_mut() {
-                if !c.runnable() {
-                    continue;
-                }
-                let adv = dt.min(c.remaining_us());
-                c.done_us += adv;
-                c.pending_tx += (c.rate * adv as f64) as u64;
+            for &i in &runnable {
+                let c = &mut live[i];
+                debug_assert!(dt <= c.remaining_us());
+                c.done_us += dt;
+                c.pending_tx += (c.rate * dt as f64) as u64;
             }
         }
         now = next;
@@ -539,6 +582,7 @@ fn serve_group_with(
             let turnaround = now - c.arrived_at_us;
             let client = c.rt.id().0;
             mgr.disconnect(c.rt.id());
+            retired.push(c.rt);
             out.overhead_us += overhead::DISCONNECT_US;
             out.served += 1;
             // A client advances at most one µs of service per µs of
@@ -580,14 +624,20 @@ fn serve_group_with(
                     });
                 }
             } else {
-                let mut rt = AppRuntime::in_process(mgr.connect(format!("c{}", out.arrived - 1)));
-                let mut threads = Vec::with_capacity(width);
+                // A served client's name is never read: connect it unnamed.
+                let ack = mgr.connect(String::new());
+                let mut rt = match retired.pop() {
+                    Some(mut rt) => {
+                        rt.readmit_in_process(ack);
+                        rt
+                    }
+                    None => AppRuntime::in_process(ack),
+                };
                 for _ in 0..width {
                     let t = rt
                         .register_thread()
                         .expect("an in-process runtime sends nothing");
                     mgr.thread_created(rt.id(), t.gate());
-                    threads.push(t);
                 }
                 out.overhead_us += overhead::CONNECT_US + overhead::THREAD_US * width as u64;
                 if cfg.collect_events {
@@ -599,7 +649,6 @@ fn serve_group_with(
                 }
                 live.push(LiveClient {
                     rt,
-                    threads,
                     arrived_at_us: now,
                     service_us,
                     done_us: 0,
@@ -644,7 +693,7 @@ fn serve_group_with(
     }
     let mut stayed = vec![0];
     if let Some(g) = &group {
-        stayed.extend(lock(&g.shadows).iter().map(|&(m, _)| m));
+        stayed.extend(g.shadows.lock().iter().map(|&(m, _)| m));
     }
     GroupOutcome {
         outcome: out,

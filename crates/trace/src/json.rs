@@ -291,10 +291,15 @@ impl Parser<'_> {
                                 .bytes
                                 .get(self.pos..self.pos + 4)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u hex"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u hex"))?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign (`\u+abc`).
+                            let mut code = 0;
+                            for &h in hex {
+                                let digit = (h as char)
+                                    .to_digit(16)
+                                    .ok_or_else(|| self.err("bad \\u hex"))?;
+                                code = code * 16 + digit;
+                            }
                             self.pos += 4;
                             // Surrogate pairs are not emitted by this
                             // crate; map lone surrogates to U+FFFD.
@@ -308,16 +313,44 @@ impl Parser<'_> {
         }
     }
 
+    /// Skip a run of decimal digits; returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// A number as RFC 8259 §6 defines it:
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. A leading
+    /// zero ends the integer part, so `01` leaves a stray `1` behind.
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.err("bad number")),
+        }
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("bad number"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.err("bad number"));
+            }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
@@ -369,6 +402,34 @@ mod tests {
         assert_eq!(parse("1e309").unwrap_err().msg, "number out of range");
         assert_eq!(parse("[-1e999]").unwrap_err().msg, "number out of range");
         assert_eq!(parse("1.7976931348623157e308"), Ok(Value::Number(f64::MAX)));
+    }
+
+    #[test]
+    fn numbers_and_escapes_follow_rfc_8259() {
+        for bad in [
+            "01", "-01", "00", "1.", "-.5", ".5", "1.e5", "1e", "1e+", "+1", "-", "--1", "0x10",
+        ] {
+            assert!(parse(bad).is_err(), "`{bad}` must not parse");
+            assert!(
+                parse(&format!("[{bad}]")).is_err(),
+                "`[{bad}]` must not parse"
+            );
+        }
+        for (good, v) in [
+            ("0", 0.0),
+            ("-0.0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-1.25e-2", -0.0125),
+            ("2E+3", 2000.0),
+            ("7e0", 7.0),
+        ] {
+            assert_eq!(parse(good), Ok(Value::Number(v)), "{good}");
+        }
+        for bad in [r#""\u+abc""#, r#""\u-abc""#, r#""\u 123""#, r#""\u12g4""#] {
+            assert_eq!(parse(bad).unwrap_err().msg, "bad \\u hex", "{bad}");
+        }
+        assert_eq!(parse(r#""\u00e9\u00C9""#), Ok(Value::String("éÉ".into())));
     }
 
     #[test]
@@ -444,7 +505,7 @@ mod tests {
             "-0",
             "7.25",
             "1e5",
-            "01",
+            "-0.5E+3",
             "5e-324",
             "1.7976931348623157e308",
             r#""""#,
@@ -463,6 +524,11 @@ mod tests {
             "1e",
             "-",
             ".5",
+            "01",
+            "1.",
+            "-.5",
+            "1.e5",
+            r#""\u+abc""#,
             r#""\q""#,
             r#""\u12""#,
             "\"",
@@ -505,8 +571,81 @@ mod tests {
             out
         }
 
+        /// Pieces of a number, each with whether RFC 8259 allows it in
+        /// its place: sign, integer part, fraction, exponent.
+        const SIGNS: &[(&str, bool)] = &[("", true), ("-", true), ("+", false), ("--", false)];
+        const INTS: &[(&str, bool)] = &[
+            ("0", true),
+            ("7", true),
+            ("120", true),
+            ("", false),
+            ("00", false),
+            ("01", false),
+        ];
+        const FRACS: &[(&str, bool)] = &[
+            ("", true),
+            (".5", true),
+            (".05", true),
+            (".", false),
+            ("..5", false),
+        ];
+        const EXPS: &[(&str, bool)] = &[
+            ("", true),
+            ("e3", true),
+            ("E+12", true),
+            ("e-0", true),
+            ("e", false),
+            ("e+", false),
+            ("E3.5", false),
+        ];
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            /// A number built from pieces parses exactly when every piece
+            /// is one the grammar allows, to the value `f64` reads from
+            /// the same text.
+            #[test]
+            fn numbers_parse_exactly_when_the_grammar_allows(
+                pick in prop::collection::vec(any::<u8>(), 4..5),
+            ) {
+                let parts = [SIGNS, INTS, FRACS, EXPS]
+                    .iter()
+                    .zip(&pick)
+                    .map(|(set, &p)| set[p as usize % set.len()]);
+                let (mut text, mut valid) = (String::new(), true);
+                for (piece, ok) in parts {
+                    text.push_str(piece);
+                    valid &= ok;
+                }
+                match parse(&text) {
+                    Ok(v) => {
+                        prop_assert!(valid, "{:?} parsed to {:?}", text, v);
+                        prop_assert_eq!(v, Value::Number(text.parse().unwrap()));
+                    }
+                    Err(e) => prop_assert!(!valid, "{:?} rejected: {}", text, e.msg),
+                }
+            }
+
+            /// A `\u` escape parses exactly when its four characters are
+            /// hex digits.
+            #[test]
+            fn unicode_escapes_need_four_hex_digits(
+                pick in prop::collection::vec(any::<u8>(), 4..5),
+            ) {
+                const ALPHABET: &[u8] = b"09afAFg+- x";
+                let hex: String = pick
+                    .iter()
+                    .map(|&p| ALPHABET[p as usize % ALPHABET.len()] as char)
+                    .collect();
+                let valid = hex.chars().all(|c| c.is_ascii_hexdigit());
+                let parsed = parse(&format!("\"\\u{hex}\""));
+                prop_assert_eq!(parsed.is_ok(), valid, "\\u{}: {:?}", hex, parsed);
+                if let Ok(Value::String(s)) = parsed {
+                    let code = u32::from_str_radix(&hex, 16).unwrap();
+                    prop_assert_eq!(s.chars().next(), Some(char::from_u32(code).unwrap_or('\u{fffd}')));
+                }
+            }
 
             #[test]
             fn arbitrary_bytes_fail_or_round_trip(
